@@ -23,7 +23,6 @@ __all__ = [
     "Graph",
     "constant",
     "eval_graph",
-    "grad",
     "value_and_grad",
     "finite_diff_check",
 ]
@@ -532,25 +531,6 @@ def eval_graph(graph: Graph, params: ParamVector, inputs=None):
     return out.value.copy()
 
 
-def grad(graph: Graph, params: ParamVector, inputs=None):
-    """Gradient of a scalar-valued graph w.r.t. the parameters.
-
-    Returns a :class:`ParamVector` with the same layout as ``params``.
-    """
-    out, leaves = _run(graph, params, inputs)
-    if out.value.ndim != 0 and out.value.size != 1:
-        raise ContractError("grad requires a scalar-valued graph")
-    if not np.isfinite(out.value).all():
-        bad = _first_bad_node(out)
-        raise NumericError(f"non-finite value produced by op {bad.op!r}")
-    out.backward()
-    result = params.zeros_like()
-    for name, leaf in leaves.items():
-        if leaf.grad is not None:
-            result.view(name)[...] = leaf.grad
-    return result
-
-
 def value_and_grad(graph: Graph, params: ParamVector, inputs=None):
     """Scalar value and gradient of a graph in one forward/backward pass."""
     out, leaves = _run(graph, params, inputs)
@@ -580,7 +560,7 @@ def finite_diff_check(graph: Graph, params: ParamVector, inputs=None, step=1e-4)
     """
     if step <= 0:
         raise ConfigError("step must be positive")
-    analytic = grad(graph, params, inputs).values
+    analytic = value_and_grad(graph, params, inputs)[1].values
     numeric = np.zeros_like(analytic)
     work = params.copy()
     for j in range(work.size):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import datetime
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,18 +27,6 @@ from .errors import ConfigError
 
 PREDICTOR_NAMES = ("primary", "aux_spread", "aux_skew", "noise")
 SCALAR_NAMES = ("lat", "lon", "yday_cos")
-
-
-@dataclass(frozen=True)
-class EnsembleSample:
-    """One forecast case: ensemble matrix, scalar context and observation."""
-
-    ens: np.ndarray        # (M, p) member x predictor, physical units
-    scalars: np.ndarray    # (q,)
-    station: int
-    time: str              # ISO date
-    lead_hours: int
-    obs: float
 
 
 class Dataset:
@@ -70,8 +58,11 @@ class Dataset:
                 raise ConfigError(f"non-finite values in {what}")
         if n_stations is None:
             n_stations = int(station.max()) + 1 if t else 0
+        if t and station.min() < 0:
+            raise ConfigError(f"station id {int(station.min())} is negative")
         if t and station.max() >= n_stations:
-            raise ConfigError("station id out of range")
+            raise ConfigError(f"station id {int(station.max())} out of range "
+                              f"for {n_stations} stations")
         order = np.lexsort((station, times))
         self.ens = ens[order]
         self.scalars = scalars[order]
@@ -104,16 +95,6 @@ class Dataset:
     def months(self):
         """Calendar month (1-12) of each sample."""
         return np.array([int(t[5:7]) for t in self.times], dtype=np.int64)
-
-    def sample(self, i) -> EnsembleSample:
-        return EnsembleSample(
-            ens=self.ens[i].copy(),
-            scalars=self.scalars[i].copy(),
-            station=int(self.station[i]),
-            time=str(self.times[i]),
-            lead_hours=self.lead_hours,
-            obs=float(self.obs[i]),
-        )
 
     def with_ens(self, ens):
         """Copy of the dataset with a replaced ensemble block."""

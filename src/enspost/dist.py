@@ -106,12 +106,6 @@ def bernstein_basis(degree, p):
     return comb(degree, nu) * pe**nu * (1.0 - pe) ** (degree - nu)
 
 
-def bernstein_matrix(degree, levels):
-    """Basis matrix of shape (n_levels, degree + 1)."""
-    levels = levels.levels if isinstance(levels, QuantileLevels) else np.asarray(levels)
-    return bernstein_basis(degree, levels)
-
-
 def bqn_coefficients(theta):
     """Map raw outputs to non-decreasing coefficients.
 
@@ -152,14 +146,6 @@ def pinball(quantiles, y, levels):
 # ---------------------------------------------------------------------------
 
 
-def tlogis_map(theta):
-    """Raw 2-vector to TruncLogistic: identity location, softplus scale."""
-    theta = np.asarray(theta, dtype=np.float64)
-    mu = float(theta[0])
-    sigma = float(np.logaddexp(0.0, theta[1]) + SCALE_FLOOR)
-    return TruncLogistic(mu, sigma)
-
-
 class _NumpyOps:
     """Shared arithmetic shim so the CRPS formula serves numpy and Tensors."""
 
@@ -182,6 +168,17 @@ class _TensorOps:
 
 NUMPY_OPS = _NumpyOps()
 TENSOR_OPS = _TensorOps()
+
+
+def tlogis_params(theta, ops=NUMPY_OPS):
+    """Location and scale of raw (..., 2) outputs: identity and softplus."""
+    return theta[..., 0], ops.softplus(theta[..., 1]) + SCALE_FLOOR
+
+
+def tlogis_map(theta):
+    """Raw 2-vector to TruncLogistic: identity location, softplus scale."""
+    mu, sigma = tlogis_params(np.asarray(theta, dtype=np.float64))
+    return TruncLogistic(float(mu), float(sigma))
 
 
 _TRUNC_CLAMP = 300.0  # switch to the deep-truncation limit beyond this
@@ -245,10 +242,23 @@ def tlogis_quantile(dist: TruncLogistic, p):
     p_arr = np.asarray(p, dtype=np.float64)
     if np.any(p_arr <= 0) or np.any(p_arr >= 1):
         raise DomainError("p must lie strictly inside (0, 1)")
-    flb = NUMPY_OPS.sigmoid((dist.lower - dist.location) / dist.scale)
-    q = flb + p_arr * (1.0 - flb)
-    out = dist.location + dist.scale * (np.log(q) - np.log1p(-q))
+    out = tlogis_quantile_core(dist.location, dist.scale, p_arr, dist.lower)
     return float(out) if np.ndim(p) == 0 else out
+
+
+def tlogis_quantile_core(mu, sigma, p, lower=0.0, ops=NUMPY_OPS):
+    """Inverse CDF of the truncated logistic, broadcasting (mu, sigma) over p.
+
+    With lb = (lower - mu) / sigma the truncated level p maps to the base
+    level qq = sigmoid(lb) + p sigmoid(-lb).  The standardized offset from
+    the bound, logit(qq) - lb, simplifies to softplus(log p - lb) -
+    log1p(-p).  This form keeps full relative accuracy however much mass the
+    truncation removes, where mu + sigma logit(qq) rounds 1 - qq to 0 and
+    returns +inf.
+    """
+    lb = (lower - mu) / sigma
+    # Tensor operands first: ndarray - Tensor would build an object array
+    return lower + sigma * (ops.softplus(-lb + np.log(p)) - np.log1p(-p))
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +288,45 @@ def crps_sample_batch(values, y):
     k = np.arange(m)
     term2 = values @ (2.0 * k - m + 1.0) / (m * m)
     return term1 - term2
+
+
+# ---------------------------------------------------------------------------
+# Batched forecast core: raw model outputs theta (n, D) to quantiles and CRPS
+# ---------------------------------------------------------------------------
+
+
+def level_grid(levels):
+    """Level array of a :class:`QuantileLevels` or of an array-like."""
+    if isinstance(levels, QuantileLevels):
+        return levels.levels
+    return np.asarray(levels, dtype=np.float64)
+
+
+def theta_quantiles(theta, family, levels):
+    """(n, K) quantile matrix of raw outputs at the given levels.
+
+    ``family`` is "tlogis" (theta holds location and raw scale) or "bqn"
+    (theta holds the raw Bernstein coefficients of degree D - 1).
+    """
+    levels = level_grid(levels)
+    if family == "tlogis":
+        mu, sigma = tlogis_params(theta)
+        return tlogis_quantile_core(mu[:, None], sigma[:, None], levels)
+    alpha = bqn_coefficients(theta)
+    return alpha @ bernstein_basis(alpha.shape[1] - 1, levels).T
+
+
+def theta_mean_crps(theta, obs, family, levels):
+    """Mean CRPS of raw outputs against observations.
+
+    Truncated-logistic forecasts use the closed form; Bernstein forecasts
+    are scored as K-point empirical forecasts on the level grid.
+    """
+    if family == "tlogis":
+        mu, sigma = tlogis_params(theta)
+        return float(np.mean(crps_tlogis_core(mu, sigma, obs, 0.0)))
+    return float(crps_sample_batch(theta_quantiles(theta, family, levels),
+                                   obs).mean())
 
 
 # ---------------------------------------------------------------------------

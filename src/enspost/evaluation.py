@@ -16,8 +16,8 @@ import numpy as np
 
 from .data import Dataset
 from .dist import (BernsteinQuantile, QuantileLevels, TruncLogistic,
-                   bqn_quantile, crps_sample_batch, crps_tlogis,
-                   pit, tlogis_quantile)
+                   bqn_quantile, crps_sample_batch, crps_tlogis, level_grid,
+                   pit, theta_mean_crps, tlogis_quantile)
 from .errors import ContractError, DomainError
 
 
@@ -78,7 +78,7 @@ def pi_bounds(forecast, level, levels=None):
     grid = np.asarray(forecast, dtype=np.float64)
     if levels is None:
         raise ContractError("quantile-array forecasts need their level grid")
-    lv = levels.levels if isinstance(levels, QuantileLevels) else np.asarray(levels)
+    lv = level_grid(levels)
     return (float(np.interp(p_lo, lv, grid)), float(np.interp(p_hi, lv, grid)))
 
 
@@ -98,8 +98,7 @@ def _forecast_crps(forecast, y, levels):
     if isinstance(forecast, TruncLogistic):
         return crps_tlogis(forecast, y)
     if isinstance(forecast, BernsteinQuantile):
-        grid = bqn_quantile(forecast, levels.levels)
-        return float(crps_sample_batch(grid[None], np.array([y]))[0])
+        forecast = bqn_quantile(forecast, level_grid(levels))
     grid = np.asarray(forecast, dtype=np.float64)
     return float(crps_sample_batch(grid[None], np.array([y]))[0])
 
@@ -107,7 +106,37 @@ def _forecast_crps(forecast, y, levels):
 def _forecast_pit(forecast, y, levels, rng):
     if isinstance(forecast, (TruncLogistic, BernsteinQuantile)):
         return pit(forecast, y, rng)
-    return ensemble_pit(np.asarray(forecast), y, rng)
+    return ensemble_pit(forecast, y, rng)
+
+
+def _checked(n_forecasts, observations, level):
+    """Validated (observations, level) of one evaluation call."""
+    observations = np.asarray(observations, dtype=np.float64)
+    if n_forecasts != observations.size:
+        raise ContractError("forecasts and observations differ in length")
+    if observations.size == 0:
+        raise DomainError("nothing to evaluate")
+    level = float(level)
+    if not 0.0 < level < 1.0:
+        raise DomainError("level must lie strictly inside (0, 1)")
+    return observations, level
+
+
+def _report(crps, lo, hi, pits, observations, level, pit_bins):
+    """EvaluationReport from per-sample CRPS, PI bounds and PIT values.
+
+    Coverage counts boundary hits as covered.
+    """
+    covered = (lo <= observations) & (observations <= hi)
+    hist, _ = np.histogram(pits, bins=pit_bins, range=(0.0, 1.0))
+    return EvaluationReport(
+        mean_crps=float(np.mean(crps)),
+        pi_level=level,
+        mean_pi_length=float(np.mean(hi - lo)),
+        pi_coverage=100.0 * float(covered.mean()),
+        pit_histogram=tuple(int(c) for c in hist),
+        n_samples=int(observations.size),
+    )
 
 
 def evaluate(forecasts, observations, level, pit_bins=20, rng=None,
@@ -117,96 +146,74 @@ def evaluate(forecasts, observations, level, pit_bins=20, rng=None,
     Parametric truncated-logistic forecasts use the closed-form CRPS;
     Bernstein and aggregated quantile-array forecasts are scored with the
     ensemble CRPS on their ``levels`` grid (default the 99-level percent
-    grid).  Coverage counts boundary hits as covered.
+    grid).
     """
-    observations = np.asarray(observations, dtype=np.float64)
-    if len(forecasts) != observations.size:
-        raise ContractError("forecasts and observations differ in length")
-    if observations.size == 0:
-        raise DomainError("nothing to evaluate")
-    level = float(level)
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must lie strictly inside (0, 1)")
+    observations, level = _checked(len(forecasts), observations, level)
     if levels is None:
         levels = QuantileLevels.equidistant()
     rng = rng if rng is not None else np.random.default_rng(0)
+    rows = [(_forecast_crps(forecast, y, levels),
+             *pi_bounds(forecast, level, levels),
+             _forecast_pit(forecast, y, levels, rng))
+            for forecast, y in zip(forecasts, observations)]
+    crps, lo, hi, pits = (np.array(col) for col in zip(*rows))
+    return _report(crps, lo, hi, pits, observations, level, pit_bins)
 
-    crps_vals, lengths, covered, pits = [], [], 0, []
-    for forecast, y in zip(forecasts, observations):
-        crps_vals.append(_forecast_crps(forecast, y, levels))
-        lo, hi = pi_bounds(forecast, level, levels)
-        lengths.append(hi - lo)
-        covered += int(lo <= y <= hi)
-        pits.append(_forecast_pit(forecast, y, levels, rng))
-    hist, _ = np.histogram(pits, bins=pit_bins, range=(0.0, 1.0))
-    return EvaluationReport(
-        mean_crps=float(np.mean(crps_vals)),
-        pi_level=level,
-        mean_pi_length=float(np.mean(lengths)),
-        pi_coverage=100.0 * covered / observations.size,
-        pit_histogram=tuple(int(c) for c in hist),
-        n_samples=int(observations.size),
-    )
+
+def _interp_rows(x, xp, fp):
+    """``np.interp(x, xp, row)`` for every finite row of ``fp``, bit for bit."""
+    j = int(np.searchsorted(xp, x, side="right")) - 1
+    if j < 0:
+        return fp[:, 0]
+    if j >= xp.size - 1 or xp[j] == x:
+        return fp[:, j]
+    slope = (fp[:, j + 1] - fp[:, j]) / (xp[j + 1] - xp[j])
+    return slope * (x - xp[j]) + fp[:, j]
 
 
 def evaluate_quantiles(quantiles, observations, level, levels=None,
                        pit_bins=20, rng=None):
-    """Vectorized :func:`evaluate` for an (n, K) aggregated quantile matrix."""
+    """Vectorized :func:`evaluate` for an (n, K) matrix of sorted quantiles.
+
+    PI bounds interpolate each row linearly on the level grid; PIT is the
+    rank position among the row's values, uniformly randomized across ties.
+    """
     quantiles = np.asarray(quantiles, dtype=np.float64)
-    observations = np.asarray(observations, dtype=np.float64)
-    if quantiles.shape[0] != observations.size:
-        raise ContractError("forecasts and observations differ in length")
-    if observations.size == 0:
-        raise DomainError("nothing to evaluate")
-    level = float(level)
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must lie strictly inside (0, 1)")
+    observations, level = _checked(quantiles.shape[0], observations, level)
     if levels is None:
         levels = QuantileLevels.equidistant(quantiles.shape[1])
-    lv = levels.levels if isinstance(levels, QuantileLevels) else np.asarray(levels)
+    lv = level_grid(levels)
     rng = rng if rng is not None else np.random.default_rng(0)
 
     crps = crps_sample_batch(quantiles, observations)
-    p_lo, p_hi = (1.0 - level) / 2.0, (1.0 + level) / 2.0
-    lo = np.array([np.interp(p_lo, lv, q) for q in quantiles])
-    hi = np.array([np.interp(p_hi, lv, q) for q in quantiles])
-    covered = (lo <= observations) & (observations <= hi)
-    pits = [ensemble_pit(q, y, rng) for q, y in zip(quantiles, observations)]
-    hist, _ = np.histogram(pits, bins=pit_bins, range=(0.0, 1.0))
-    return EvaluationReport(
-        mean_crps=float(crps.mean()),
-        pi_level=level,
-        mean_pi_length=float(np.mean(hi - lo)),
-        pi_coverage=100.0 * float(covered.mean()),
-        pit_histogram=tuple(int(c) for c in hist),
-        n_samples=int(observations.size),
-    )
+    lo = _interp_rows((1.0 - level) / 2.0, lv, quantiles)
+    hi = _interp_rows((1.0 + level) / 2.0, lv, quantiles)
+    y = observations[:, None]
+    below = np.count_nonzero(quantiles < y, axis=1)
+    ties = np.count_nonzero(quantiles == y, axis=1)
+    pits = ((below + rng.uniform(size=observations.size) * (1 + ties))
+            / (quantiles.shape[1] + 1.0))
+    return _report(crps, lo, hi, pits, observations, level, pit_bins)
 
 
 def model_mean_crps(model, dataset: Dataset, levels=None):
-    """Mean CRPS of a fitted model on a dataset.
+    """Mean CRPS of a fitted model on a dataset, from one forward pass.
 
     Truncated-logistic families use the closed form; quantile families are
     scored as K-point empirical forecasts.
     """
-    from .dist import SCALE_FLOOR, crps_tlogis_core
-    theta = model.raw_theta(dataset)
-    if model.family == "tlogis":
-        mu = theta[:, 0]
-        sigma = np.logaddexp(0.0, theta[:, 1]) + SCALE_FLOOR
-        return float(np.mean(crps_tlogis_core(mu, sigma, dataset.obs, 0.0)))
     if levels is None:
         levels = QuantileLevels.equidistant(model.config.n_quantile_levels)
-    quantiles = model.quantiles(dataset, levels)
-    return float(crps_sample_batch(quantiles, dataset.obs).mean())
+    return theta_mean_crps(model.raw_theta(dataset), dataset.obs,
+                           model.family, levels)
 
 
 def raw_eps_report(dataset: Dataset, primary=None, level=None, pit_bins=20,
                    rng=None):
     """Score the raw primary ensemble itself (the EPS baseline row).
 
-    PI bounds interpolate the sorted members at the order-statistic levels
-    k/(M+1); at the nominal (M-1)/(M+1) level this is exactly the ensemble
+    The sorted members are a quantile forecast at the order-statistic levels
+    k/(M+1); at the nominal (M-1)/(M+1) level the PI is exactly the ensemble
     range.  PIT is the randomized rank position.
     """
     primary = dataset.primary if primary is None else int(primary)
@@ -214,25 +221,10 @@ def raw_eps_report(dataset: Dataset, primary=None, level=None, pit_bins=20,
         raise DomainError("primary predictor index out of range")
     members = np.sort(dataset.ens[:, :, primary], axis=1)
     m = members.shape[1]
-    level = float(nominal_pi_level(m)) if level is None else float(level)
-    rng = rng if rng is not None else np.random.default_rng(0)
-
-    crps = crps_sample_batch(members, dataset.obs)
-    stat_levels = np.arange(1, m + 1) / (m + 1.0)
-    p_lo, p_hi = (1.0 - level) / 2.0, (1.0 + level) / 2.0
-    lo = np.array([np.interp(p_lo, stat_levels, row) for row in members])
-    hi = np.array([np.interp(p_hi, stat_levels, row) for row in members])
-    covered = (lo <= dataset.obs) & (dataset.obs <= hi)
-    pits = [ensemble_pit(row, y, rng) for row, y in zip(members, dataset.obs)]
-    hist, _ = np.histogram(pits, bins=pit_bins, range=(0.0, 1.0))
-    return EvaluationReport(
-        mean_crps=float(crps.mean()),
-        pi_level=level,
-        mean_pi_length=float(np.mean(hi - lo)),
-        pi_coverage=100.0 * float(covered.mean()),
-        pit_histogram=tuple(int(c) for c in hist),
-        n_samples=len(dataset),
-    )
+    level = float(nominal_pi_level(m)) if level is None else level
+    return evaluate_quantiles(members, dataset.obs, level,
+                              levels=QuantileLevels.equidistant(m),
+                              pit_bins=pit_bins, rng=rng)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .errors import ConfigError, DomainError
 
 ARCHITECTURES = ("emos", "drn", "bqn", "ed-drn", "ed-bqn", "st-drn", "st-bqn")
 POOLING_KINDS = ("mean", "max", "min", "attention")
+CHUNK_ROWS = 4096  # rows per forward pass when scoring whole datasets
 
 
 @dataclass(frozen=True)
@@ -104,13 +105,6 @@ def summary_base(ens, primary):
     cols = [prim.mean(axis=-1), prim.std(axis=-1, ddof=1)]
     cols.extend(others.mean(axis=-2).T)
     return np.stack(cols, axis=-1)
-
-
-def summary_features(sample, primary, embed_table):
-    """Full summary feature vector of one sample, embedding row appended."""
-    base = summary_base(sample.ens[None], primary)[0]
-    return np.concatenate([base, sample.scalars,
-                           np.asarray(embed_table)[sample.station]])
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +320,6 @@ def build_graph(config: ModelConfig):
     return Graph(fn)
 
 
-def encoder_decoder_forward(params, config, ens, scalars, station):
-    """Raw theta of the set pooling architecture (numpy in, numpy out)."""
-    graph = build_graph(config)
-    return ad.eval_graph(graph, params, {
-        "ens": ens, "scalars": scalars, "station": station})
-
-
-def set_transformer_forward(params, config, ens, scalars, station):
-    """Raw theta of the set transformer (numpy in, numpy out)."""
-    return encoder_decoder_forward(params, config, ens, scalars, station)
-
-
 def graph_inputs(config: ModelConfig, dataset: Dataset):
     """Input arrays expected by :func:`build_graph` for a dataset.
 
@@ -355,12 +337,49 @@ def graph_inputs(config: ModelConfig, dataset: Dataset):
             "station": dataset.station.astype(np.float64)}
 
 
+def eval_chunked(graph, params, inputs):
+    """Forward-evaluate a graph over row chunks of its inputs."""
+    n = len(next(iter(inputs.values())))
+    return np.concatenate([
+        ad.eval_graph(graph, params,
+                      {k: v[start:start + CHUNK_ROWS]
+                       for k, v in inputs.items()})
+        for start in range(0, n, CHUNK_ROWS)], axis=0)
+
+
 # ---------------------------------------------------------------------------
 # Fitted models
 # ---------------------------------------------------------------------------
 
 
-class NeuralModel:
+class _FittedModel:
+    """Forecasts of a fitted model, all derived from its raw theta."""
+
+    @property
+    def family(self):
+        return self.config.family
+
+    def _check_stations(self, dataset: Dataset):
+        if len(dataset) and dataset.station.max() >= self.n_stations:
+            raise ConfigError(
+                f"station id {int(dataset.station.max())} out of range for a "
+                f"model fitted on {self.n_stations} stations")
+
+    def forecast(self, dataset: Dataset):
+        """Per-sample forecast distribution objects."""
+        theta = self.raw_theta(dataset)
+        if self.family == "tlogis":
+            return [dist_mod.tlogis_map(t) for t in theta]
+        alpha = dist_mod.bqn_coefficients(theta)
+        return [dist_mod.BernsteinQuantile(a) for a in alpha]
+
+    def quantiles(self, dataset: Dataset, levels):
+        """Quantile matrix (n, K) at the given levels."""
+        return dist_mod.theta_quantiles(self.raw_theta(dataset), self.family,
+                                        levels)
+
+
+class NeuralModel(_FittedModel):
     """A trained network plus the preprocessing state it was fitted with."""
 
     def __init__(self, config, params, norm, n_stations, primary,
@@ -383,46 +402,14 @@ class NeuralModel:
         self.__dict__.update(state)
         self._graph = build_graph(self.config)
 
-    @property
-    def family(self):
-        return self.config.family
-
-    def _inputs(self, dataset: Dataset):
+    def raw_theta(self, dataset: Dataset):
+        self._check_stations(dataset)
         std, _ = standardize(dataset, self.norm)
-        return graph_inputs(self.config, std)
-
-    def raw_theta(self, dataset: Dataset, chunk=4096):
-        inputs = self._inputs(dataset)
-        n = len(dataset)
-        out = []
-        for start in range(0, n, chunk):
-            part = {k: v[start:start + chunk] for k, v in inputs.items()}
-            out.append(ad.eval_graph(self._graph, self.params, part))
-        return np.concatenate(out, axis=0)
-
-    def forecast(self, dataset: Dataset):
-        """Per-sample forecast distribution objects."""
-        theta = self.raw_theta(dataset)
-        if self.family == "tlogis":
-            return [dist_mod.tlogis_map(t) for t in theta]
-        alpha = dist_mod.bqn_coefficients(theta)
-        return [dist_mod.BernsteinQuantile(a) for a in alpha]
-
-    def quantiles(self, dataset: Dataset, levels):
-        """Quantile matrix (n, K) at the given levels."""
-        levels = levels.levels if hasattr(levels, "levels") else np.asarray(levels)
-        theta = self.raw_theta(dataset)
-        if self.family == "tlogis":
-            out = np.empty((theta.shape[0], levels.size))
-            for i, t in enumerate(theta):
-                out[i] = dist_mod.tlogis_quantile(dist_mod.tlogis_map(t), levels)
-            return out
-        alpha = dist_mod.bqn_coefficients(theta)
-        basis = dist_mod.bernstein_basis(self.config.bernstein_degree, levels)
-        return alpha @ basis.T
+        return eval_chunked(self._graph, self.params,
+                            graph_inputs(self.config, std))
 
 
-class EMOSModel:
+class EMOSModel(_FittedModel):
     """Affine-linear postprocessing with per-station-per-month coefficients.
 
     Missing (station, month) cells fall back to globally fitted coefficients
@@ -441,38 +428,26 @@ class EMOSModel:
         self.norm = norm
         self._warned = False
 
-    @property
-    def family(self):
-        return "tlogis"
-
     def raw_theta(self, dataset: Dataset):
+        self._check_stations(dataset)
         feats = summary_base(dataset.ens, self.primary)[:, :2]
-        months = dataset.months()
+        keys = np.stack([dataset.station, dataset.months()], axis=1)
+        groups, cell_of = np.unique(keys, axis=0, return_inverse=True)
+        cell_of = cell_of.reshape(-1)
         theta = np.empty((len(dataset), 2))
         missing = 0
-        for i in range(len(dataset)):
-            key = (int(dataset.station[i]), int(months[i]))
-            coeffs = self.cells.get(key)
+        for g, (station, month) in enumerate(groups):
+            rows = cell_of == g
+            coeffs = self.cells.get((int(station), int(month)))
             if coeffs is None:
                 coeffs = self.global_coeffs
-                missing += 1
-            theta[i] = emos_forward(coeffs, feats[i])
+                missing += int(rows.sum())
+            theta[rows] = emos_forward(coeffs, feats[rows])
         if missing and not self._warned:
             warnings.warn(f"{missing} samples used global EMOS coefficients "
                           "(no station/month cell fitted)")
             self._warned = True
         return theta
-
-    def forecast(self, dataset: Dataset):
-        return [dist_mod.tlogis_map(t) for t in self.raw_theta(dataset)]
-
-    def quantiles(self, dataset: Dataset, levels):
-        levels = levels.levels if hasattr(levels, "levels") else np.asarray(levels)
-        theta = self.raw_theta(dataset)
-        out = np.empty((theta.shape[0], levels.size))
-        for i, t in enumerate(theta):
-            out[i] = dist_mod.tlogis_quantile(dist_mod.tlogis_map(t), levels)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -524,18 +499,50 @@ def save_model(model, path):
         fh.write(block.astype("<f8").tobytes())
 
 
-def load_model(path):
+_HEADER_KEYS = {"config", "kind", "n_stations", "primary", "predictor_names",
+                "scalar_names", "norm"}
+_KIND_KEYS = {"emos": "cell_keys", "neural": "layout"}
+
+
+def _read_checkpoint(path):
+    """(header dict, float64 block) of a checkpoint file, validated."""
     with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ConfigError(f"{path}: not a model checkpoint")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        block = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    config = ModelConfig.from_dict(header["config"])
+        blob = fh.read()
+    if blob[:8] != _MAGIC:
+        raise ConfigError(f"{path}: not a model checkpoint")
+    if len(blob) < 16:
+        raise ConfigError(f"{path}: truncated checkpoint (no header length)")
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    if len(blob) < 16 + hlen:
+        raise ConfigError(f"{path}: truncated checkpoint header")
+    try:
+        header = json.loads(blob[16:16 + hlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: corrupt checkpoint header ({exc})") from exc
+    if not isinstance(header, dict) or header.get("kind") not in _KIND_KEYS:
+        raise ConfigError(f"{path}: checkpoint header lacks a known kind")
+    missing = (_HEADER_KEYS | {_KIND_KEYS[header["kind"]]}) - set(header)
+    if missing:
+        raise ConfigError(f"{path}: checkpoint header lacks {sorted(missing)}")
+    block = blob[16 + hlen:]
+    if len(block) % 8:
+        raise ConfigError(f"{path}: truncated checkpoint parameter block")
+    return header, np.frombuffer(block, dtype="<f8").astype(np.float64)
+
+
+def load_model(path):
+    header, block = _read_checkpoint(path)
+    try:
+        config = ModelConfig.from_dict(header["config"])
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: corrupt model config ({exc})") from exc
     common = dict(n_stations=header["n_stations"], primary=header["primary"],
                   predictor_names=header["predictor_names"],
                   scalar_names=header["scalar_names"])
     if header["kind"] == "emos":
+        if block.size != 6 * (1 + len(header["cell_keys"])):
+            raise ConfigError(f"{path}: parameter block does not match "
+                              f"{len(header['cell_keys'])} EMOS cells")
         chunks = block.reshape(-1, 6)
         unpack = lambda c: (c[:4].reshape(2, 2), c[4:])
         cells = {tuple(k): unpack(chunks[i + 1])

@@ -19,11 +19,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph, ParamVector
 from .data import Dataset, standardize
-from .dist import (SCALE_FLOOR, TENSOR_OPS, QuantileLevels, bernstein_basis,
-                   bqn_coefficients, crps_sample_batch, crps_tlogis_core)
+from .dist import (TENSOR_OPS, QuantileLevels, bernstein_basis,
+                   crps_tlogis_core, theta_mean_crps, tlogis_params,
+                   tlogis_quantile_core)
 from .errors import ConfigError, ContractError, DomainError, NumericError
 from .models import (EMOSModel, ModelConfig, NeuralModel, build_graph,
-                     graph_inputs, init_params)
+                     eval_chunked, graph_inputs, init_params)
 
 MIN_EMOS_CELL = 10    # station/month cells smaller than this use the global fit
 EMOS_CELL_STEPS = 80  # full-batch fine-tuning steps per cell
@@ -38,31 +39,10 @@ def _abs(t):
     return ad.where(t.value >= 0.0, t, -t)
 
 
-def _tlogis_params(theta):
-    mu = theta[:, 0]
-    sigma = ad.softplus(theta[:, 1]) + SCALE_FLOOR
-    return mu, sigma
-
-
 def _bqn_alpha(theta, degree):
     increments = ad.concat([theta[:, :1], ad.softplus(theta[:, 1:])], axis=-1)
     accum = np.triu(np.ones((degree + 1, degree + 1)))
     return increments @ ad.constant(accum)
-
-
-def _tlogis_quantiles(mu, sigma, levels):
-    """Differentiable inverse CDF of the truncated logistic on a level grid.
-
-    With a = mu/sigma the truncated level p maps to the base level
-    qq = sigmoid(-a) + p sigmoid(a); log(1 - qq) = -softplus(-a) + log(1-p)
-    keeps the upper tail stable.
-    """
-    a = ad.reshape(mu / sigma, (-1, 1))
-    qq = ad.sigmoid(-a) + ad.sigmoid(a) * levels
-    log_one_minus = -ad.softplus(-a) + np.log1p(-levels)
-    mu2 = ad.reshape(mu, (-1, 1))
-    sg2 = ad.reshape(sigma, (-1, 1))
-    return mu2 + sg2 * (ad.log(qq) - log_one_minus)
 
 
 def _pinball_mean(quantiles, y, levels):
@@ -97,12 +77,14 @@ def loss_graph(config: ModelConfig, loss=None):
 
     if config.family == "tlogis":
         def fn(P, I):
-            mu, sigma = _tlogis_params(base.fn(P, I))
+            mu, sigma = tlogis_params(base.fn(P, I), ops=TENSOR_OPS)
             if loss == "crps":
                 return ad.mean(crps_tlogis_core(mu, sigma, I["y"], 0.0,
                                                 ops=TENSOR_OPS))
-            return _pinball_mean(_tlogis_quantiles(mu, sigma, levels),
-                                 I["y"], levels)
+            quantiles = tlogis_quantile_core(
+                ad.reshape(mu, (-1, 1)), ad.reshape(sigma, (-1, 1)), levels,
+                ops=TENSOR_OPS)
+            return _pinball_mean(quantiles, I["y"], levels)
         return Graph(fn)
 
     basis = bernstein_basis(config.bernstein_degree, levels)  # (K, d+1)
@@ -207,22 +189,10 @@ def _init_output_bias(params: ParamVector, config: ModelConfig, obs):
         bias[1:] = _softplus_inv(2.0 * s0 / config.bernstein_degree)
 
 
-def _theta_chunked(graph, params, inputs, n, chunk=4096):
-    out = []
-    for start in range(0, n, chunk):
-        part = {k: v[start:start + chunk] for k, v in inputs.items()}
-        out.append(ad.eval_graph(graph, params, part))
-    return np.concatenate(out, axis=0)
-
-
-def _val_crps(config, graph, params, inputs, obs, basis):
-    theta = _theta_chunked(graph, params, inputs, obs.size)
-    if config.family == "tlogis":
-        mu = theta[:, 0]
-        sigma = np.logaddexp(0.0, theta[:, 1]) + SCALE_FLOOR
-        return float(np.mean(crps_tlogis_core(mu, sigma, obs, 0.0)))
-    quantiles = bqn_coefficients(theta) @ basis.T
-    return float(crps_sample_batch(quantiles, obs).mean())
+def _val_crps(config, graph, params, inputs, obs):
+    return theta_mean_crps(
+        eval_chunked(graph, params, inputs), obs, config.family,
+        QuantileLevels.equidistant(config.n_quantile_levels))
 
 
 def _check_split(train, val):
@@ -233,11 +203,10 @@ def _check_split(train, val):
 
 
 def _fit_loop(config, loss, params, inputs, obs, val_graph, val_inputs,
-              val_obs, basis, rng):
+              val_obs, rng):
     """Mini-batch Adam with early stopping; returns (best values, report)."""
     optimizer = Adam(params.size, config.learning_rate)
-    val_scores = [_val_crps(config, val_graph, params, val_inputs, val_obs,
-                            basis)]
+    val_scores = [_val_crps(config, val_graph, params, val_inputs, val_obs)]
     best_values = params.values.copy()
     best_epoch, since_best = 0, 0
     train_losses = []
@@ -259,8 +228,7 @@ def _fit_loop(config, loss, params, inputs, obs, val_graph, val_inputs,
             optimizer.step(params.values, gradient.values)
             total += value * idx.size
         train_losses.append(total / n)
-        score = _val_crps(config, val_graph, params, val_inputs, val_obs,
-                          basis)
+        score = _val_crps(config, val_graph, params, val_inputs, val_obs)
         val_scores.append(score)
         if score < val_scores[best_epoch]:
             best_epoch, since_best = epoch, 0
@@ -286,14 +254,11 @@ def train_model(config: ModelConfig, train: Dataset, val: Dataset):
     _init_output_bias(params, config, train.obs)
     forward = build_graph(config)
     loss = loss_graph(config)
-    basis = bernstein_basis(
-        config.bernstein_degree,
-        QuantileLevels.equidistant(config.n_quantile_levels).levels)
     rng = np.random.default_rng(config.seed)
 
     best_values, train_losses, val_scores, best_epoch = _fit_loop(
         config, loss, params, inputs, train.obs, forward, val_inputs,
-        val.obs, basis, rng)
+        val.obs, rng)
 
     model = NeuralModel(config, ParamVector(best_values, params.layout), norm,
                         train.n_stations, train.primary,
@@ -322,7 +287,7 @@ def _train_emos(config: ModelConfig, train: Dataset, val: Dataset, t0):
 
     best_values, train_losses, val_scores, best_epoch = _fit_loop(
         full_batch, loss, params, inputs, train.obs, forward, val_inputs,
-        val.obs, None, rng)
+        val.obs, rng)
 
     features = inputs["features"]
     months = train.months()

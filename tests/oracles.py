@@ -72,6 +72,16 @@ def crps_tlogis_mp(mu, sigma, y, lower=0.0, dps=50):
         return float(total)
 
 
+def tlogis_quantile_mp(mu, sigma, p, lower=0.0, dps=60):
+    """Inverse CDF of the truncated logistic via mpmath, in the textbook
+    form mu + sigma logit(F(lower) + p (1 - F(lower)))."""
+    with mpmath.workdps(dps):
+        mu, sigma, p, lower = map(mpmath.mpf, (mu, sigma, p, lower))
+        f_lb = 1 / (1 + mpmath.e ** ((mu - lower) / sigma))
+        q = f_lb + p * (1 - f_lb)
+        return float(mu + sigma * mpmath.log(q / (1 - q)))
+
+
 def crps_ensemble_exact(members, y):
     """Exact CRPS of an empirical (step-function) forecast.
 

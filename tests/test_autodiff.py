@@ -85,11 +85,11 @@ def test_trunc_tail_value_matches_high_precision_reference():
 
 
 def _check_graph_grad(build, x0, rel=5e-6):
-    """Compare grad() with an independent finite-difference loop."""
+    """Compare value_and_grad() with an independent finite-difference loop."""
     layout = {"x": (0, x0.shape)}
     pv = ad.ParamVector(x0.copy(), layout)
     graph = ad.Graph(build)
-    analytic = ad.grad(graph, pv).values
+    analytic = ad.value_and_grad(graph, pv)[1].values
 
     def f(flat):
         return float(ad.eval_graph(graph, ad.ParamVector(flat, layout)))
@@ -177,7 +177,7 @@ def test_broadcast_addition_unbroadcasts_gradient():
 
     layout = {"x": (0, x0.shape)}
     pv = ad.ParamVector(x0.copy(), layout)
-    g = ad.grad(ad.Graph(build), pv).values
+    g = ad.value_and_grad(ad.Graph(build), pv)[1].values
     np.testing.assert_allclose(g, [4.0, 4.0, 4.0])
 
 
@@ -198,18 +198,18 @@ def test_value_and_grad_agree_with_separate_calls():
     pv = ad.ParamVector(np.array([3.0, -4.0]), {"x": (0, (2,))})
     graph = _quadratic_graph()
     value, g = ad.value_and_grad(graph, pv)
-    assert value == pytest.approx(12.5)
-    np.testing.assert_allclose(g.values, ad.grad(graph, pv).values)
+    assert value == float(ad.eval_graph(graph, pv)) == pytest.approx(12.5)
     np.testing.assert_allclose(g.values, [3.0, -4.0])
+    assert ad.finite_diff_check(graph, pv) < 1e-8
 
 
-def test_grad_requires_scalar_output():
+def test_value_and_grad_requires_scalar_output():
     def build(P, I):
         return P["x"] * 2.0
 
     pv = ad.ParamVector(np.array([1.0, 2.0]), {"x": (0, (2,))})
     with pytest.raises(ContractError):
-        ad.grad(ad.Graph(build), pv)
+        ad.value_and_grad(ad.Graph(build), pv)
 
 
 def test_nonfinite_forward_raises_numeric_error_naming_the_op():

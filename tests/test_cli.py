@@ -224,3 +224,37 @@ def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     err = capsys.readouterr().err
     assert "numeric failure" in err and "epoch 2" in err
+
+
+def _rewrite_stations(src, dst, mapping):
+    with open(src) as fh, open(dst, "w") as out:
+        for line in fh:
+            rec = json.loads(line)
+            rec["station"] = mapping.get(rec["station"], rec["station"])
+            out.write(json.dumps(rec) + "\n")
+
+
+def test_bad_station_ids_and_corrupt_checkpoints_exit_2(tmp_path, capsys):
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", synth_dir, SYNTH_SETS) == 0
+    data = synth_dir / "dataset.ndjson"
+    negative, unseen = tmp_path / "negative.ndjson", tmp_path / "unseen.ndjson"
+    _rewrite_stations(data, negative, {1: -1})
+    _rewrite_stations(data, unseen, {2: 3})
+    assert _run("evaluate", tmp_path / "neg", [f'data.path="{negative}"']) == 2
+    assert "station id -1" in capsys.readouterr().err
+
+    train_dir = tmp_path / "train"
+    assert _run("train", train_dir, [f'data.path="{data}"'] + MODEL_SETS
+                + ["train.pool_size=1"]) == 0
+    assert _run("evaluate", tmp_path / "unseen",
+                [f'data.path="{unseen}"',
+                 f'eval.checkpoints="{train_dir}"']) == 2
+    assert "station id 3" in capsys.readouterr().err
+
+    checkpoint = train_dir / "model_000.bin"
+    checkpoint.write_bytes(checkpoint.read_bytes()[:20])
+    assert _run("evaluate", tmp_path / "cut",
+                [f'data.path="{data}"',
+                 f'eval.checkpoints="{train_dir}"']) == 2
+    assert "checkpoint" in capsys.readouterr().err

@@ -69,11 +69,21 @@ def test_dataset_validation_errors():
                 n_stations=2)
 
 
-def test_dataset_sample_and_months():
+def test_dataset_rejects_station_ids_outside_the_station_range():
+    rng = np.random.default_rng(0)
+    common = dict(ens=rng.normal(size=(2, 2, 1)), scalars=np.zeros((2, 1)),
+                  times=["2020-01-01"] * 2, obs=[1.0, 2.0], lead_hours=6,
+                  predictor_names=["x"], scalar_names=["s"])
+    with pytest.raises(ConfigError, match="station id -1"):
+        Dataset(station=[0, -1], **common)
+    with pytest.raises(ConfigError, match="station id 5"):
+        Dataset(station=[0, 5], n_stations=2, **common)
+
+
+def test_dataset_shapes_and_months():
     ds = _tiny_dataset()
-    s = ds.sample(0)
-    assert s.ens.shape == (4, 2)
-    assert s.lead_hours == 6
+    assert ds.ens[0].shape == (4, 2)
+    assert ds.lead_hours == 6
     assert set(ds.months()) == {1}
 
 

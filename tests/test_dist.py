@@ -8,7 +8,7 @@ from enspost import dist
 from enspost.errors import DomainError
 from oracles import (bernstein_quantile_ref, crps_ensemble_exact,
                      crps_ensemble_pairwise, crps_tlogis_mp,
-                     crps_tlogis_quad, pinball_ref)
+                     crps_tlogis_quad, pinball_ref, tlogis_quantile_mp)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +131,59 @@ def test_tlogis_cdf_quantile_roundtrip():
     assert np.all(np.asarray(x) >= 0.0)
     with pytest.raises(DomainError):
         dist.tlogis_quantile(d, 0.0)
+
+
+@pytest.mark.parametrize("ratio", [-40.0, -5.0, 0.0, 5.0])
+def test_tlogis_quantile_matches_high_precision_oracle(ratio):
+    p = np.array([1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 0.99, 1.0 - 1e-9])
+    for scale in (0.3, 1.0, 2.5):
+        d = dist.TruncLogistic(ratio * scale, scale)
+        expected = [tlogis_quantile_mp(d.location, d.scale, q) for q in p]
+        np.testing.assert_allclose(dist.tlogis_quantile(d, p), expected,
+                                   rtol=1e-13)
+
+
+def test_tlogis_quantile_is_finite_under_deep_truncation():
+    # nearly all mass lies below the bound: what remains is close to an
+    # exponential tail starting at 0, whose median is log 2
+    d = dist.TruncLogistic(-40.0, 1.0)
+    assert dist.tlogis_quantile(d, 0.5) == pytest.approx(np.log(2.0),
+                                                         rel=1e-12)
+    from enspost.evaluation import pi_bounds
+    assert np.all(np.isfinite(pi_bounds(d, 0.9)))
+
+
+def test_tlogis_quantile_core_serves_tensors_and_numpy_alike():
+    rng = np.random.default_rng(5)
+    mu = rng.normal(0, 20, size=(6, 1))
+    sigma = rng.uniform(0.1, 3.0, size=(6, 1))
+    p = dist.QuantileLevels.equidistant(9).levels
+    plain = dist.tlogis_quantile_core(mu, sigma, p)
+    tens = dist.tlogis_quantile_core(ad.constant(mu), ad.constant(sigma), p,
+                                     ops=dist.TENSOR_OPS)
+    # Tensor division multiplies by a reciprocal, so the last bit may move
+    np.testing.assert_allclose(tens.value, plain, rtol=1e-14)
+
+
+def test_theta_core_matches_per_forecast_objects():
+    rng = np.random.default_rng(6)
+    levels = dist.QuantileLevels.equidistant(19)
+    y = rng.normal(2, 2, size=7)
+    theta = rng.normal(2, 2, size=(7, 2))
+    per_row = [dist.tlogis_quantile(dist.tlogis_map(t), levels.levels)
+               for t in theta]
+    np.testing.assert_array_equal(
+        dist.theta_quantiles(theta, "tlogis", levels), per_row)
+    assert dist.theta_mean_crps(theta, y, "tlogis", levels) == pytest.approx(
+        np.mean([dist.crps_tlogis(dist.tlogis_map(t), v)
+                 for t, v in zip(theta, y)]), rel=1e-14)
+    theta = rng.normal(0, 1, size=(7, 6))      # degree 5 from the width
+    q = dist.theta_quantiles(theta, "bqn", levels)
+    alpha = dist.bqn_coefficients(theta)
+    np.testing.assert_array_equal(
+        q, alpha @ dist.bernstein_basis(5, levels.levels).T)
+    assert dist.theta_mean_crps(theta, y, "bqn", levels) == \
+        float(dist.crps_sample_batch(q, y).mean())
 
 
 def test_tlogis_map_softplus_scale():

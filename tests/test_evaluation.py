@@ -1,12 +1,15 @@
 """Unit tests for forecast verification."""
 
+import dataclasses
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from enspost.data import SynthConfig, generate_synthetic, split_temporal
-from enspost.dist import BernsteinQuantile, QuantileLevels, TruncLogistic, tlogis_quantile
+from enspost.dist import (BernsteinQuantile, QuantileLevels, TruncLogistic,
+                          crps_sample_batch, tlogis_quantile)
 from enspost.errors import ContractError, DomainError
 from enspost.evaluation import (EvaluationReport, ensemble_pit, evaluate,
                                 evaluate_quantiles, model_mean_crps,
@@ -141,6 +144,37 @@ def test_coverage_counts_boundary_hits():
     assert rep.pi_coverage == 100.0
 
 
+def _per_row_quantile_report(quantiles, obs, level, levels, pit_bins, rng):
+    """evaluate_quantiles written one sample at a time."""
+    p_lo, p_hi = (1.0 - level) / 2.0, (1.0 + level) / 2.0
+    lo = np.array([np.interp(p_lo, levels, q) for q in quantiles])
+    hi = np.array([np.interp(p_hi, levels, q) for q in quantiles])
+    covered = (lo <= obs) & (obs <= hi)
+    pits = [ensemble_pit(q, y, rng) for q, y in zip(quantiles, obs)]
+    hist, _ = np.histogram(pits, bins=pit_bins, range=(0.0, 1.0))
+    return EvaluationReport(
+        float(crps_sample_batch(quantiles, obs).mean()), level,
+        float(np.mean(hi - lo)), 100.0 * float(covered.mean()),
+        tuple(int(c) for c in hist), obs.size)
+
+
+@pytest.mark.parametrize("level", [0.8, 0.9, 18 / 20])
+def test_evaluate_quantiles_is_bit_identical_to_per_row_reference(level):
+    rng = np.random.default_rng(8)
+    levels = QuantileLevels.equidistant(19)
+    # values on a coarse grid so that observations tie with quantiles
+    quantiles = np.sort(np.round(rng.normal(5, 2, size=(300, 19)) * 2) / 2,
+                        axis=1)
+    obs = np.round(rng.normal(5, 2, size=300) * 2) / 2
+    rng_v, rng_s = np.random.default_rng(9), np.random.default_rng(9)
+    rep_v = evaluate_quantiles(quantiles, obs, level, levels=levels,
+                               pit_bins=300, rng=rng_v)
+    rep_s = _per_row_quantile_report(quantiles, obs, level, levels.levels,
+                                     300, rng_s)
+    assert rep_v == rep_s
+    assert rng_v.bit_generator.state == rng_s.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # Model scoring and the EPS baseline
 # ---------------------------------------------------------------------------
@@ -175,6 +209,45 @@ def test_raw_eps_report_nominal_interval_is_ensemble_range():
     assert rep.mean_pi_length == pytest.approx(expected)
     with pytest.raises(DomainError):
         raw_eps_report(ds, primary=99)
+
+
+def test_raw_eps_report_is_evaluate_quantiles_on_sorted_members():
+    ds = generate_synthetic(SynthConfig(stations=3, days=30, members=10))
+    rep = raw_eps_report(ds, rng=np.random.default_rng(4))
+    members = np.sort(ds.ens[:, :, ds.primary], axis=1)
+    ref = evaluate_quantiles(members, ds.obs, float(nominal_pi_level(10)),
+                             levels=np.arange(1, 11) / 11.0,
+                             rng=np.random.default_rng(4))
+    for field in dataclasses.fields(EvaluationReport):
+        assert getattr(rep, field.name) == getattr(ref, field.name), field.name
+
+
+@pytest.mark.parametrize("arch", ["emos", "drn", "bqn", "ed-drn", "ed-bqn",
+                                  "st-drn", "st-bqn"])
+def test_model_mean_crps_runs_one_forward_pass(arch):
+    from enspost.data import standardize
+    from enspost.models import (EMOSModel, ModelConfig, NeuralModel,
+                                init_params)
+    ds = generate_synthetic(SynthConfig(stations=2, days=10, members=6))
+    cfg = ModelConfig(architecture=arch, hidden_sizes=(6, 5), latent_width=8,
+                      attention_heads=2, n_attention_blocks=1,
+                      bernstein_degree=4, embedding_dim=3,
+                      n_quantile_levels=9)
+    if arch == "emos":
+        model = EMOSModel(cfg, (np.eye(2), np.zeros(2)), {}, ds.primary,
+                          ds.n_stations, ds.predictor_names, ds.scalar_names)
+    else:
+        params = init_params(cfg, ds.n_predictors, ds.n_scalars,
+                             ds.n_stations, rng=np.random.default_rng(0))
+        model = NeuralModel(cfg, params, standardize(ds)[1], ds.n_stations,
+                            ds.primary, ds.predictor_names, ds.scalar_names)
+    calls = []
+    forward = model.raw_theta
+    model.raw_theta = lambda dataset: calls.append(1) or forward(dataset)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # EMOS without cells falls back
+        assert np.isfinite(model_mean_crps(model, ds))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

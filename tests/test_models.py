@@ -1,16 +1,26 @@
 """Unit tests for model architectures, forward passes and checkpoints."""
 
+import functools
+import json
+import os
+import struct
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import enspost.autodiff as ad
 from enspost.data import SynthConfig, generate_synthetic, standardize
 from enspost.dist import QuantileLevels
 from enspost.errors import ConfigError, DomainError
-from enspost.models import (ARCHITECTURES, ModelConfig, NeuralModel,
-                            build_graph, emos_forward, graph_inputs,
+from enspost.models import (ARCHITECTURES, EMOSModel, ModelConfig,
+                            NeuralModel, build_graph, emos_forward,
+                            graph_inputs,
                             init_params, load_model, param_shapes,
-                            save_model, summary_base, summary_features)
+                            save_model, summary_base)
 
 TINY = dict(hidden_sizes=(6, 5), latent_width=8, attention_heads=2,
             n_attention_blocks=2, bernstein_degree=4, embedding_dim=3,
@@ -29,6 +39,19 @@ def _tiny_model(arch, ds, seed=0):
                          rng=np.random.default_rng(seed))
     return NeuralModel(cfg, params, norm, ds.n_stations, ds.primary,
                        ds.predictor_names, ds.scalar_names)
+
+
+def _emos_model(ds, seed=0):
+    """EMOS with random coefficients; every other (station, month) cell is
+    left unfitted so those samples fall back to the global coefficients."""
+    rng = np.random.default_rng(seed)
+    coeffs = lambda: (rng.normal(size=(2, 2)), rng.normal(size=2))
+    keys = sorted({(int(s), int(m))
+                   for s, m in zip(ds.station, ds.months())})
+    cells = {key: coeffs() for key in keys[::2]}
+    return EMOSModel(ModelConfig(architecture="emos", **TINY), coeffs(),
+                     cells, ds.primary, ds.n_stations, ds.predictor_names,
+                     ds.scalar_names)
 
 
 # ---------------------------------------------------------------------------
@@ -77,12 +100,13 @@ def test_summary_base_values_and_invariance():
         summary_base(ens[:, :1], 0)
 
 
-def test_summary_features_appends_scalars_and_embedding():
+def test_summary_graph_features_are_summary_base_and_scalars():
     ds = _dataset()
-    table = np.arange(ds.n_stations * 2, dtype=np.float64).reshape(-1, 2)
-    feats = summary_features(ds.sample(0), ds.primary, table)
-    assert feats.size == (2 + ds.n_predictors - 1) + ds.n_scalars + 2
-    np.testing.assert_array_equal(feats[-2:], table[ds.sample(0).station])
+    inputs = graph_inputs(ModelConfig(architecture="drn", **TINY), ds)
+    np.testing.assert_array_equal(
+        inputs["features"],
+        np.concatenate([summary_base(ds.ens, ds.primary), ds.scalars], axis=1))
+    np.testing.assert_array_equal(inputs["station"], ds.station)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +150,35 @@ def test_summary_models_exactly_invariant():
     perm = np.random.default_rng(2).permutation(ds.n_members)
     np.testing.assert_array_equal(model.raw_theta(ds),
                                   model.raw_theta(ds.with_ens(ds.ens[:, perm])))
+
+
+def test_emos_raw_theta_matches_per_row_forward():
+    ds = _dataset(days=70)
+    model = _emos_model(ds)
+    feats = summary_base(ds.ens, ds.primary)[:, :2]
+    expected, fallback = [], 0
+    for station, month, f in zip(ds.station, ds.months(), feats):
+        coeffs = model.cells.get((int(station), int(month)))
+        if coeffs is None:
+            coeffs, fallback = model.global_coeffs, fallback + 1
+        expected.append(emos_forward(coeffs, f))
+    assert 0 < fallback < len(ds)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        theta = model.raw_theta(ds)
+        np.testing.assert_array_equal(model.raw_theta(ds), theta)
+    np.testing.assert_array_equal(theta, np.array(expected))
+    assert [str(w.message) for w in caught] == [
+        f"{fallback} samples used global EMOS coefficients "
+        "(no station/month cell fitted)"]
+
+
+def test_models_reject_stations_beyond_their_fit():
+    ds = _dataset(stations=3)
+    wider = _dataset(stations=4)
+    for model in (_tiny_model("drn", ds), _emos_model(ds)):
+        with pytest.raises(ConfigError, match="station id 3"):
+            model.raw_theta(wider)
 
 
 def test_forecast_and_quantiles_are_consistent():
@@ -193,3 +246,61 @@ def test_neural_model_pickles_without_graph():
     model = _tiny_model("ed-drn", ds)
     clone = pickle.loads(pickle.dumps(model))
     np.testing.assert_array_equal(clone.raw_theta(ds), model.raw_theta(ds))
+
+
+def _write_checkpoint(path, header, block=b""):
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+    path.write_bytes(b"ENSPOST1" + struct.pack("<Q", len(raw)) + raw + block)
+
+
+def test_load_model_rejects_corrupt_headers_and_blocks(tmp_path):
+    ds = _dataset()
+    good = tmp_path / "good.bin"
+    save_model(_emos_model(ds), good)
+    blob = good.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header, block = json.loads(blob[16:16 + hlen]), blob[16 + hlen:]
+    bad = tmp_path / "bad.bin"
+    cases = [b"\xff\xfe not utf-8", b"[1, 2]", b'{"kind": "other"}']
+    for key in ("config", "kind", "cell_keys"):
+        cases.append({k: v for k, v in header.items() if k != key})
+    for case in cases:
+        _write_checkpoint(bad, case, block)
+        with pytest.raises(ConfigError):
+            load_model(bad)
+    for cut_block in (block + block[:48], block[:-48], block[:-3]):
+        _write_checkpoint(bad, header, cut_block)
+        with pytest.raises(ConfigError):
+            load_model(bad)
+    save_model(_tiny_model("drn", ds), good)
+    blob = good.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + hlen])
+    del header["layout"]
+    _write_checkpoint(bad, header, blob[16 + hlen:])
+    with pytest.raises(ConfigError, match="layout"):
+        load_model(bad)
+
+
+@functools.lru_cache(maxsize=None)
+def _checkpoint_bytes(kind):
+    ds = _dataset()
+    model = _emos_model(ds) if kind == "emos" else _tiny_model(kind, ds)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.bin")
+        save_model(model, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["drn", "emos"]), data=st.data())
+def test_truncated_checkpoints_raise_only_config_error(kind, data):
+    blob = _checkpoint_bytes(kind)
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.bin")
+        with open(path, "wb") as fh:
+            fh.write(blob[:cut])
+        with pytest.raises(ConfigError):
+            load_model(path)
