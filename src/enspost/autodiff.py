@@ -88,9 +88,6 @@ class ParamVector:
         n = int(np.prod(shape, dtype=int))
         return self.values[offset : offset + n].reshape(shape)
 
-    def names(self):
-        return list(self.layout)
-
     def copy(self):
         return ParamVector(self.values.copy(), self.layout)
 
@@ -421,19 +418,26 @@ def concat(tensors, axis=-1):
     return out
 
 
-def embedding(table, indices):
-    """Row lookup into ``table`` (a Tensor) with integer ``indices``."""
-    table = _wrap(table)
-    indices = np.asarray(indices)
-    out = Tensor(table.value[indices], (table,), op="embedding")
+def _gather(a, key, op):
+    a = _wrap(a)
+    out = Tensor(a.value[key], (a,), op=op)
 
     def backward(g):
-        acc = np.zeros_like(table.value)
-        np.add.at(acc, indices, g)
-        table._accumulate(acc)
+        acc = np.zeros_like(a.value)
+        np.add.at(acc, key, g)
+        a._accumulate(acc)
 
     out._backward = backward
     return out
+
+
+def take(a, key):
+    return _gather(a, key, "take")
+
+
+def embedding(table, indices):
+    """Row lookup into ``table`` (a Tensor) with integer ``indices``."""
+    return _gather(table, np.asarray(indices), "embedding")
 
 
 def reshape(a, shape):
@@ -448,19 +452,6 @@ def transpose(a, axes):
     inverse = np.argsort(axes)
     out = Tensor(a.value.transpose(axes), (a,), op="transpose")
     out._backward = lambda g: a._accumulate(g.transpose(inverse))
-    return out
-
-
-def take(a, key):
-    a = _wrap(a)
-    out = Tensor(a.value[key], (a,), op="take")
-
-    def backward(g):
-        acc = np.zeros_like(a.value)
-        np.add.at(acc, key, g)
-        a._accumulate(acc)
-
-    out._backward = backward
     return out
 
 
@@ -515,19 +506,17 @@ def _run(graph: Graph, params: ParamVector, inputs):
     return out, leaves
 
 
-def _first_bad_node(out: Tensor):
-    for node in out._topo():
-        if not np.all(np.isfinite(node.value)):
-            return node
-    return None
+def _check_finite(out: Tensor):
+    """Raise NumericError naming the first op with a non-finite value."""
+    if not np.all(np.isfinite(out.value)):
+        bad = next(n for n in out._topo() if not np.all(np.isfinite(n.value)))
+        raise NumericError(f"non-finite value produced by op {bad.op!r}")
 
 
 def eval_graph(graph: Graph, params: ParamVector, inputs=None):
     """Forward-evaluate a graph; returns a numpy array."""
     out, _ = _run(graph, params, inputs)
-    if not np.all(np.isfinite(out.value)):
-        bad = _first_bad_node(out)
-        raise NumericError(f"non-finite value produced by op {bad.op!r}")
+    _check_finite(out)
     return out.value.copy()
 
 
@@ -536,9 +525,7 @@ def value_and_grad(graph: Graph, params: ParamVector, inputs=None):
     out, leaves = _run(graph, params, inputs)
     if out.value.ndim != 0 and out.value.size != 1:
         raise ContractError("value_and_grad requires a scalar-valued graph")
-    if not np.isfinite(out.value).all():
-        bad = _first_bad_node(out)
-        raise NumericError(f"non-finite value produced by op {bad.op!r}")
+    _check_finite(out)
     out.backward()
     result = params.zeros_like()
     for name, leaf in leaves.items():

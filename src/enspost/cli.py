@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration/input error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -33,22 +34,19 @@ from .importance import (DEFAULT_BINS, SUMMARY_KINDS, derive_seed,
 from .models import ModelConfig, load_model, save_model
 from .train import ModelPool, resample_and_score, train_pool
 
-_MODEL_PROPERTIES = {
-    "architecture": {"type": "string"},
-    "hidden_sizes": {"type": "array", "items": {"type": "integer"}},
-    "latent_width": {"type": "integer"},
-    "attention_heads": {"type": "integer"},
-    "n_attention_blocks": {"type": "integer"},
-    "bernstein_degree": {"type": "integer"},
-    "embedding_dim": {"type": "integer"},
-    "pooling": {"type": "string"},
-    "n_quantile_levels": {"type": "integer"},
-    "learning_rate": {"type": "number"},
-    "batch_size": {"type": "integer"},
-    "max_epochs": {"type": "integer"},
-    "patience": {"type": "integer"},
-    "seed": {"type": "integer"},
-}
+_JSON_TYPES = {str: {"type": "string"}, int: {"type": "integer"},
+               float: {"type": "number"},
+               tuple: {"type": "array", "items": {"type": "integer"}}}
+
+
+def _properties(config_class, **minima):
+    """JSON-schema properties of a config dataclass, typed by its defaults."""
+    props = {f.name: dict(_JSON_TYPES[type(f.default)])
+             for f in dataclasses.fields(config_class)}
+    for name, low in minima.items():
+        props[name]["minimum"] = low
+    return props
+
 
 RUN_CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -59,17 +57,8 @@ RUN_CONFIG_SCHEMA = {
         "out": {"type": "string"},
         "synth": {
             "type": "object",
-            "properties": {
-                "stations": {"type": "integer", "minimum": 1},
-                "days": {"type": "integer", "minimum": 1},
-                "members": {"type": "integer", "minimum": 2},
-                "seed": {"type": "integer"},
-                "lead_hours": {"type": "integer"},
-                "bias": {"type": "number"},
-                "spread_signal": {"type": "number"},
-                "skew_signal": {"type": "number"},
-                "dead_channel": {"type": "number"},
-            },
+            "properties": _properties(SynthConfig, stations=1, days=1,
+                                      members=2),
             "additionalProperties": False,
         },
         "data": {
@@ -88,7 +77,7 @@ RUN_CONFIG_SCHEMA = {
         },
         "model": {
             "type": "object",
-            "properties": _MODEL_PROPERTIES,
+            "properties": _properties(ModelConfig),
             "additionalProperties": False,
         },
         "train": {
@@ -114,11 +103,11 @@ RUN_CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "checkpoints": {"type": "string"},
-                "bins": {"type": "integer", "minimum": 1},
+                "bins": {"type": "integer", "minimum": 2},
                 "statistics": {
                     "type": "array",
                     "items": {"type": "string", "enum": list(SUMMARY_KINDS)},
-                    "minItems": 1,
+                    "minItems": 1, "uniqueItems": True,
                 },
                 "predictors": {
                     "type": "array",
@@ -293,12 +282,9 @@ def _checkpoint_paths(directory):
     return [os.path.join(directory, n) for n in names]
 
 
-def _load_pool(config, directory):
+def _load_pool(directory):
     models = [load_model(p) for p in _checkpoint_paths(directory)]
-    families = {m.family for m in models}
-    if len(families) > 1:
-        raise ContractError(f"checkpoint pool mixes families {sorted(families)}")
-    return models
+    return ModelPool(config=models[0].config, models=models)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +355,7 @@ def cmd_train(config, out_dir, workers=1):
     return 0
 
 
-def cmd_evaluate(config, out_dir, workers=1):
+def cmd_evaluate(config, out_dir):
     """Score pool aggregates and the raw-ensemble baseline on the test set.
 
     With a ``checkpoints`` directory configured, ``reps`` random
@@ -392,10 +378,8 @@ def cmd_evaluate(config, out_dir, workers=1):
                "methods": {"eps": eps.to_dict()}}
 
     if "checkpoints" in section:
-        models = _load_pool(config, section["checkpoints"])
-        pool = ModelPool(config=models[0].config, models=models,
-                         reports=None)
-        k = section.get("draw_size", min(10, len(models)))
+        pool = _load_pool(section["checkpoints"])
+        k = section.get("draw_size", min(10, len(pool)))
         reps = section.get("reps", 50)
         rng = np.random.default_rng(derive_seed(seed, "resample"))
         reports, summary = resample_and_score(pool, test_set, k=k, reps=reps,
@@ -424,7 +408,7 @@ def cmd_evaluate(config, out_dir, workers=1):
     return 0
 
 
-def cmd_importance(config, out_dir, workers=1):
+def cmd_importance(config, out_dir):
     """Pool-aggregated predictor importance on the test set."""
     t0 = time.perf_counter()
     _, _, test_set = _load_datasets(config)
@@ -432,12 +416,12 @@ def cmd_importance(config, out_dir, workers=1):
     if "checkpoints" not in section:
         raise ConfigError("importance needs an importance.checkpoints "
                           "directory of trained models")
-    models = _load_pool(config, section["checkpoints"])
+    pool = _load_pool(section["checkpoints"])
     bins = section.get("bins", DEFAULT_BINS)
     statistics = tuple(section.get("statistics", SUMMARY_KINDS))
     predictors = section.get("predictors")
 
-    report = importance_report(models, test_set, bins=bins,
+    report = importance_report(pool.models, test_set, bins=bins,
                                seed=derive_seed(config["seed"], "importance"),
                                statistics=statistics,
                                chi_predictors=predictors)
@@ -449,7 +433,7 @@ def cmd_importance(config, out_dir, workers=1):
                     preservation_csv(np.asarray(matrix), statistics))
         outputs.append(fname)
     top = max(report["delta0"].items(), key=lambda kv: kv[1]["mean"])
-    print(f"importance: {len(models)} models, top delta0 "
+    print(f"importance: {len(pool)} models, top delta0 "
           f"{top[0]}={top[1]['mean']:.4f}")
     write_manifest(out_dir, "importance", config, outputs,
                    {"total": time.perf_counter() - t0})
@@ -482,8 +466,9 @@ def build_parser():
                          help="override a config field (repeatable, dotted "
                               "paths, JSON-parsed values)")
         cmd.add_argument("--workers", type=int, default=None,
-                         help="parallel workers (default: ENSPOST_WORKERS "
-                              "env var, else 1)")
+                         help="parallel training workers, used by train "
+                              "only (default: ENSPOST_WORKERS env var, "
+                              "else 1)")
         cmd.add_argument("--out", default=None,
                          help="output directory (default from config)")
         cmd.add_argument("--seed", type=int, default=None,
@@ -496,13 +481,13 @@ def main(argv=None):
     try:
         config = load_run_config(args.config, overrides=args.sets,
                                  seed=args.seed, out=args.out)
-        workers = resolve_workers(args.workers)
         out_dir = config["out"]
         os.makedirs(out_dir, exist_ok=True)
         command = _COMMANDS[args.command]
-        if args.command == "synth":
-            return command(config, out_dir)
-        return command(config, out_dir, workers=workers)
+        if args.command == "train":
+            return command(config, out_dir,
+                           workers=resolve_workers(args.workers))
+        return command(config, out_dir)
     except (ConfigError, DomainError, ContractError, OSError,
             jsonschema.ValidationError) as exc:
         print(f"enspost {args.command}: error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,44 +115,83 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
+_FIELDS = ("time", "station", "lead", "obs", "ens", "scalars")
+
+
+def _is_real(value):
+    """A finite JSON number that fits a float64 (true/false load as bool)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _is_int(value):
+    return type(value) is int and -2**63 <= value < 2**63
+
+
+def _is_date(text):
+    """Whether ``text`` is a valid date written as YYYY-MM-DD."""
+    try:
+        return datetime.date.fromisoformat(text).isoformat() == text
+    except (TypeError, ValueError):
+        return False
+
+
+def _check_record(rec, lineno):
+    """Raise ConfigError naming the line and the first mistyped field."""
+    if not isinstance(rec, dict):
+        raise ConfigError(f"line {lineno}: expected a JSON object")
+    for key in _FIELDS:
+        if key not in rec:
+            raise ConfigError(f"line {lineno}: missing field {key!r}")
+    ens, scalars = rec["ens"], rec["scalars"]
+    checks = (
+        ("time", _is_date(rec["time"]), "an ISO date YYYY-MM-DD"),
+        ("station", _is_int(rec["station"]), "a 64-bit integer"),
+        ("lead", _is_int(rec["lead"]), "a 64-bit integer"),
+        ("obs", _is_real(rec["obs"]), "a finite number"),
+        ("ens", isinstance(ens, dict) and all(
+            isinstance(v, list) and all(map(_is_real, v))
+            for v in ens.values()) and len(set(map(len, ens.values()))) < 2,
+         "an object of equally long finite-number lists"),
+        ("scalars", isinstance(scalars, dict)
+         and all(map(_is_real, scalars.values())),
+         "an object of finite numbers"))
+    for field, ok, expected in checks:
+        if not ok:
+            raise ConfigError(f"line {lineno}: field {field!r} must be "
+                              f"{expected}")
+
+
 def load_ndjson(path, primary=0, n_stations=None):
-    """Parse an NDJSON forecast file into a :class:`Dataset`."""
-    rows = []
-    predictor_names = scalar_names = None
-    lead = None
+    """Parse an NDJSON forecast file into a :class:`Dataset`.
+
+    Every line must be a JSON object of the schema above with finite numeric
+    (not boolean) values; a mistyped record raises ConfigError naming the
+    line and the field.
+    """
+    rows, first = [], None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"line {lineno}: invalid JSON ({exc})") from exc
-            for key in ("time", "station", "lead", "obs", "ens", "scalars"):
-                if key not in rec:
-                    raise ConfigError(f"line {lineno}: missing field {key!r}")
-            if predictor_names is None:
-                predictor_names = list(rec["ens"])
-                scalar_names = list(rec["scalars"])
-                lead = int(rec["lead"])
-            if list(rec["ens"]) != predictor_names:
-                raise ConfigError(f"line {lineno}: inconsistent predictor names")
-            if list(rec["scalars"]) != scalar_names:
-                raise ConfigError(f"line {lineno}: inconsistent scalar names")
-            ens = np.array([rec["ens"][k] for k in predictor_names],
-                           dtype=np.float64).T
-            if rows and ens.shape != rows[0][0].shape:
-                raise ConfigError(f"line {lineno}: inconsistent ensemble size")
-            scal = np.array([rec["scalars"][k] for k in scalar_names],
-                            dtype=np.float64)
-            if not (np.all(np.isfinite(ens)) and np.all(np.isfinite(scal))
-                    and np.isfinite(rec["obs"])):
-                raise ConfigError(f"line {lineno}: non-finite value")
-            rows.append((ens, scal, int(rec["station"]), str(rec["time"]),
+            _check_record(rec, lineno)
+            ens = np.array(list(rec["ens"].values()), dtype=np.float64).T
+            scal = np.array(list(rec["scalars"].values()), dtype=np.float64)
+            layout = (list(rec["ens"]), list(rec["scalars"]), ens.shape,
+                      rec["lead"])
+            first = first or layout
+            if layout != first:
+                raise ConfigError(f"line {lineno}: predictor names, scalar "
+                                  f"names, ensemble size or lead differ from "
+                                  f"the first record")
+            rows.append((ens, scal, rec["station"], rec["time"],
                          float(rec["obs"])))
     if not rows:
         raise ConfigError(f"{path}: empty dataset")
+    predictor_names, scalar_names, _, lead = first
     return Dataset(
         ens=np.stack([r[0] for r in rows]),
         scalars=np.stack([r[1] for r in rows]),
@@ -237,13 +277,10 @@ def split_temporal(dataset: Dataset, fractions):
     n_val = int(round(fractions[1] * n))
     cuts = [times[:n_train], times[n_train:n_train + n_val],
             times[n_train + n_val:]]
-    parts = []
-    for block in cuts:
-        if block.size == 0:
-            raise ConfigError("temporal split produced an empty block")
-        mask = np.isin(dataset.times, block)
-        parts.append(dataset.subset(mask))
-    return tuple(parts)
+    if any(block.size == 0 for block in cuts):
+        raise ConfigError("temporal split produced an empty block")
+    return tuple(dataset.subset(np.isin(dataset.times, block))
+                 for block in cuts)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,32 @@ class QuantileLevels:
         return self.levels.size
 
 
+class _NumpyOps:
+    """Shared arithmetic shim so one formula serves numpy and Tensors."""
+
+    softplus = staticmethod(lambda x: np.logaddexp(0.0, x))
+    sigmoid = staticmethod(ad._sigmoid)
+    exp = staticmethod(np.exp)
+    trunc_tail = staticmethod(ad._trunc_tail_value)
+    where = staticmethod(np.where)
+    value = staticmethod(np.asarray)
+    concat = staticmethod(lambda parts: np.concatenate(parts, axis=-1))
+
+
+class _TensorOps:
+    softplus = staticmethod(ad.softplus)
+    sigmoid = staticmethod(ad.sigmoid)
+    exp = staticmethod(ad.exp)
+    trunc_tail = staticmethod(ad.trunc_tail)
+    where = staticmethod(ad.where)
+    value = staticmethod(lambda x: x.value if isinstance(x, ad.Tensor) else np.asarray(x))
+    concat = staticmethod(lambda parts: ad.concat(parts, axis=-1))
+
+
+NUMPY_OPS = _NumpyOps()
+TENSOR_OPS = _TensorOps()
+
+
 # ---------------------------------------------------------------------------
 # Bernstein quantile functions
 # ---------------------------------------------------------------------------
@@ -106,18 +132,18 @@ def bernstein_basis(degree, p):
     return comb(degree, nu) * pe**nu * (1.0 - pe) ** (degree - nu)
 
 
-def bqn_coefficients(theta):
+def bqn_coefficients(theta, ops=NUMPY_OPS):
     """Map raw outputs to non-decreasing coefficients.
 
     ``alpha_0 = theta_0`` and ``alpha_v = alpha_{v-1} + softplus(theta_v)``
-    for v >= 1.  Works on trailing axes of batched input.
+    for v >= 1, as increments times upper-triangular ones.  Works on
+    trailing axes; ``ops=TENSOR_OPS`` builds it for the training loss.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    increments = np.logaddexp(0.0, theta[..., 1:])
-    alpha = np.concatenate(
-        [theta[..., :1], theta[..., :1] + np.cumsum(increments, axis=-1)], axis=-1
-    )
-    return alpha
+    if ops is NUMPY_OPS:
+        theta = np.asarray(theta, dtype=np.float64)
+    increments = ops.concat([theta[..., :1], ops.softplus(theta[..., 1:])])
+    size = ops.value(theta).shape[-1]
+    return increments @ np.triu(np.ones((size, size)))
 
 
 def bqn_quantile(dist: BernsteinQuantile, p):
@@ -144,30 +170,6 @@ def pinball(quantiles, y, levels):
 # ---------------------------------------------------------------------------
 # Truncated logistic
 # ---------------------------------------------------------------------------
-
-
-class _NumpyOps:
-    """Shared arithmetic shim so the CRPS formula serves numpy and Tensors."""
-
-    softplus = staticmethod(lambda x: np.logaddexp(0.0, x))
-    sigmoid = staticmethod(ad._sigmoid)
-    exp = staticmethod(np.exp)
-    trunc_tail = staticmethod(ad._trunc_tail_value)
-    where = staticmethod(np.where)
-    value = staticmethod(np.asarray)
-
-
-class _TensorOps:
-    softplus = staticmethod(ad.softplus)
-    sigmoid = staticmethod(ad.sigmoid)
-    exp = staticmethod(ad.exp)
-    trunc_tail = staticmethod(ad.trunc_tail)
-    where = staticmethod(ad.where)
-    value = staticmethod(lambda x: x.value if isinstance(x, ad.Tensor) else np.asarray(x))
-
-
-NUMPY_OPS = _NumpyOps()
-TENSOR_OPS = _TensorOps()
 
 
 def tlogis_params(theta, ops=NUMPY_OPS):
@@ -222,8 +224,6 @@ def crps_tlogis_core(mu, sigma, y, lower, ops=NUMPY_OPS):
 
 def crps_tlogis(dist: TruncLogistic, y):
     """CRPS of a truncated logistic forecast; vectorized over ``y``."""
-    if dist.scale <= 0:
-        raise DomainError("scale must be positive")
     out = crps_tlogis_core(dist.location, dist.scale, np.asarray(y, dtype=np.float64),
                            dist.lower)
     return float(out) if np.ndim(y) == 0 else out
@@ -302,18 +302,20 @@ def level_grid(levels):
     return np.asarray(levels, dtype=np.float64)
 
 
-def theta_quantiles(theta, family, levels):
+def theta_quantiles(theta, family, levels, ops=NUMPY_OPS):
     """(n, K) quantile matrix of raw outputs at the given levels.
 
     ``family`` is "tlogis" (theta holds location and raw scale) or "bqn"
     (theta holds the raw Bernstein coefficients of degree D - 1).
+    ``ops=TENSOR_OPS`` builds the same matrix for the training losses.
     """
     levels = level_grid(levels)
     if family == "tlogis":
-        mu, sigma = tlogis_params(theta)
-        return tlogis_quantile_core(mu[:, None], sigma[:, None], levels)
-    alpha = bqn_coefficients(theta)
-    return alpha @ bernstein_basis(alpha.shape[1] - 1, levels).T
+        mu, sigma = tlogis_params(theta, ops)
+        return tlogis_quantile_core(mu[:, None], sigma[:, None], levels,
+                                    ops=ops)
+    degree = ops.value(theta).shape[1] - 1
+    return bqn_coefficients(theta, ops) @ bernstein_basis(degree, levels).T
 
 
 def theta_mean_crps(theta, obs, family, levels):
@@ -357,11 +359,9 @@ def pit(dist, y, rng):
     if isinstance(dist, TruncLogistic):
         return float(tlogis_cdf(dist, y))
     if isinstance(dist, BernsteinQuantile):
-        q0 = float(dist.alpha[0])
-        q1 = float(dist.alpha[-1])
-        if y < q0:
+        if y < dist.alpha[0]:
             return 0.0
-        if y > q1:
+        if y > dist.alpha[-1]:
             return 1.0
         left = _bisect_level(dist, y, "left")
         right = _bisect_level(dist, y, "right")

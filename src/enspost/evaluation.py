@@ -9,15 +9,15 @@ raw ensemble itself (the EPS baseline).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .data import Dataset
 from .dist import (BernsteinQuantile, QuantileLevels, TruncLogistic,
-                   bqn_quantile, crps_sample_batch, crps_tlogis, level_grid,
-                   pit, theta_mean_crps, tlogis_quantile)
+                   bqn_quantile, crps_sample, crps_sample_batch, crps_tlogis,
+                   level_grid, pit, theta_mean_crps, tlogis_quantile)
 from .errors import ContractError, DomainError
 
 
@@ -39,14 +39,7 @@ class EvaluationReport:
             raise ContractError("PIT histogram must count every sample")
 
     def to_dict(self):
-        return {
-            "mean_crps": self.mean_crps,
-            "pi_level": self.pi_level,
-            "mean_pi_length": self.mean_pi_length,
-            "pi_coverage": self.pi_coverage,
-            "pit_histogram": list(self.pit_histogram),
-            "n_samples": self.n_samples,
-        }
+        return {**asdict(self), "pit_histogram": list(self.pit_histogram)}
 
 
 def nominal_pi_level(m):
@@ -99,8 +92,7 @@ def _forecast_crps(forecast, y, levels):
         return crps_tlogis(forecast, y)
     if isinstance(forecast, BernsteinQuantile):
         forecast = bqn_quantile(forecast, level_grid(levels))
-    grid = np.asarray(forecast, dtype=np.float64)
-    return float(crps_sample_batch(grid[None], np.array([y]))[0])
+    return crps_sample(forecast, y)
 
 
 def _forecast_pit(forecast, y, levels, rng):

@@ -182,18 +182,39 @@ def derive_seed(seed, *tags):
     return int(np.random.SeedSequence([int(seed), digest]).generate_state(1)[0])
 
 
+def _skill_losses(model, test: Dataset, specs):
+    """Base mean CRPS S[g] and the skill loss S[g o P] - S[g] of each
+    distinct spec; each forecast is scored once."""
+    base = model_mean_crps(model, test)
+    if base == 0.0:
+        raise DomainError("degenerate model: mean CRPS is zero")
+    return base, {spec: model_mean_crps(model, perturb(test, spec)) - base
+                  for spec in dict.fromkeys(specs)}
+
+
+def _chi_specs(predictor, statistic, bins, seed):
+    """(conditional numerator, rank-aware reference) operators of chi."""
+    return (PerturbationSpec(predictor, "conditional", statistic=statistic,
+                             bins=bins, seed=derive_seed(seed, "chi-num",
+                                                         predictor, statistic)),
+            PerturbationSpec(predictor, "rank_aware",
+                             seed=derive_seed(seed, "chi-ref", predictor)))
+
+
+def _ratio(base, losses, spec_num, spec_ref):
+    den = losses[spec_ref]
+    value = losses[spec_num] / den if den != 0.0 else np.nan
+    return ChiResult(value=float(value),
+                     reliable=bool(abs(den) >= CHI_RELIABLE_FRACTION * base))
+
+
 def delta0(model, test: Dataset, spec: PerturbationSpec = None):
     """Relative skill loss (S[g o P] - S[g]) / S[g] under mean CRPS.
 
     ``spec=None`` is the identity perturbation and returns exactly 0.
     """
-    base = model_mean_crps(model, test)
-    if base == 0.0:
-        raise DomainError("degenerate model: mean CRPS is zero")
-    if spec is None:
-        return 0.0
-    perturbed = model_mean_crps(model, perturb(test, spec))
-    return (perturbed - base) / base
+    base, losses = _skill_losses(model, test, [spec] if spec else [])
+    return losses[spec] / base if spec else 0.0
 
 
 def chi_ratio(model, test: Dataset, spec_num: PerturbationSpec,
@@ -206,14 +227,8 @@ def chi_ratio(model, test: Dataset, spec_num: PerturbationSpec,
     """
     if spec_num.predictor != spec_ref.predictor:
         raise ContractError("operators must act on the same predictor")
-    base = model_mean_crps(model, test)
-    if base == 0.0:
-        raise DomainError("degenerate model: mean CRPS is zero")
-    num = model_mean_crps(model, perturb(test, spec_num)) - base
-    den = model_mean_crps(model, perturb(test, spec_ref)) - base
-    reliable = abs(den) >= CHI_RELIABLE_FRACTION * base
-    value = num / den if den != 0.0 else np.nan
-    return ChiResult(value=float(value), reliable=bool(reliable))
+    return _ratio(*_skill_losses(model, test, [spec_num, spec_ref]),
+                  spec_num, spec_ref)
 
 
 def chi(model, test: Dataset, predictor, statistic, bins=DEFAULT_BINS,
@@ -225,13 +240,8 @@ def chi(model, test: Dataset, predictor, statistic, bins=DEFAULT_BINS,
     sampling noise) 1 means knowledge of the statistic recovers the model
     skill entirely and 0 means the statistic is uninformative.
     """
-    spec_num = PerturbationSpec(predictor, "conditional", statistic=statistic,
-                                bins=bins,
-                                seed=derive_seed(seed, "chi-num", predictor,
-                                                 statistic))
-    spec_ref = PerturbationSpec(predictor, "rank_aware",
-                                seed=derive_seed(seed, "chi-ref", predictor))
-    ratio = chi_ratio(model, test, spec_num, spec_ref)
+    ratio = chi_ratio(model, test,
+                      *_chi_specs(predictor, statistic, bins, seed))
     return ChiResult(value=1.0 - ratio.value, reliable=ratio.reliable)
 
 
@@ -294,33 +304,39 @@ def importance_report(models, test: Dataset, bins=DEFAULT_BINS, seed=0,
 
     Delta0 uses the fully-random operator; chi ratios use the rank-aware
     reference.  Each (model, predictor) cell gets an independently derived
-    seed; preservation matrices are model-free and computed once.
+    seed; preservation matrices are model-free and computed once.  Each
+    model scores its base forecast and each distinct perturbation once.
     """
     if not models:
         raise DomainError("need at least one model")
     names = test.predictor_names
     if chi_predictors is None:
         chi_predictors = list(range(test.n_predictors))
+    if not all(0 <= i < test.n_predictors for i in chi_predictors):
+        raise ConfigError(f"chi predictors {list(chi_predictors)} out of "
+                          f"range for {test.n_predictors} predictors")
 
     delta_runs = {name: [] for name in names}
+    chi_runs = {(i, stat): [] for i in chi_predictors for stat in statistics}
     for run, model in enumerate(models):
-        for i, name in enumerate(names):
-            spec = PerturbationSpec(i, "fully_random",
-                                    seed=derive_seed(seed, "delta0", run, i))
-            delta_runs[name].append(delta0(model, test, spec))
+        deltas = [PerturbationSpec(i, "fully_random",
+                                   seed=derive_seed(seed, "delta0", run, i))
+                  for i in range(len(names))]
+        pairs = {(i, stat): _chi_specs(i, stat, bins,
+                                       derive_seed(seed, "chi", run, i))
+                 for i, stat in chi_runs}
+        base, losses = _skill_losses(
+            model, test, deltas + [s for pair in pairs.values() for s in pair])
+        for name, spec in zip(names, deltas):
+            delta_runs[name].append(losses[spec] / base)
+        for key, pair in pairs.items():
+            chi_runs[key].append(_ratio(base, losses, *pair))
 
-    chi_block = {}
-    for i in chi_predictors:
-        per_stat = {}
-        for stat in statistics:
-            results = [chi(model, test, i, stat, bins=bins,
-                           seed=derive_seed(seed, "chi", run, i))
-                       for run, model in enumerate(models)]
-            per_stat[stat] = {
-                **_box_stats([r.value for r in results]),
-                "reliable": all(r.reliable for r in results),
-            }
-        chi_block[names[i]] = per_stat
+    chi_block = {names[i]: {} for i in chi_predictors}
+    for (i, stat), ratios in chi_runs.items():
+        chi_block[names[i]][stat] = {
+            **_box_stats([1.0 - r.value for r in ratios]),
+            "reliable": all(r.reliable for r in ratios)}
 
     preservation = {
         names[i]: preservation_matrix(test, i, bins=bins, seed=seed,

@@ -226,8 +226,7 @@ def multihead_attention(queries, keys, values, heads, wq, wk, wv, wo):
     scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(lw / heads))
     weights = ad.softmax(scores, axis=-1)
     mixed = weights @ v  # (n, heads, n_q, head_dim)
-    n = mixed.value.shape[0]
-    n_q = mixed.value.shape[2]
+    n, _, n_q, _ = mixed.value.shape
     mixed = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (n, n_q, lw))
     return mixed @ wo
 
@@ -256,7 +255,7 @@ def pool(latents, kind, P=None, heads=None):
     raise ConfigError(f"unknown pooling kind {kind!r}")
 
 
-def _member_inputs(P, I, embedding_dim):
+def _member_inputs(P, I):
     """Concatenate member predictors with scalars and the station embedding,
     replicated across members."""
     ens = I["ens"]                       # (n, M, p)
@@ -292,16 +291,13 @@ def build_graph(config: ModelConfig):
         return Graph(fn)
     if arch.startswith("ed-"):
         def fn(P, I):
-            x = _member_inputs(P, I, config.embedding_dim)
-            h = ad.tanh(ad.linear(x, P["enc_w0"], P["enc_b0"]))
-            latents = ad.linear(h, P["enc_w1"], P["enc_b1"])
+            latents = mlp_forward(_member_inputs(P, I), P, "enc_", 2)
             pooled = pool(latents, config.pooling, P, config.attention_heads)
-            h = ad.tanh(ad.linear(pooled, P["dec_w0"], P["dec_b0"]))
-            return ad.linear(h, P["dec_w1"], P["dec_b1"])
+            return mlp_forward(pooled, P, "dec_", 2)
         return Graph(fn)
 
     def fn(P, I):
-        x = _member_inputs(P, I, config.embedding_dim)
+        x = _member_inputs(P, I)
         h = ad.linear(x, P["in_w"], P["in_b"])
         for i in range(config.n_attention_blocks):
             att = multihead_attention(h, h, h, config.attention_heads,
@@ -314,9 +310,8 @@ def build_graph(config: ModelConfig):
                 if j < 2:
                     m = ad.tanh(m)
             h = ad.add(h, m)
-        pooled = attention_pool(h, P, config.attention_heads)
-        h = ad.tanh(ad.linear(pooled, P["dec_w0"], P["dec_b0"]))
-        return ad.linear(h, P["dec_w1"], P["dec_b1"])
+        return mlp_forward(attention_pool(h, P, config.attention_heads), P,
+                           "dec_", 2)
     return Graph(fn)
 
 
@@ -477,13 +472,9 @@ def _header(model):
 
 
 def _emos_flat(model):
-    parts = [np.concatenate([model.global_coeffs[0].ravel(),
-                             model.global_coeffs[1].ravel()])]
-    for key in sorted(model.cells):
-        gm, gv = model.cells[key]
-        parts.append(np.concatenate([np.asarray(gm).ravel(),
-                                     np.asarray(gv).ravel()]))
-    return np.concatenate(parts)
+    cells = [model.cells[key] for key in sorted(model.cells)]
+    return np.concatenate([np.concatenate([np.ravel(gm), np.ravel(gv)])
+                           for gm, gv in [model.global_coeffs, *cells]])
 
 
 def save_model(model, path):

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Graph, ParamVector
 from .data import Dataset, standardize
-from .dist import (TENSOR_OPS, QuantileLevels, bernstein_basis,
-                   crps_tlogis_core, theta_mean_crps, tlogis_params,
-                   tlogis_quantile_core)
+from .dist import (TENSOR_OPS, QuantileLevels, crps_tlogis_core,
+                   theta_mean_crps, theta_quantiles, tlogis_params)
 from .errors import ConfigError, ContractError, DomainError, NumericError
 from .models import (EMOSModel, ModelConfig, NeuralModel, build_graph,
                      eval_chunked, graph_inputs, init_params)
@@ -37,12 +36,6 @@ EMOS_CELL_STEPS = 80  # full-batch fine-tuning steps per cell
 
 def _abs(t):
     return ad.where(t.value >= 0.0, t, -t)
-
-
-def _bqn_alpha(theta, degree):
-    increments = ad.concat([theta[:, :1], ad.softplus(theta[:, 1:])], axis=-1)
-    accum = np.triu(np.ones((degree + 1, degree + 1)))
-    return increments @ ad.constant(accum)
 
 
 def _pinball_mean(quantiles, y, levels):
@@ -75,23 +68,14 @@ def loss_graph(config: ModelConfig, loss=None):
     base = build_graph(config)
     levels = QuantileLevels.equidistant(config.n_quantile_levels).levels
 
-    if config.family == "tlogis":
-        def fn(P, I):
-            mu, sigma = tlogis_params(base.fn(P, I), ops=TENSOR_OPS)
-            if loss == "crps":
-                return ad.mean(crps_tlogis_core(mu, sigma, I["y"], 0.0,
-                                                ops=TENSOR_OPS))
-            quantiles = tlogis_quantile_core(
-                ad.reshape(mu, (-1, 1)), ad.reshape(sigma, (-1, 1)), levels,
-                ops=TENSOR_OPS)
-            return _pinball_mean(quantiles, I["y"], levels)
-        return Graph(fn)
-
-    basis = bernstein_basis(config.bernstein_degree, levels)  # (K, d+1)
-
     def fn(P, I):
-        alpha = _bqn_alpha(base.fn(P, I), config.bernstein_degree)
-        quantiles = alpha @ ad.constant(basis.T)
+        theta = base.fn(P, I)
+        if loss == "crps" and config.family == "tlogis":
+            mu, sigma = tlogis_params(theta, ops=TENSOR_OPS)
+            return ad.mean(crps_tlogis_core(mu, sigma, I["y"], 0.0,
+                                            ops=TENSOR_OPS))
+        quantiles = theta_quantiles(theta, config.family, levels,
+                                    ops=TENSOR_OPS)
         if loss == "quantile_score":
             return _pinball_mean(quantiles, I["y"], levels)
         return _crps_sample_mean(quantiles, I["y"])
@@ -128,7 +112,7 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass
 class TrainReport:
     """Trajectory of one training run.
 
@@ -141,25 +125,14 @@ class TrainReport:
     train_losses: list
     val_crps: list
     selected_epoch: int
-    wall_time: float
+    wall_time: float = field(compare=False)
 
     def __post_init__(self):
         if self.val_crps[self.selected_epoch] != min(self.val_crps):
             raise ContractError("selected epoch must minimize validation CRPS")
 
-    def __eq__(self, other):
-        if not isinstance(other, TrainReport):
-            return NotImplemented
-        return (self.seed == other.seed
-                and self.train_losses == other.train_losses
-                and self.val_crps == other.val_crps
-                and self.selected_epoch == other.selected_epoch)
-
     def to_dict(self):
-        return {"seed": self.seed, "train_losses": self.train_losses,
-                "val_crps": self.val_crps,
-                "selected_epoch": self.selected_epoch,
-                "wall_time": self.wall_time}
+        return asdict(self)
 
 
 def _softplus_inv(x):
@@ -320,12 +293,18 @@ def _train_emos(config: ModelConfig, train: Dataset, val: Dataset, t0):
 # ---------------------------------------------------------------------------
 
 
+def _check_family(models):
+    families = {m.family for m in models}
+    if len(families) > 1:
+        raise ContractError(f"mixed forecast families {sorted(families)}")
+
+
 @dataclass
 class ModelPool:
     """Independently seeded fits of one configuration."""
 
     config: ModelConfig
-    models: list
+    models: list             # of one forecast family
     reports: list = None     # None for pools reloaded from checkpoints
 
     def __post_init__(self):
@@ -333,6 +312,7 @@ class ModelPool:
             raise ContractError("pool needs at least one model")
         if self.reports is not None and len(self.models) != len(self.reports):
             raise ContractError("pool needs matching models and reports")
+        _check_family(self.models)
 
     def __len__(self):
         return len(self.models)
@@ -378,9 +358,7 @@ def aggregate_quantiles(models, dataset: Dataset, levels):
     """
     if not models:
         raise DomainError("need at least one model")
-    families = {m.family for m in models}
-    if len(families) > 1:
-        raise ContractError(f"mixed forecast families {sorted(families)}")
+    _check_family(models)
     return np.mean([m.quantiles(dataset, levels) for m in models], axis=0)
 
 
@@ -388,13 +366,16 @@ def resample_and_score(pool: ModelPool, test: Dataset, k=10, reps=50,
                        rng=None, level=None, pit_bins=20):
     """Score ``reps`` random k-subsets of the pool on the test set.
 
-    Draws are without replacement within a draw.  Returns the list of
-    per-draw EvaluationReports and a summary dict (mean/min/max/spread of
-    the mean CRPS across draws).
+    Draws are without replacement within a draw.  Each pool member's
+    quantiles are computed once and kept, so memory grows with the pool
+    size, not the draw size; a draw averages them level-wise, as
+    :func:`aggregate_quantiles` does.  Returns the list of per-draw
+    EvaluationReports and a summary dict (mean/min/max/spread of the mean
+    CRPS across draws).
     """
     from .evaluation import evaluate_quantiles, nominal_pi_level
-    if k > len(pool):
-        raise DomainError(f"draw size {k} exceeds pool size {len(pool)}")
+    if not 1 <= k <= len(pool):
+        raise DomainError(f"draw size {k} outside 1..{len(pool)} (pool size)")
     if reps < 1:
         raise DomainError("reps must be at least 1")
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -402,12 +383,16 @@ def resample_and_score(pool: ModelPool, test: Dataset, k=10, reps=50,
     if level is None:
         level = float(nominal_pi_level(test.n_members))
 
+    stack = np.empty((len(pool), len(test), len(levels)))
+    for i, model in enumerate(pool.models):
+        stack[i] = model.quantiles(test, levels)
     reports = []
     for _ in range(reps):
         idx = rng.choice(len(pool), size=k, replace=False)
-        quantiles = aggregate_quantiles([pool.models[i] for i in idx],
-                                        test, levels)
-        reports.append(evaluate_quantiles(quantiles, test.obs, level,
+        total = stack[idx[0]].copy()
+        for i in idx[1:]:   # in draw order, as np.mean of the drawn list
+            total += stack[i]
+        reports.append(evaluate_quantiles(total / k, test.obs, level,
                                           levels=levels, pit_bins=pit_bins,
                                           rng=rng))
     scores = np.array([r.mean_crps for r in reports])

@@ -10,8 +10,8 @@ import os
 import numpy as np
 import pytest
 
-from enspost.cli import (apply_override, load_run_config, main,
-                         resolve_workers, _parse_override)
+from enspost.cli import (RUN_CONFIG_SCHEMA, apply_override, load_run_config,
+                         main, resolve_workers, _parse_override)
 from enspost.data import load_ndjson
 from enspost.errors import ConfigError
 
@@ -69,6 +69,46 @@ def test_load_run_config_schema_errors_name_the_field(tmp_path):
         load_run_config(str(path))
     with pytest.raises(ConfigError, match="not found"):
         load_run_config(str(tmp_path / "missing.json"))
+
+
+def test_config_schemas_are_derived_from_the_dataclasses():
+    sections = RUN_CONFIG_SCHEMA["properties"]
+    assert sections["synth"]["properties"] == {
+        "stations": {"type": "integer", "minimum": 1},
+        "days": {"type": "integer", "minimum": 1},
+        "members": {"type": "integer", "minimum": 2},
+        "seed": {"type": "integer"},
+        "lead_hours": {"type": "integer"},
+        "bias": {"type": "number"},
+        "spread_signal": {"type": "number"},
+        "skew_signal": {"type": "number"},
+        "dead_channel": {"type": "number"},
+    }
+    assert sections["model"]["properties"] == {
+        "architecture": {"type": "string"},
+        "hidden_sizes": {"type": "array", "items": {"type": "integer"}},
+        "latent_width": {"type": "integer"},
+        "attention_heads": {"type": "integer"},
+        "n_attention_blocks": {"type": "integer"},
+        "bernstein_degree": {"type": "integer"},
+        "embedding_dim": {"type": "integer"},
+        "pooling": {"type": "string"},
+        "n_quantile_levels": {"type": "integer"},
+        "learning_rate": {"type": "number"},
+        "batch_size": {"type": "integer"},
+        "max_epochs": {"type": "integer"},
+        "patience": {"type": "integer"},
+        "seed": {"type": "integer"},
+    }
+
+
+def test_schema_rejects_unusable_importance_options():
+    with pytest.raises(ConfigError, match="importance.bins"):
+        load_run_config(None, overrides=["importance.bins=1"])
+    with pytest.raises(ConfigError, match="importance.statistics"):
+        load_run_config(None,
+                        overrides=['importance.statistics=["mean","mean"]'])
+    assert load_run_config(None, overrides=["importance.bins=2"])
 
 
 def test_resolve_workers_flag_env_default(monkeypatch):
@@ -258,3 +298,25 @@ def test_bad_station_ids_and_corrupt_checkpoints_exit_2(tmp_path, capsys):
                 [f'data.path="{data}"',
                  f'eval.checkpoints="{train_dir}"']) == 2
     assert "checkpoint" in capsys.readouterr().err
+
+
+def test_mistyped_ndjson_and_chi_predictor_exit_2(tmp_path, capsys):
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", synth_dir, SYNTH_SETS) == 0
+    data = synth_dir / "dataset.ndjson"
+    lines = data.read_text().splitlines()
+    rec = json.loads(lines[4])
+    rec["obs"] = "12.5"
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("\n".join(lines[:4] + [json.dumps(rec)] + lines[5:]))
+    assert _run("evaluate", tmp_path / "bad", [f'data.path="{bad}"']) == 2
+    err = capsys.readouterr().err
+    assert "line 5" in err and "'obs'" in err
+
+    train_dir = tmp_path / "train"
+    assert _run("train", train_dir, [f'data.path="{data}"'] + MODEL_SETS
+                + ["train.pool_size=1"]) == 0
+    assert _run("importance", tmp_path / "imp",
+                [f'data.path="{data}"', f'importance.checkpoints="{train_dir}"',
+                 "importance.predictors=[4]"]) == 2
+    assert "chi predictors [4]" in capsys.readouterr().err

@@ -1,9 +1,12 @@
 """Unit tests for dataset handling and the synthetic generator."""
 
+import datetime
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from enspost.data import (PREDICTOR_NAMES, SCALAR_NAMES, Dataset, SynthConfig,
@@ -136,6 +139,97 @@ def test_load_ndjson_rejects_inconsistent_schema(tmp_path):
     path.write_text(json.dumps(a) + "\n" + json.dumps(b) + "\n")
     with pytest.raises(ConfigError, match="line 2"):
         load_ndjson(path)
+
+
+GOOD_RECORD = {"time": "2020-01-01", "station": 0, "lead": 6, "obs": 1.0,
+               "ens": {"x": [1.0, 2.0], "y": [3, 4]}, "scalars": {"s": 0.5}}
+
+
+@pytest.mark.parametrize("line, field", [
+    ('["not", "an", "object"]', "JSON object"),
+    ('"text"', "JSON object"),
+    (json.dumps(dict(GOOD_RECORD, obs="1.0")), "'obs'"),
+    (json.dumps(dict(GOOD_RECORD, obs=None)), "'obs'"),
+    (json.dumps(dict(GOOD_RECORD, obs=True)), "'obs'"),
+    (json.dumps(dict(GOOD_RECORD, station=1.7)), "'station'"),
+    (json.dumps(dict(GOOD_RECORD, station=True)), "'station'"),
+    (json.dumps(dict(GOOD_RECORD, station="0")), "'station'"),
+    (json.dumps(dict(GOOD_RECORD, lead=6.0)), "'lead'"),
+    (json.dumps(dict(GOOD_RECORD, time="notadate")), "'time'"),
+    (json.dumps(dict(GOOD_RECORD, time="2020-02-30")), "'time'"),
+    (json.dumps(dict(GOOD_RECORD, time="20200101")), "'time'"),
+    (json.dumps(dict(GOOD_RECORD, time=20200101)), "'time'"),
+    (json.dumps(dict(GOOD_RECORD, ens={"x": [1.0, "a"], "y": [3, 4]})),
+     "'ens'"),
+    (json.dumps(dict(GOOD_RECORD, ens={"x": [1.0, False], "y": [3, 4]})),
+     "'ens'"),
+    (json.dumps(dict(GOOD_RECORD, ens={"x": 1.0, "y": [3, 4]})), "'ens'"),
+    (json.dumps(dict(GOOD_RECORD, ens={"x": [1.0, 2.0], "y": [3]})),
+     "'ens'"),
+    (json.dumps(dict(GOOD_RECORD, ens=[[1.0, 2.0]])), "'ens'"),
+    (json.dumps(dict(GOOD_RECORD, scalars={"s": "0.5"})), "'scalars'"),
+    (json.dumps(dict(GOOD_RECORD, scalars={"s": None})), "'scalars'"),
+    (json.dumps(dict(GOOD_RECORD, lead=48)), "lead differ"),
+    # integers beyond float64 / int64 and non-finite numbers
+    (json.dumps(dict(GOOD_RECORD, obs=10**400)), "'obs'"),
+    (json.dumps(dict(GOOD_RECORD, obs=float("nan"))), "'obs'"),
+    (json.dumps(dict(GOOD_RECORD, station=10**400)), "'station'"),
+    (json.dumps(dict(GOOD_RECORD, station=2**63)), "'station'"),
+    (json.dumps(dict(GOOD_RECORD, lead=-2**63 - 1)), "'lead'"),
+    (json.dumps(dict(GOOD_RECORD, ens={"x": [1.0, 10**400], "y": [3, 4]})),
+     "'ens'"),
+    (json.dumps(dict(GOOD_RECORD, ens={"x": [1.0, float("inf")],
+                                       "y": [3, 4]})), "'ens'"),
+    (json.dumps(dict(GOOD_RECORD, scalars={"s": -10**400})), "'scalars'"),
+])
+def test_load_ndjson_rejects_mistyped_records(tmp_path, line, field):
+    path = tmp_path / "bad.ndjson"
+    path.write_text(json.dumps(GOOD_RECORD) + "\n" + line + "\n")
+    with pytest.raises(ConfigError, match="line 2") as err:
+        load_ndjson(path)
+    assert field in str(err.value)
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _datasets(draw):
+    t = draw(st.integers(1, 6))
+    m = draw(st.integers(2, 4))
+    p = draw(st.integers(1, 3))
+    q = draw(st.integers(0, 2))
+    n_stations = draw(st.integers(1, 3))
+
+    def block(*shape):
+        flat = draw(st.lists(_finite, min_size=int(np.prod(shape)),
+                             max_size=int(np.prod(shape))))
+        return np.array(flat, dtype=np.float64).reshape(shape)
+
+    days = draw(st.lists(st.integers(0, 3000), min_size=t, max_size=t))
+    return Dataset(
+        ens=block(t, m, p), scalars=block(t, q),
+        station=draw(st.lists(st.integers(0, n_stations - 1), min_size=t,
+                              max_size=t)),
+        times=[(datetime.date(2016, 1, 1)
+                + datetime.timedelta(days=d)).isoformat() for d in days],
+        obs=block(t), lead_hours=draw(st.integers(0, 240)),
+        predictor_names=[f"p{i}" for i in range(p)],
+        scalar_names=[f"s{i}" for i in range(q)],
+        n_stations=n_stations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=_datasets())
+def test_ndjson_save_load_roundtrip_property(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("ndjson") / "data.ndjson"
+    save_ndjson(ds, path)
+    back = load_ndjson(path, primary=ds.primary, n_stations=ds.n_stations)
+    for name in ("ens", "scalars", "obs", "station", "times"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
+    assert back.lead_hours == ds.lead_hours
+    assert back.predictor_names == ds.predictor_names
+    assert back.scalar_names == ds.scalar_names
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from enspost.data import SynthConfig, generate_synthetic, split_temporal
 from enspost.errors import ConfigError, ContractError, DomainError
 from enspost.importance import (SUMMARY_KINDS, ChiResult, PerturbationSpec,
-                                chi, chi_ratio, conditional_bins, delta0,
+                                _box_stats, chi, chi_ratio, conditional_bins,
+                                delta0,
                                 derive_seed, importance_report, perturb,
                                 preservation_csv, preservation_matrix,
                                 spearman, summary_statistic)
@@ -246,6 +247,71 @@ def test_importance_report_structure(drn_and_test):
     assert np.asarray(report["preservation"]["primary"]).shape == (2, 2)
     with pytest.raises(DomainError):
         importance_report([], test)
+
+
+def _count_raw_theta(monkeypatch, model):
+    calls = []
+    inner = model.raw_theta
+
+    def counted(dataset):
+        calls.append(1)
+        return inner(dataset)
+
+    monkeypatch.setattr(model, "raw_theta", counted)
+    return calls
+
+
+def _report_by_public_calls(models, test, bins, seed, statistics,
+                            chi_predictors):
+    """importance_report as a loop over the public delta0 and chi."""
+    names = test.predictor_names
+    delta_runs = {name: [] for name in names}
+    for run, model in enumerate(models):
+        for i, name in enumerate(names):
+            spec = PerturbationSpec(i, "fully_random",
+                                    seed=derive_seed(seed, "delta0", run, i))
+            delta_runs[name].append(delta0(model, test, spec))
+    chi_block = {}
+    for i in chi_predictors:
+        per_stat = {}
+        for stat in statistics:
+            results = [chi(model, test, i, stat, bins=bins,
+                           seed=derive_seed(seed, "chi", run, i))
+                       for run, model in enumerate(models)]
+            per_stat[stat] = {
+                **_box_stats([r.value for r in results]),
+                "reliable": all(r.reliable for r in results)}
+        chi_block[names[i]] = per_stat
+    return {name: _box_stats(v) for name, v in delta_runs.items()}, chi_block
+
+
+@pytest.mark.filterwarnings("ignore:.*global EMOS coefficients.*")
+def test_importance_report_scores_each_distinct_forecast_once(
+        drn_and_test, monkeypatch):
+    model, emos, test = drn_and_test
+    statistics, chi_predictors = ("mean", "std", "skewness"), [0, 1]
+    expected_delta, expected_chi = _report_by_public_calls(
+        [model, emos], test, 10, 5, statistics, chi_predictors)
+    counts = [_count_raw_theta(monkeypatch, m) for m in (model, emos)]
+    report = importance_report([model, emos], test, bins=10, seed=5,
+                               statistics=statistics,
+                               chi_predictors=chi_predictors)
+    p, s, c = test.n_predictors, len(statistics), len(chi_predictors)
+    assert [len(calls) for calls in counts] == [1 + p + s * c + c] * 2
+    np.testing.assert_equal(report["delta0"], expected_delta)
+    np.testing.assert_equal(report["chi"], expected_chi)
+
+
+def test_importance_report_rejects_bad_options_before_any_forward(
+        drn_and_test, monkeypatch):
+    model, _, test = drn_and_test
+    calls = _count_raw_theta(monkeypatch, model)
+    for predictor in (test.n_predictors, -1):
+        with pytest.raises(ConfigError, match=r"chi predictors \["):
+            importance_report([model], test, chi_predictors=[predictor])
+    with pytest.raises(ConfigError, match="bins"):
+        importance_report([model], test, bins=1, chi_predictors=[0])
+    assert calls == []
 
 
 def test_preservation_csv_format():

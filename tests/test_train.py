@@ -7,7 +7,8 @@ import enspost.autodiff as ad
 from enspost.data import SynthConfig, generate_synthetic, split_temporal
 from enspost.dist import QuantileLevels, bernstein_basis, bqn_coefficients
 from enspost.errors import ConfigError, ContractError, DomainError
-from enspost.evaluation import model_mean_crps
+from enspost.evaluation import (evaluate_quantiles, model_mean_crps,
+                                nominal_pi_level)
 from enspost.models import ModelConfig, graph_inputs, init_params
 from enspost.train import (Adam, ModelPool, TrainReport, aggregate_quantiles,
                            loss_graph, resample_and_score, train_model,
@@ -248,6 +249,54 @@ def test_resample_and_score_summary_and_determinism():
     assert summary == summary2
     with pytest.raises(DomainError):
         resample_and_score(pool, test, k=10, reps=2)
+
+
+def _count_quantiles(monkeypatch, models):
+    calls = []
+    for model in models:
+        inner = model.quantiles
+
+        def counted(dataset, levels, inner=inner):
+            calls.append(1)
+            return inner(dataset, levels)
+
+        monkeypatch.setattr(model, "quantiles", counted)
+    return calls
+
+
+@pytest.mark.parametrize("reps", [1, 7])
+def test_resample_and_score_forwards_each_member_once(monkeypatch, reps):
+    pool, test = _tiny_pool(n=3)
+    calls = _count_quantiles(monkeypatch, pool.models)
+    resample_and_score(pool, test, k=2, reps=reps,
+                       rng=np.random.default_rng(0))
+    assert len(calls) == len(pool)
+
+
+def test_resample_and_score_matches_per_draw_aggregation():
+    pool, test = _tiny_pool(n=4)
+    reports, _ = resample_and_score(pool, test, k=3, reps=6, pit_bins=5,
+                                    rng=np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    levels = QuantileLevels.equidistant(TINY["n_quantile_levels"])
+    level = float(nominal_pi_level(test.n_members))
+    for report in reports:
+        idx = rng.choice(len(pool), size=3, replace=False)
+        quantiles = aggregate_quantiles([pool.models[i] for i in idx], test,
+                                        levels)
+        expected = evaluate_quantiles(quantiles, test.obs, level,
+                                      levels=levels, pit_bins=5, rng=rng)
+        assert report.to_dict() == expected.to_dict()
+
+
+def test_pools_reject_mixed_families_and_empty_draws():
+    pool_a, test = _tiny_pool(n=1, arch="drn")
+    pool_b, _ = _tiny_pool(n=1, arch="bqn")
+    mixed = pool_a.models + pool_b.models
+    with pytest.raises(ContractError):
+        ModelPool(config=pool_a.config, models=mixed)
+    with pytest.raises(DomainError):
+        resample_and_score(pool_a, test, k=0, reps=1)
 
 
 def test_resample_with_full_pool_draws_is_constant():
