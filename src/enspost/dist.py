@@ -9,10 +9,10 @@ double as training losses and as evaluation metrics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
 
 from . import autodiff as ad
 from .errors import DomainError
@@ -128,8 +128,9 @@ def bernstein_basis(degree, p):
     if np.any(p < 0) or np.any(p > 1):
         raise DomainError("p must lie in [0, 1]")
     nu = np.arange(degree + 1)
+    binom = np.array([math.comb(degree, v) for v in nu], dtype=np.float64)
     pe = p[..., None]
-    return comb(degree, nu) * pe**nu * (1.0 - pe) ** (degree - nu)
+    return binom * pe**nu * (1.0 - pe) ** (degree - nu)
 
 
 def bqn_coefficients(theta, ops=NUMPY_OPS):

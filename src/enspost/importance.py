@@ -16,7 +16,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import Dataset
 from .errors import ConfigError, ContractError, DomainError
@@ -245,16 +244,31 @@ def chi(model, test: Dataset, predictor, statistic, bins=DEFAULT_BINS,
     return ChiResult(value=1.0 - ratio.value, reliable=ratio.reliable)
 
 
-def spearman(x, y):
-    """Rank correlation (Pearson correlation of mid-ranks).
+def _midranks(x):
+    """1-based ranks with ties at their mean rank; all NaN if any is NaN."""
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
 
-    Returns NaN when either rank vector is constant.
+
+def spearman(x, y):
+    """Rank correlation: the Pearson correlation of mid-ranks.
+
+    Tied values (``-0.0`` and ``0.0`` among them) share their mean rank.
+    Returns NaN when either rank vector is constant or either input
+    contains NaN.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size or x.size < 2:
         raise DomainError("need two equal-length vectors")
-    rx, ry = rankdata(x), rankdata(y)
+    rx, ry = _midranks(x), _midranks(y)
     if np.ptp(rx) == 0 or np.ptp(ry) == 0:
         return float("nan")
     return float(np.corrcoef(rx, ry)[0, 1])

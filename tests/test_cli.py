@@ -2,14 +2,20 @@
 
 All commands are exercised in-process through ``enspost.cli.main`` so exit
 codes, stdout and artifacts can be checked without spawning subprocesses.
+Only the import guard runs a fresh interpreter, since ``sys.modules`` of the
+test process already holds the oracles' scipy.
 """
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import enspost
 from enspost.cli import (RUN_CONFIG_SCHEMA, apply_override, load_run_config,
                          main, resolve_workers, _parse_override)
 from enspost.data import load_ndjson
@@ -320,3 +326,20 @@ def test_mistyped_ndjson_and_chi_predictor_exit_2(tmp_path, capsys):
                 [f'data.path="{data}"', f'importance.checkpoints="{train_dir}"',
                  "importance.predictors=[4]"]) == 2
     assert "chi predictors [4]" in capsys.readouterr().err
+
+
+def test_package_import_does_not_load_scipy():
+    # every CLI stage is a fresh process, so import time is paid per stage;
+    # scipy is an oracle for the tests only and must stay off that path
+    code = ("import sys\n"
+            "import enspost.cli, enspost.autodiff, enspost.data, enspost.dist\n"
+            "import enspost.evaluation, enspost.importance, enspost.models\n"
+            "import enspost.train\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    src = str(Path(enspost.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

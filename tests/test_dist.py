@@ -1,7 +1,12 @@
 """Unit tests for forecast distributions and scoring rules."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import comb
 
 import enspost.autodiff as ad
 from enspost import dist
@@ -58,6 +63,20 @@ def test_bernstein_basis_partition_of_unity_and_oracle():
             bernstein_quantile_ref(alpha, pi), abs=1e-12)
 
 
+def test_bernstein_binomials_are_exact():
+    # at p = 1/2 every power is an exact power of two, so scaling by 2^d
+    # recovers the binomial factors without rounding
+    for degree in range(1, 61):
+        factors = dist.bernstein_basis(degree, 0.5) * 2.0**degree
+        exact = np.array([math.comb(degree, v) for v in range(degree + 1)],
+                         dtype=np.float64)
+        np.testing.assert_array_equal(factors, exact)
+        if degree <= 30:
+            # scipy's float comb is off by ulps from degree 31 on
+            np.testing.assert_array_equal(
+                factors, comb(degree, np.arange(degree + 1)))
+
+
 def test_bqn_coefficients_monotone_and_batched():
     rng = np.random.default_rng(1)
     theta = rng.normal(0, 3, size=(50, 13))
@@ -91,6 +110,20 @@ def test_crps_tlogis_matches_quadrature_moderate_regime():
         ours = dist.crps_tlogis(dist.TruncLogistic(mu, sigma), y)
         assert ours == pytest.approx(crps_tlogis_quad(mu, sigma, y),
                                      abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=st.floats(-3, 12), sigma=st.floats(0.1, 5), y=st.floats(-2, 15))
+@example(mu=-2.0, sigma=0.1015625, y=0.0)
+def test_crps_tlogis_nonnegative_and_matches_quadrature_property(mu, sigma, y):
+    ours = dist.crps_tlogis(dist.TruncLogistic(mu, sigma), y)
+    assert ours >= 0.0
+    if mu >= -10.0 * sigma:
+        assert ours == pytest.approx(crps_tlogis_quad(mu, sigma, y), abs=1e-9)
+    else:
+        # truncated more than 10 scales above the location, float64
+        # quadrature loses digits (2.6e-9 at the example above)
+        assert ours == pytest.approx(crps_tlogis_mp(mu, sigma, y), rel=1e-10)
 
 
 def test_crps_tlogis_stable_under_heavy_truncation():

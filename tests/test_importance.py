@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from enspost.data import SynthConfig, generate_synthetic, split_temporal
 from enspost.errors import ConfigError, ContractError, DomainError
 from enspost.importance import (SUMMARY_KINDS, ChiResult, PerturbationSpec,
-                                _box_stats, chi, chi_ratio, conditional_bins,
-                                delta0,
+                                _box_stats, _midranks, chi, chi_ratio,
+                                conditional_bins, delta0,
                                 derive_seed, importance_report, perturb,
                                 preservation_csv, preservation_matrix,
                                 spearman, summary_statistic)
@@ -210,12 +213,40 @@ def test_chi_flags_unreliable_reference(drn_and_test):
 def test_spearman_matches_scipy_and_handles_constants():
     rng = np.random.default_rng(1)
     x, y = rng.normal(size=50), rng.normal(size=50)
-    assert spearman(x, y) == pytest.approx(spearman_ref(x, y), abs=1e-12)
-    assert spearman([1, 2, 3], [3, 1, 2]) == pytest.approx(
-        spearman_ref([1, 2, 3], [3, 1, 2]), abs=1e-12)
+    assert spearman(x, y) == spearman_ref(x, y)
+    assert spearman([1, 2, 3], [3, 1, 2]) == spearman_ref([1, 2, 3], [3, 1, 2])
     assert np.isnan(spearman(np.ones(5), np.arange(5)))
+    assert np.isnan(spearman([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]))
     with pytest.raises(DomainError):
         spearman([1.0], [2.0])
+
+
+@st.composite
+def _rank_inputs(draw):
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(
+        ["floats", "ties", "signed_zeros", "equal", "nan"]))
+    if kind == "floats":
+        element = st.floats(-1e6, 1e6, allow_nan=False)
+    elif kind == "signed_zeros":
+        element = st.sampled_from([-0.0, 0.0, 1.0])
+    elif kind == "equal":
+        element = st.just(draw(st.floats(-10, 10, allow_nan=False)))
+    else:
+        element = st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0])
+    x = np.array(draw(st.lists(element, min_size=n, max_size=n)))
+    if kind == "nan":
+        x[draw(st.integers(0, n - 1))] = np.nan
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_rank_inputs())
+def test_midranks_match_scipy_rankdata_exactly(x):
+    ours = _midranks(x)
+    assert ours.dtype == np.float64
+    # bit-for-bit, including all-NaN ranks for an input holding NaN
+    np.testing.assert_array_equal(ours, rankdata(x))
 
 
 def test_preservation_matrix_diagonal_dominates():
