@@ -28,36 +28,40 @@ DEFAULT_N_LEVELS = 99
 
 @dataclass(frozen=True)
 class TruncLogistic:
-    """Logistic distribution left-truncated at ``lower``."""
+    """Logistic distributions left-truncated at ``lower``, one forecast per
+    entry of ``location`` and ``scale`` (scalars for a single forecast)."""
 
-    location: float
-    scale: float
+    location: float | np.ndarray
+    scale: float | np.ndarray
     lower: float = 0.0
 
     def __post_init__(self):
-        if not self.scale > 0:
+        if np.shape(self.location) != np.shape(self.scale):
+            raise DomainError("location and scale differ in shape")
+        if not np.all(np.asarray(self.scale) > 0):
             raise DomainError("scale must be positive")
 
 
 @dataclass(frozen=True)
 class BernsteinQuantile:
-    """Quantile function sum_v alpha_v * B_{v,d}(p) with monotone alpha."""
+    """Quantile functions sum_v alpha_v * B_{v,d}(p) with monotone alpha,
+    of shape (d+1,) for one forecast or (n, d+1) for a batch."""
 
     alpha: np.ndarray
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=np.float64)
-        if alpha.ndim != 1 or alpha.size < 2:
-            raise DomainError("alpha must be a 1-D array of length >= 2")
+        if alpha.ndim not in (1, 2) or alpha.shape[-1] < 2:
+            raise DomainError("alpha must be (d+1,) or (n, d+1) with d >= 1")
         if not np.all(np.isfinite(alpha)):
             raise DomainError("alpha must be finite")
-        if np.any(np.diff(alpha) < 0):
+        if np.any(np.diff(alpha, axis=-1) < 0):
             raise DomainError("alpha must be non-decreasing")
         object.__setattr__(self, "alpha", alpha)
 
     @property
     def degree(self):
-        return self.alpha.size - 1
+        return self.alpha.shape[-1] - 1
 
 
 @dataclass(frozen=True)
@@ -148,8 +152,10 @@ def bqn_coefficients(theta, ops=NUMPY_OPS):
 
 
 def bqn_quantile(dist: BernsteinQuantile, p):
-    """Evaluate the Bernstein quantile function at level(s) ``p``."""
-    return bernstein_basis(dist.degree, p) @ dist.alpha
+    """Quantile functions at level(s) ``p``, level axes last; one product
+    per forecast row, so each row equals ``basis @ alpha_row`` bit for bit."""
+    return _scalar_or_array(
+        (bernstein_basis(dist.degree, p) @ dist.alpha[..., None])[..., 0])
 
 
 def quantile_score_mean(dist: BernsteinQuantile, y, levels: QuantileLevels):
@@ -179,9 +185,9 @@ def tlogis_params(theta, ops=NUMPY_OPS):
 
 
 def tlogis_map(theta):
-    """Raw 2-vector to TruncLogistic: identity location, softplus scale."""
-    mu, sigma = tlogis_params(np.asarray(theta, dtype=np.float64))
-    return TruncLogistic(float(mu), float(sigma))
+    """Raw (..., 2) outputs to one TruncLogistic: identity location,
+    softplus scale."""
+    return TruncLogistic(*tlogis_params(np.asarray(theta, dtype=np.float64)))
 
 
 _TRUNC_CLAMP = 300.0  # switch to the deep-truncation limit beyond this
@@ -223,28 +229,31 @@ def crps_tlogis_core(mu, sigma, y, lower, ops=NUMPY_OPS):
     return sigma * (core + below)
 
 
+def _scalar_or_array(out):
+    """A float for a 0-d result, else the array itself."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def crps_tlogis(dist: TruncLogistic, y):
-    """CRPS of a truncated logistic forecast; vectorized over ``y``."""
-    out = crps_tlogis_core(dist.location, dist.scale, np.asarray(y, dtype=np.float64),
-                           dist.lower)
-    return float(out) if np.ndim(y) == 0 else out
+    """CRPS of truncated logistic forecasts; broadcasts forecasts and ``y``."""
+    return _scalar_or_array(crps_tlogis_core(
+        dist.location, dist.scale, np.asarray(y, dtype=np.float64), dist.lower))
 
 
 def tlogis_cdf(dist: TruncLogistic, y):
     """CDF of the truncated distribution, clamped to [0, 1]."""
     f = NUMPY_OPS.sigmoid((np.asarray(y, dtype=np.float64) - dist.location) / dist.scale)
     flb = NUMPY_OPS.sigmoid((dist.lower - dist.location) / dist.scale)
-    out = np.clip((f - flb) / (1.0 - flb), 0.0, 1.0)
-    return float(out) if np.ndim(y) == 0 else out
+    return _scalar_or_array(np.clip((f - flb) / (1.0 - flb), 0.0, 1.0))
 
 
 def tlogis_quantile(dist: TruncLogistic, p):
     """Exact inverse CDF of the truncated logistic."""
-    p_arr = np.asarray(p, dtype=np.float64)
-    if np.any(p_arr <= 0) or np.any(p_arr >= 1):
+    p = np.asarray(p, dtype=np.float64)
+    if np.any(p <= 0) or np.any(p >= 1):
         raise DomainError("p must lie strictly inside (0, 1)")
-    out = tlogis_quantile_core(dist.location, dist.scale, p_arr, dist.lower)
-    return float(out) if np.ndim(p) == 0 else out
+    return _scalar_or_array(
+        tlogis_quantile_core(dist.location, dist.scale, p, dist.lower))
 
 
 def tlogis_quantile_core(mu, sigma, p, lower=0.0, ops=NUMPY_OPS):
@@ -338,35 +347,38 @@ def theta_mean_crps(theta, obs, family, levels):
 
 
 def _bisect_level(dist: BernsteinQuantile, y, side, tol=1e-10):
-    """Extreme level p with Q(p) = y; ``side`` selects the flat-segment end."""
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    """Extreme levels p with Q(p) = y, one per row; ``side`` selects the
+    flat-segment end.  Every row halves the same width from [0, 1]."""
+    lo, hi = np.zeros(np.shape(y)), np.ones(np.shape(y))
+    width = 1.0
+    while width > tol:
         mid = 0.5 * (lo + hi)
-        q = float(bqn_quantile(dist, mid))
-        if q < y or (side == "right" and q == y):
-            lo = mid
-        else:
-            hi = mid
+        basis = bernstein_basis(dist.degree, mid)
+        q = (basis[..., None, :] @ dist.alpha[..., None])[..., 0, 0]
+        up = (q < y) | ((q == y) & (side == "right"))
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        width *= 0.5
     return 0.5 * (lo + hi)
 
 
 def pit(dist, y, rng):
-    """(Unified) probability integral transform of an observation.
+    """(Unified) probability integral transform of observations.
 
-    For the Bernstein representation the quantile function is inverted by
-    bisection; on flat segments a uniform draw from the matching level set is
-    returned, which keeps PIT histograms uniform for calibrated forecasts.
+    For the Bernstein representation the quantile functions are inverted by
+    bisection; on a flat segment a uniform draw from the matching level set
+    is returned (one draw per flat row, in row order), which keeps PIT
+    histograms uniform for calibrated forecasts.  Observations outside
+    [alpha_0, alpha_d] map to 0 or 1.
     """
     if isinstance(dist, TruncLogistic):
-        return float(tlogis_cdf(dist, y))
+        return tlogis_cdf(dist, y)
     if isinstance(dist, BernsteinQuantile):
-        if y < dist.alpha[0]:
-            return 0.0
-        if y > dist.alpha[-1]:
-            return 1.0
+        y = np.asarray(y, dtype=np.float64)
+        below, above = y < dist.alpha[..., 0], y > dist.alpha[..., -1]
         left = _bisect_level(dist, y, "left")
         right = _bisect_level(dist, y, "right")
-        if right - left <= 1e-9:
-            return 0.5 * (left + right)
-        return float(rng.uniform(left, right))
+        out = np.where(below, 0.0, np.where(above, 1.0, 0.5 * (left + right)))
+        flat = ~below & ~above & (right - left > 1e-9)
+        out[flat] = rng.uniform(left[flat], right[flat])
+        return _scalar_or_array(out)
     raise DomainError(f"unsupported distribution type {type(dist).__name__}")

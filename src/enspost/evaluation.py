@@ -1,10 +1,13 @@
 """Probabilistic forecast verification: mean CRPS, central prediction
 intervals at the ensemble-size-dependent nominal level, and PIT histograms.
 
-Forecasts come in three shapes: parametric truncated-logistic objects (scored
-in closed form), Bernstein quantile objects and aggregated quantile arrays
-(both scored as K-point empirical forecasts via the ensemble CRPS), and the
-raw ensemble itself (the EPS baseline).
+Forecasts come in two shapes.  A batched distribution object, one
+:class:`~enspost.dist.TruncLogistic` or
+:class:`~enspost.dist.BernsteinQuantile` with one entry per observation, is
+scored by :func:`evaluate`: truncated-logistic forecasts in closed form,
+Bernstein forecasts as K-point empirical forecasts via the ensemble CRPS.
+An (n, K) quantile matrix, such as an aggregated pool or the raw ensemble
+itself (the EPS baseline), is scored by :func:`evaluate_quantiles`.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import numpy as np
 
 from .data import Dataset
 from .dist import (BernsteinQuantile, QuantileLevels, TruncLogistic,
-                   bqn_quantile, crps_sample, crps_sample_batch, crps_tlogis,
-                   level_grid, pit, theta_mean_crps, tlogis_quantile)
+                   bqn_quantile, crps_sample_batch, crps_tlogis, level_grid,
+                   pit, theta_mean_crps, tlogis_quantile)
 from .errors import ContractError, DomainError
 
 
@@ -52,13 +55,8 @@ def nominal_pi_level(m):
     return Fraction(m - 1, m + 1)
 
 
-def pi_bounds(forecast, level, levels=None):
-    """Central prediction interval (lo, hi) at the given level.
-
-    ``forecast`` is a distribution object, or an array of grid quantiles in
-    which case ``levels`` supplies the grid and the bounds interpolate
-    linearly between grid points.
-    """
+def pi_bounds(forecast, level):
+    """Central prediction intervals (lo, hi) of a forecast at a level."""
     level = float(level)
     if not 0.0 < level < 1.0:
         raise DomainError("level must lie strictly inside (0, 1)")
@@ -66,13 +64,8 @@ def pi_bounds(forecast, level, levels=None):
     if isinstance(forecast, TruncLogistic):
         return (tlogis_quantile(forecast, p_lo), tlogis_quantile(forecast, p_hi))
     if isinstance(forecast, BernsteinQuantile):
-        return (float(bqn_quantile(forecast, p_lo)),
-                float(bqn_quantile(forecast, p_hi)))
-    grid = np.asarray(forecast, dtype=np.float64)
-    if levels is None:
-        raise ContractError("quantile-array forecasts need their level grid")
-    lv = level_grid(levels)
-    return (float(np.interp(p_lo, lv, grid)), float(np.interp(p_hi, lv, grid)))
+        return bqn_quantile(forecast, p_lo), bqn_quantile(forecast, p_hi)
+    raise DomainError(f"unsupported forecast type {type(forecast).__name__}")
 
 
 def ensemble_pit(values, y, rng):
@@ -87,24 +80,10 @@ def ensemble_pit(values, y, rng):
     return (below + rng.uniform() * (1 + ties)) / (values.size + 1.0)
 
 
-def _forecast_crps(forecast, y, levels):
-    if isinstance(forecast, TruncLogistic):
-        return crps_tlogis(forecast, y)
-    if isinstance(forecast, BernsteinQuantile):
-        forecast = bqn_quantile(forecast, level_grid(levels))
-    return crps_sample(forecast, y)
-
-
-def _forecast_pit(forecast, y, levels, rng):
-    if isinstance(forecast, (TruncLogistic, BernsteinQuantile)):
-        return pit(forecast, y, rng)
-    return ensemble_pit(forecast, y, rng)
-
-
-def _checked(n_forecasts, observations, level):
+def _checked(batch_shape, observations, level):
     """Validated (observations, level) of one evaluation call."""
     observations = np.asarray(observations, dtype=np.float64)
-    if n_forecasts != observations.size:
+    if tuple(batch_shape) != observations.shape:
         raise ContractError("forecasts and observations differ in length")
     if observations.size == 0:
         raise DomainError("nothing to evaluate")
@@ -131,25 +110,27 @@ def _report(crps, lo, hi, pits, observations, level, pit_bins):
     )
 
 
-def evaluate(forecasts, observations, level, pit_bins=20, rng=None,
+def evaluate(forecast, observations, level, pit_bins=20, rng=None,
              levels=None):
-    """Score a forecast list against observations.
+    """Score a batch of forecasts, one per observation.
 
-    Parametric truncated-logistic forecasts use the closed-form CRPS;
-    Bernstein and aggregated quantile-array forecasts are scored with the
-    ensemble CRPS on their ``levels`` grid (default the 99-level percent
-    grid).
+    ``forecast`` is one TruncLogistic or BernsteinQuantile with array
+    parameters, e.g. ``model.forecast(test)``.  Truncated-logistic
+    forecasts use the closed-form CRPS; Bernstein forecasts are scored with
+    the ensemble CRPS of their quantiles on ``levels`` (default the 99-level
+    percent grid).
     """
-    observations, level = _checked(len(forecasts), observations, level)
-    if levels is None:
-        levels = QuantileLevels.equidistant()
+    lo, hi = pi_bounds(forecast, level)
+    observations, level = _checked(np.shape(lo), observations, level)
     rng = rng if rng is not None else np.random.default_rng(0)
-    rows = [(_forecast_crps(forecast, y, levels),
-             *pi_bounds(forecast, level, levels),
-             _forecast_pit(forecast, y, levels, rng))
-            for forecast, y in zip(forecasts, observations)]
-    crps, lo, hi, pits = (np.array(col) for col in zip(*rows))
-    return _report(crps, lo, hi, pits, observations, level, pit_bins)
+    if isinstance(forecast, TruncLogistic):
+        crps = crps_tlogis(forecast, observations)
+    else:
+        levels = QuantileLevels.equidistant() if levels is None else levels
+        crps = crps_sample_batch(bqn_quantile(forecast, level_grid(levels)),
+                                 observations)
+    return _report(crps, lo, hi, pit(forecast, observations, rng),
+                   observations, level, pit_bins)
 
 
 def _interp_rows(x, xp, fp):
@@ -171,7 +152,7 @@ def evaluate_quantiles(quantiles, observations, level, levels=None,
     rank position among the row's values, uniformly randomized across ties.
     """
     quantiles = np.asarray(quantiles, dtype=np.float64)
-    observations, level = _checked(quantiles.shape[0], observations, level)
+    observations, level = _checked(quantiles.shape[:1], observations, level)
     if levels is None:
         levels = QuantileLevels.equidistant(quantiles.shape[1])
     lv = level_grid(levels)

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from . import dist as dist_mod
 from .autodiff import Graph, ParamVector, Tensor
 from .data import Dataset, standardize
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericError
 
 ARCHITECTURES = ("emos", "drn", "bqn", "ed-drn", "ed-bqn", "st-drn", "st-bqn")
 POOLING_KINDS = ("mean", "max", "min", "attention")
@@ -361,12 +361,11 @@ class _FittedModel:
                 f"model fitted on {self.n_stations} stations")
 
     def forecast(self, dataset: Dataset):
-        """Per-sample forecast distribution objects."""
+        """One distribution object holding a forecast per sample."""
         theta = self.raw_theta(dataset)
         if self.family == "tlogis":
-            return [dist_mod.tlogis_map(t) for t in theta]
-        alpha = dist_mod.bqn_coefficients(theta)
-        return [dist_mod.BernsteinQuantile(a) for a in alpha]
+            return dist_mod.tlogis_map(theta)
+        return dist_mod.BernsteinQuantile(dist_mod.bqn_coefficients(theta))
 
     def quantiles(self, dataset: Dataset, levels):
         """Quantile matrix (n, K) at the given levels."""
@@ -442,6 +441,8 @@ class EMOSModel(_FittedModel):
             warnings.warn(f"{missing} samples used global EMOS coefficients "
                           "(no station/month cell fitted)")
             self._warned = True
+        if not np.all(np.isfinite(theta)):
+            raise NumericError("non-finite value produced by the EMOS link")
         return theta
 
 
@@ -518,14 +519,58 @@ def _read_checkpoint(path):
     block = blob[16 + hlen:]
     if len(block) % 8:
         raise ConfigError(f"{path}: truncated checkpoint parameter block")
-    return header, np.frombuffer(block, dtype="<f8").astype(np.float64)
+    block = np.frombuffer(block, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(block)):
+        raise ConfigError(f"{path}: non-finite checkpoint parameters")
+    _check_header_fields(path, header)
+    return header, block
+
+
+_NORM_SIZES = {"ens_mean": "predictor_names", "ens_std": "predictor_names",
+               "scalar_mean": "scalar_names", "scalar_std": "scalar_names"}
+
+
+def _list_of(value, kinds, n=None):
+    """Whether a JSON value is a list of ``kinds`` items (``n`` of them)."""
+    return (isinstance(value, list) and n in (None, len(value))
+            and all(type(v) in kinds for v in value))
+
+
+def _check_header_fields(path, header):
+    """ConfigError unless the names, station count, primary index, EMOS
+    cell keys and network normalization stats have checkpoint types and
+    ranges."""
+    def require(ok, field):
+        if not ok:
+            raise ConfigError(f"{path}: corrupt checkpoint field {field!r}")
+    for key in ("predictor_names", "scalar_names"):
+        require(_list_of(header[key], (str,)), key)
+    require(type(header["n_stations"]) is int and header["n_stations"] >= 1,
+            "n_stations")
+    require(type(header["primary"]) is int
+            and 0 <= header["primary"] < len(header["predictor_names"]),
+            "primary")
+    if header["kind"] == "emos":
+        keys = header["cell_keys"]
+        require(_list_of(keys, (list,))
+                and all(_list_of(k, (int,), 2) for k in keys), "cell_keys")
+        return
+    norm = header["norm"]
+    require(isinstance(norm, dict) and set(norm) == {
+        "predictor_names", "scalar_names", *_NORM_SIZES}, "norm")
+    for key, names in _NORM_SIZES.items():
+        values = norm[key]
+        require(_list_of(values, (int, float), len(header[names]))
+                and np.all(np.isfinite(values))
+                and (key.endswith("mean") or np.all(np.asarray(values) > 0)),
+                f"norm.{key}")
 
 
 def load_model(path):
     header, block = _read_checkpoint(path)
     try:
         config = ModelConfig.from_dict(header["config"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: corrupt model config ({exc})") from exc
     common = dict(n_stations=header["n_stations"], primary=header["primary"],
                   predictor_names=header["predictor_names"],
@@ -540,7 +585,12 @@ def load_model(path):
                  for i, k in enumerate(header["cell_keys"])}
         return EMOSModel(config, unpack(chunks[0]), cells,
                          norm=header["norm"], **common)
-    layout = {name: (off, tuple(shape))
-              for name, (off, shape) in header["layout"].items()}
+    layout = ParamVector.build(param_shapes(
+        config, len(header["predictor_names"]), len(header["scalar_names"]),
+        header["n_stations"])).layout
+    if header["layout"] != {name: [off, list(shape)]
+                            for name, (off, shape) in layout.items()}:
+        raise ConfigError(f"{path}: parameter layout does not match the "
+                          "model config")
     params = ParamVector(block, layout)
     return NeuralModel(config, params, header["norm"], **common)

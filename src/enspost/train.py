@@ -335,14 +335,15 @@ def train_pool(config: ModelConfig, train: Dataset, val: Dataset, n=20,
                workers=1):
     """Train ``n`` models with seeds ``config.seed + 0..n-1``.
 
-    Results are ordered by seed and independent of ``workers``.
+    Results are ordered by seed and independent of ``workers``; at most
+    ``n`` worker processes start.
     """
     if n < 1:
         raise DomainError("pool size must be at least 1")
     tasks = [(replace(config, seed=config.seed + i), train, val)
              for i in range(n)]
     if workers > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
             results = list(pool.map(_fit_one, tasks))
     else:
         results = [_fit_one(task) for task in tasks]

@@ -364,11 +364,12 @@ def test_criterion_10_cli_reproducibility(tmp_path):
 def test_criterion_11_self_consistency_calibration():
     rng = np.random.default_rng(6)
     n = 10_000
-    forecasts = [TruncLogistic(rng.uniform(2, 10), rng.uniform(0.3, 2.0))
-                 for _ in range(n)]
-    obs = np.array([tlogis_quantile(d, rng.uniform()) for d in forecasts])
+    # row-major draws: location then scale per forecast, then observations
+    params = rng.uniform([2.0, 0.3], [10.0, 2.0], size=(n, 2))
+    forecast = TruncLogistic(params[:, 0], params[:, 1])
+    obs = tlogis_quantile(forecast, rng.uniform(size=n))
     level = 0.9
-    rep = evaluate(forecasts, obs, level, pit_bins=20,
+    rep = evaluate(forecast, obs, level, pit_bins=20,
                    rng=np.random.default_rng(7))
     cov_ok = abs(rep.pi_coverage - 100 * level) <= 2.0
     lo, hi = multinomial_band(n, 20, n_sigma=4.0)

@@ -8,6 +8,7 @@ test process already holds the oracles' scipy.
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -304,6 +305,39 @@ def test_bad_station_ids_and_corrupt_checkpoints_exit_2(tmp_path, capsys):
                 [f'data.path="{data}"',
                  f'eval.checkpoints="{train_dir}"']) == 2
     assert "checkpoint" in capsys.readouterr().err
+
+
+def _rewrite_checkpoint(path, header_update=None, value=None):
+    """Rewrite a checkpoint with header fields replaced or its first
+    parameter set to ``value``."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = {**json.loads(blob[16:16 + hlen]), **(header_update or {})}
+    block = np.frombuffer(blob[16 + hlen:], dtype="<f8").copy()
+    if value is not None:
+        block[0] = value
+    raw = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw
+                     + block.astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize("corruption", [{"value": float("nan")},
+                                        {"header_update": {"primary": 9}},
+                                        {"header_update": {"n_stations": "x"}}])
+def test_corrupt_emos_checkpoint_exits_2(tmp_path, capsys, corruption):
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", synth_dir, SYNTH_SETS) == 0
+    data = synth_dir / "dataset.ndjson"
+    train_dir = tmp_path / "train"
+    assert _run("train", train_dir, [
+        f'data.path="{data}"', "model.architecture=emos",
+        "model.max_epochs=2", "train.pool_size=1"]) == 0
+    _rewrite_checkpoint(train_dir / "model_000.bin", **corruption)
+    eval_dir = tmp_path / "eval"
+    assert _run("evaluate", eval_dir, [f'data.path="{data}"',
+                                       f'eval.checkpoints="{train_dir}"']) == 2
+    assert "checkpoint" in capsys.readouterr().err
+    assert not (eval_dir / "evaluation.json").exists()
 
 
 def test_mistyped_ndjson_and_chi_predictor_exit_2(tmp_path, capsys):

@@ -26,6 +26,12 @@ def test_trunc_logistic_validates_scale():
         dist.TruncLogistic(1.0, 0.0)
     with pytest.raises(DomainError):
         dist.TruncLogistic(1.0, -2.0)
+    with pytest.raises(DomainError):
+        dist.TruncLogistic(np.zeros(3), np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(DomainError):
+        dist.TruncLogistic(np.zeros(3), np.ones(2))
+    batch = dist.TruncLogistic(np.zeros(3), np.ones(3))
+    assert batch.location.shape == batch.scale.shape == (3,)
 
 
 def test_bernstein_quantile_requires_monotone_alpha():
@@ -34,6 +40,12 @@ def test_bernstein_quantile_requires_monotone_alpha():
         dist.BernsteinQuantile(np.array([0.0, 1.0, 0.5]))
     with pytest.raises(DomainError):
         dist.BernsteinQuantile(np.array([0.0, np.inf]))
+    batch = dist.BernsteinQuantile(np.array([[0.0, 1.0, 1.0], [2.0, 2.0, 3.0]]))
+    assert batch.degree == 2
+    for bad in ([[0.0, 1.0, 1.0], [2.0, 1.0, 3.0]], [[0.0, 1.0, np.nan]],
+                np.zeros((2, 2, 3)), [[0.0], [1.0]]):
+        with pytest.raises(DomainError):
+            dist.BernsteinQuantile(np.array(bad))
 
 
 def test_quantile_levels_equidistant_grid():
@@ -101,29 +113,32 @@ def test_quantile_score_mean_matches_pinball_oracle():
 # ---------------------------------------------------------------------------
 
 
+def _check_crps_tlogis_against_oracle(mu, sigma, y):
+    """Quadrature at 1e-9 while the truncation point lies less than 10
+    scales above the location; past that float64 quadrature loses digits
+    (2.6e-9 at mu = -2, sigma = 0.1015625, y = 0), so mpmath at rel 1e-10."""
+    ours = dist.crps_tlogis(dist.TruncLogistic(mu, sigma), y)
+    if mu >= -10.0 * sigma:
+        assert ours == pytest.approx(crps_tlogis_quad(mu, sigma, y), abs=1e-9)
+    else:
+        assert ours == pytest.approx(crps_tlogis_mp(mu, sigma, y), rel=1e-10)
+    return ours
+
+
 def test_crps_tlogis_matches_quadrature_moderate_regime():
     rng = np.random.default_rng(2)
     for _ in range(25):
         mu = rng.uniform(-3, 12)
         sigma = rng.uniform(0.1, 5)
         y = rng.uniform(-2, 15)
-        ours = dist.crps_tlogis(dist.TruncLogistic(mu, sigma), y)
-        assert ours == pytest.approx(crps_tlogis_quad(mu, sigma, y),
-                                     abs=1e-9)
+        _check_crps_tlogis_against_oracle(mu, sigma, y)
 
 
 @settings(max_examples=60, deadline=None)
 @given(mu=st.floats(-3, 12), sigma=st.floats(0.1, 5), y=st.floats(-2, 15))
 @example(mu=-2.0, sigma=0.1015625, y=0.0)
 def test_crps_tlogis_nonnegative_and_matches_quadrature_property(mu, sigma, y):
-    ours = dist.crps_tlogis(dist.TruncLogistic(mu, sigma), y)
-    assert ours >= 0.0
-    if mu >= -10.0 * sigma:
-        assert ours == pytest.approx(crps_tlogis_quad(mu, sigma, y), abs=1e-9)
-    else:
-        # truncated more than 10 scales above the location, float64
-        # quadrature loses digits (2.6e-9 at the example above)
-        assert ours == pytest.approx(crps_tlogis_mp(mu, sigma, y), rel=1e-10)
+    assert _check_crps_tlogis_against_oracle(mu, sigma, y) >= 0.0
 
 
 def test_crps_tlogis_stable_under_heavy_truncation():
@@ -223,6 +238,31 @@ def test_tlogis_map_softplus_scale():
     d = dist.tlogis_map(np.array([3.0, -40.0]))
     assert d.location == 3.0
     assert d.scale == pytest.approx(dist.SCALE_FLOOR, rel=1e-6)
+
+
+def test_batched_objects_match_per_forecast_objects():
+    rng = np.random.default_rng(7)
+    theta = rng.normal(2, 2, size=(9, 2))
+    y = rng.normal(2, 2, size=9)
+    batch = dist.tlogis_map(theta)
+    rows = [dist.tlogis_map(t) for t in theta]
+    for fn, arg in ((dist.crps_tlogis, y), (dist.tlogis_cdf, y),
+                    (dist.tlogis_quantile, 0.3)):
+        out = fn(batch, arg)
+        assert out.shape == (9,)
+        np.testing.assert_array_equal(
+            out, [fn(r, a) for r, a in zip(rows, np.broadcast_to(arg, 9))])
+    alpha = dist.bqn_coefficients(rng.normal(0, 1, size=(9, 6)))
+    bq = dist.BernsteinQuantile(alpha)
+    p = dist.QuantileLevels.equidistant(99).levels
+    for level in (0.3, p):
+        np.testing.assert_array_equal(
+            dist.bqn_quantile(bq, level),
+            [dist.bernstein_basis(5, level) @ a for a in alpha])
+    # one forecast: a float back, however many forecasts share the object
+    assert isinstance(dist.crps_tlogis(rows[0], 1.0), float)
+    assert isinstance(dist.bqn_quantile(dist.BernsteinQuantile(alpha[0]), 0.3),
+                      float)
 
 
 # ---------------------------------------------------------------------------

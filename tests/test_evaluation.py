@@ -9,7 +9,9 @@ import pytest
 
 from enspost.data import SynthConfig, generate_synthetic, split_temporal
 from enspost.dist import (BernsteinQuantile, QuantileLevels, TruncLogistic,
-                          crps_sample_batch, tlogis_quantile)
+                          bernstein_basis, bqn_coefficients, crps_sample,
+                          crps_sample_batch, crps_tlogis, tlogis_cdf,
+                          tlogis_map, tlogis_quantile)
 from enspost.errors import ContractError, DomainError
 from enspost.evaluation import (EvaluationReport, ensemble_pit, evaluate,
                                 evaluate_quantiles, model_mean_crps,
@@ -38,16 +40,6 @@ def test_pi_bounds_tlogis_are_central_quantiles():
     assert hi == pytest.approx(tlogis_quantile(d, 0.9))
     with pytest.raises(DomainError):
         pi_bounds(d, 1.0)
-
-
-def test_pi_bounds_quantile_array_interpolates():
-    levels = np.array([0.1, 0.5, 0.9])
-    grid = np.array([0.0, 5.0, 10.0])
-    lo, hi = pi_bounds(grid, 0.5, levels=levels)
-    assert lo == pytest.approx(np.interp(0.25, levels, grid))
-    assert hi == pytest.approx(np.interp(0.75, levels, grid))
-    with pytest.raises(ContractError):
-        pi_bounds(grid, 0.5)          # grid forecasts need their levels
 
 
 def test_pi_bounds_bernstein():
@@ -100,39 +92,31 @@ def test_evaluation_report_validation():
 
 def test_evaluate_parametric_forecasts_closed_form_crps():
     rng = np.random.default_rng(2)
-    forecasts = [TruncLogistic(rng.uniform(2, 8), rng.uniform(0.5, 2))
-                 for _ in range(10)]
-    obs = np.array([f.location + 0.3 for f in forecasts])
-    rep = evaluate(forecasts, obs, 0.9, rng=np.random.default_rng(0))
-    expected = np.mean([crps_tlogis_quad(f.location, f.scale, y)
-                        for f, y in zip(forecasts, obs)])
+    params = rng.uniform([2.0, 0.5], [8.0, 2.0], size=(10, 2))
+    forecast = TruncLogistic(params[:, 0], params[:, 1])
+    obs = forecast.location + 0.3
+    rep = evaluate(forecast, obs, 0.9, rng=np.random.default_rng(0))
+    expected = np.mean([crps_tlogis_quad(mu, sigma, y)
+                        for mu, sigma, y in zip(*params.T, obs)])
     assert rep.mean_crps == pytest.approx(expected, abs=1e-8)
     assert rep.n_samples == 10
     assert sum(rep.pit_histogram) == 10
 
 
 def test_evaluate_input_validation():
+    one = TruncLogistic(np.array([1.0]), np.array([1.0]))
     with pytest.raises(ContractError):
-        evaluate([TruncLogistic(1, 1)], np.array([1.0, 2.0]), 0.9)
+        evaluate(one, np.array([1.0, 2.0]), 0.9)
     with pytest.raises(DomainError):
-        evaluate([], np.array([]), 0.9)
+        evaluate(TruncLogistic(np.array([]), np.array([])), np.array([]), 0.9)
     with pytest.raises(DomainError):
-        evaluate([TruncLogistic(1, 1)], np.array([1.0]), 1.5)
-
-
-def test_evaluate_quantiles_matches_evaluate_on_grids():
-    rng = np.random.default_rng(3)
-    levels = QuantileLevels.equidistant(19)
-    quantiles = np.sort(rng.normal(5, 2, size=(30, 19)), axis=1)
-    obs = rng.normal(5, 2, size=30)
-    rep_v = evaluate_quantiles(quantiles, obs, 0.8, levels=levels,
-                               rng=np.random.default_rng(7))
-    rep_s = evaluate(list(quantiles), obs, 0.8, levels=levels,
-                     rng=np.random.default_rng(7))
-    assert rep_v.mean_crps == pytest.approx(rep_s.mean_crps, rel=1e-12)
-    assert rep_v.mean_pi_length == pytest.approx(rep_s.mean_pi_length,
-                                                 rel=1e-12)
-    assert rep_v.pi_coverage == rep_s.pi_coverage
+        evaluate(one, np.array([1.0]), 1.5)
+    with pytest.raises(ContractError):     # a single forecast is no batch
+        evaluate(TruncLogistic(1.0, 1.0), np.array([1.0]), 0.9)
+    with pytest.raises(DomainError):       # object lists are gone
+        evaluate([TruncLogistic(1.0, 1.0)], np.array([1.0]), 0.9)
+    with pytest.raises(DomainError):       # quantile matrices go elsewhere
+        evaluate(np.zeros((1, 3)), np.array([1.0]), 0.9)
 
 
 def test_coverage_counts_boundary_hits():
@@ -175,6 +159,110 @@ def test_evaluate_quantiles_is_bit_identical_to_per_row_reference(level):
     assert rng_v.bit_generator.state == rng_s.bit_generator.state
 
 
+def _per_row_bisect(alpha, y, side, tol=1e-10):
+    """Extreme level p with Q(p) = y of one Bernstein quantile function."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        q = float(bernstein_basis(alpha.size - 1, mid) @ alpha)
+        if q < y or (side == "right" and q == y):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _per_row_pit(alpha, y, rng):
+    """Unified PIT of one observation, drawing on flat segments."""
+    if y < alpha[0]:
+        return 0.0
+    if y > alpha[-1]:
+        return 1.0
+    left = _per_row_bisect(alpha, y, "left")
+    right = _per_row_bisect(alpha, y, "right")
+    if right - left <= 1e-9:
+        return 0.5 * (left + right)
+    return float(rng.uniform(left, right))
+
+
+def _per_row_report(forecast, obs, level, levels, pit_bins, rng):
+    """evaluate written one sample at a time, on one scalar forecast each."""
+    p_lo, p_hi = (1.0 - level) / 2.0, (1.0 + level) / 2.0
+    rows = []
+    for i, y in enumerate(obs):
+        if isinstance(forecast, TruncLogistic):
+            one = TruncLogistic(float(forecast.location[i]),
+                                float(forecast.scale[i]))
+            rows.append((crps_tlogis(one, y), tlogis_quantile(one, p_lo),
+                         tlogis_quantile(one, p_hi), tlogis_cdf(one, y)))
+        else:
+            alpha = forecast.alpha[i]
+            d = alpha.size - 1
+            rows.append((crps_sample(bernstein_basis(d, levels) @ alpha, y),
+                         float(bernstein_basis(d, p_lo) @ alpha),
+                         float(bernstein_basis(d, p_hi) @ alpha),
+                         _per_row_pit(alpha, y, rng)))
+    crps, lo, hi, pits = (np.array(col) for col in zip(*rows))
+    covered = (lo <= obs) & (obs <= hi)
+    hist, _ = np.histogram(pits, bins=pit_bins, range=(0.0, 1.0))
+    return EvaluationReport(
+        float(np.mean(crps)), level, float(np.mean(hi - lo)),
+        100.0 * float(covered.mean()), tuple(int(c) for c in hist), obs.size)
+
+
+def _assert_matches_per_row_reference(forecast, obs, level, levels=None):
+    rng_b, rng_s = np.random.default_rng(9), np.random.default_rng(9)
+    rep_b = evaluate(forecast, obs, level, pit_bins=300, rng=rng_b,
+                     levels=levels)
+    grid = QuantileLevels.equidistant().levels if levels is None else levels
+    rep_s = _per_row_report(forecast, obs, level, grid, 300, rng_s)
+    for field in dataclasses.fields(EvaluationReport):
+        assert getattr(rep_b, field.name) == getattr(rep_s, field.name), \
+            field.name
+    assert rng_b.bit_generator.state == rng_s.bit_generator.state
+
+
+@pytest.mark.parametrize("level", [0.8, 0.9, 18 / 20])
+def test_evaluate_tlogis_batch_is_bit_identical_to_per_row_reference(level):
+    rng = np.random.default_rng(10)
+    theta = np.column_stack([rng.normal(3, 3, 500), rng.normal(1, 0.5, 500)])
+    theta[::50, 0] = -2.0              # most of the mass below the bound
+    forecast = tlogis_map(theta)
+    obs = np.abs(rng.normal(3, 4, 500))
+    _assert_matches_per_row_reference(forecast, obs, level)
+
+
+@pytest.mark.parametrize("degree,n_levels", [(3, 9), (5, 99), (12, 99),
+                                             (24, 9)])
+@pytest.mark.parametrize("level", [0.8, 18 / 20])
+def test_evaluate_bernstein_batch_is_bit_identical_to_per_row_reference(
+        degree, n_levels, level):
+    rng = np.random.default_rng(degree)
+    theta = rng.normal(0, 1, size=(400, degree + 1))
+    theta[::4, 1:] = -800.0            # constant rows: softplus is exactly 0
+    theta[1::7, 2:4] = -800.0          # a flat segment inside the range
+    alpha = bqn_coefficients(theta)
+    obs = rng.normal(0, 2, size=400)
+    obs[::4] = alpha[::4, 0]           # ties at the flat values
+    obs[1::7] = alpha[1::7, 2]
+    obs[2::9] = alpha[2::9, 0] - 1.0   # below alpha_0
+    obs[3::11] = alpha[3::11, -1] + 1.0  # above alpha_d
+    levels = QuantileLevels.equidistant(n_levels).levels
+    _assert_matches_per_row_reference(BernsteinQuantile(alpha), obs, level,
+                                      levels)
+
+
+def test_bernstein_batch_pit_draws_once_per_flat_row():
+    alpha = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0], [2.0, 2.0, 2.0]])
+    obs = np.array([1.0, 1.0, 3.0])     # flat, strictly increasing, above
+    rng = np.random.default_rng(11)
+    rep = evaluate(BernsteinQuantile(alpha), obs, 0.5, pit_bins=4, rng=rng)
+    expected = np.random.default_rng(11)
+    expected.uniform(0.0, 1.0)          # the single flat row draws once
+    assert rng.bit_generator.state == expected.bit_generator.state
+    assert rep.pit_histogram[-1] == 1   # above alpha_d maps to PIT 1
+
+
 # ---------------------------------------------------------------------------
 # Model scoring and the EPS baseline
 # ---------------------------------------------------------------------------
@@ -196,7 +284,10 @@ def _quick_model():
 def test_model_mean_crps_matches_forecast_scoring():
     model, test = _quick_model()
     fast = model_mean_crps(model, test)
-    rep = evaluate(model.forecast(test), test.obs, 0.9)
+    forecast = model.forecast(test)
+    assert isinstance(forecast, TruncLogistic)
+    assert forecast.location.shape == (len(test),)
+    rep = evaluate(forecast, test.obs, 0.9)
     assert fast == pytest.approx(rep.mean_crps, rel=1e-10)
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import enspost.autodiff as ad
 from enspost.data import SynthConfig, generate_synthetic, standardize
 from enspost.dist import QuantileLevels
-from enspost.errors import ConfigError, DomainError
+from enspost.errors import ConfigError, DomainError, NumericError
 from enspost.models import (ARCHITECTURES, EMOSModel, ModelConfig,
                             NeuralModel, build_graph, emos_forward,
                             graph_inputs,
@@ -304,3 +304,76 @@ def test_truncated_checkpoints_raise_only_config_error(kind, data):
             fh.write(blob[:cut])
         with pytest.raises(ConfigError):
             load_model(path)
+
+
+def _split_checkpoint(blob):
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    return json.loads(blob[16:16 + hlen]), blob[16 + hlen:]
+
+
+def test_load_model_rejects_non_finite_blocks_and_bad_header_fields(tmp_path):
+    bad = tmp_path / "bad.bin"
+    for kind in ("emos", "drn"):
+        header, block = _split_checkpoint(_checkpoint_bytes(kind))
+        values = np.frombuffer(block, dtype="<f8").copy()
+        for poison in (np.nan, np.inf):
+            values[3] = poison
+            _write_checkpoint(bad, header, values.astype("<f8").tobytes())
+            with pytest.raises(ConfigError, match="non-finite"):
+                load_model(bad)
+        cases = [("primary", 9), ("primary", -1), ("primary", 0.0),
+                 ("n_stations", "x"), ("n_stations", 0),
+                 ("predictor_names", "abc"), ("scalar_names", [1])]
+        if kind == "emos":
+            cases += [("cell_keys", [[0]]), ("cell_keys", [[0, "1"]])]
+        else:
+            norm = header["norm"]
+            cases += [("norm", {k: v for k, v in norm.items()
+                                if k != "ens_mean"}),
+                      ("norm", {**norm, "ens_meaN": norm["ens_mean"]}),
+                      ("norm", {**norm, "ens_std": norm["ens_std"][:-1]}),
+                      ("norm", {**norm, "scalar_std": [0.0] * len(
+                          norm["scalar_std"])}),
+                      ("norm", {**norm, "ens_mean": ["0"] * len(
+                          norm["ens_mean"])}),
+                      ("layout", {**header["layout"], "b0": [0, [6]]}),
+                      ("config", {**header["config"], "hidden_sizes": [6, 4]}),
+                      ("config", ["ab"]), ("config", ["abc"])]
+        for key, value in cases:
+            _write_checkpoint(bad, {**header, key: value}, block)
+            with pytest.raises(ConfigError):
+                load_model(bad)
+
+
+def test_emos_raw_theta_raises_numeric_error_on_overflow():
+    ds = _dataset()
+    model = _emos_model(ds)
+    gamma_mat, gamma_vec = model.global_coeffs
+    gamma_mat = np.array(gamma_mat)
+    gamma_mat[0] = 1.78e308            # finite, but the link overflows
+    model.global_coeffs = (gamma_mat, gamma_vec)
+    model.cells = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NumericError):
+            model.raw_theta(ds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["drn", "emos"]), data=st.data())
+def test_byte_flipped_checkpoints_raise_typed_errors_or_load_finite(kind,
+                                                                   data):
+    blob = bytearray(_checkpoint_bytes(kind))
+    offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    blob[offset] ^= data.draw(st.integers(1, 255), label="mask")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.bin")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")   # overflow, EMOS fallback
+                theta = load_model(path).raw_theta(_dataset())
+        except (ConfigError, NumericError):
+            return
+    assert np.all(np.isfinite(theta))

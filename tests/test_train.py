@@ -212,6 +212,35 @@ def test_train_pool_seeds_are_sequential_and_independent_of_workers():
         np.testing.assert_array_equal(a.params.values, b.params.values)
 
 
+def test_train_pool_caps_workers_at_pool_size(monkeypatch):
+    import enspost.train as train_mod
+    started = []
+
+    class RecordingExecutor:
+        """Records the requested worker count and maps in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(train_mod, "ProcessPoolExecutor", RecordingExecutor)
+    train, val, _ = _splits(days=30)
+    cfg = ModelConfig(architecture="drn", max_epochs=2, **TINY)
+    pool = train_pool(cfg, train, val, n=2, workers=64)
+    assert started == [2]
+    assert [r.seed for r in pool.reports] == [0, 1]
+    train_pool(cfg, train, val, n=3, workers=2)
+    assert started == [2, 2]
+
+
 def test_model_pool_validation():
     with pytest.raises(DomainError):
         train, val, _ = _splits(days=30)
