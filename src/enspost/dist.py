@@ -3,8 +3,8 @@
 Two forecast representations are supported: a logistic distribution
 left-truncated at a lower bound (default 0) parameterized by location and
 scale, and a Bernstein quantile function with non-decreasing coefficients.
-The scoring rules (closed-form CRPS, ensemble CRPS, mean quantile score)
-double as training losses and as evaluation metrics.
+The scoring rules (closed-form and ensemble CRPS) double as training losses
+and as evaluation metrics.
 """
 
 from __future__ import annotations
@@ -158,22 +158,6 @@ def bqn_quantile(dist: BernsteinQuantile, p):
         (bernstein_basis(dist.degree, p) @ dist.alpha[..., None])[..., 0])
 
 
-def quantile_score_mean(dist: BernsteinQuantile, y, levels: QuantileLevels):
-    """Mean pinball score 2(1{y < Q(tau)} - tau)(Q(tau) - y) over levels."""
-    q = bqn_quantile(dist, levels.levels)
-    return float(np.mean(pinball(q, y, levels.levels)))
-
-
-def pinball(quantiles, y, levels):
-    """Elementwise quantile score; broadcastable over batched quantiles."""
-    quantiles = np.asarray(quantiles, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if quantiles.ndim == y.ndim + 1:
-        y = y[..., None]
-    indicator = (y < quantiles).astype(np.float64)
-    return 2.0 * (indicator - np.asarray(levels)) * (quantiles - y)
-
-
 # ---------------------------------------------------------------------------
 # Truncated logistic
 # ---------------------------------------------------------------------------
@@ -241,10 +225,15 @@ def crps_tlogis(dist: TruncLogistic, y):
 
 
 def tlogis_cdf(dist: TruncLogistic, y):
-    """CDF of the truncated distribution, clamped to [0, 1]."""
-    f = NUMPY_OPS.sigmoid((np.asarray(y, dtype=np.float64) - dist.location) / dist.scale)
-    flb = NUMPY_OPS.sigmoid((dist.lower - dist.location) / dist.scale)
-    return _scalar_or_array(np.clip((f - flb) / (1.0 - flb), 0.0, 1.0))
+    """CDF of the truncated distribution as one minus the survival ratio,
+    -expm1(SP(lb) - SP(u)) with softplus SP (as in :func:`crps_tlogis_core`):
+    accurate however much mass the truncation removes."""
+    u = (np.asarray(y, dtype=np.float64) - dist.location) / dist.scale
+    lb = (dist.lower - dist.location) / dist.scale
+    softplus = NUMPY_OPS.softplus
+    # log survival ratio, capped at 0 below the bound; "0.0 -" returns +0.0
+    log_ratio = np.minimum(softplus(lb) - softplus(u), 0.0)
+    return _scalar_or_array(0.0 - np.expm1(log_ratio))
 
 
 def tlogis_quantile(dist: TruncLogistic, p):
@@ -274,19 +263,6 @@ def tlogis_quantile_core(mu, sigma, p, lower=0.0, ops=NUMPY_OPS):
 # ---------------------------------------------------------------------------
 # Ensemble CRPS
 # ---------------------------------------------------------------------------
-
-
-def crps_sample(values, y):
-    """CRPS of an empirical (ensemble) forecast with sorted members."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise DomainError("ensemble must contain at least one member")
-    m = values.size
-    term1 = np.mean(np.abs(values - y))
-    k = np.arange(m)
-    # for sorted x: sum_ij |x_i - x_j| = 2 * sum_k x_k (2k - m + 1)
-    term2 = np.sum(values * (2.0 * k - m + 1.0)) / (m * m)
-    return float(term1 - term2)
 
 
 def crps_sample_batch(values, y):

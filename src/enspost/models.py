@@ -185,15 +185,6 @@ def init_params(config: ModelConfig, n_predictors, n_scalars, n_stations,
 # ---------------------------------------------------------------------------
 
 
-def emos_forward(coeffs, features):
-    """Affine-linear link on [primary mean, primary std]."""
-    gamma_mat, gamma_vec = coeffs
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape[-1] != 2:
-        raise ConfigError("EMOS expects exactly [mean, std] features")
-    return features @ np.asarray(gamma_mat) + np.asarray(gamma_vec)
-
-
 def mlp_forward(x, P, prefix, n_layers, activation=ad.tanh):
     """Affine stack with tanh hidden activations and a linear output."""
     h = x
@@ -425,18 +416,19 @@ class EMOSModel(_FittedModel):
     def raw_theta(self, dataset: Dataset):
         self._check_stations(dataset)
         feats = summary_base(dataset.ens, self.primary)[:, :2]
-        keys = np.stack([dataset.station, dataset.months()], axis=1)
-        groups, cell_of = np.unique(keys, axis=0, return_inverse=True)
-        cell_of = cell_of.reshape(-1)
-        theta = np.empty((len(dataset), 2))
-        missing = 0
-        for g, (station, month) in enumerate(groups):
-            rows = cell_of == g
-            coeffs = self.cells.get((int(station), int(month)))
-            if coeffs is None:
-                coeffs = self.global_coeffs
-                missing += int(rows.sum())
-            theta[rows] = emos_forward(coeffs, feats[rows])
+        # table row 0 holds the global fallback, rows 1.. the sorted cells
+        table = _emos_flat(self).reshape(-1, 6)
+        keys = np.array(sorted(self.cells), dtype=np.int64).reshape(-1, 2)
+        rows = np.stack([dataset.station, dataset.months()], axis=1)
+        _, key_of = np.unique(np.concatenate([keys, rows]), axis=0,
+                              return_inverse=True)
+        slot = np.zeros(key_of.size, dtype=np.int64)
+        slot[key_of[:len(keys)]] = np.arange(1, len(keys) + 1)
+        index = slot[key_of[len(keys):]]
+        coeffs = table[index]
+        theta = (feats[:, None, :] @ coeffs[:, :4].reshape(-1, 2, 2))[:, 0] \
+            + coeffs[:, 4:]
+        missing = int(np.count_nonzero(index == 0))
         if missing and not self._warned:
             warnings.warn(f"{missing} samples used global EMOS coefficients "
                           "(no station/month cell fitted)")
@@ -470,6 +462,11 @@ def _header(model):
         header["layout"] = {name: [off, list(shape)]
                             for name, (off, shape) in model.params.layout.items()}
     return header
+
+
+def emos_coeffs(values):
+    """(gamma_mat, gamma_vec) of a 6-entry EMOS coefficient row."""
+    return values[:4].reshape(2, 2), values[4:6]
 
 
 def _emos_flat(model):
@@ -580,10 +577,9 @@ def load_model(path):
             raise ConfigError(f"{path}: parameter block does not match "
                               f"{len(header['cell_keys'])} EMOS cells")
         chunks = block.reshape(-1, 6)
-        unpack = lambda c: (c[:4].reshape(2, 2), c[4:])
-        cells = {tuple(k): unpack(chunks[i + 1])
+        cells = {tuple(k): emos_coeffs(chunks[i + 1])
                  for i, k in enumerate(header["cell_keys"])}
-        return EMOSModel(config, unpack(chunks[0]), cells,
+        return EMOSModel(config, emos_coeffs(chunks[0]), cells,
                          norm=header["norm"], **common)
     layout = ParamVector.build(param_shapes(
         config, len(header["predictor_names"]), len(header["scalar_names"]),

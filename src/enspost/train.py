@@ -23,10 +23,10 @@ from .dist import (TENSOR_OPS, QuantileLevels, crps_tlogis_core,
                    theta_mean_crps, theta_quantiles, tlogis_params)
 from .errors import ConfigError, ContractError, DomainError, NumericError
 from .models import (EMOSModel, ModelConfig, NeuralModel, build_graph,
-                     eval_chunked, graph_inputs, init_params)
+                     emos_coeffs, eval_chunked, graph_inputs, init_params)
 
 MIN_EMOS_CELL = 10    # station/month cells smaller than this use the global fit
-EMOS_CELL_STEPS = 80  # full-batch fine-tuning steps per cell
+EMOS_CELL_STEPS = 80  # full-batch Adam steps of the batched cell fit
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +242,35 @@ def train_model(config: ModelConfig, train: Dataset, val: Dataset):
     return model, report
 
 
-def _emos_coeffs(values):
-    return values[:4].reshape(2, 2).copy(), values[4:6].copy()
+def _fit_cells(config, start, features, obs, cell):
+    """EMOS_CELL_STEPS Adam steps on a (C, 6) table of cell coefficients
+    started from ``start``; ``cell`` is each row's table index.  The loss
+    sums each cell's mean CRPS (row weight 1/n_c), so every table row gets
+    exactly its own cell's gradient and, Adam being elementwise, moments."""
+    n_cells = int(cell.max()) + 1
+    inputs = {"features": features[:, None, :], "y": obs,
+              "weight": 1.0 / np.bincount(cell)[cell]}
+
+    def fn(P, I):
+        coeffs = ad.embedding(P["cells"], cell)               # (n, 6)
+        gamma_mat = ad.reshape(coeffs[:, :4], (-1, 2, 2))
+        theta = ad.reshape(I["features"] @ gamma_mat, (-1, 2)) + coeffs[:, 4:]
+        mu, sigma = tlogis_params(theta, ops=TENSOR_OPS)
+        crps = crps_tlogis_core(mu, sigma, I["y"], 0.0, ops=TENSOR_OPS)
+        return ad._sum(crps * I["weight"])
+
+    loss = Graph(fn)
+    table = ParamVector(np.tile(start, n_cells), {"cells": (0, (n_cells, 6))})
+    optimizer = Adam(table.size, config.learning_rate)
+    for _ in range(EMOS_CELL_STEPS):
+        _, gradient = ad.value_and_grad(loss, table, inputs)
+        optimizer.step(table.values, gradient.values)
+    return table.view("cells")
 
 
 def _train_emos(config: ModelConfig, train: Dataset, val: Dataset, t0):
-    """Global full-batch fit, then per-(station, month) cell fine-tuning."""
+    """Global full-batch fit, then every (station, month) cell with at least
+    MIN_EMOS_CELL rows fine-tuned from it, all cells in one batched graph."""
     inputs = graph_inputs(config, train)
     val_inputs = graph_inputs(config, val)
     layout = {"gamma_mat": (0, (2, 2)), "gamma_vec": (4, (2,))}
@@ -262,23 +285,21 @@ def _train_emos(config: ModelConfig, train: Dataset, val: Dataset, t0):
         full_batch, loss, params, inputs, train.obs, forward, val_inputs,
         val.obs, rng)
 
-    features = inputs["features"]
-    months = train.months()
-    cells = {}
-    for station in np.unique(train.station):
-        for month in np.unique(months):
-            mask = (train.station == station) & (months == month)
-            if mask.sum() < MIN_EMOS_CELL:
-                continue
-            cell_params = ParamVector(best_values.copy(), layout)
-            optimizer = Adam(cell_params.size, config.learning_rate)
-            cell_inputs = {"features": features[mask], "y": train.obs[mask]}
-            for _ in range(EMOS_CELL_STEPS):
-                _, gradient = ad.value_and_grad(loss, cell_params, cell_inputs)
-                optimizer.step(cell_params.values, gradient.values)
-            cells[(int(station), int(month))] = _emos_coeffs(cell_params.values)
+    keys, cell_of, counts = np.unique(
+        np.stack([train.station, train.months()], axis=1), axis=0,
+        return_inverse=True, return_counts=True)
+    cell_of = cell_of.reshape(-1)
+    fitted = counts >= MIN_EMOS_CELL
+    rows = fitted[cell_of]
+    table = []
+    if rows.any():
+        cell = (np.cumsum(fitted) - 1)[cell_of[rows]]
+        table = _fit_cells(config, best_values, inputs["features"][rows],
+                           train.obs[rows], cell)
+    cells = {(int(s), int(m)): emos_coeffs(row)
+             for (s, m), row in zip(keys[fitted], table)}
 
-    model = EMOSModel(config, _emos_coeffs(best_values), cells,
+    model = EMOSModel(config, emos_coeffs(best_values), cells,
                       primary=train.primary, n_stations=train.n_stations,
                       predictor_names=train.predictor_names,
                       scalar_names=train.scalar_names)

@@ -2,12 +2,21 @@
 
 Everything here is deliberately written against third-party numerics
 (scipy, mpmath) or brute-force definitions, not against the library code
-under test.
+under test.  The exceptions are per-row or per-cell references that pin a
+batched library path to its one-at-a-time definition: they reuse the
+library's building blocks (the Bernstein quantile function, the EMOS loss
+graph and Adam) and differ only in how the work is batched.
 """
 
 import mpmath
 import numpy as np
 from scipy import integrate, special, stats
+
+from enspost import autodiff as ad
+from enspost.dist import bqn_quantile
+from enspost.models import graph_inputs
+from enspost.train import (EMOS_CELL_STEPS, MIN_EMOS_CELL, Adam,
+                           loss_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +81,18 @@ def crps_tlogis_mp(mu, sigma, y, lower=0.0, dps=50):
         return float(total)
 
 
+def tlogis_cdf_mp(x, mu, sigma, lower=0.0, dps=60):
+    """CDF of the truncated logistic via mpmath, as one minus the survival
+    ratio S(x) / S(lower), which stays exact under extreme truncation."""
+    if x <= lower:
+        return 0.0
+    with mpmath.workdps(dps):
+        x, mu, sigma, lower = map(mpmath.mpf, (x, mu, sigma, lower))
+        sf_x = 1 / (1 + mpmath.e ** ((x - mu) / sigma))
+        sf_lb = 1 / (1 + mpmath.e ** ((lower - mu) / sigma))
+        return float(1 - sf_x / sf_lb)
+
+
 def tlogis_quantile_mp(mu, sigma, p, lower=0.0, dps=60):
     """Inverse CDF of the truncated logistic via mpmath, in the textbook
     form mu + sigma logit(F(lower) + p (1 - F(lower)))."""
@@ -108,9 +129,30 @@ def crps_ensemble_pairwise(members, y):
     return term1 - term2
 
 
+def crps_sample(values, y):
+    """CRPS of one empirical (ensemble) forecast with sorted members."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        raise ValueError("ensemble must contain at least one member")
+    m = values.size
+    term1 = np.mean(np.abs(values - y))
+    k = np.arange(m)
+    # for sorted x: sum_ij |x_i - x_j| = 2 * sum_k x_k (2k - m + 1)
+    term2 = np.sum(values * (2.0 * k - m + 1.0)) / (m * m)
+    return float(term1 - term2)
+
+
 def pinball_ref(q, y, p):
     """Textbook pinball loss of quantile forecast q at level p."""
     return (1.0 - p) * (q - y) if y < q else p * (y - q)
+
+
+def quantile_score_mean(dist, y, levels):
+    """Mean pinball score 2(1{y < Q(tau)} - tau)(Q(tau) - y) over the levels
+    of a library ``BernsteinQuantile``."""
+    q = bqn_quantile(dist, levels.levels)
+    indicator = (y < q).astype(np.float64)
+    return float(np.mean(2.0 * (indicator - levels.levels) * (q - y)))
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +166,47 @@ def bernstein_quantile_ref(alpha, p):
     d = alpha.size - 1
     basis = stats.binom.pmf(np.arange(d + 1), d, p)
     return float(alpha @ basis)
+
+
+# ---------------------------------------------------------------------------
+# EMOS references: the link per row, the cell fit one cell at a time
+# ---------------------------------------------------------------------------
+
+
+def emos_forward(coeffs, features):
+    """Affine-linear EMOS link ``features @ gamma_mat + gamma_vec`` on
+    [primary mean, primary std] for one (gamma_mat, gamma_vec) pair."""
+    gamma_mat, gamma_vec = coeffs
+    return (np.asarray(features, dtype=np.float64) @ np.asarray(gamma_mat)
+            + np.asarray(gamma_vec))
+
+
+def emos_cells_sequential(config, train, start):
+    """Per-(station, month) EMOS fine-tuning, one cell at a time.
+
+    Every cell with at least MIN_EMOS_CELL training rows starts from the
+    6 coefficients ``start`` and takes EMOS_CELL_STEPS full-batch Adam steps
+    on its own mean CRPS.  Returns {(station, month): 6 coefficients} in
+    sorted key order.
+    """
+    layout = {"gamma_mat": (0, (2, 2)), "gamma_vec": (4, (2,))}
+    features = graph_inputs(config, train)["features"]
+    loss = loss_graph(config)
+    months = train.months()
+    cells = {}
+    for station in np.unique(train.station):
+        for month in np.unique(months):
+            mask = (train.station == station) & (months == month)
+            if mask.sum() < MIN_EMOS_CELL:
+                continue
+            params = ad.ParamVector(np.array(start, dtype=np.float64), layout)
+            optimizer = Adam(params.size, config.learning_rate)
+            inputs = {"features": features[mask], "y": train.obs[mask]}
+            for _ in range(EMOS_CELL_STEPS):
+                _, gradient = ad.value_and_grad(loss, params, inputs)
+                optimizer.step(params.values, gradient.values)
+            cells[(int(station), int(month))] = params.values
+    return cells
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from enspost.autodiff import ParamVector, finite_diff_check
 from enspost.cli import main as cli_main
 from enspost.data import SynthConfig, generate_synthetic, split_temporal, standardize
 from enspost.dist import (QuantileLevels, TruncLogistic,
-                          bernstein_basis, bqn_coefficients, crps_sample,
-                          crps_tlogis, tlogis_quantile)
+                          bernstein_basis, bqn_coefficients,
+                          crps_sample_batch, crps_tlogis, tlogis_quantile)
 from enspost.evaluation import (evaluate, nominal_pi_level, raw_eps_report)
 from enspost.importance import (PerturbationSpec, chi, chi_ratio, delta0,
                                 perturb, preservation_matrix)
@@ -70,7 +70,7 @@ def test_criterion_02_scoring_rule_oracles():
         m = int(rng.integers(1, 11))
         members = np.sort(rng.normal(5, 2, size=m))
         y = rng.normal(5, 3)
-        ours = crps_sample(members, y)
+        ours = float(crps_sample_batch(members[None], np.array([y]))[0])
         worst_s = max(worst_s, abs(ours - crps_ensemble_exact(members, y)))
     ok = worst_t <= 1e-6 and worst_s <= 1e-10
     _verdict(2, "CRPS closed forms vs quadrature/ECDF oracles", ok,

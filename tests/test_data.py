@@ -219,7 +219,7 @@ def _datasets(draw):
         n_stations=n_stations)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(ds=_datasets())
 def test_ndjson_save_load_roundtrip_property(tmp_path_factory, ds):
     path = tmp_path_factory.mktemp("ndjson") / "data.ndjson"

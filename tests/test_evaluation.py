@@ -9,7 +9,7 @@ import pytest
 
 from enspost.data import SynthConfig, generate_synthetic, split_temporal
 from enspost.dist import (BernsteinQuantile, QuantileLevels, TruncLogistic,
-                          bernstein_basis, bqn_coefficients, crps_sample,
+                          bernstein_basis, bqn_coefficients,
                           crps_sample_batch, crps_tlogis, tlogis_cdf,
                           tlogis_map, tlogis_quantile)
 from enspost.errors import ContractError, DomainError
@@ -17,7 +17,7 @@ from enspost.evaluation import (EvaluationReport, ensemble_pit, evaluate,
                                 evaluate_quantiles, model_mean_crps,
                                 nominal_pi_level, pi_bounds, pit_csv,
                                 raw_eps_report, report_table)
-from oracles import crps_tlogis_quad
+from oracles import crps_sample, crps_tlogis_quad
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,7 @@ def _rank_inputs(draw):
     return x
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(x=_rank_inputs())
 def test_midranks_match_scipy_rankdata_exactly(x):
     ours = _midranks(x)

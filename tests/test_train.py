@@ -1,7 +1,13 @@
 """Unit tests for losses, the optimizer and the training loops."""
 
+import os
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import enspost.autodiff as ad
 from enspost.data import SynthConfig, generate_synthetic, split_temporal
@@ -9,11 +15,12 @@ from enspost.dist import QuantileLevels, bernstein_basis, bqn_coefficients
 from enspost.errors import ConfigError, ContractError, DomainError
 from enspost.evaluation import (evaluate_quantiles, model_mean_crps,
                                 nominal_pi_level)
-from enspost.models import ModelConfig, graph_inputs, init_params
+from enspost.models import (EMOSModel, ModelConfig, graph_inputs,
+                            init_params, load_model, save_model)
 from enspost.train import (Adam, ModelPool, TrainReport, aggregate_quantiles,
                            loss_graph, resample_and_score, train_model,
                            train_pool)
-from oracles import pinball_ref
+from oracles import emos_cells_sequential, pinball_ref
 
 TINY = dict(hidden_sizes=(6, 5), latent_width=8, attention_heads=2,
             n_attention_blocks=2, bernstein_degree=4, embedding_dim=3,
@@ -189,6 +196,64 @@ def test_train_emos_runs_and_beats_trivial_scale():
     assert theta.shape == (len(test), 2)
 
 
+def _emos_row(coeffs):
+    gamma_mat, gamma_vec = coeffs
+    return np.concatenate([np.ravel(gamma_mat), gamma_vec])
+
+
+@settings(max_examples=8)
+@given(stations=st.integers(1, 3), days=st.integers(12, 110),
+       seed=st.integers(0, 3))
+@example(stations=1, days=15, seed=0)   # 9 January rows: no cell fitted
+@example(stations=2, days=60, seed=1)   # 31 January rows, 5 February rows
+def test_batched_emos_cell_fit_matches_sequential_reference(stations, days,
+                                                            seed):
+    ds = generate_synthetic(SynthConfig(stations=stations, days=days,
+                                        members=6, seed=seed))
+    train, val, _ = split_temporal(ds, (0.6, 0.2, 0.2))
+    cfg = ModelConfig(architecture="emos", max_epochs=3, seed=seed, **TINY)
+    model, _ = train_model(cfg, train, val)
+    ref = emos_cells_sequential(cfg, train, _emos_row(model.global_coeffs))
+    assert sorted(model.cells) == sorted(ref)
+    for key, expected in ref.items():
+        # relative to the cell's largest coefficient: gradients are summed
+        # in another order, which moves near-zero entries by rounding only
+        got = _emos_row(model.cells[key])
+        assert np.max(np.abs(got - expected)) <= \
+            1e-12 * np.max(np.abs(expected)), key
+
+
+def test_trained_emos_checkpoint_round_trip_and_dict_layout(tmp_path):
+    train, val, test = _splits(days=90)
+    cfg = ModelConfig(architecture="emos", max_epochs=5, **TINY)
+    model, _ = train_model(cfg, train, val)
+    assert len(model.cells) == 6      # 3 stations x (January, February)
+    path = tmp_path / "trained.bin"
+    save_model(model, path)
+    back = load_model(path)
+    assert sorted(back.cells) == sorted(model.cells)
+    for key, coeffs in model.cells.items():
+        np.testing.assert_array_equal(_emos_row(back.cells[key]),
+                                      _emos_row(coeffs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # March is not in the training set
+        np.testing.assert_array_equal(back.raw_theta(test),
+                                      model.raw_theta(test))
+    # the same coefficients as plain dict entries write the same bytes:
+    # the global row first, then the cells in sorted (station, month) order
+    as_dict = EMOSModel(cfg, tuple(np.array(c) for c in model.global_coeffs),
+                        {key: tuple(np.array(c) for c in coeffs)
+                         for key, coeffs in model.cells.items()},
+                        train.primary, train.n_stations,
+                        train.predictor_names, train.scalar_names)
+    save_model(as_dict, tmp_path / "dict.bin")
+    blob = path.read_bytes()
+    assert (tmp_path / "dict.bin").read_bytes() == blob
+    rows = [_emos_row(model.global_coeffs)]
+    rows += [_emos_row(model.cells[key]) for key in sorted(model.cells)]
+    assert blob.endswith(np.concatenate(rows).astype("<f8").tobytes())
+
+
 # ---------------------------------------------------------------------------
 # Pools
 # ---------------------------------------------------------------------------
@@ -210,6 +275,28 @@ def test_train_pool_seeds_are_sequential_and_independent_of_workers():
         assert a == b
     for a, b in zip(pool.models, par.models):
         np.testing.assert_array_equal(a.params.values, b.params.values)
+
+
+def _checkpoint_bytes(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.bin")
+        save_model(model, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@settings(max_examples=6)
+@given(arch=st.sampled_from(["emos", "drn"]), n=st.integers(1, 3),
+       seed=st.integers(0, 7))
+def test_train_pool_is_independent_of_workers_property(arch, n, seed):
+    # at most 2 worker processes start
+    train, val, _ = _splits(days=30, seed=seed)
+    cfg = ModelConfig(architecture=arch, max_epochs=2, seed=seed, **TINY)
+    serial = train_pool(cfg, train, val, n=n, workers=1)
+    parallel = train_pool(cfg, train, val, n=n, workers=2)
+    assert serial.reports == parallel.reports
+    assert [_checkpoint_bytes(m) for m in serial.models] == \
+        [_checkpoint_bytes(m) for m in parallel.models]
 
 
 def test_train_pool_caps_workers_at_pool_size(monkeypatch):
