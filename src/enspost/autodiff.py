@@ -1,11 +1,14 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 The engine is deliberately small: it supports exactly the primitives needed
-for MLPs, softmax attention and the scoring-rule losses used elsewhere in
-this package (affine maps, elementwise arithmetic, softplus/exp/log/tanh/
+for MLPs, set attention and the scoring-rule losses used elsewhere in this
+package (affine maps, elementwise arithmetic, softplus/exp/log/tanh/
 sigmoid, softmax, mean/max/min reductions, concatenation and embedding
-lookup).  Everything is eager: calling an op both computes the forward value
-and records the adjoint closure on a tape implied by the parent links.
+lookup), plus one fused multi-head ``attention`` op with a hand-written
+backward.  Everything is eager: calling an op both computes the forward
+value and records the adjoint closure on a tape implied by the parent links.
+A node stores the first gradient it receives as is and adds later ones out
+of place, so backward closures never write into their incoming gradient.
 """
 
 from __future__ import annotations
@@ -153,9 +156,9 @@ class Tensor:
             node._backward(node.grad)
 
     def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad = self.grad + g
+        # the first gradient may alias another node's or be a read-only
+        # broadcast view, so later ones are added out of place
+        self.grad = g if self.grad is None else self.grad + g
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -248,6 +251,11 @@ def reciprocal(a):
     return out
 
 
+def _weight_grad(x, g):
+    """Gradient of a 2-D weight ``w`` in ``x @ w``: one GEMM over all rows."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def matmul(a, b):
     """Matrix product with numpy-style batch broadcasting on leading axes."""
     a, b = _wrap(a), _wrap(b)
@@ -255,9 +263,13 @@ def matmul(a, b):
 
     def backward(g):
         ga = g @ np.swapaxes(b.value, -1, -2)
-        gb = np.swapaxes(a.value, -1, -2) @ g
         a._accumulate(_unbroadcast(ga, a.value.shape))
-        b._accumulate(_unbroadcast(gb, b.value.shape))
+        if b.value.ndim == 2 and a.value.ndim >= 2:
+            # a batch times a weight: every leading axis of ``a`` is a row
+            b._accumulate(_weight_grad(a.value, g))
+        else:
+            gb = np.swapaxes(a.value, -1, -2) @ g
+            b._accumulate(_unbroadcast(gb, b.value.shape))
 
     out._backward = backward
     return out
@@ -365,7 +377,7 @@ def _sum(a, axis=None, keepdims=False):
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.value.shape).copy())
+        a._accumulate(np.broadcast_to(g, a.value.shape))
 
     out._backward = backward
     return out
@@ -473,6 +485,78 @@ def linear(x, w, b=None):
     """Affine map on the trailing axis: ``x @ w + b``."""
     y = matmul(x, w)
     return y if b is None else add(y, b)
+
+
+def _split_heads(t, heads):
+    # (n, s, L) -> (n, heads, s, L/heads), a view
+    n, s, width = t.shape
+    return t.reshape(n, s, heads, width // heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(t):
+    # (n, heads, s, d) -> (n, s, heads * d)
+    n, heads, s, d = t.shape
+    return t.transpose(0, 2, 1, 3).reshape(n, s, heads * d)
+
+
+def attention(xq, xk, xv, wq, wk, wv, wo, heads):
+    """Multi-head softmax attention as one tape node.
+
+    Computes ``concat_h(softmax(Q_h K_hᵀ / √d) V_h) @ wo`` with
+    ``Q = xq @ wq``, ``K = xk @ wk`` and ``V = xv @ wv``.  ``xk`` and ``xv``
+    are (n, s, D); ``xq`` is (n, s_q, D) or a (1, s_q, D) query shared by the
+    whole batch; ``wq``/``wk``/``wv`` are (D, L) and ``wo`` is (L, L_out),
+    with ``heads`` dividing L.
+
+    The forward scales Q rather than the scores, exponentiates the
+    max-shifted scores in place and divides by the row sums after mixing the
+    values, on (.., s_q, d) instead of (.., s_q, s).  The backward is written
+    by hand: the softmax step uses ``gS = P ⊙ (gP − rowsum(gP ⊙ P))`` with
+    the row sum taken as the equal, smaller ``rowsum(gO ⊙ O)`` (Dao et al.
+    2022), and every weight gradient is one 2-D GEMM.
+    """
+    xq, xk, xv, wq, wk, wv, wo = (_wrap(t) for t in (xq, xk, xv, wq, wk,
+                                                     wv, wo))
+    width = wq.value.shape[-1]
+    if width % heads != 0:
+        raise ConfigError("heads must divide the channel width")
+    scale = 1.0 / np.sqrt(width / heads)
+    q = xq.value @ wq.value
+    q *= scale
+    q = _split_heads(q, heads)
+    k = _split_heads(xk.value @ wk.value, heads)
+    v = _split_heads(xv.value @ wv.value, heads)
+    e = q @ np.swapaxes(k, -1, -2)        # scaled scores, exponentiated
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    rows = e.reshape(-1, e.shape[-1])     # row sums as one GEMV
+    total = (rows @ np.ones(rows.shape[1])).reshape(*e.shape[:-1], 1)
+    o = e @ v
+    o /= total                            # softmax(scores) @ V
+    mixed = _merge_heads(o)
+    out = Tensor(mixed @ wo.value, (xq, xk, xv, wq, wk, wv, wo),
+                 op="attention")
+
+    def backward(g):
+        p = e / total
+        wo._accumulate(_weight_grad(mixed, g))
+        go = _split_heads(g @ wo.value.T, heads)
+        gv = np.swapaxes(p, -1, -2) @ go
+        gs = go @ np.swapaxes(v, -1, -2)
+        gs -= np.einsum("...i,...i->...", go, o)[..., None]
+        gs *= p
+        gq = gs @ k
+        gq *= scale
+        gk = np.swapaxes(gs, -1, -2) @ q
+        for x, w, gh in ((xq, wq, gq), (xk, wk, gk), (xv, wv, gv)):
+            if gh.shape[0] != x.value.shape[0]:   # shared by the batch
+                gh = gh.sum(axis=0, keepdims=True)
+            gh = _merge_heads(gh)
+            w._accumulate(_weight_grad(x.value, gh))
+            x._accumulate(gh @ w.value.T)
+
+    out._backward = backward
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dist as dist_mod
-from .autodiff import Graph, ParamVector, Tensor
+from .autodiff import Graph, ParamVector
 from .data import Dataset, standardize
 from .errors import ConfigError, DomainError, NumericError
 
@@ -195,40 +195,13 @@ def mlp_forward(x, P, prefix, n_layers, activation=ad.tanh):
     return h
 
 
-def _split_heads(t, heads):
-    # (n, s, L) -> (n, heads, s, L/heads)
-    n, s, lw = t.value.shape
-    t = ad.reshape(t, (n, s, heads, lw // heads))
-    return ad.transpose(t, (0, 2, 1, 3))
-
-
-def multihead_attention(queries, keys, values, heads, wq, wk, wv, wo):
-    """Batched multi-head softmax attention on (n, set, width) tensors.
-
-    Broadcasts on the batch axis, so a (1, k, width) learnable query attends
-    to per-sample keys/values without tiling.
-    """
-    lw = wq.value.shape[0] if isinstance(wq, Tensor) else wq.shape[0]
-    if lw % heads != 0:
-        raise ConfigError("heads must divide the channel width")
-    q = _split_heads(queries @ wq, heads)
-    k = _split_heads(keys @ wk, heads)
-    v = _split_heads(values @ wv, heads)
-    scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(lw / heads))
-    weights = ad.softmax(scores, axis=-1)
-    mixed = weights @ v  # (n, heads, n_q, head_dim)
-    n, _, n_q, _ = mixed.value.shape
-    mixed = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (n, n_q, lw))
-    return mixed @ wo
-
-
 def attention_pool(latents, P, heads, prefix="pool"):
     """Attend a learnable query over the member latents; returns (n, L)."""
     lw = latents.value.shape[-1]
     query = ad.reshape(P[f"{prefix}_q"], (1, 1, lw))
-    out = multihead_attention(query, latents, latents, heads,
-                              P[f"{prefix}_wq"], P[f"{prefix}_wk"],
-                              P[f"{prefix}_wv"], P[f"{prefix}_wo"])
+    out = ad.attention(query, latents, latents, P[f"{prefix}_wq"],
+                       P[f"{prefix}_wk"], P[f"{prefix}_wv"], P[f"{prefix}_wo"],
+                       heads)
     n = out.value.shape[0]
     return ad.reshape(out, (n, lw))
 
@@ -291,9 +264,9 @@ def build_graph(config: ModelConfig):
         x = _member_inputs(P, I)
         h = ad.linear(x, P["in_w"], P["in_b"])
         for i in range(config.n_attention_blocks):
-            att = multihead_attention(h, h, h, config.attention_heads,
-                                      P[f"blk{i}_wq"], P[f"blk{i}_wk"],
-                                      P[f"blk{i}_wv"], P[f"blk{i}_wo"])
+            att = ad.attention(h, h, h, P[f"blk{i}_wq"], P[f"blk{i}_wk"],
+                               P[f"blk{i}_wv"], P[f"blk{i}_wo"],
+                               config.attention_heads)
             h = ad.add(h, att)
             m = h
             for j in range(3):
@@ -535,8 +508,8 @@ def _list_of(value, kinds, n=None):
 
 def _check_header_fields(path, header):
     """ConfigError unless the names, station count, primary index, EMOS
-    cell keys and network normalization stats have checkpoint types and
-    ranges."""
+    cell keys (distinct integer pairs) and network normalization stats have
+    checkpoint types and ranges."""
     def require(ok, field):
         if not ok:
             raise ConfigError(f"{path}: corrupt checkpoint field {field!r}")
@@ -550,7 +523,8 @@ def _check_header_fields(path, header):
     if header["kind"] == "emos":
         keys = header["cell_keys"]
         require(_list_of(keys, (list,))
-                and all(_list_of(k, (int,), 2) for k in keys), "cell_keys")
+                and all(_list_of(k, (int,), 2) for k in keys)
+                and len({tuple(k) for k in keys}) == len(keys), "cell_keys")
         return
     norm = header["norm"]
     require(isinstance(norm, dict) and set(norm) == {

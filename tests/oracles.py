@@ -5,7 +5,9 @@ Everything here is deliberately written against third-party numerics
 under test.  The exceptions are per-row or per-cell references that pin a
 batched library path to its one-at-a-time definition: they reuse the
 library's building blocks (the Bernstein quantile function, the EMOS loss
-graph and Adam) and differ only in how the work is batched.
+graph and Adam) and differ only in how the work is batched.  Likewise the
+composed attention reference pins the fused ``autodiff.attention`` op to
+the autodiff primitives it replaces.
 """
 
 import mpmath
@@ -245,7 +247,7 @@ def spearman_ref(x, y):
 
 
 # ---------------------------------------------------------------------------
-# Gradient oracle
+# Gradient oracles
 # ---------------------------------------------------------------------------
 
 
@@ -258,6 +260,28 @@ def central_difference(f, x, h=1e-6):
         step[i] = h
         grad[i] = (f(x + step) - f(x - step)) / (2.0 * h)
     return grad
+
+
+def multihead_attention_ref(queries, keys, values, wq, wk, wv, wo, heads):
+    """Multi-head softmax attention composed from autodiff primitives.
+
+    The reference for the fused ``autodiff.attention``: the same projections,
+    head split, scaled scores, softmax, value mix, head merge and output map,
+    each its own tape node with its own backward.  A (1, k, width) query
+    broadcasts on the batch axis.
+    """
+    lw = wq.value.shape[-1]
+
+    def split(t):
+        n, s, _ = t.value.shape
+        return ad.transpose(ad.reshape(t, (n, s, heads, lw // heads)),
+                            (0, 2, 1, 3))
+
+    q, k, v = split(queries @ wq), split(keys @ wk), split(values @ wv)
+    scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(lw / heads))
+    mixed = ad.softmax(scores, axis=-1) @ v
+    n, _, n_q, _ = mixed.value.shape
+    return ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (n, n_q, lw)) @ wo
 
 
 # ---------------------------------------------------------------------------

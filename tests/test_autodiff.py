@@ -6,7 +6,8 @@ import pytest
 
 import enspost.autodiff as ad
 from enspost.errors import ConfigError, ContractError, NumericError
-from oracles import central_difference, softplus_ref
+from oracles import (central_difference, multihead_attention_ref,
+                     softplus_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +180,158 @@ def test_broadcast_addition_unbroadcasts_gradient():
     pv = ad.ParamVector(x0.copy(), layout)
     g = ad.value_and_grad(ad.Graph(build), pv)[1].values
     np.testing.assert_allclose(g, [4.0, 4.0, 4.0])
+
+
+# ---------------------------------------------------------------------------
+# matmul backward: the 2-D weight GEMM and the generic batched path
+# ---------------------------------------------------------------------------
+
+
+def _random_params(shapes, seed=0):
+    rng = np.random.default_rng(seed)
+    return ad.ParamVector.build(
+        shapes, lambda name, shape: rng.normal(0.0, 0.3, size=shape))
+
+
+@pytest.mark.parametrize("a_shape, batch", [
+    ((3, 4, 5), None),            # (n, M, K) @ (K, L)
+    ((3, 5), None),               # (n, K) @ (K, L)
+    ((1, 1, 5), (3, 4, 2)),       # a shared (1, 1, K) row, then a batch add
+])
+def test_matmul_weight_gemm_matches_generic_path_and_finite_differences(
+        a_shape, batch):
+    offset = np.random.default_rng(9).normal(size=batch or (1,))
+
+    def build(weight):
+        def fn(P, I):
+            y = P["a"] @ weight(P["w"])
+            return ad._sum(ad.tanh(y + offset))
+        return ad.Graph(fn)
+
+    pv = _random_params({"a": a_shape, "w": (5, 2)})
+    # a (1, K, L) weight has a batch axis, so it takes the generic path
+    gemm = build(lambda w: w)
+    generic = build(lambda w: ad.reshape(w, (1, 5, 2)))
+    g_gemm = ad.value_and_grad(gemm, pv)[1].values
+    g_generic = ad.value_and_grad(generic, pv)[1].values
+    np.testing.assert_allclose(g_gemm, g_generic, rtol=1e-13, atol=1e-15)
+    assert ad.finite_diff_check(gemm, pv) < 1e-6
+    assert ad.finite_diff_check(generic, pv) < 1e-6
+
+
+def test_batched_matmul_gradient_matches_finite_differences():
+    # (n, h, M, d) @ (n, h, d, M), the attention score product
+    def fn(P, I):
+        return ad._sum(ad.tanh(P["q"] @ P["k"]))
+
+    pv = _random_params({"q": (2, 3, 4, 2), "k": (2, 3, 2, 4)})
+    assert ad.finite_diff_check(ad.Graph(fn), pv) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Fused attention against the composed reference
+# ---------------------------------------------------------------------------
+
+
+def _attention_graph(attend, pooled, heads):
+    """Loss graph of one attention call: self-attention over ``x`` or a
+    broadcast (1, 1, L) query ``q`` over the members of ``x``."""
+    weights = np.random.default_rng(4).normal(size=(2, 5, 8))
+
+    def fn(P, I):
+        x = P["x"]
+        query = ad.reshape(P["q"], (1, 1, 8)) if pooled else x
+        out = attend(query, x, x, P["wq"], P["wk"], P["wv"], P["wo"], heads)
+        return ad._sum(ad.tanh(out) * weights[:, :out.shape[1]])
+    return ad.Graph(fn)
+
+
+_ATTENTION_SHAPES = {"x": (2, 5, 8), "q": (8,), "wq": (8, 8), "wk": (8, 8),
+                     "wv": (8, 8), "wo": (8, 8)}
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_fused_attention_matches_composed_reference(heads, pooled):
+    pv = _random_params(_ATTENTION_SHAPES, seed=heads)
+    fused = _attention_graph(ad.attention, pooled, heads)
+    reference = _attention_graph(multihead_attention_ref, pooled, heads)
+    leaves = ad._leaves(pv)
+    x = leaves["x"]
+    query = ad.reshape(leaves["q"], (1, 1, 8)) if pooled else x
+    args = (query, x, x, leaves["wq"], leaves["wk"], leaves["wv"],
+            leaves["wo"], heads)
+    np.testing.assert_allclose(ad.attention(*args).value,
+                               multihead_attention_ref(*args).value,
+                               rtol=1e-12, atol=0)
+    v_fused, g_fused = ad.value_and_grad(fused, pv)
+    v_ref, g_ref = ad.value_and_grad(reference, pv)
+    assert v_fused == pytest.approx(v_ref, rel=1e-12)
+    np.testing.assert_allclose(g_fused.values, g_ref.values, rtol=1e-12,
+                               atol=1e-12 * np.abs(g_ref.values).max())
+    assert ad.finite_diff_check(fused, pv) <= 1e-6
+
+
+def test_fused_attention_rejects_heads_not_dividing_width():
+    x = ad.constant(np.zeros((1, 2, 6)))
+    w = ad.constant(np.zeros((6, 6)))
+    with pytest.raises(ConfigError):
+        ad.attention(x, x, x, w, w, w, w, 4)
+
+
+# ---------------------------------------------------------------------------
+# Gradients that reach a node more than once, or as read-only views
+# ---------------------------------------------------------------------------
+
+
+def _backward_keeping_upstream(graph, pv):
+    """Leaf gradients of one backward pass, plus every incoming gradient
+    each backward closure saw, paired with a copy taken before it ran."""
+    out, leaves = ad._run(graph, pv, None)
+    seen = []
+    for node in out._topo():
+        if node._backward is not None:
+            def spy(g, inner=node._backward):
+                seen.append((g, g.copy()))
+                inner(g)
+            node._backward = spy
+    out.backward()
+    grad = pv.zeros_like()
+    for name, leaf in leaves.items():
+        grad.view(name)[...] = leaf.grad
+    return grad.values, seen
+
+
+@pytest.mark.parametrize("case", ["add_twice", "residual_attention",
+                                  "mean_into_matmul"])
+def test_backward_never_writes_into_incoming_gradients(case):
+    weights = {"add_twice": "", "residual_attention": "qkvo",
+               "mean_into_matmul": "q"}[case]
+    shapes = {"x": (2, 4, 4), **{f"w{c}": (4, 4) for c in weights}}
+
+    def fn(P, I):
+        x = P["x"]
+        if case == "add_twice":
+            return ad._sum(ad.tanh(ad.add(x, x)))
+        if case == "residual_attention":
+            h = x + ad.attention(x, x, x, P["wq"], P["wk"], P["wv"],
+                                 P["wo"], 2)
+            return ad._sum(ad.tanh(h))
+        return ad.mean(x @ P["wq"])
+
+    graph = ad.Graph(fn)
+    pv = _random_params(shapes, seed=5)
+    analytic, seen = _backward_keeping_upstream(graph, pv)
+    assert all(g.tobytes() == before.tobytes() for g, before in seen)
+    if case == "mean_into_matmul":
+        assert any(not g.flags.writeable for g, _ in seen)
+
+    def f(flat):
+        return float(ad.eval_graph(graph, ad.ParamVector(flat, pv.layout)))
+
+    numeric = central_difference(f, pv.values, h=1e-6)
+    scale = np.maximum(np.abs(numeric), 1.0)
+    assert np.max(np.abs(analytic - numeric) / scale) < 5e-6
 
 
 # ---------------------------------------------------------------------------

@@ -354,7 +354,11 @@ def test_load_model_rejects_non_finite_blocks_and_bad_header_fields(tmp_path):
                  ("n_stations", "x"), ("n_stations", 0),
                  ("predictor_names", "abc"), ("scalar_names", [1])]
         if kind == "emos":
-            cases += [("cell_keys", [[0]]), ("cell_keys", [[0, "1"]])]
+            # a repeated key passes the block-size check (two cells were
+            # saved) but would hand one cell the other's coefficients
+            assert len(header["cell_keys"]) == 2
+            cases += [("cell_keys", [[0]]), ("cell_keys", [[0, "1"]]),
+                      ("cell_keys", [[0, 1], [0, 1]])]
         else:
             norm = header["norm"]
             cases += [("norm", {k: v for k, v in norm.items()
