@@ -44,6 +44,7 @@ class Dataset:
         station = np.asarray(station, dtype=np.int64)
         times = np.asarray(times, dtype=object)
         obs = np.asarray(obs, dtype=np.float64)
+        primary = int(primary)
         if ens.ndim != 3:
             raise ConfigError("ens must have shape (T, M, p)")
         t, m, p = ens.shape
@@ -54,6 +55,9 @@ class Dataset:
             raise ConfigError("inconsistent column lengths")
         if len(predictor_names) != p:
             raise ConfigError("predictor_names must match ensemble width")
+        if not 0 <= primary < p:
+            raise ConfigError(f"primary predictor {primary} out of range "
+                              f"for {p} predictors")
         for arr, what in ((ens, "ens"), (scalars, "scalars"), (obs, "obs")):
             if not np.all(np.isfinite(arr)):
                 raise ConfigError(f"non-finite values in {what}")
@@ -73,7 +77,7 @@ class Dataset:
         self.lead_hours = int(lead_hours)
         self.predictor_names = list(predictor_names)
         self.scalar_names = list(scalar_names)
-        self.primary = int(primary)
+        self.primary = primary
         self.n_stations = int(n_stations)
         for arr in (self.ens, self.scalars, self.station, self.times, self.obs):
             arr.setflags(write=False)

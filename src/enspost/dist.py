@@ -38,6 +38,9 @@ class TruncLogistic:
     def __post_init__(self):
         if np.shape(self.location) != np.shape(self.scale):
             raise DomainError("location and scale differ in shape")
+        if not (np.all(np.isfinite(self.location))
+                and np.all(np.isfinite(self.scale))):
+            raise DomainError("location and scale must be finite")
         if not np.all(np.asarray(self.scale) > 0):
             raise DomainError("scale must be positive")
 

@@ -152,10 +152,15 @@ def evaluate_quantiles(quantiles, observations, level, levels=None,
     rank position among the row's values, uniformly randomized across ties.
     """
     quantiles = np.asarray(quantiles, dtype=np.float64)
+    if quantiles.ndim != 2:
+        raise ContractError("quantiles must be an (n, K) matrix")
     observations, level = _checked(quantiles.shape[:1], observations, level)
     if levels is None:
         levels = QuantileLevels.equidistant(quantiles.shape[1])
     lv = level_grid(levels)
+    if lv.shape != quantiles.shape[1:]:
+        raise ContractError(f"{lv.size} levels for {quantiles.shape[1]} "
+                            "quantile columns")
     rng = rng if rng is not None else np.random.default_rng(0)
 
     crps = crps_sample_batch(quantiles, observations)

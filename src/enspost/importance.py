@@ -128,6 +128,8 @@ def conditional_bins(stat_values, bins):
     ``(bin_ids, n_bins, collapsed)`` where ``collapsed`` flags B exceeding
     the number of unique values.
     """
+    if bins < 1:
+        raise ConfigError("need at least one bin")
     uniq, inverse = np.unique(np.asarray(stat_values), return_inverse=True)
     n_unique = uniq.size
     run = -(-n_unique // bins)  # ceil
@@ -282,6 +284,8 @@ def preservation_matrix(dataset: Dataset, predictor, bins=DEFAULT_BINS,
     ensembles with s' after conditional shuffling on s.  Diagonals near 1
     mean the binning preserves the conditioning statistic.
     """
+    if not 0 <= predictor < dataset.n_predictors:
+        raise ConfigError("predictor index out of range")
     if len(dataset) < 10:
         raise DomainError("need at least 10 samples")
     col = dataset.ens[:, :, predictor]

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from . import dist as dist_mod
 from .autodiff import Graph, ParamVector
 from .data import Dataset, standardize
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, DomainError
 
 ARCHITECTURES = ("emos", "drn", "bqn", "ed-drn", "ed-bqn", "st-drn", "st-bqn")
 POOLING_KINDS = ("mean", "max", "min", "attention")
@@ -296,14 +296,33 @@ def graph_inputs(config: ModelConfig, dataset: Dataset):
             "station": dataset.station.astype(np.float64)}
 
 
+def _emos_cell_link(P, I):
+    """EMOS link per row: ``features`` (n, 2) times the 2x2 matrix of row
+    ``cell`` of the coefficient table, plus that row's offsets."""
+    coeffs = ad.embedding(P["cells"], I["cell"].value.astype(np.int64))
+    gamma_mat = ad.reshape(coeffs[:, :4], (-1, 2, 2))
+    features = ad.reshape(I["features"], (-1, 1, 2))
+    return ad.reshape(features @ gamma_mat, (-1, 2)) + coeffs[:, 4:]
+
+
+EMOS_CELL_LINK = Graph(_emos_cell_link)
+
+
+def emos_params(table):
+    """ParamVector of a (1+C, 6) EMOS coefficient table ``cells``."""
+    table = np.asarray(table, dtype=np.float64).reshape(-1, 6)
+    return ParamVector(table, {"cells": (0, table.shape)})
+
+
 def eval_chunked(graph, params, inputs):
-    """Forward-evaluate a graph over row chunks of its inputs."""
+    """Forward-evaluate a graph over row chunks of its inputs (one empty
+    chunk for empty inputs)."""
     n = len(next(iter(inputs.values())))
     return np.concatenate([
         ad.eval_graph(graph, params,
                       {k: v[start:start + CHUNK_ROWS]
                        for k, v in inputs.items()})
-        for start in range(0, n, CHUNK_ROWS)], axis=0)
+        for start in range(0, max(n, 1), CHUNK_ROWS)], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +333,29 @@ def eval_chunked(graph, params, inputs):
 class _FittedModel:
     """Forecasts of a fitted model, all derived from its raw theta."""
 
+    def __init__(self, config, params, norm, n_stations, primary,
+                 predictor_names, scalar_names):
+        self.config = config
+        self.params = params
+        self.norm = norm
+        self.n_stations = n_stations
+        self.primary = primary
+        self.predictor_names = list(predictor_names)
+        self.scalar_names = list(scalar_names)
+
     @property
     def family(self):
         return self.config.family
 
-    def _check_stations(self, dataset: Dataset):
+    def _check_dataset(self, dataset: Dataset):
         if len(dataset) and dataset.station.max() >= self.n_stations:
             raise ConfigError(
                 f"station id {int(dataset.station.max())} out of range for a "
                 f"model fitted on {self.n_stations} stations")
+        if dataset.primary != self.primary:
+            raise ConfigError(
+                f"dataset primary predictor {dataset.primary} differs from "
+                f"the model's {self.primary}")
 
     def forecast(self, dataset: Dataset):
         """One distribution object holding a forecast per sample."""
@@ -340,75 +373,43 @@ class _FittedModel:
 class NeuralModel(_FittedModel):
     """A trained network plus the preprocessing state it was fitted with."""
 
-    def __init__(self, config, params, norm, n_stations, primary,
-                 predictor_names, scalar_names):
-        self.config = config
-        self.params = params
-        self.norm = norm
-        self.n_stations = n_stations
-        self.primary = primary
-        self.predictor_names = list(predictor_names)
-        self.scalar_names = list(scalar_names)
-        self._graph = build_graph(config)
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["_graph"]  # closures don't pickle; rebuilt on load
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._graph = build_graph(self.config)
-
     def raw_theta(self, dataset: Dataset):
-        self._check_stations(dataset)
+        self._check_dataset(dataset)
         std, _ = standardize(dataset, self.norm)
-        return eval_chunked(self._graph, self.params,
+        return eval_chunked(build_graph(self.config), self.params,
                             graph_inputs(self.config, std))
 
 
 class EMOSModel(_FittedModel):
     """Affine-linear postprocessing with per-station-per-month coefficients.
 
-    Missing (station, month) cells fall back to globally fitted coefficients
-    with a warning.
+    ``params`` holds one (1+C, 6) table ``cells`` (see :func:`emos_params`):
+    row 0 is the global fit, row 1+i the flattened (gamma_mat, gamma_vec)
+    of the (station, month) cell ``keys[i]``.  Samples of cells without a
+    row use row 0, with a warning.
     """
 
-    def __init__(self, config, global_coeffs, cells, primary, n_stations,
-                 predictor_names, scalar_names, norm=None):
-        self.config = config
-        self.global_coeffs = global_coeffs          # (gamma_mat, gamma_vec)
-        self.cells = dict(cells)                    # (station, month) -> coeffs
-        self.primary = primary
-        self.n_stations = n_stations
-        self.predictor_names = list(predictor_names)
-        self.scalar_names = list(scalar_names)
-        self.norm = norm
+    def __init__(self, config, params, keys, **fields):
+        super().__init__(config, params, **fields)
+        self.keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
         self._warned = False
 
     def raw_theta(self, dataset: Dataset):
-        self._check_stations(dataset)
-        feats = summary_base(dataset.ens, self.primary)[:, :2]
-        # table row 0 holds the global fallback, rows 1.. the sorted cells
-        table = _emos_flat(self).reshape(-1, 6)
-        keys = np.array(sorted(self.cells), dtype=np.int64).reshape(-1, 2)
+        self._check_dataset(dataset)
         rows = np.stack([dataset.station, dataset.months()], axis=1)
-        _, key_of = np.unique(np.concatenate([keys, rows]), axis=0,
+        _, key_of = np.unique(np.concatenate([self.keys, rows]), axis=0,
                               return_inverse=True)
         slot = np.zeros(key_of.size, dtype=np.int64)
-        slot[key_of[:len(keys)]] = np.arange(1, len(keys) + 1)
-        index = slot[key_of[len(keys):]]
-        coeffs = table[index]
-        theta = (feats[:, None, :] @ coeffs[:, :4].reshape(-1, 2, 2))[:, 0] \
-            + coeffs[:, 4:]
-        missing = int(np.count_nonzero(index == 0))
+        slot[key_of[:len(self.keys)]] = np.arange(1, len(self.keys) + 1)
+        cell = slot[key_of[len(self.keys):]]
+        missing = int(np.count_nonzero(cell == 0))
         if missing and not self._warned:
             warnings.warn(f"{missing} samples used global EMOS coefficients "
                           "(no station/month cell fitted)")
             self._warned = True
-        if not np.all(np.isfinite(theta)):
-            raise NumericError("non-finite value produced by the EMOS link")
-        return theta
+        inputs = {"features": summary_base(dataset.ens, self.primary)[:, :2],
+                  "cell": cell.astype(np.float64)}
+        return eval_chunked(EMOS_CELL_LINK, self.params, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +430,7 @@ def _header(model):
     }
     if isinstance(model, EMOSModel):
         header["kind"] = "emos"
-        header["cell_keys"] = sorted([list(k) for k in model.cells])
+        header["cell_keys"] = model.keys.tolist()
     else:
         header["kind"] = "neural"
         header["layout"] = {name: [off, list(shape)]
@@ -437,23 +438,9 @@ def _header(model):
     return header
 
 
-def emos_coeffs(values):
-    """(gamma_mat, gamma_vec) of a 6-entry EMOS coefficient row."""
-    return values[:4].reshape(2, 2), values[4:6]
-
-
-def _emos_flat(model):
-    cells = [model.cells[key] for key in sorted(model.cells)]
-    return np.concatenate([np.concatenate([np.ravel(gm), np.ravel(gv)])
-                           for gm, gv in [model.global_coeffs, *cells]])
-
-
 def save_model(model, path):
     header = json.dumps(_header(model), sort_keys=True).encode("utf-8")
-    if isinstance(model, EMOSModel):
-        block = _emos_flat(model)
-    else:
-        block = model.params.values
+    block = model.params.values
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(header)))
@@ -543,18 +530,16 @@ def load_model(path):
         config = ModelConfig.from_dict(header["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: corrupt model config ({exc})") from exc
-    common = dict(n_stations=header["n_stations"], primary=header["primary"],
+    common = dict(norm=header["norm"], n_stations=header["n_stations"],
+                  primary=header["primary"],
                   predictor_names=header["predictor_names"],
                   scalar_names=header["scalar_names"])
     if header["kind"] == "emos":
         if block.size != 6 * (1 + len(header["cell_keys"])):
             raise ConfigError(f"{path}: parameter block does not match "
                               f"{len(header['cell_keys'])} EMOS cells")
-        chunks = block.reshape(-1, 6)
-        cells = {tuple(k): emos_coeffs(chunks[i + 1])
-                 for i, k in enumerate(header["cell_keys"])}
-        return EMOSModel(config, emos_coeffs(chunks[0]), cells,
-                         norm=header["norm"], **common)
+        return EMOSModel(config, emos_params(block), header["cell_keys"],
+                         **common)
     layout = ParamVector.build(param_shapes(
         config, len(header["predictor_names"]), len(header["scalar_names"]),
         header["n_stations"])).layout
@@ -562,5 +547,4 @@ def load_model(path):
                             for name, (off, shape) in layout.items()}:
         raise ConfigError(f"{path}: parameter layout does not match the "
                           "model config")
-    params = ParamVector(block, layout)
-    return NeuralModel(config, params, header["norm"], **common)
+    return NeuralModel(config, ParamVector(block, layout), **common)

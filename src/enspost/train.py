@@ -22,8 +22,9 @@ from .data import Dataset, standardize
 from .dist import (TENSOR_OPS, QuantileLevels, crps_tlogis_core,
                    theta_mean_crps, theta_quantiles, tlogis_params)
 from .errors import ConfigError, ContractError, DomainError, NumericError
-from .models import (EMOSModel, ModelConfig, NeuralModel, build_graph,
-                     emos_coeffs, eval_chunked, graph_inputs, init_params)
+from .models import (EMOS_CELL_LINK, EMOSModel, ModelConfig, NeuralModel,
+                     build_graph, emos_params, eval_chunked, graph_inputs,
+                     init_params)
 
 MIN_EMOS_CELL = 10    # station/month cells smaller than this use the global fit
 EMOS_CELL_STEPS = 80  # full-batch Adam steps of the batched cell fit
@@ -242,30 +243,25 @@ def train_model(config: ModelConfig, train: Dataset, val: Dataset):
     return model, report
 
 
-def _fit_cells(config, start, features, obs, cell):
-    """EMOS_CELL_STEPS Adam steps on a (C, 6) table of cell coefficients
-    started from ``start``; ``cell`` is each row's table index.  The loss
-    sums each cell's mean CRPS (row weight 1/n_c), so every table row gets
-    exactly its own cell's gradient and, Adam being elementwise, moments."""
-    n_cells = int(cell.max()) + 1
-    inputs = {"features": features[:, None, :], "y": obs,
-              "weight": 1.0 / np.bincount(cell)[cell]}
+def _fit_cells(config, table, features, obs, cell):
+    """EMOS_CELL_STEPS Adam steps on an EMOS coefficient table (see
+    :func:`emos_params`); ``cell`` is each row's table row, never 0.  The
+    loss sums each cell's mean CRPS (row weight 1/n_c), so every table row
+    gets exactly its own cell's gradient and, Adam being elementwise,
+    moments; row 0 gets none and keeps its values."""
+    inputs = {"features": features, "cell": cell.astype(np.float64),
+              "y": obs, "weight": 1.0 / np.bincount(cell)[cell]}
 
     def fn(P, I):
-        coeffs = ad.embedding(P["cells"], cell)               # (n, 6)
-        gamma_mat = ad.reshape(coeffs[:, :4], (-1, 2, 2))
-        theta = ad.reshape(I["features"] @ gamma_mat, (-1, 2)) + coeffs[:, 4:]
-        mu, sigma = tlogis_params(theta, ops=TENSOR_OPS)
+        mu, sigma = tlogis_params(EMOS_CELL_LINK.fn(P, I), ops=TENSOR_OPS)
         crps = crps_tlogis_core(mu, sigma, I["y"], 0.0, ops=TENSOR_OPS)
         return ad._sum(crps * I["weight"])
 
     loss = Graph(fn)
-    table = ParamVector(np.tile(start, n_cells), {"cells": (0, (n_cells, 6))})
     optimizer = Adam(table.size, config.learning_rate)
     for _ in range(EMOS_CELL_STEPS):
         _, gradient = ad.value_and_grad(loss, table, inputs)
         optimizer.step(table.values, gradient.values)
-    return table.view("cells")
 
 
 def _train_emos(config: ModelConfig, train: Dataset, val: Dataset, t0):
@@ -290,17 +286,15 @@ def _train_emos(config: ModelConfig, train: Dataset, val: Dataset, t0):
         return_inverse=True, return_counts=True)
     cell_of = cell_of.reshape(-1)
     fitted = counts >= MIN_EMOS_CELL
+    # row 0 holds the global fit; every cell row starts from it
+    table = emos_params(np.tile(best_values, 1 + np.count_nonzero(fitted)))
     rows = fitted[cell_of]
-    table = []
     if rows.any():
-        cell = (np.cumsum(fitted) - 1)[cell_of[rows]]
-        table = _fit_cells(config, best_values, inputs["features"][rows],
-                           train.obs[rows], cell)
-    cells = {(int(s), int(m)): emos_coeffs(row)
-             for (s, m), row in zip(keys[fitted], table)}
+        _fit_cells(config, table, inputs["features"][rows], train.obs[rows],
+                   np.cumsum(fitted)[cell_of[rows]])
 
-    model = EMOSModel(config, emos_coeffs(best_values), cells,
-                      primary=train.primary, n_stations=train.n_stations,
+    model = EMOSModel(config, table, keys[fitted], norm=None,
+                      n_stations=train.n_stations, primary=train.primary,
                       predictor_names=train.predictor_names,
                       scalar_names=train.scalar_names)
     report = TrainReport(seed=config.seed, train_losses=train_losses,

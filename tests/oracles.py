@@ -175,12 +175,13 @@ def bernstein_quantile_ref(alpha, p):
 # ---------------------------------------------------------------------------
 
 
-def emos_forward(coeffs, features):
+def emos_forward(row, features):
     """Affine-linear EMOS link ``features @ gamma_mat + gamma_vec`` on
-    [primary mean, primary std] for one (gamma_mat, gamma_vec) pair."""
-    gamma_mat, gamma_vec = coeffs
-    return (np.asarray(features, dtype=np.float64) @ np.asarray(gamma_mat)
-            + np.asarray(gamma_vec))
+    [primary mean, primary std] for one 6-entry coefficient table row
+    (gamma_mat flattened row-major, then gamma_vec)."""
+    row = np.asarray(row, dtype=np.float64)
+    return np.asarray(features, dtype=np.float64) @ row[:4].reshape(2, 2) \
+        + row[4:]
 
 
 def emos_cells_sequential(config, train, start):

@@ -307,6 +307,27 @@ def test_bad_station_ids_and_corrupt_checkpoints_exit_2(tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+def test_primary_predictor_out_of_range_or_unlike_the_fit_exits_2(tmp_path,
+                                                                   capsys):
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", synth_dir, SYNTH_SETS) == 0
+    data = f'data.path="{synth_dir / "dataset.ndjson"}"'
+    assert _run("train", tmp_path / "nine",
+                [data, "data.primary=9"] + MODEL_SETS) == 2
+    assert "primary predictor 9 out of range" in capsys.readouterr().err
+
+    train_dir = tmp_path / "train"
+    assert _run("train", train_dir, [data] + MODEL_SETS
+                + ["train.pool_size=1"]) == 0
+    for command in ("evaluate", "importance"):
+        out = tmp_path / command
+        assert _run(command, out, [data, "data.primary=1",
+                                   f'eval.checkpoints="{train_dir}"',
+                                   f'importance.checkpoints="{train_dir}"']) == 2
+        assert "differs from the model's 0" in capsys.readouterr().err
+        assert not (out / "run_manifest.json").exists()
+
+
 def _rewrite_checkpoint(path, header_update=None, value=None):
     """Rewrite a checkpoint with header fields replaced or its first
     parameter set to ``value``."""

@@ -15,7 +15,7 @@ from enspost.data import (PREDICTOR_NAMES, SCALAR_NAMES, Dataset, SynthConfig,
 from enspost.errors import ConfigError
 
 
-def _tiny_dataset(t=6, m=4, p=2, q=2, seed=0):
+def _tiny_dataset(t=6, m=4, p=2, q=2, seed=0, primary=0):
     rng = np.random.default_rng(seed)
     times = [f"2020-01-{d + 1:02d}" for d in range(t // 2) for _ in (0, 1)]
     return Dataset(
@@ -27,6 +27,7 @@ def _tiny_dataset(t=6, m=4, p=2, q=2, seed=0):
         lead_hours=6,
         predictor_names=[f"p{i}" for i in range(p)],
         scalar_names=[f"s{i}" for i in range(q)],
+        primary=primary,
     )
 
 
@@ -81,6 +82,12 @@ def test_dataset_rejects_station_ids_outside_the_station_range():
         Dataset(station=[0, -1], **common)
     with pytest.raises(ConfigError, match="station id 5"):
         Dataset(station=[0, 5], n_stations=2, **common)
+
+
+@pytest.mark.parametrize("primary", [-1, 2, 9])
+def test_dataset_rejects_a_primary_predictor_outside_its_predictors(primary):
+    with pytest.raises(ConfigError, match=f"primary predictor {primary}"):
+        _tiny_dataset(p=2, primary=primary)
 
 
 def test_dataset_shapes_and_months():

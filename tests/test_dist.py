@@ -31,6 +31,10 @@ def test_trunc_logistic_validates_scale():
         dist.TruncLogistic(np.zeros(3), np.array([1.0, 0.0, 2.0]))
     with pytest.raises(DomainError):
         dist.TruncLogistic(np.zeros(3), np.ones(2))
+    for location, scale in ((np.nan, 1.0), (np.inf, 1.0), (0.0, np.inf),
+                            (np.array([0.0, np.nan]), np.ones(2))):
+        with pytest.raises(DomainError, match="finite"):
+            dist.TruncLogistic(location, scale)
     batch = dist.TruncLogistic(np.zeros(3), np.ones(3))
     assert batch.location.shape == batch.scale.shape == (3,)
 

@@ -119,6 +119,16 @@ def test_evaluate_input_validation():
         evaluate(np.zeros((1, 3)), np.array([1.0]), 0.9)
 
 
+@pytest.mark.parametrize("shape, n_levels", [((4, 9), 5), ((4, 9), 19),
+                                              ((9,), 9), ((4, 9, 1), 9)])
+def test_evaluate_quantiles_rejects_a_matrix_unlike_its_level_grid(shape,
+                                                                  n_levels):
+    quantiles = np.sort(np.random.default_rng(0).normal(size=shape), axis=-1)
+    with pytest.raises(ContractError):
+        evaluate_quantiles(quantiles, np.zeros(shape[0]), 0.8,
+                           levels=QuantileLevels.equidistant(n_levels))
+
+
 def test_coverage_counts_boundary_hits():
     levels = np.array([0.25, 0.5, 0.75])
     quantiles = np.array([[0.0, 1.0, 2.0]])
@@ -318,15 +328,18 @@ def test_raw_eps_report_is_evaluate_quantiles_on_sorted_members():
 def test_model_mean_crps_runs_one_forward_pass(arch):
     from enspost.data import standardize
     from enspost.models import (EMOSModel, ModelConfig, NeuralModel,
-                                init_params)
+                                emos_params, init_params)
     ds = generate_synthetic(SynthConfig(stations=2, days=10, members=6))
     cfg = ModelConfig(architecture=arch, hidden_sizes=(6, 5), latent_width=8,
                       attention_heads=2, n_attention_blocks=1,
                       bernstein_degree=4, embedding_dim=3,
                       n_quantile_levels=9)
     if arch == "emos":
-        model = EMOSModel(cfg, (np.eye(2), np.zeros(2)), {}, ds.primary,
-                          ds.n_stations, ds.predictor_names, ds.scalar_names)
+        model = EMOSModel(cfg, emos_params([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]),
+                          [], norm=None, n_stations=ds.n_stations,
+                          primary=ds.primary,
+                          predictor_names=ds.predictor_names,
+                          scalar_names=ds.scalar_names)
     else:
         params = init_params(cfg, ds.n_predictors, ds.n_scalars,
                              ds.n_stations, rng=np.random.default_rng(0))

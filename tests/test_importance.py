@@ -74,6 +74,9 @@ def test_conditional_bins_rank_unique_values():
     ids2, n2, collapsed2 = conditional_bins(stat, bins=100)
     assert collapsed2 and n2 == 5      # every unique value its own bin
     assert ids2[1] == ids2[2]          # ties always share a bin
+    for bins in (0, -3):
+        with pytest.raises(ConfigError, match="bin"):
+            conditional_bins(stat, bins=bins)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +260,13 @@ def test_preservation_matrix_diagonal_dominates():
     assert diag.min() > 0.9
     off = mat[~np.eye(len(SUMMARY_KINDS), dtype=bool)]
     assert diag.min() > np.median(off)
+
+
+def test_preservation_matrix_rejects_a_predictor_out_of_range():
+    ds = _dataset(days=10)
+    for predictor in (ds.n_predictors, 99):
+        with pytest.raises(ConfigError, match="predictor index"):
+            preservation_matrix(ds, predictor)
 
 
 def test_derive_seed_is_stable_and_tag_sensitive():

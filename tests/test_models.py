@@ -13,13 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enspost.autodiff as ad
-from enspost.data import SynthConfig, generate_synthetic, standardize
+from enspost.data import (Dataset, SynthConfig, generate_synthetic,
+                          standardize)
 from enspost.dist import QuantileLevels
 from enspost.errors import ConfigError, DomainError, NumericError
 from enspost.models import (ARCHITECTURES, POOLING_KINDS, EMOSModel,
                             ModelConfig, NeuralModel, build_graph,
-                            graph_inputs, init_params, load_model,
-                            param_shapes, save_model, summary_base)
+                            emos_params, graph_inputs, init_params,
+                            load_model, param_shapes, save_model,
+                            summary_base)
 from oracles import emos_forward
 
 TINY = dict(hidden_sizes=(6, 5), latent_width=8, attention_heads=2,
@@ -41,17 +43,21 @@ def _tiny_model(arch, ds, seed=0):
                        ds.predictor_names, ds.scalar_names)
 
 
-def _emos_model(ds, seed=0):
-    """EMOS with random coefficients; every other (station, month) cell is
-    left unfitted so those samples fall back to the global coefficients."""
-    rng = np.random.default_rng(seed)
-    coeffs = lambda: (rng.normal(size=(2, 2)), rng.normal(size=2))
+def _emos_model(ds, table=None, seed=0):
+    """EMOS with a random coefficient table (or ``table``); every other
+    (station, month) cell is left without a row, so those samples fall back
+    to the global row 0."""
     keys = sorted({(int(s), int(m))
-                   for s, m in zip(ds.station, ds.months())})
-    cells = {key: coeffs() for key in keys[::2]}
-    return EMOSModel(ModelConfig(architecture="emos", **TINY), coeffs(),
-                     cells, ds.primary, ds.n_stations, ds.predictor_names,
-                     ds.scalar_names)
+                   for s, m in zip(ds.station, ds.months())})[::2]
+    if table is None:
+        table = np.random.default_rng(seed).normal(size=(1 + len(keys), 6))
+    else:
+        keys = keys[:len(table) - 1]
+    return EMOSModel(ModelConfig(architecture="emos", **TINY),
+                     emos_params(table), keys, norm=None,
+                     n_stations=ds.n_stations, primary=ds.primary,
+                     predictor_names=ds.predictor_names,
+                     scalar_names=ds.scalar_names)
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +122,7 @@ def test_summary_graph_features_are_summary_base_and_scalars():
 
 def test_emos_identity_coefficients_return_mean_and_std():
     ds = _dataset(days=20)
-    model = EMOSModel(ModelConfig(architecture="emos", **TINY),
-                      (np.eye(2), np.zeros(2)), {}, ds.primary, ds.n_stations,
-                      ds.predictor_names, ds.scalar_names)
+    model = _emos_model(ds, table=[[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")      # every sample falls back
         theta = model.raw_theta(ds)
@@ -185,12 +189,14 @@ def test_emos_raw_theta_matches_per_row_forward():
     ds = _dataset(days=70)
     model = _emos_model(ds)
     feats = summary_base(ds.ens, ds.primary)[:, :2]
+    table = model.params.view("cells")
+    rows = dict(zip(map(tuple, model.keys.tolist()), table[1:]))
     expected, fallback = [], 0
     for station, month, f in zip(ds.station, ds.months(), feats):
-        coeffs = model.cells.get((int(station), int(month)))
-        if coeffs is None:
-            coeffs, fallback = model.global_coeffs, fallback + 1
-        expected.append(emos_forward(coeffs, f))
+        row = rows.get((int(station), int(month)))
+        if row is None:
+            row, fallback = table[0], fallback + 1
+        expected.append(emos_forward(row, f))
     assert 0 < fallback < len(ds)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -208,6 +214,24 @@ def test_models_reject_stations_beyond_their_fit():
     for model in (_tiny_model("drn", ds), _emos_model(ds)):
         with pytest.raises(ConfigError, match="station id 3"):
             model.raw_theta(wider)
+
+
+@pytest.mark.parametrize("arch", ["emos", "drn", "ed-drn", "st-bqn"])
+def test_raw_theta_of_an_empty_dataset_is_empty(arch):
+    ds = _dataset()
+    model = _emos_model(ds) if arch == "emos" else _tiny_model(arch, ds)
+    empty = ds.subset(np.arange(0))
+    assert model.raw_theta(empty).shape == (0, model.config.n_outputs)
+
+
+def test_models_reject_a_primary_predictor_unlike_their_fit():
+    ds = _dataset()
+    other = Dataset(ds.ens, ds.scalars, ds.station, ds.times, ds.obs,
+                    ds.lead_hours, ds.predictor_names, ds.scalar_names,
+                    primary=1, n_stations=ds.n_stations)
+    for model in (_tiny_model("drn", ds), _emos_model(ds)):
+        with pytest.raises(ConfigError, match="primary predictor 1"):
+            model.raw_theta(other)
 
 
 def test_forecast_and_quantiles_are_consistent():
@@ -381,14 +405,11 @@ def test_load_model_rejects_non_finite_blocks_and_bad_header_fields(tmp_path):
 def test_emos_raw_theta_raises_numeric_error_on_overflow():
     ds = _dataset()
     model = _emos_model(ds)
-    gamma_mat, gamma_vec = model.global_coeffs
-    gamma_mat = np.array(gamma_mat)
-    gamma_mat[0] = 1.78e308            # finite, but the link overflows
-    model.global_coeffs = (gamma_mat, gamma_vec)
-    model.cells = {}
+    # finite coefficients on the ensemble mean, but the link overflows
+    model.params.view("cells")[:, :2] = 1.78e308
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="op 'matmul'"):
             model.raw_theta(ds)
 
 

@@ -10,13 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import enspost.autodiff as ad
+import enspost.train as train_mod
 from enspost.data import SynthConfig, generate_synthetic, split_temporal
 from enspost.dist import QuantileLevels, bernstein_basis, bqn_coefficients
 from enspost.errors import ConfigError, ContractError, DomainError
 from enspost.evaluation import (evaluate_quantiles, model_mean_crps,
                                 nominal_pi_level)
-from enspost.models import (EMOSModel, ModelConfig, graph_inputs,
-                            init_params, load_model, save_model)
+from enspost.models import (ModelConfig, graph_inputs, init_params,
+                            load_model, save_model)
 from enspost.train import (Adam, ModelPool, TrainReport, aggregate_quantiles,
                            loss_graph, resample_and_score, train_model,
                            train_pool)
@@ -196,11 +197,6 @@ def test_train_emos_runs_and_beats_trivial_scale():
     assert theta.shape == (len(test), 2)
 
 
-def _emos_row(coeffs):
-    gamma_mat, gamma_vec = coeffs
-    return np.concatenate([np.ravel(gamma_mat), gamma_vec])
-
-
 @settings(max_examples=8)
 @given(stations=st.integers(1, 3), days=st.integers(12, 110),
        seed=st.integers(0, 3))
@@ -213,45 +209,43 @@ def test_batched_emos_cell_fit_matches_sequential_reference(stations, days,
     train, val, _ = split_temporal(ds, (0.6, 0.2, 0.2))
     cfg = ModelConfig(architecture="emos", max_epochs=3, seed=seed, **TINY)
     model, _ = train_model(cfg, train, val)
-    ref = emos_cells_sequential(cfg, train, _emos_row(model.global_coeffs))
-    assert sorted(model.cells) == sorted(ref)
-    for key, expected in ref.items():
+    table = model.params.view("cells")
+    ref = emos_cells_sequential(cfg, train, table[0])
+    assert [tuple(k) for k in model.keys.tolist()] == list(ref)
+    for (key, expected), got in zip(ref.items(), table[1:]):
         # relative to the cell's largest coefficient: gradients are summed
         # in another order, which moves near-zero entries by rounding only
-        got = _emos_row(model.cells[key])
         assert np.max(np.abs(got - expected)) <= \
             1e-12 * np.max(np.abs(expected)), key
 
 
-def test_trained_emos_checkpoint_round_trip_and_dict_layout(tmp_path):
+def test_trained_emos_table_checkpoint_round_trip_and_layout(tmp_path,
+                                                            monkeypatch):
     train, val, test = _splits(days=90)
     cfg = ModelConfig(architecture="emos", max_epochs=5, **TINY)
     model, _ = train_model(cfg, train, val)
-    assert len(model.cells) == 6      # 3 stations x (January, February)
+    assert model.keys.shape == (6, 2)   # 3 stations x (January, February)
+    # the cell fit leaves row 0 bit for bit at the global fit, which is
+    # the whole table when no cell is large enough to fit
+    monkeypatch.setattr(train_mod, "MIN_EMOS_CELL", len(train) + 1)
+    global_only, _ = train_model(cfg, train, val)
+    assert global_only.keys.shape == (0, 2)
+    np.testing.assert_array_equal(global_only.params.values,
+                                  model.params.view("cells")[0])
     path = tmp_path / "trained.bin"
     save_model(model, path)
     back = load_model(path)
-    assert sorted(back.cells) == sorted(model.cells)
-    for key, coeffs in model.cells.items():
-        np.testing.assert_array_equal(_emos_row(back.cells[key]),
-                                      _emos_row(coeffs))
+    np.testing.assert_array_equal(back.keys, model.keys)
+    np.testing.assert_array_equal(back.params.values, model.params.values)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # March is not in the training set
         np.testing.assert_array_equal(back.raw_theta(test),
                                       model.raw_theta(test))
-    # the same coefficients as plain dict entries write the same bytes:
-    # the global row first, then the cells in sorted (station, month) order
-    as_dict = EMOSModel(cfg, tuple(np.array(c) for c in model.global_coeffs),
-                        {key: tuple(np.array(c) for c in coeffs)
-                         for key, coeffs in model.cells.items()},
-                        train.primary, train.n_stations,
-                        train.predictor_names, train.scalar_names)
-    save_model(as_dict, tmp_path / "dict.bin")
-    blob = path.read_bytes()
-    assert (tmp_path / "dict.bin").read_bytes() == blob
-    rows = [_emos_row(model.global_coeffs)]
-    rows += [_emos_row(model.cells[key]) for key in sorted(model.cells)]
-    assert blob.endswith(np.concatenate(rows).astype("<f8").tobytes())
+    # the block is the global row first, then the cells in sorted
+    # (station, month) order
+    assert model.keys.tolist() == sorted(model.keys.tolist())
+    assert path.read_bytes().endswith(
+        model.params.view("cells").astype("<f8").tobytes())
 
 
 # ---------------------------------------------------------------------------
