@@ -1,8 +1,8 @@
 """Batch command-line entry point tying the library into reproducible runs.
 
 Four subcommands (``synth``, ``train``, ``evaluate``, ``importance``) are
-driven by a JSON run configuration validated against
-:data:`RUN_CONFIG_SCHEMA`, with ``--set key=value`` overrides for scripting
+driven by a JSON run configuration checked against
+:data:`RUN_CONFIG_CHECKS`, with ``--set key=value`` overrides for scripting
 experiment grids.  Every command is deterministic given (config, input
 files): all randomness flows from the top-level seed through named streams,
 wall-clock timings are segregated into a non-hashed sidecar, and each run
@@ -20,11 +20,11 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 
-import jsonschema
 import numpy as np
 
-from .data import (SynthConfig, generate_synthetic, load_ndjson,
+from .data import (SynthConfig, _is_real, generate_synthetic, load_ndjson,
                    save_ndjson, split_temporal)
 from .errors import ConfigError, ContractError, DomainError, NumericError
 from .evaluation import (nominal_pi_level, pit_csv, raw_eps_report,
@@ -34,91 +34,85 @@ from .importance import (DEFAULT_BINS, SUMMARY_KINDS, derive_seed,
 from .models import ModelConfig, load_model, save_model
 from .train import ModelPool, resample_and_score, train_pool
 
-_JSON_TYPES = {str: {"type": "string"}, int: {"type": "integer"},
-               float: {"type": "number"},
-               tuple: {"type": "array", "items": {"type": "integer"}}}
+# A field's check: a predicate and what it expects, for the error message.
+_Check = namedtuple("_Check", "ok expects required", defaults=(False,))
+_STRING = _Check(lambda v: type(v) is str, "a string")
+_NUMBER = _Check(_is_real, "a finite number")
 
 
-def _properties(config_class, **minima):
-    """JSON-schema properties of a config dataclass, typed by its defaults."""
-    props = {f.name: dict(_JSON_TYPES[type(f.default)])
-             for f in dataclasses.fields(config_class)}
-    for name, low in minima.items():
-        props[name]["minimum"] = low
-    return props
+def _integer(low=None):
+    # a JSON integer only: no bool, and no 10.0, which would reach the
+    # dataclasses and NumPy as a float
+    return _Check(lambda v: type(v) is int and (low is None or v >= low),
+                  "an integer" if low is None else f"an integer >= {low}")
 
 
-RUN_CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "enspost run configuration",
-    "type": "object",
-    "properties": {
-        "seed": {"type": "integer"},
-        "out": {"type": "string"},
-        "synth": {
-            "type": "object",
-            "properties": _properties(SynthConfig, stations=1, days=1,
-                                      members=2),
-            "additionalProperties": False,
-        },
-        "data": {
-            "type": "object",
-            "properties": {
-                "path": {"type": "string"},
-                "splits": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 3, "maxItems": 3,
-                },
-                "primary": {"type": "integer", "minimum": 0},
-            },
-            "required": ["path"],
-            "additionalProperties": False,
-        },
-        "model": {
-            "type": "object",
-            "properties": _properties(ModelConfig),
-            "additionalProperties": False,
-        },
-        "train": {
-            "type": "object",
-            "properties": {
-                "pool_size": {"type": "integer", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "eval": {
-            "type": "object",
-            "properties": {
-                "checkpoints": {"type": "string"},
-                "draw_size": {"type": "integer", "minimum": 1},
-                "reps": {"type": "integer", "minimum": 1},
-                "pit_bins": {"type": "integer", "minimum": 2},
-                "level": {"type": "number",
-                          "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "importance": {
-            "type": "object",
-            "properties": {
-                "checkpoints": {"type": "string"},
-                "bins": {"type": "integer", "minimum": 2},
-                "statistics": {
-                    "type": "array",
-                    "items": {"type": "string", "enum": list(SUMMARY_KINDS)},
-                    "minItems": 1, "uniqueItems": True,
-                },
-                "predictors": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 0},
-                },
-            },
-            "additionalProperties": False,
-        },
-    },
-    "additionalProperties": False,
+def _list(item, size=None):
+    return _Check(lambda v: (type(v) is list and size in (None, len(v))
+                             and all(map(item.ok, v))),
+                  "a list" + (f" of {size}" if size else "")
+                  + f", each item {item.expects}")
+
+
+def _fields(config_class, **minima):
+    """Checks for the fields of a config dataclass, typed by its defaults."""
+    by_type = {str: _STRING, float: _NUMBER, tuple: _list(_integer())}
+    return {f.name: (_integer(minima.get(f.name)) if type(f.default) is int
+                     else by_type[type(f.default)])
+            for f in dataclasses.fields(config_class)}
+
+
+RUN_CONFIG_CHECKS = {
+    "seed": _integer(0),
+    "out": _STRING,
+    "synth": _fields(SynthConfig, stations=1, days=1, members=2, seed=0),
+    "data": {"path": _STRING._replace(required=True),
+             "splits": _list(_Check(lambda v: _is_real(v) and v > 0,
+                                    "a number > 0"), size=3),
+             "primary": _integer(0)},
+    "model": _fields(ModelConfig, seed=0),
+    "train": {"pool_size": _integer(1)},
+    "eval": {"checkpoints": _STRING, "draw_size": _integer(1),
+             "reps": _integer(1), "pit_bins": _integer(2),
+             "level": _Check(lambda v: _is_real(v) and 0 < v < 1,
+                             "a number strictly between 0 and 1")},
+    "importance": {
+        "checkpoints": _STRING, "bins": _integer(2),
+        "statistics": _Check(
+            lambda v: (type(v) is list and len(v) > 0
+                       and all(s in SUMMARY_KINDS for s in v)
+                       and len(set(v)) == len(v)),
+            f"a non-empty list of distinct {'/'.join(SUMMARY_KINDS)}"),
+        "predictors": _list(_integer(0))},
 }
+
+
+def _rejected(field, expects, value):
+    return ConfigError(f"config field {field or '(top level)'}: expected "
+                       f"{expects}, got {json.dumps(value)}")
+
+
+def check_run_config(config, checks=RUN_CONFIG_CHECKS, path=""):
+    """Raise ConfigError naming the first field that ``checks`` rejects.
+
+    ``checks`` maps each field to a check and each section to a table of
+    its own; a field it does not name is rejected at every level.
+    """
+    if type(config) is not dict:
+        raise _rejected(path, "an object", config)
+    prefix = f"{path}." if path else ""
+    for name, value in config.items():
+        check = checks.get(name)
+        if check is None:
+            raise ConfigError(f"config field {prefix}{name}: unknown field")
+        if isinstance(check, dict):
+            check_run_config(value, check, prefix + name)
+        elif not check.ok(value):
+            raise _rejected(prefix + name, check.expects, value)
+    for name, check in checks.items():
+        if getattr(check, "required", False) and name not in config:
+            raise ConfigError(f"config field {prefix}{name}: required")
+
 
 DEFAULT_SPLITS = (0.7, 0.15, 0.15)
 
@@ -155,7 +149,7 @@ def apply_override(config, key, value):
 
 
 def load_run_config(path, overrides=(), seed=None, out=None):
-    """Read, override and schema-validate a run configuration."""
+    """Read, override and check a run configuration."""
     if path is None:
         config = {}
     else:
@@ -166,6 +160,8 @@ def load_run_config(path, overrides=(), seed=None, out=None):
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})")
+        if type(config) is not dict:
+            raise _rejected("", "an object", config)
     for item in overrides:
         apply_override(config, *_parse_override(item))
     if seed is not None:
@@ -174,11 +170,7 @@ def load_run_config(path, overrides=(), seed=None, out=None):
         config["out"] = out
     config.setdefault("seed", 0)
     config.setdefault("out", "runs")
-    try:
-        jsonschema.validate(config, RUN_CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = ".".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ConfigError(f"config field {where}: {exc.message}")
+    check_run_config(config)
     return config
 
 
@@ -488,8 +480,7 @@ def main(argv=None):
             return command(config, out_dir,
                            workers=resolve_workers(args.workers))
         return command(config, out_dir)
-    except (ConfigError, DomainError, ContractError, OSError,
-            jsonschema.ValidationError) as exc:
+    except (ConfigError, DomainError, ContractError, OSError) as exc:
         print(f"enspost {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, FloatingPointError) as exc:

@@ -7,16 +7,24 @@ batched library path to its one-at-a-time definition: they reuse the
 library's building blocks (the Bernstein quantile function, the EMOS loss
 graph and Adam) and differ only in how the work is batched.  Likewise the
 composed attention reference pins the fused ``autodiff.attention`` op to
-the autodiff primitives it replaces.
+the autodiff primitives it replaces.  The run-configuration reference is the
+JSON Schema the CLI once validated against, checked by ``jsonschema``.
 """
 
+import copy
+import dataclasses
+import sys
+
+import jsonschema
 import mpmath
 import numpy as np
 from scipy import integrate, special, stats
 
 from enspost import autodiff as ad
+from enspost.data import SynthConfig
 from enspost.dist import bqn_quantile
-from enspost.models import graph_inputs
+from enspost.importance import SUMMARY_KINDS
+from enspost.models import ModelConfig, graph_inputs
 from enspost.train import (EMOS_CELL_STEPS, MIN_EMOS_CELL, Adam,
                            loss_graph)
 
@@ -300,3 +308,116 @@ def multinomial_band(n, bins, n_sigma=4.0):
 
 def softplus_ref(x):
     return special.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Run configuration reference: the draft-2020-12 schema
+# ---------------------------------------------------------------------------
+
+_JSON_TYPES = {str: {"type": "string"}, int: {"type": "integer"},
+               float: {"type": "number"},
+               tuple: {"type": "array", "items": {"type": "integer"}}}
+
+
+def _properties(config_class, **minima):
+    """JSON-schema properties of a config dataclass, typed by its defaults."""
+    props = {f.name: dict(_JSON_TYPES[type(f.default)])
+             for f in dataclasses.fields(config_class)}
+    for name, low in minima.items():
+        props[name]["minimum"] = low
+    return props
+
+
+RUN_CONFIG_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": "enspost run configuration",
+    "type": "object",
+    "properties": {
+        "seed": {"type": "integer"},
+        "out": {"type": "string"},
+        "synth": {
+            "type": "object",
+            "properties": _properties(SynthConfig, stations=1, days=1,
+                                      members=2),
+            "additionalProperties": False,
+        },
+        "data": {
+            "type": "object",
+            "properties": {
+                "path": {"type": "string"},
+                "splits": {
+                    "type": "array",
+                    "items": {"type": "number", "exclusiveMinimum": 0},
+                    "minItems": 3, "maxItems": 3,
+                },
+                "primary": {"type": "integer", "minimum": 0},
+            },
+            "required": ["path"],
+            "additionalProperties": False,
+        },
+        "model": {
+            "type": "object",
+            "properties": _properties(ModelConfig),
+            "additionalProperties": False,
+        },
+        "train": {
+            "type": "object",
+            "properties": {
+                "pool_size": {"type": "integer", "minimum": 1},
+            },
+            "additionalProperties": False,
+        },
+        "eval": {
+            "type": "object",
+            "properties": {
+                "checkpoints": {"type": "string"},
+                "draw_size": {"type": "integer", "minimum": 1},
+                "reps": {"type": "integer", "minimum": 1},
+                "pit_bins": {"type": "integer", "minimum": 2},
+                "level": {"type": "number",
+                          "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+            },
+            "additionalProperties": False,
+        },
+        "importance": {
+            "type": "object",
+            "properties": {
+                "checkpoints": {"type": "string"},
+                "bins": {"type": "integer", "minimum": 2},
+                "statistics": {
+                    "type": "array",
+                    "items": {"type": "string", "enum": list(SUMMARY_KINDS)},
+                    "minItems": 1, "uniqueItems": True,
+                },
+                "predictors": {
+                    "type": "array",
+                    "items": {"type": "integer", "minimum": 0},
+                },
+            },
+            "additionalProperties": False,
+        },
+    },
+    "additionalProperties": False,
+}
+
+
+def run_config_validator(strict=False):
+    """A ``jsonschema`` validator for :data:`RUN_CONFIG_SCHEMA`.
+
+    ``strict`` adds the three rules the schema misses and the CLI needs:
+    an integer is a JSON integer (no ``10.0``), a number is finite and fits
+    a float64, and every seed is at least 0.
+    """
+    base = jsonschema.Draft202012Validator
+    if not strict:
+        return base(RUN_CONFIG_SCHEMA)
+    types = base.TYPE_CHECKER.redefine_many({
+        "integer": lambda checker, v: type(v) is int,
+        "number": lambda checker, v: (type(v) in (int, float)
+                                      and abs(v) <= sys.float_info.max)})
+    schema = copy.deepcopy(RUN_CONFIG_SCHEMA)
+    props = schema["properties"]
+    for fields in (props, props["synth"]["properties"],
+                   props["model"]["properties"]):
+        fields["seed"]["minimum"] = 0
+    return jsonschema.validators.extend(base, type_checker=types)(schema)

@@ -6,7 +6,9 @@ Only the import guard runs a fresh interpreter, since ``sys.modules`` of the
 test process already holds the oracles' scipy.
 """
 
+import dataclasses
 import json
+import math
 import os
 import struct
 import subprocess
@@ -15,12 +17,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import enspost
-from enspost.cli import (RUN_CONFIG_SCHEMA, apply_override, load_run_config,
+from enspost.cli import (apply_override, check_run_config, load_run_config,
                          main, resolve_workers, _parse_override)
-from enspost.data import load_ndjson
+from enspost.data import SynthConfig, load_ndjson
 from enspost.errors import ConfigError
+from enspost.importance import SUMMARY_KINDS
+from enspost.models import ModelConfig
+
+from oracles import RUN_CONFIG_SCHEMA, run_config_validator
 
 
 # ---------------------------------------------------------------------------
@@ -78,35 +85,25 @@ def test_load_run_config_schema_errors_name_the_field(tmp_path):
         load_run_config(str(tmp_path / "missing.json"))
 
 
+# one value of each JSON type, and the types a field accepts by its default
+_JSON_SAMPLES = {"string": "x", "integer": 3, "number": 0.5, "boolean": True,
+                 "array": [3], "object": {}, "null": None}
+_ACCEPTED_TYPES = {str: {"string"}, int: {"integer"},
+                   float: {"integer", "number"}, tuple: {"array"}}
+
+
 def test_config_schemas_are_derived_from_the_dataclasses():
-    sections = RUN_CONFIG_SCHEMA["properties"]
-    assert sections["synth"]["properties"] == {
-        "stations": {"type": "integer", "minimum": 1},
-        "days": {"type": "integer", "minimum": 1},
-        "members": {"type": "integer", "minimum": 2},
-        "seed": {"type": "integer"},
-        "lead_hours": {"type": "integer"},
-        "bias": {"type": "number"},
-        "spread_signal": {"type": "number"},
-        "skew_signal": {"type": "number"},
-        "dead_channel": {"type": "number"},
-    }
-    assert sections["model"]["properties"] == {
-        "architecture": {"type": "string"},
-        "hidden_sizes": {"type": "array", "items": {"type": "integer"}},
-        "latent_width": {"type": "integer"},
-        "attention_heads": {"type": "integer"},
-        "n_attention_blocks": {"type": "integer"},
-        "bernstein_degree": {"type": "integer"},
-        "embedding_dim": {"type": "integer"},
-        "pooling": {"type": "string"},
-        "n_quantile_levels": {"type": "integer"},
-        "learning_rate": {"type": "number"},
-        "batch_size": {"type": "integer"},
-        "max_epochs": {"type": "integer"},
-        "patience": {"type": "integer"},
-        "seed": {"type": "integer"},
-    }
+    for section, config_class in (("synth", SynthConfig),
+                                  ("model", ModelConfig)):
+        for f in dataclasses.fields(config_class):
+            default = f.default
+            check_run_config({section: {f.name: (
+                list(default) if type(default) is tuple else default)}})
+            field = rf"config field {section}\.{f.name}:"
+            for kind, value in _JSON_SAMPLES.items():
+                if kind not in _ACCEPTED_TYPES[type(default)]:
+                    with pytest.raises(ConfigError, match=field):
+                        check_run_config({section: {f.name: value}})
 
 
 def test_schema_rejects_unusable_importance_options():
@@ -116,6 +113,86 @@ def test_schema_rejects_unusable_importance_options():
         load_run_config(None,
                         overrides=['importance.statistics=["mean","mean"]'])
     assert load_run_config(None, overrides=["importance.bins=2"])
+
+
+_WILD = st.one_of(
+    st.integers(), st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(), st.none(), st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+def _near(spec):
+    """Values for a node of the reference schema: mostly ones it allows,
+    else an edge (an integral float, a non-finite number, a value just
+    below a minimum such as a negative seed, a list of another length) or
+    a value of any type."""
+    kind, edge = spec.get("type"), _WILD
+    if kind == "integer":
+        low = spec.get("minimum", -2)
+        value = st.integers(low, low + 3)
+        edge = st.one_of(st.just(low - 1),
+                         st.integers(low - 1, low + 3).map(float))
+    elif kind == "number":
+        value = st.floats(0.01, 1.5)
+        edge = st.sampled_from([0, 1, math.nan, math.inf, -math.inf, 10**400])
+    elif kind == "array":
+        value = st.lists(_near(spec["items"]),
+                         min_size=spec.get("minItems", 0),
+                         max_size=spec.get("maxItems", 3))
+        edge = st.lists(_near(spec["items"]), max_size=5)
+    elif kind == "object":
+        value = st.just({})
+    else:
+        value = st.sampled_from(spec.get("enum", ["x", "drn"]))
+    return st.sampled_from([value] * 3 + [edge] * 2 + [_WILD]).flatmap(
+        lambda strategy: strategy)
+
+
+def _fields(spec, prefix=""):
+    """(dotted path, schema) of each section and field of the reference
+    schema, and of an unknown field at each level."""
+    yield prefix + "bogus", {}
+    for name, sub in spec["properties"].items():
+        yield prefix + name, sub
+        if "properties" in sub:
+            yield from _fields(sub, f"{prefix}{name}.")
+
+
+@st.composite
+def _configs(draw, fields=tuple(_fields(RUN_CONFIG_SCHEMA))):
+    """A few fields drawn uniformly, so that each rule is met often; half
+    the configs start from a data section with its required path."""
+    config = {"data": {"path": "d.ndjson"}} if draw(st.booleans()) else {}
+    for key, spec in draw(st.lists(st.sampled_from(fields), max_size=4)):
+        try:
+            apply_override(config, key, draw(_near(spec)))
+        except ConfigError:         # the section was drawn as a non-object
+            pass
+    return config
+
+
+_REFERENCE = run_config_validator()
+_STRICT_REFERENCE = run_config_validator(strict=True)
+
+
+def _accepted(config):
+    try:
+        check_run_config(config)
+    except ConfigError:
+        return False
+    return True
+
+
+@settings(max_examples=1000)
+@given(_configs())
+def test_checker_agrees_with_the_reference_schema(config):
+    # the checker accepts a subset of what the schema accepts, and exactly
+    # what it accepts once integers are JSON integers, numbers are finite
+    # and seeds are at least 0
+    accepted = _accepted(config)
+    assert not accepted or _REFERENCE.is_valid(config)
+    assert accepted == _STRICT_REFERENCE.is_valid(config)
 
 
 def test_resolve_workers_flag_env_default(monkeypatch):
@@ -257,6 +334,37 @@ def test_config_errors_exit_2(tmp_path, capsys):
                 SYNTH_SETS + ['eval.checkpoints=5']) == 2   # wrong type
 
 
+@pytest.mark.parametrize("command,sets,seed,field", [
+    ("synth", ["synth.days=10.0"], 7, "synth.days"),
+    ("synth", ["synth.members=3.0"], 7, "synth.members"),
+    ("train", ["train.pool_size=2.0"], 7, "train.pool_size"),
+    ("train", ["model.batch_size=64.0"], 7, "model.batch_size"),
+    ("train", ['data.path="x.ndjson"', "data.splits=[NaN,0.5,0.5]"], 7,
+     "data.splits"),
+    ("train", ["model.learning_rate=NaN"], 7, "model.learning_rate"),
+    ("train", ["model.learning_rate=Infinity"], 7, "model.learning_rate"),
+    ("synth", [], -1, "seed"),
+    ("synth", ["synth.seed=-3"], 7, "synth.seed"),
+    ("train", ["model.seed=-1"], 7, "model.seed"),
+])
+def test_integral_floats_non_finite_numbers_and_negative_seeds_exit_2(
+        tmp_path, capsys, command, sets, seed, field):
+    assert _run(command, tmp_path / "x", SYNTH_SETS + MODEL_SETS + sets,
+                seed=seed) == 2
+    assert f"config field {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "7"])
+def test_non_object_config_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["synth", "--config", str(path), "--set", "synth.days=3",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "config field (top level): expected an object" in \
+        capsys.readouterr().err
+
+
 def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):
     # training itself is robust to bad hyperparameters, so inject the
     # failure to verify the non-finite-loss exit path end to end
@@ -385,13 +493,14 @@ def test_mistyped_ndjson_and_chi_predictor_exit_2(tmp_path, capsys):
 
 def test_package_import_does_not_load_scipy():
     # every CLI stage is a fresh process, so import time is paid per stage;
-    # scipy is an oracle for the tests only and must stay off that path
+    # scipy and jsonschema are oracles for the tests only and must stay off
+    # that path
     code = ("import sys\n"
             "import enspost.cli, enspost.autodiff, enspost.data, enspost.dist\n"
             "import enspost.evaluation, enspost.importance, enspost.models\n"
             "import enspost.train\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+            "             if m.split('.')[0] in ('scipy', 'jsonschema')))\n")
     src = str(Path(enspost.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
