@@ -9,12 +9,12 @@ backward.  Everything is eager: calling an op both computes the forward
 value and records the adjoint closure on a tape implied by the parent links.
 A node stores the first gradient it receives as is and adds later ones out
 of place, so backward closures never write into their incoming gradient.
+A graph is a plain function ``fn(params, inputs) -> Tensor``: only the
+parameter slices become tape leaves, and the input arrays (integer station
+or cell ids included) reach ``fn`` as the caller passed them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from .errors import ConfigError, ContractError, NumericError
 __all__ = [
     "ParamVector",
     "Tensor",
-    "Graph",
-    "constant",
     "eval_graph",
     "value_and_grad",
     "finite_diff_check",
@@ -111,9 +109,14 @@ class ParamVector:
 
 
 class Tensor:
-    """Node in the differentiation tape."""
+    """Node in the differentiation tape.
+
+    NumPy defers to it (``__array_ufunc__ = None``): ``ndarray ⊕ Tensor``
+    calls the Tensor's reflected operator and returns a Tensor.
+    """
 
     __slots__ = ("value", "grad", "op", "_parents", "_backward")
+    __array_ufunc__ = None
 
     def __init__(self, value, parents=(), backward=None, op="leaf"):
         self.value = np.asarray(value, dtype=np.float64)
@@ -190,6 +193,9 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
+    def __rmatmul__(self, other):
+        return matmul(other, self)
+
     def __getitem__(self, key):
         return take(self, key)
 
@@ -199,11 +205,6 @@ class Tensor:
 
 def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(x, op="const")
-
-
-def constant(x):
-    """Wrap an array as a non-differentiable leaf."""
-    return _wrap(x)
 
 
 def _unbroadcast(g, shape):
@@ -560,20 +561,8 @@ def attention(xq, xk, xv, wq, wk, wv, wo, heads):
 
 
 # ---------------------------------------------------------------------------
-# Graphs: functions of (parameters, inputs)
+# Graphs: functions ``fn(params, inputs) -> Tensor``
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Graph:
-    """Differentiable function ``fn(params, inputs) -> Tensor``.
-
-    ``fn`` receives a mapping from parameter-slice name to leaf Tensor and a
-    mapping from input name to constant Tensor.  Evaluation is deterministic
-    given parameters and inputs.
-    """
-
-    fn: Callable[[Mapping[str, Tensor], Mapping[str, Tensor]], Tensor]
 
 
 def _leaves(params: ParamVector):
@@ -581,10 +570,11 @@ def _leaves(params: ParamVector):
             for name in params.layout}
 
 
-def _run(graph: Graph, params: ParamVector, inputs):
+def _run(fn, params: ParamVector, inputs):
+    """``fn(leaves, inputs)`` and the leaves: the parameter slices become
+    tape leaves, the input arrays reach ``fn`` as the caller passed them."""
     leaves = _leaves(params)
-    consts = {k: constant(v) for k, v in (inputs or {}).items()}
-    out = graph.fn(leaves, consts)
+    out = fn(leaves, inputs or {})
     if not isinstance(out, Tensor):
         raise ConfigError("graph function must return a Tensor")
     return out, leaves
@@ -597,16 +587,16 @@ def _check_finite(out: Tensor):
         raise NumericError(f"non-finite value produced by op {bad.op!r}")
 
 
-def eval_graph(graph: Graph, params: ParamVector, inputs=None):
+def eval_graph(fn, params: ParamVector, inputs=None):
     """Forward-evaluate a graph; returns a numpy array."""
-    out, _ = _run(graph, params, inputs)
+    out, _ = _run(fn, params, inputs)
     _check_finite(out)
     return out.value.copy()
 
 
-def value_and_grad(graph: Graph, params: ParamVector, inputs=None):
+def value_and_grad(fn, params: ParamVector, inputs=None):
     """Scalar value and gradient of a graph in one forward/backward pass."""
-    out, leaves = _run(graph, params, inputs)
+    out, leaves = _run(fn, params, inputs)
     if out.value.ndim != 0 and out.value.size != 1:
         raise ContractError("value_and_grad requires a scalar-valued graph")
     _check_finite(out)
@@ -618,7 +608,7 @@ def value_and_grad(graph: Graph, params: ParamVector, inputs=None):
     return float(out.value), result
 
 
-def finite_diff_check(graph: Graph, params: ParamVector, inputs=None, step=1e-4):
+def finite_diff_check(fn, params: ParamVector, inputs=None, step=1e-4):
     """Max relative error between analytic and central-difference gradients.
 
     Per parameter the error is ``|analytic - cd| / max(|analytic|, |cd|,
@@ -631,15 +621,15 @@ def finite_diff_check(graph: Graph, params: ParamVector, inputs=None, step=1e-4)
     """
     if step <= 0:
         raise ConfigError("step must be positive")
-    analytic = value_and_grad(graph, params, inputs)[1].values
+    analytic = value_and_grad(fn, params, inputs)[1].values
     numeric = np.zeros_like(analytic)
     work = params.copy()
     for j in range(work.size):
         orig = work.values[j]
         work.values[j] = orig + step
-        up = float(eval_graph(graph, work, inputs))
+        up = float(eval_graph(fn, work, inputs))
         work.values[j] = orig - step
-        down = float(eval_graph(graph, work, inputs))
+        down = float(eval_graph(fn, work, inputs))
         work.values[j] = orig
         numeric[j] = (up - down) / (2.0 * step)
     denom = np.maximum(np.abs(analytic), np.abs(numeric))

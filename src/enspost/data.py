@@ -28,6 +28,9 @@ from .errors import ConfigError
 
 PREDICTOR_NAMES = ("primary", "aux_spread", "aux_skew", "noise")
 SCALAR_NAMES = ("lat", "lon", "yday_cos")
+SYNTH_START = datetime.date(2016, 1, 1)   # date of synthetic day 0
+# days up to the last ISO date, 9999-12-31
+MAX_SYNTH_DAYS = (datetime.date.max - SYNTH_START).days + 1
 
 
 class Dataset:
@@ -99,7 +102,8 @@ class Dataset:
 
     def months(self):
         """Calendar month (1-12) of each sample."""
-        return np.array([int(t[5:7]) for t in self.times], dtype=np.int64)
+        # datetime64[M] counts months from 1970-01
+        return self.times.astype("datetime64[M]").astype(np.int64) % 12 + 1
 
     def with_ens(self, ens):
         """Copy of the dataset with a replaced ensemble block."""
@@ -317,6 +321,10 @@ class SynthConfig:
     def __post_init__(self):
         if self.stations < 1 or self.days < 1:
             raise ConfigError("stations and days must be positive")
+        if self.days > MAX_SYNTH_DAYS:
+            raise ConfigError(f"days must be at most {MAX_SYNTH_DAYS}, so the "
+                              "last synthetic date is no later than "
+                              "9999-12-31")
         if self.members < 2:
             raise ConfigError("members must be >= 2")
 
@@ -341,8 +349,7 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     lat = rng.uniform(47.0, 55.0, size=s)
     lon = rng.uniform(6.0, 15.0, size=s)
 
-    start = datetime.date(2016, 1, 1)
-    dates = [start + datetime.timedelta(days=k) for k in range(d)]
+    dates = [SYNTH_START + datetime.timedelta(days=k) for k in range(d)]
     yday = np.array([dt.timetuple().tm_yday for dt in dates], dtype=np.float64)
 
     # latent truth: station AR(1) anomaly plus seasonal cycle

@@ -259,7 +259,6 @@ def tlogis_quantile_core(mu, sigma, p, lower=0.0, ops=NUMPY_OPS):
     returns +inf.
     """
     lb = (lower - mu) / sigma
-    # Tensor operands first: ndarray - Tensor would build an object array
     return lower + sigma * (ops.softplus(-lb + np.log(p)) - np.log1p(-p))
 
 

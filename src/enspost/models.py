@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dist as dist_mod
-from .autodiff import Graph, ParamVector
+from .autodiff import ParamVector
 from .data import Dataset, standardize
 from .errors import ConfigError, DomainError
 
@@ -223,9 +223,8 @@ def _member_inputs(P, I):
     """Concatenate member predictors with scalars and the station embedding,
     replicated across members."""
     ens = I["ens"]                       # (n, M, p)
-    n, m, _ = ens.value.shape
-    idx = I["station"].value.astype(np.int64)
-    emb = ad.embedding(P["emb"], idx)    # (n, E)
+    n, m, _ = ens.shape
+    emb = ad.embedding(P["emb"], I["station"])   # (n, E)
     context = ad.concat([I["scalars"], emb], axis=-1)
     context = ad.reshape(context, (n, 1, context.value.shape[-1]))
     tile = np.ones((1, m, 1))
@@ -236,29 +235,29 @@ def _member_inputs(P, I):
 def build_graph(config: ModelConfig):
     """Forward graph from inputs to raw theta for one architecture.
 
-    Inputs expected (as constants): summary models use ``features`` (n, F)
-    and ``station`` (n,); set models use ``ens`` (n, M, p), ``scalars``
-    (n, q) and ``station`` (n,).
+    Returns a function ``fn(P, I)``.  Input arrays expected: summary models
+    use ``features`` (n, F) and integer ``station`` (n,); set models use
+    ``ens`` (n, M, p), ``scalars`` (n, q) and integer ``station`` (n,).
     """
     arch = config.architecture
     if arch == "emos":
         def fn(P, I):
             return ad.linear(I["features"], P["gamma_mat"], P["gamma_vec"])
-        return Graph(fn)
+        return fn
     if arch in ("drn", "bqn"):
         n_layers = len(config.hidden_sizes) + 1
 
         def fn(P, I):
-            idx = I["station"].value.astype(np.int64)
-            x = ad.concat([I["features"], ad.embedding(P["emb"], idx)], axis=-1)
+            emb = ad.embedding(P["emb"], I["station"])
+            x = ad.concat([I["features"], emb], axis=-1)
             return mlp_forward(x, P, "", n_layers)
-        return Graph(fn)
+        return fn
     if arch.startswith("ed-"):
         def fn(P, I):
             latents = mlp_forward(_member_inputs(P, I), P, "enc_", 2)
             pooled = pool(latents, config.pooling, P, config.attention_heads)
             return mlp_forward(pooled, P, "dec_", 2)
-        return Graph(fn)
+        return fn
 
     def fn(P, I):
         x = _member_inputs(P, I)
@@ -276,7 +275,7 @@ def build_graph(config: ModelConfig):
             h = ad.add(h, m)
         return mlp_forward(attention_pool(h, P, config.attention_heads), P,
                            "dec_", 2)
-    return Graph(fn)
+    return fn
 
 
 def graph_inputs(config: ModelConfig, dataset: Dataset):
@@ -291,21 +290,18 @@ def graph_inputs(config: ModelConfig, dataset: Dataset):
         return {"features": np.concatenate(
                     [summary_base(dataset.ens, dataset.primary),
                      dataset.scalars], axis=-1),
-                "station": dataset.station.astype(np.float64)}
+                "station": dataset.station}
     return {"ens": dataset.ens, "scalars": dataset.scalars,
-            "station": dataset.station.astype(np.float64)}
+            "station": dataset.station}
 
 
-def _emos_cell_link(P, I):
+def emos_cell_link(P, I):
     """EMOS link per row: ``features`` (n, 2) times the 2x2 matrix of row
-    ``cell`` of the coefficient table, plus that row's offsets."""
-    coeffs = ad.embedding(P["cells"], I["cell"].value.astype(np.int64))
+    ``cell`` (integer) of the coefficient table, plus that row's offsets."""
+    coeffs = ad.embedding(P["cells"], I["cell"])
     gamma_mat = ad.reshape(coeffs[:, :4], (-1, 2, 2))
-    features = ad.reshape(I["features"], (-1, 1, 2))
+    features = I["features"].reshape(-1, 1, 2)
     return ad.reshape(features @ gamma_mat, (-1, 2)) + coeffs[:, 4:]
-
-
-EMOS_CELL_LINK = Graph(_emos_cell_link)
 
 
 def emos_params(table):
@@ -396,20 +392,19 @@ class EMOSModel(_FittedModel):
 
     def raw_theta(self, dataset: Dataset):
         self._check_dataset(dataset)
-        rows = np.stack([dataset.station, dataset.months()], axis=1)
-        _, key_of = np.unique(np.concatenate([self.keys, rows]), axis=0,
-                              return_inverse=True)
-        slot = np.zeros(key_of.size, dtype=np.int64)
-        slot[key_of[:len(self.keys)]] = np.arange(1, len(self.keys) + 1)
-        cell = slot[key_of[len(self.keys):]]
+        # table row of each (station, month); 0 where no cell was fitted
+        slot = np.zeros((self.n_stations, 13), dtype=np.int64)
+        station, month = self.keys.T
+        slot[station, month] = np.arange(1, len(self.keys) + 1)
+        cell = slot[dataset.station, dataset.months()]
         missing = int(np.count_nonzero(cell == 0))
         if missing and not self._warned:
             warnings.warn(f"{missing} samples used global EMOS coefficients "
                           "(no station/month cell fitted)")
             self._warned = True
         inputs = {"features": summary_base(dataset.ens, self.primary)[:, :2],
-                  "cell": cell.astype(np.float64)}
-        return eval_chunked(EMOS_CELL_LINK, self.params, inputs)
+                  "cell": cell}
+        return eval_chunked(emos_cell_link, self.params, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +490,9 @@ def _list_of(value, kinds, n=None):
 
 def _check_header_fields(path, header):
     """ConfigError unless the names, station count, primary index, EMOS
-    cell keys (distinct integer pairs) and network normalization stats have
-    checkpoint types and ranges."""
+    cell keys (distinct (station, month) pairs, station below the station
+    count, month 1-12) and network normalization stats have checkpoint types
+    and ranges."""
     def require(ok, field):
         if not ok:
             raise ConfigError(f"{path}: corrupt checkpoint field {field!r}")
@@ -510,7 +506,9 @@ def _check_header_fields(path, header):
     if header["kind"] == "emos":
         keys = header["cell_keys"]
         require(_list_of(keys, (list,))
-                and all(_list_of(k, (int,), 2) for k in keys)
+                and all(_list_of(k, (int,), 2)
+                        and 0 <= k[0] < header["n_stations"]
+                        and 1 <= k[1] <= 12 for k in keys)
                 and len({tuple(k) for k in keys}) == len(keys), "cell_keys")
         return
     norm = header["norm"]

@@ -17,13 +17,13 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph, ParamVector
+from .autodiff import ParamVector
 from .data import Dataset, standardize
 from .dist import (TENSOR_OPS, QuantileLevels, crps_tlogis_core,
                    theta_mean_crps, theta_quantiles, tlogis_params)
 from .errors import ConfigError, ContractError, DomainError, NumericError
-from .models import (EMOS_CELL_LINK, EMOSModel, ModelConfig, NeuralModel,
-                     build_graph, emos_params, eval_chunked, graph_inputs,
+from .models import (EMOSModel, ModelConfig, NeuralModel, build_graph,
+                     emos_cell_link, emos_params, eval_chunked, graph_inputs,
                      init_params)
 
 MIN_EMOS_CELL = 10    # station/month cells smaller than this use the global fit
@@ -40,22 +40,22 @@ def _abs(t):
 
 
 def _pinball_mean(quantiles, y, levels):
-    y2 = ad.reshape(y, (-1, 1))
-    indicator = (y.value[:, None] < quantiles.value).astype(np.float64)
-    return ad.mean(2.0 * (ad.constant(indicator) - levels) * (quantiles - y2))
+    y2 = y[:, None]
+    indicator = (y2 < quantiles.value).astype(np.float64)
+    return ad.mean(2.0 * (indicator - levels) * (quantiles - y2))
 
 
 def _crps_sample_mean(quantiles, y):
     """Mean ensemble CRPS of row-sorted quantile matrices (differentiable)."""
     k = quantiles.value.shape[1]
-    term1 = ad.mean(_abs(quantiles - ad.reshape(y, (-1, 1))), axis=1)
+    term1 = ad.mean(_abs(quantiles - y[:, None]), axis=1)
     weights = (2.0 * np.arange(k) - k + 1.0) / (k * k)
-    term2 = ad.reshape(quantiles @ ad.constant(weights[:, None]), (-1,))
+    term2 = ad.reshape(quantiles @ weights[:, None], (-1,))
     return ad.mean(term1 - term2)
 
 
 def loss_graph(config: ModelConfig, loss=None):
-    """Scalar training-loss graph for an architecture.
+    """Scalar training-loss function ``fn(P, I)`` for an architecture.
 
     ``loss`` is "crps" or "quantile_score"; by default the family-matched
     rule (closed-form CRPS for truncated-logistic outputs, mean quantile
@@ -70,7 +70,7 @@ def loss_graph(config: ModelConfig, loss=None):
     levels = QuantileLevels.equidistant(config.n_quantile_levels).levels
 
     def fn(P, I):
-        theta = base.fn(P, I)
+        theta = base(P, I)
         if loss == "crps" and config.family == "tlogis":
             mu, sigma = tlogis_params(theta, ops=TENSOR_OPS)
             return ad.mean(crps_tlogis_core(mu, sigma, I["y"], 0.0,
@@ -80,7 +80,7 @@ def loss_graph(config: ModelConfig, loss=None):
         if loss == "quantile_score":
             return _pinball_mean(quantiles, I["y"], levels)
         return _crps_sample_mean(quantiles, I["y"])
-    return Graph(fn)
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +249,14 @@ def _fit_cells(config, table, features, obs, cell):
     loss sums each cell's mean CRPS (row weight 1/n_c), so every table row
     gets exactly its own cell's gradient and, Adam being elementwise,
     moments; row 0 gets none and keeps its values."""
-    inputs = {"features": features, "cell": cell.astype(np.float64),
-              "y": obs, "weight": 1.0 / np.bincount(cell)[cell]}
+    inputs = {"features": features, "cell": cell, "y": obs,
+              "weight": 1.0 / np.bincount(cell)[cell]}
 
-    def fn(P, I):
-        mu, sigma = tlogis_params(EMOS_CELL_LINK.fn(P, I), ops=TENSOR_OPS)
+    def loss(P, I):
+        mu, sigma = tlogis_params(emos_cell_link(P, I), ops=TENSOR_OPS)
         crps = crps_tlogis_core(mu, sigma, I["y"], 0.0, ops=TENSOR_OPS)
         return ad._sum(crps * I["weight"])
 
-    loss = Graph(fn)
     optimizer = Adam(table.size, config.learning_rate)
     for _ in range(EMOS_CELL_STEPS):
         _, gradient = ad.value_and_grad(loss, table, inputs)

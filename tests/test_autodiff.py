@@ -1,8 +1,13 @@
 """Unit tests for the reverse-mode autodiff engine."""
 
+import operator
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import enspost.autodiff as ad
 from enspost.errors import ConfigError, ContractError, NumericError
@@ -58,7 +63,7 @@ def test_sigmoid_matches_reference_and_is_tail_stable():
 
 def test_softplus_matches_reference():
     x = np.linspace(-30, 30, 101)
-    out = ad.softplus(ad.constant(x)).value
+    out = ad.softplus(x).value
     np.testing.assert_allclose(out, softplus_ref(x), rtol=1e-14)
 
 
@@ -89,11 +94,10 @@ def _check_graph_grad(build, x0, rel=5e-6):
     """Compare value_and_grad() with an independent finite-difference loop."""
     layout = {"x": (0, x0.shape)}
     pv = ad.ParamVector(x0.copy(), layout)
-    graph = ad.Graph(build)
-    analytic = ad.value_and_grad(graph, pv)[1].values
+    analytic = ad.value_and_grad(build, pv)[1].values
 
     def f(flat):
-        return float(ad.eval_graph(graph, ad.ParamVector(flat, layout)))
+        return float(ad.eval_graph(build, ad.ParamVector(flat, layout)))
 
     numeric = central_difference(f, x0.ravel(), h=1e-6)
     scale = np.maximum(np.abs(numeric), 1.0)
@@ -117,7 +121,7 @@ def test_matmul_linear_softmax_gradient():
 
     def build(P, I):
         x = P["x"]
-        h = ad.softmax(x @ ad.constant(w0), axis=-1)
+        h = ad.softmax(x @ w0, axis=-1)
         return ad._sum(ad.log(h + 1e-3))
 
     _check_graph_grad(build, x0)
@@ -173,12 +177,11 @@ def test_broadcast_addition_unbroadcasts_gradient():
 
     def build(P, I):
         x = P["x"]
-        mat = ad.constant(np.ones((4, 3)))
-        return ad._sum(mat + x)
+        return ad._sum(np.ones((4, 3)) + x)
 
     layout = {"x": (0, x0.shape)}
     pv = ad.ParamVector(x0.copy(), layout)
-    g = ad.value_and_grad(ad.Graph(build), pv)[1].values
+    g = ad.value_and_grad(build, pv)[1].values
     np.testing.assert_allclose(g, [4.0, 4.0, 4.0])
 
 
@@ -206,7 +209,7 @@ def test_matmul_weight_gemm_matches_generic_path_and_finite_differences(
         def fn(P, I):
             y = P["a"] @ weight(P["w"])
             return ad._sum(ad.tanh(y + offset))
-        return ad.Graph(fn)
+        return fn
 
     pv = _random_params({"a": a_shape, "w": (5, 2)})
     # a (1, K, L) weight has a batch axis, so it takes the generic path
@@ -225,7 +228,7 @@ def test_batched_matmul_gradient_matches_finite_differences():
         return ad._sum(ad.tanh(P["q"] @ P["k"]))
 
     pv = _random_params({"q": (2, 3, 4, 2), "k": (2, 3, 2, 4)})
-    assert ad.finite_diff_check(ad.Graph(fn), pv) < 1e-6
+    assert ad.finite_diff_check(fn, pv) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +246,7 @@ def _attention_graph(attend, pooled, heads):
         query = ad.reshape(P["q"], (1, 1, 8)) if pooled else x
         out = attend(query, x, x, P["wq"], P["wk"], P["wv"], P["wo"], heads)
         return ad._sum(ad.tanh(out) * weights[:, :out.shape[1]])
-    return ad.Graph(fn)
+    return fn
 
 
 _ATTENTION_SHAPES = {"x": (2, 5, 8), "q": (8,), "wq": (8, 8), "wk": (8, 8),
@@ -273,8 +276,8 @@ def test_fused_attention_matches_composed_reference(heads, pooled):
 
 
 def test_fused_attention_rejects_heads_not_dividing_width():
-    x = ad.constant(np.zeros((1, 2, 6)))
-    w = ad.constant(np.zeros((6, 6)))
+    x = ad.Tensor(np.zeros((1, 2, 6)))
+    w = ad.Tensor(np.zeros((6, 6)))
     with pytest.raises(ConfigError):
         ad.attention(x, x, x, w, w, w, w, 4)
 
@@ -319,15 +322,14 @@ def test_backward_never_writes_into_incoming_gradients(case):
             return ad._sum(ad.tanh(h))
         return ad.mean(x @ P["wq"])
 
-    graph = ad.Graph(fn)
     pv = _random_params(shapes, seed=5)
-    analytic, seen = _backward_keeping_upstream(graph, pv)
+    analytic, seen = _backward_keeping_upstream(fn, pv)
     assert all(g.tobytes() == before.tobytes() for g, before in seen)
     if case == "mean_into_matmul":
         assert any(not g.flags.writeable for g, _ in seen)
 
     def f(flat):
-        return float(ad.eval_graph(graph, ad.ParamVector(flat, pv.layout)))
+        return float(ad.eval_graph(fn, ad.ParamVector(flat, pv.layout)))
 
     numeric = central_difference(f, pv.values, h=1e-6)
     scale = np.maximum(np.abs(numeric), 1.0)
@@ -344,7 +346,7 @@ def _quadratic_graph():
         x = P["x"]
         return ad._sum(x * x) * 0.5
 
-    return ad.Graph(build)
+    return build
 
 
 def test_value_and_grad_agree_with_separate_calls():
@@ -362,7 +364,7 @@ def test_value_and_grad_requires_scalar_output():
 
     pv = ad.ParamVector(np.array([1.0, 2.0]), {"x": (0, (2,))})
     with pytest.raises(ContractError):
-        ad.value_and_grad(ad.Graph(build), pv)
+        ad.value_and_grad(build, pv)
 
 
 def test_nonfinite_forward_raises_numeric_error_naming_the_op():
@@ -371,17 +373,61 @@ def test_nonfinite_forward_raises_numeric_error_naming_the_op():
 
     pv = ad.ParamVector(np.array([-1.0, 2.0]), {"x": (0, (2,))})
     with pytest.raises(NumericError, match="log"):
-        ad.eval_graph(ad.Graph(build), pv)
+        ad.eval_graph(build, pv)
 
 
-def test_inputs_are_passed_as_constants():
+def test_graph_receives_its_input_arrays_themselves():
+    target = np.array([1.0, 2.0, 3.0])
+    station = np.array([2, 0, 2], dtype=np.int64)
+    seen = {}
+
     def build(P, I):
-        return ad.mean((P["x"] - I["target"]) * (P["x"] - I["target"]))
+        seen.update(I)
+        diff = P["x"] - I["target"]
+        return ad.mean(diff * diff) + ad._sum(ad.embedding(P["emb"],
+                                                           I["station"]))
 
-    pv = ad.ParamVector(np.zeros(3), {"x": (0, (3,))})
-    out = ad.eval_graph(ad.Graph(build), pv,
-                        {"target": np.array([1.0, 2.0, 3.0])})
-    assert float(out) == pytest.approx(14.0 / 3.0)
+    pv = ad.ParamVector([0.0, 0.0, 0.0, 3.0, 4.0, 5.0],
+                        {"x": (0, (3,)), "emb": (3, (3,))})
+    out = ad.eval_graph(build, pv, {"target": target, "station": station})
+    assert seen["target"] is target and seen["station"] is station
+    assert seen["station"].dtype == np.int64
+    assert float(out) == pytest.approx(14.0 / 3.0 + 5.0 + 3.0 + 5.0)
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "@": operator.matmul}
+
+
+@settings(max_examples=200)
+@given(op=st.sampled_from(sorted(_OPERATORS)), rows=st.integers(1, 3),
+       cols=st.integers(1, 3), broadcast=st.booleans(), data=st.data())
+def test_ndarray_on_the_left_defers_to_the_tensor(op, rows, cols, broadcast,
+                                                  data):
+    """``ndarray ⊕ Tensor`` is the Tensor-first form bit for bit, and its
+    gradient with respect to the Tensor passes the finite-difference check."""
+    apply = _OPERATORS[op]
+    if op == "@":
+        right_shape = (cols, 2)
+    else:
+        right_shape = (cols,) if broadcast else (rows, cols)
+    left = data.draw(hnp.arrays(np.float64, (rows, cols),
+                                elements=st.floats(-2.0, 2.0)))
+    magnitude = data.draw(hnp.arrays(np.float64, right_shape,
+                                     elements=st.floats(1.0, 2.0)))
+    sign = data.draw(hnp.arrays(np.bool_, right_shape))
+    right = np.where(sign, magnitude, -magnitude)
+
+    out = apply(left, ad.Tensor(right))
+    assert isinstance(out, ad.Tensor)
+    assert out.value.tobytes() == \
+        apply(ad.Tensor(left), ad.Tensor(right)).value.tobytes()
+
+    def build(P, I):
+        return ad._sum(ad.tanh(apply(I["left"], P["t"])))
+
+    pv = ad.ParamVector(right, {"t": (0, right_shape)})
+    assert ad.finite_diff_check(build, pv, {"left": left}) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +452,7 @@ def test_finite_diff_check_catches_wrong_gradient():
         return ad._sum(bad_mul(P["x"]))
 
     pv = ad.ParamVector(np.array([1.5, -2.0]), {"x": (0, (2,))})
-    assert ad.finite_diff_check(ad.Graph(build), pv) > 0.3
+    assert ad.finite_diff_check(build, pv) > 0.3
 
 
 def test_finite_diff_check_rejects_bad_step():

@@ -355,6 +355,15 @@ def test_integral_floats_non_finite_numbers_and_negative_seeds_exit_2(
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("days", [10**20, 2_916_097])
+def test_days_past_the_last_iso_date_exit_2(tmp_path, capsys, days):
+    # 2016-01-01 plus 2 916 096 days reaches 9999-12-31, the last date the
+    # NDJSON loader accepts
+    assert _run("synth", tmp_path / "x", [f"synth.days={days}"]) == 2
+    assert "days must be at most 2916096" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "dataset.ndjson").exists()
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", "7"])
 def test_non_object_config_file_exits_2(tmp_path, capsys, text):
     path = tmp_path / "cfg.json"

@@ -97,6 +97,17 @@ def test_dataset_shapes_and_months():
     assert set(ds.months()) == {1}
 
 
+def test_months_read_the_month_of_any_iso_date():
+    times = ["0001-01-01", "1969-12-31", "1970-01-01", "2016-02-29",
+             "2016-07-15", "9999-12-31"]
+    rng = np.random.default_rng(0)
+    ds = Dataset(ens=rng.normal(size=(6, 2, 1)), scalars=np.zeros((6, 0)),
+                 station=[0] * 6, times=times, obs=np.zeros(6), lead_hours=6,
+                 predictor_names=["p0"], scalar_names=[])
+    assert ds.months().dtype == np.int64
+    assert ds.months().tolist() == [int(t[5:7]) for t in times]
+
+
 def test_subset_and_with_ens_roundtrip():
     ds = _tiny_dataset()
     sub = ds.subset(np.arange(3))

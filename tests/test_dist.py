@@ -171,8 +171,8 @@ def test_crps_tlogis_differentiable_core_matches_numpy_core():
     sigma = rng.uniform(0.2, 3, size=8)
     y = rng.normal(5, 4, size=8)
     plain = dist.crps_tlogis_core(mu, sigma, y, 0.0)
-    tens = dist.crps_tlogis_core(ad.constant(mu), ad.constant(sigma),
-                                 ad.constant(y), 0.0, ops=dist.TENSOR_OPS)
+    tens = dist.crps_tlogis_core(ad.Tensor(mu), ad.Tensor(sigma), y, 0.0,
+                                 ops=dist.TENSOR_OPS)
     np.testing.assert_allclose(tens.value, plain, rtol=1e-14)
 
 
@@ -234,7 +234,7 @@ def test_tlogis_quantile_core_serves_tensors_and_numpy_alike():
     sigma = rng.uniform(0.1, 3.0, size=(6, 1))
     p = dist.QuantileLevels.equidistant(9).levels
     plain = dist.tlogis_quantile_core(mu, sigma, p)
-    tens = dist.tlogis_quantile_core(ad.constant(mu), ad.constant(sigma), p,
+    tens = dist.tlogis_quantile_core(ad.Tensor(mu), ad.Tensor(sigma), p,
                                      ops=dist.TENSOR_OPS)
     # Tensor division multiplies by a reciprocal, so the last bit may move
     np.testing.assert_allclose(tens.value, plain, rtol=1e-14)

@@ -402,6 +402,22 @@ def test_load_model_rejects_non_finite_blocks_and_bad_header_fields(tmp_path):
                 load_model(bad)
 
 
+@pytest.mark.parametrize("key", [[-1, 5], ["n_stations", 1], [0, 13],
+                                 [0, 0]])
+def test_load_model_rejects_cell_keys_outside_stations_and_months(tmp_path,
+                                                                 key):
+    # raw_theta indexes an (n_stations, 13) table with the keys, where a
+    # negative station would wrap round instead of failing
+    header, block = _split_checkpoint(_checkpoint_bytes("emos"))
+    key = [header["n_stations"] if k == "n_stations" else k for k in key]
+    bad = tmp_path / "bad.bin"
+    _write_checkpoint(bad, {**header, "cell_keys": [key,
+                                                    header["cell_keys"][1]]},
+                      block)
+    with pytest.raises(ConfigError, match="cell_keys"):
+        load_model(bad)
+
+
 def test_emos_raw_theta_raises_numeric_error_on_overflow():
     ds = _dataset()
     model = _emos_model(ds)
