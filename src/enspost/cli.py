@@ -8,7 +8,8 @@ files): all randomness flows from the top-level seed through named streams,
 wall-clock timings are segregated into a non-hashed sidecar, and each run
 writes a manifest with SHA-256 hashes of its outputs.
 
-Exit codes: 0 success, 2 configuration/input error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration/input error or out of memory, 3
+numeric failure.
 """
 
 from __future__ import annotations
@@ -482,6 +483,10 @@ def main(argv=None):
         return command(config, out_dir)
     except (ConfigError, DomainError, ContractError, OSError) as exc:
         print(f"enspost {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"enspost {args.command}: error: out of memory: {exc}"
+              .rstrip(": "), file=sys.stderr)
         return 2
     except (NumericError, FloatingPointError) as exc:
         print(f"enspost {args.command}: numeric failure: {exc}",

@@ -1,5 +1,6 @@
 """Dataset handling: NDJSON I/O, normalization, temporal splits and the
-synthetic ensemble-forecast generator.
+synthetic ensemble-forecast generator.  Normalization is fitted on a dataset
+and applied to arrays; it builds no second dataset.
 
 The NDJSON schema is one JSON object per line:
 
@@ -104,12 +105,6 @@ class Dataset:
         """Calendar month (1-12) of each sample."""
         # datetime64[M] counts months from 1970-01
         return self.times.astype("datetime64[M]").astype(np.int64) % 12 + 1
-
-    def with_ens(self, ens):
-        """Copy of the dataset with a replaced ensemble block."""
-        return Dataset(ens, self.scalars, self.station, self.times, self.obs,
-                       self.lead_hours, self.predictor_names, self.scalar_names,
-                       self.primary, self.n_stations)
 
     def subset(self, idx):
         return Dataset(self.ens[idx], self.scalars[idx], self.station[idx],
@@ -236,42 +231,41 @@ def save_ndjson(dataset: Dataset, path):
 # ---------------------------------------------------------------------------
 
 
-def standardize(dataset: Dataset, stats=None):
-    """Standardize predictor and scalar columns to zero mean, unit variance.
+def fit_norm(dataset: Dataset):
+    """Mean and standard deviation of each predictor and scalar column of a
+    dataset: the normalization a model is fitted with."""
+    ens_std = dataset.ens.std(axis=(0, 1))
+    sc_std = dataset.scalars.std(axis=0)
+    for std, names in ((ens_std, dataset.predictor_names),
+                       (sc_std, dataset.scalar_names)):
+        bad = np.nonzero(std == 0)[0]
+        if bad.size:
+            raise ConfigError(f"constant column {names[bad[0]]!r}")
+    return {
+        "predictor_names": list(dataset.predictor_names),
+        "scalar_names": list(dataset.scalar_names),
+        "ens_mean": dataset.ens.mean(axis=(0, 1)).tolist(),
+        "ens_std": ens_std.tolist(),
+        "scalar_mean": dataset.scalars.mean(axis=0).tolist(),
+        "scalar_std": sc_std.tolist(),
+    }
 
-    When ``stats`` is None the statistics are fitted on ``dataset`` and
-    returned; otherwise the supplied statistics are applied (the usual
-    train-fit / test-apply contract).
+
+def standardize(dataset: Dataset, stats, ens=None):
+    """Standardized (ens, scalars) arrays of a dataset under the
+    :func:`fit_norm` statistics ``stats`` (the usual train-fit / test-apply
+    contract).  ``ens``, an (n, M, p) block, stands in for ``dataset.ens``.
     """
-    if stats is None:
-        ens_mean = dataset.ens.mean(axis=(0, 1))
-        ens_std = dataset.ens.std(axis=(0, 1))
-        sc_mean = dataset.scalars.mean(axis=0)
-        sc_std = dataset.scalars.std(axis=0)
-        for std, names in ((ens_std, dataset.predictor_names),
-                           (sc_std, dataset.scalar_names)):
-            bad = np.nonzero(std == 0)[0]
-            if bad.size:
-                raise ConfigError(f"constant column {names[bad[0]]!r}")
-        stats = {
-            "predictor_names": list(dataset.predictor_names),
-            "scalar_names": list(dataset.scalar_names),
-            "ens_mean": ens_mean.tolist(),
-            "ens_std": ens_std.tolist(),
-            "scalar_mean": sc_mean.tolist(),
-            "scalar_std": sc_std.tolist(),
-        }
-    else:
-        if stats["predictor_names"] != dataset.predictor_names \
-                or stats["scalar_names"] != dataset.scalar_names:
-            raise ConfigError("normalization stats name mismatch")
-    ens = (dataset.ens - np.asarray(stats["ens_mean"])) / np.asarray(stats["ens_std"])
+    if stats["predictor_names"] != dataset.predictor_names \
+            or stats["scalar_names"] != dataset.scalar_names:
+        raise ConfigError("normalization stats name mismatch")
+    ens = dataset.ens if ens is None else ens
+    ens = (ens - np.asarray(stats["ens_mean"])) / np.asarray(stats["ens_std"])
     scalars = (dataset.scalars - np.asarray(stats["scalar_mean"])) \
         / np.asarray(stats["scalar_std"])
-    out = Dataset(ens, scalars, dataset.station, dataset.times, dataset.obs,
-                  dataset.lead_hours, dataset.predictor_names,
-                  dataset.scalar_names, dataset.primary, dataset.n_stations)
-    return out, stats
+    if not (np.isfinite(ens).all() and np.isfinite(scalars).all()):
+        raise ConfigError("non-finite standardized values")
+    return ens, scalars
 
 
 def split_temporal(dataset: Dataset, fractions):
@@ -327,6 +321,10 @@ class SynthConfig:
                               "9999-12-31")
         if self.members < 2:
             raise ConfigError("members must be >= 2")
+        size = self.days * self.stations * self.members * len(PREDICTOR_NAMES)
+        if size * 8 > np.iinfo(np.intp).max:   # the float64 ensemble block
+            raise ConfigError(f"days x stations x members x predictors = {size}"
+                              " float64 values: more bytes than NumPy indexes")
 
 
 BASE_LEVEL = 10.0       # keeps observations far from the truncation bound

@@ -174,16 +174,16 @@ def evaluate_quantiles(quantiles, observations, level, levels=None,
     return _report(crps, lo, hi, pits, observations, level, pit_bins)
 
 
-def model_mean_crps(model, dataset: Dataset, levels=None):
+def model_mean_crps(model, dataset: Dataset, ens=None):
     """Mean CRPS of a fitted model on a dataset, from one forward pass.
 
     Truncated-logistic families use the closed form; quantile families are
-    scored as K-point empirical forecasts.
+    scored as K-point empirical forecasts at the model's level grid.
+    ``ens``, an (n, M, p) block, stands in for ``dataset.ens``.
     """
-    if levels is None:
-        levels = QuantileLevels.equidistant(model.config.n_quantile_levels)
-    return theta_mean_crps(model.raw_theta(dataset), dataset.obs,
-                           model.family, levels)
+    return theta_mean_crps(
+        model.raw_theta(dataset, ens), dataset.obs, model.family,
+        QuantileLevels.equidistant(model.config.n_quantile_levels))
 
 
 def raw_eps_report(dataset: Dataset, primary=None, level=None, pit_bins=20,

@@ -1,6 +1,6 @@
 """Ensemble-oriented permutation feature importance.
 
-Three shuffling operators act on one ensemble predictor across a dataset:
+Three shuffling operators act on one predictor's (n, M) member column:
 fully random (destroys within-ensemble structure), rank-aware (transplanted
 values are reordered to the original member ranks), and conditional
 (rank-aware shuffles restricted to bins of samples with similar values of a
@@ -137,39 +137,32 @@ def conditional_bins(stat_values, bins):
     return bin_ids, int(bin_ids.max()) + 1, bins > n_unique
 
 
-def perturb(dataset: Dataset, spec: PerturbationSpec) -> Dataset:
-    """Shuffle one ensemble predictor across the dataset.
+def perturb(col, spec: PerturbationSpec):
+    """Shuffled copy of a predictor's (n, M) member column (the caller
+    picks the column; ``spec.predictor`` is not read).
 
-    All three operators permute whole member columns between samples, so the
-    dataset-wide multiset of values is conserved exactly; rank-aware and
-    conditional additionally preserve each sample's member rank pattern.
+    All three operators permute whole member rows between samples, so the
+    multiset of values is conserved exactly; rank-aware and conditional
+    additionally preserve each sample's member rank pattern.
     """
-    if spec.predictor >= dataset.n_predictors:
-        raise ConfigError("predictor index out of range")
-    if len(dataset) < 2:
+    if len(col) < 2:
         raise DomainError("need at least two samples to shuffle")
-    col = dataset.ens[:, :, spec.predictor]
     rng = np.random.default_rng(spec.seed)
     t, m = col.shape
 
     if spec.kind == "fully_random":
         donor = col[rng.permutation(t)]
         member_perms = np.argsort(rng.random((t, m)), axis=1)
-        new_col = donor[np.arange(t)[:, None], member_perms]
-    elif spec.kind == "rank_aware":
-        new_col = _rank_aware_transplant(col, rng.permutation(t))
-    else:
-        stat = summary_statistic(col, spec.statistic)
-        bin_ids, n_bins, _ = conditional_bins(stat, spec.bins)
-        donor_perm = np.arange(t)
-        for b in range(n_bins):
-            members = np.nonzero(bin_ids == b)[0]
-            donor_perm[members] = members[rng.permutation(members.size)]
-        new_col = _rank_aware_transplant(col, donor_perm)
-
-    ens = dataset.ens.copy()
-    ens[:, :, spec.predictor] = new_col
-    return dataset.with_ens(ens)
+        return donor[np.arange(t)[:, None], member_perms]
+    if spec.kind == "rank_aware":
+        return _rank_aware_transplant(col, rng.permutation(t))
+    stat = summary_statistic(col, spec.statistic)
+    bin_ids, n_bins, _ = conditional_bins(stat, spec.bins)
+    donor_perm = np.arange(t)
+    for b in range(n_bins):
+        members = np.nonzero(bin_ids == b)[0]
+        donor_perm[members] = members[rng.permutation(members.size)]
+    return _rank_aware_transplant(col, donor_perm)
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +178,20 @@ def derive_seed(seed, *tags):
 
 def _skill_losses(model, test: Dataset, specs):
     """Base mean CRPS S[g] and the skill loss S[g o P] - S[g] of each
-    distinct spec; each forecast is scored once."""
+    distinct spec; each forecast is scored once.  A spec's forecast sees
+    one copy of the test ensemble block with its column shuffled."""
+    if any(spec.predictor >= test.n_predictors for spec in specs):
+        raise ConfigError("predictor index out of range")
     base = model_mean_crps(model, test)
     if base == 0.0:
         raise DomainError("degenerate model: mean CRPS is zero")
-    return base, {spec: model_mean_crps(model, perturb(test, spec)) - base
-                  for spec in dict.fromkeys(specs)}
+    ens, losses = test.ens.copy(), {}
+    for spec in dict.fromkeys(specs):
+        col = test.ens[:, :, spec.predictor]
+        ens[:, :, spec.predictor] = perturb(col, spec)
+        losses[spec] = model_mean_crps(model, test, ens=ens) - base
+        ens[:, :, spec.predictor] = col
+    return base, losses
 
 
 def _chi_specs(predictor, statistic, bins, seed):
@@ -296,7 +297,7 @@ def preservation_matrix(dataset: Dataset, predictor, bins=DEFAULT_BINS,
                                 bins=bins,
                                 seed=derive_seed(seed, "preserve", predictor,
                                                  cond))
-        shuffled = perturb(dataset, spec).ens[:, :, predictor]
+        shuffled = perturb(col, spec)
         for j, measured in enumerate(statistics):
             matrix[i, j] = spearman(original[measured],
                                     summary_statistic(shuffled, measured))

@@ -5,7 +5,8 @@ shape (n, D)): EMOS on primary mean/std with per-station-per-month
 coefficients, a summary-statistic MLP (DRN/BQN benchmark), an
 encoder-decoder set pooling network and a set transformer.  The network
 families consume standardized predictors plus a learned station embedding;
-all of them are permutation invariant in the ensemble members.
+all of them are permutation invariant in the ensemble members.  Training,
+forecasts and importance all build graph inputs with :func:`graph_inputs`.
 """
 
 from __future__ import annotations
@@ -278,21 +279,22 @@ def build_graph(config: ModelConfig):
     return fn
 
 
-def graph_inputs(config: ModelConfig, dataset: Dataset):
+def graph_inputs(config: ModelConfig, dataset: Dataset, norm, ens=None):
     """Input arrays expected by :func:`build_graph` for a dataset.
 
-    Network inputs are assumed already standardized by the caller; EMOS
-    consumes raw primary mean/std.
+    ``ens``, an (n, M, p) block, stands in for ``dataset.ens``.  Networks
+    consume arrays standardized with ``norm`` (from ``data.fit_norm``);
+    EMOS consumes raw primary mean/std and ignores ``norm``.
     """
+    ens = dataset.ens if ens is None else ens
     if config.architecture == "emos":
-        return {"features": summary_base(dataset.ens, dataset.primary)[:, :2]}
+        return {"features": summary_base(ens, dataset.primary)[:, :2]}
+    ens, scalars = standardize(dataset, norm, ens)
     if config.architecture in ("drn", "bqn"):
         return {"features": np.concatenate(
-                    [summary_base(dataset.ens, dataset.primary),
-                     dataset.scalars], axis=-1),
+                    [summary_base(ens, dataset.primary), scalars], axis=-1),
                 "station": dataset.station}
-    return {"ens": dataset.ens, "scalars": dataset.scalars,
-            "station": dataset.station}
+    return {"ens": ens, "scalars": scalars, "station": dataset.station}
 
 
 def emos_cell_link(P, I):
@@ -353,6 +355,16 @@ class _FittedModel:
                 f"dataset primary predictor {dataset.primary} differs from "
                 f"the model's {self.primary}")
 
+    def raw_theta(self, dataset: Dataset, ens=None):
+        """Raw theta (n, D) of the subclass's ``graph``; ``ens``, an
+        (n, M, p) block, stands in for ``dataset.ens``."""
+        self._check_dataset(dataset)
+        return eval_chunked(self.graph, self.params,
+                            self._inputs(dataset, ens))
+
+    def _inputs(self, dataset, ens):
+        return graph_inputs(self.config, dataset, self.norm, ens)
+
     def forecast(self, dataset: Dataset):
         """One distribution object holding a forecast per sample."""
         theta = self.raw_theta(dataset)
@@ -369,11 +381,7 @@ class _FittedModel:
 class NeuralModel(_FittedModel):
     """A trained network plus the preprocessing state it was fitted with."""
 
-    def raw_theta(self, dataset: Dataset):
-        self._check_dataset(dataset)
-        std, _ = standardize(dataset, self.norm)
-        return eval_chunked(build_graph(self.config), self.params,
-                            graph_inputs(self.config, std))
+    graph = property(lambda self: build_graph(self.config))
 
 
 class EMOSModel(_FittedModel):
@@ -385,13 +393,14 @@ class EMOSModel(_FittedModel):
     row use row 0, with a warning.
     """
 
+    graph = staticmethod(emos_cell_link)
+
     def __init__(self, config, params, keys, **fields):
         super().__init__(config, params, **fields)
         self.keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
         self._warned = False
 
-    def raw_theta(self, dataset: Dataset):
-        self._check_dataset(dataset)
+    def _inputs(self, dataset, ens):
         # table row of each (station, month); 0 where no cell was fitted
         slot = np.zeros((self.n_stations, 13), dtype=np.int64)
         station, month = self.keys.T
@@ -402,9 +411,7 @@ class EMOSModel(_FittedModel):
             warnings.warn(f"{missing} samples used global EMOS coefficients "
                           "(no station/month cell fitted)")
             self._warned = True
-        inputs = {"features": summary_base(dataset.ens, self.primary)[:, :2],
-                  "cell": cell}
-        return eval_chunked(emos_cell_link, self.params, inputs)
+        return {**super()._inputs(dataset, ens), "cell": cell}
 
 
 # ---------------------------------------------------------------------------

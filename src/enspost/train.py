@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamVector
-from .data import Dataset, standardize
+from .data import Dataset, fit_norm
 from .dist import (TENSOR_OPS, QuantileLevels, crps_tlogis_core,
                    theta_mean_crps, theta_quantiles, tlogis_params)
 from .errors import ConfigError, ContractError, DomainError, NumericError
@@ -213,30 +213,39 @@ def _fit_loop(config, loss, params, inputs, obs, val_graph, val_inputs,
 
 
 def train_model(config: ModelConfig, train: Dataset, val: Dataset):
-    """Fit one model; returns (fitted model, TrainReport)."""
+    """Fit one model; returns (fitted model, TrainReport).  EMOS fits
+    full-batch from the identity link, then its cells (:func:`_train_emos`).
+    """
     _check_split(train, val)
     t0 = time.perf_counter()
-    if config.architecture == "emos":
-        return _train_emos(config, train, val, t0)
-
-    std_train, norm = standardize(train)
-    std_val, _ = standardize(val, norm)
-    inputs = graph_inputs(config, std_train)
-    val_inputs = graph_inputs(config, std_val)
-    params = init_params(config, train.n_predictors, train.n_scalars,
-                         train.n_stations)
-    _init_output_bias(params, config, train.obs)
-    forward = build_graph(config)
-    loss = loss_graph(config)
-    rng = np.random.default_rng(config.seed)
+    emos = config.architecture == "emos"
+    norm = None if emos else fit_norm(train)
+    inputs = graph_inputs(config, train, norm)
+    if emos:
+        # identity link start: mu = ensemble mean, raw scale = ensemble std
+        params = ParamVector(np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), {
+            "gamma_mat": (0, (2, 2)), "gamma_vec": (4, (2,))})
+        fit_config = replace(config, batch_size=max(len(train), 1))
+    else:
+        params = init_params(config, train.n_predictors, train.n_scalars,
+                             train.n_stations)
+        _init_output_bias(params, config, train.obs)
+        fit_config = config
 
     best_values, train_losses, val_scores, best_epoch = _fit_loop(
-        config, loss, params, inputs, train.obs, forward, val_inputs,
-        val.obs, rng)
+        fit_config, loss_graph(config), params, inputs, train.obs,
+        build_graph(config), graph_inputs(config, val, norm), val.obs,
+        np.random.default_rng(config.seed))
 
-    model = NeuralModel(config, ParamVector(best_values, params.layout), norm,
-                        train.n_stations, train.primary,
-                        train.predictor_names, train.scalar_names)
+    fields = dict(norm=norm, n_stations=train.n_stations,
+                  primary=train.primary, predictor_names=train.predictor_names,
+                  scalar_names=train.scalar_names)
+    if emos:
+        model = _train_emos(config, train, inputs["features"], best_values,
+                            fields)
+    else:
+        model = NeuralModel(config, ParamVector(best_values, params.layout),
+                            **fields)
     report = TrainReport(seed=config.seed, train_losses=train_losses,
                          val_crps=val_scores, selected_epoch=best_epoch,
                          wall_time=time.perf_counter() - t0)
@@ -263,43 +272,22 @@ def _fit_cells(config, table, features, obs, cell):
         optimizer.step(table.values, gradient.values)
 
 
-def _train_emos(config: ModelConfig, train: Dataset, val: Dataset, t0):
-    """Global full-batch fit, then every (station, month) cell with at least
-    MIN_EMOS_CELL rows fine-tuned from it, all cells in one batched graph."""
-    inputs = graph_inputs(config, train)
-    val_inputs = graph_inputs(config, val)
-    layout = {"gamma_mat": (0, (2, 2)), "gamma_vec": (4, (2,))}
-    # identity link start: mu = ensemble mean, raw scale = ensemble std
-    params = ParamVector(np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), layout)
-    forward = build_graph(config)
-    loss = loss_graph(config)
-    full_batch = replace(config, batch_size=max(len(train), 1))
-    rng = np.random.default_rng(config.seed)
-
-    best_values, train_losses, val_scores, best_epoch = _fit_loop(
-        full_batch, loss, params, inputs, train.obs, forward, val_inputs,
-        val.obs, rng)
-
+def _train_emos(config, train: Dataset, features, global_fit, fields):
+    """EMOSModel whose every (station, month) cell with at least
+    MIN_EMOS_CELL rows is fine-tuned from the global fit, all cells in one
+    batched graph; ``features`` are the training rows' EMOS features."""
     keys, cell_of, counts = np.unique(
         np.stack([train.station, train.months()], axis=1), axis=0,
         return_inverse=True, return_counts=True)
     cell_of = cell_of.reshape(-1)
     fitted = counts >= MIN_EMOS_CELL
     # row 0 holds the global fit; every cell row starts from it
-    table = emos_params(np.tile(best_values, 1 + np.count_nonzero(fitted)))
+    table = emos_params(np.tile(global_fit, 1 + np.count_nonzero(fitted)))
     rows = fitted[cell_of]
     if rows.any():
-        _fit_cells(config, table, inputs["features"][rows], train.obs[rows],
+        _fit_cells(config, table, features[rows], train.obs[rows],
                    np.cumsum(fitted)[cell_of[rows]])
-
-    model = EMOSModel(config, table, keys[fitted], norm=None,
-                      n_stations=train.n_stations, primary=train.primary,
-                      predictor_names=train.predictor_names,
-                      scalar_names=train.scalar_names)
-    report = TrainReport(seed=config.seed, train_losses=train_losses,
-                         val_crps=val_scores, selected_epoch=best_epoch,
-                         wall_time=time.perf_counter() - t0)
-    return model, report
+    return EMOSModel(config, table, keys[fitted], **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def emos_cells_sequential(config, train, start):
     sorted key order.
     """
     layout = {"gamma_mat": (0, (2, 2)), "gamma_vec": (4, (2,))}
-    features = graph_inputs(config, train)["features"]
+    features = graph_inputs(config, train, None)["features"]
     loss = loss_graph(config)
     months = train.months()
     cells = {}

@@ -17,7 +17,8 @@ import numpy as np
 
 from enspost.autodiff import ParamVector, finite_diff_check
 from enspost.cli import main as cli_main
-from enspost.data import SynthConfig, generate_synthetic, split_temporal, standardize
+from enspost.data import (SynthConfig, fit_norm, generate_synthetic,
+                          split_temporal)
 from enspost.dist import (QuantileLevels, TruncLogistic,
                           bernstein_basis, bqn_coefficients,
                           crps_sample_batch, crps_tlogis, tlogis_quantile)
@@ -86,17 +87,17 @@ _TINY = dict(hidden_sizes=(6, 5), latent_width=8, attention_heads=2,
              n_quantile_levels=9)
 
 
-def _theta(config, params, data):
+def _theta(config, params, data, norm, ens=None):
     import enspost.autodiff as ad
     from enspost.models import build_graph
     return ad.eval_graph(build_graph(config), params,
-                         dict(graph_inputs(config, data)))
+                         dict(graph_inputs(config, data, norm, ens)))
 
 
 def test_criterion_03_permutation_invariance():
     ds = generate_synthetic(SynthConfig(stations=4, days=30, members=12,
                                         seed=1))
-    std, _ = standardize(ds)
+    norm = fit_norm(ds)
     rng = np.random.default_rng(2)
     worst = {}
     for arch in ("ed-drn", "ed-bqn", "st-drn", "st-bqn", "drn", "bqn"):
@@ -106,11 +107,10 @@ def test_criterion_03_permutation_invariance():
         rel = 0.0
         for _ in range(100):
             idx = np.array([int(rng.integers(len(ds)))])
-            sample = std.subset(idx)
-            permuted = sample.with_ens(
-                sample.ens[:, rng.permutation(ds.n_members), :])
-            a = _theta(config, params, sample)
-            b = _theta(config, params, permuted)
+            sample = ds.subset(idx)
+            permuted = sample.ens[:, rng.permutation(ds.n_members), :]
+            a = _theta(config, params, sample, norm)
+            b = _theta(config, params, sample, norm, permuted)
             if arch.startswith(("drn", "bqn")):
                 rel = max(rel, float(np.max(np.abs(a - b))))   # exact
             else:
@@ -140,12 +140,12 @@ def test_criterion_04_gradient_suite():
     t0 = time.perf_counter()
     ds = generate_synthetic(SynthConfig(stations=3, days=10, members=5,
                                         seed=1))
-    std, _ = standardize(ds)
+    norm = fit_norm(ds)
     worst = 0.0
     for arch in ARCHITECTURES:
         config = ModelConfig(architecture=arch, **_GRAD)
-        data = (std if arch != "emos" else ds).subset(np.arange(4))
-        inputs = dict(graph_inputs(config, data))
+        data = ds.subset(np.arange(4))
+        inputs = dict(graph_inputs(config, data, norm))
         inputs["y"] = data.obs
         for loss in ("crps", "quantile_score"):
             graph = loss_graph(config, loss)
@@ -305,12 +305,13 @@ def test_criterion_09_perturbation_conservation():
         spec = PerturbationSpec(j, kind, statistic=stat,
                                 bins=int(rng.integers(2, 30)),
                                 seed=int(rng.integers(1000)))
-        out = perturb(ds, spec)
-        conserved &= np.array_equal(np.sort(out.ens[:, :, j].ravel()),
-                                    np.sort(ds.ens[:, :, j].ravel()))
+        col = ds.ens[:, :, j]
+        out = perturb(col, spec)
+        conserved &= np.array_equal(np.sort(out.ravel()),
+                                    np.sort(col.ravel()))
         if kind != "fully_random":
-            before = np.argsort(np.argsort(ds.ens[:, :, j], axis=1), axis=1)
-            after = np.argsort(np.argsort(out.ens[:, :, j], axis=1), axis=1)
+            before = np.argsort(np.argsort(col, axis=1), axis=1)
+            after = np.argsort(np.argsort(out, axis=1), axis=1)
             ranks_ok &= np.array_equal(before, after)
     ok = conserved and ranks_ok
     _verdict(9, "perturbations conserve multisets and rank patterns", ok,

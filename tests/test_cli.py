@@ -364,6 +364,51 @@ def test_days_past_the_last_iso_date_exit_2(tmp_path, capsys, days):
     assert not (tmp_path / "x" / "dataset.ndjson").exists()
 
 
+@pytest.mark.parametrize("sets", [
+    ["synth.stations=100000000000000000000"],
+    ["synth.members=100000000000000000000"],
+    # 2e6 days x 1e6 stations x 1e6 members x 4 float64 values: each field
+    # alone is small, the block is 6.4e19 bytes
+    ["synth.days=2000000", "synth.stations=1000000",
+     "synth.members=1000000"],
+])
+def test_ensemble_blocks_numpy_cannot_index_exit_2(tmp_path, capsys, sets):
+    assert _run("synth", tmp_path / "x", sets) == 2
+    err = capsys.readouterr().err
+    assert "days x stations x members" in err
+    assert "more bytes than NumPy indexes" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x" / "dataset.ndjson").exists()
+
+
+class _ArrayMemoryError(MemoryError):
+    """Like NumPy's: the arguments are the shape and dtype, the text says
+    what failed."""
+
+    def __str__(self):
+        return "Unable to allocate 116. TiB for an array with shape " \
+            f"{self.args[0]} and data type {self.args[1]}"
+
+
+@pytest.mark.parametrize("error,detail", [
+    (MemoryError(), ""),
+    (_ArrayMemoryError((16, 10**12), np.dtype(np.float64)),
+     ": Unable to allocate 116. TiB for an array with shape "
+     "(16, 1000000000000) and data type float64"),
+])
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, error, detail):
+    import enspost.cli as cli
+
+    def exhaust(*args, **kwargs):
+        """Run out of memory."""
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "synth", exhaust)
+    assert _run("synth", tmp_path / "x", []) == 2
+    err = capsys.readouterr().err
+    assert err == f"enspost synth: error: out of memory{detail}\n"
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", "7"])
 def test_non_object_config_file_exits_2(tmp_path, capsys, text):
     path = tmp_path / "cfg.json"

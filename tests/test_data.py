@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from enspost.data import (PREDICTOR_NAMES, SCALAR_NAMES, Dataset, SynthConfig,
-                          generate_synthetic, load_ndjson, save_ndjson,
-                          split_temporal, standardize)
+                          fit_norm, generate_synthetic, load_ndjson,
+                          save_ndjson, split_temporal, standardize)
 from enspost.errors import ConfigError
 
 
@@ -108,13 +108,12 @@ def test_months_read_the_month_of_any_iso_date():
     assert ds.months().tolist() == [int(t[5:7]) for t in times]
 
 
-def test_subset_and_with_ens_roundtrip():
+def test_subset_keeps_the_selected_rows():
     ds = _tiny_dataset()
     sub = ds.subset(np.arange(3))
     assert len(sub) == 3
-    swapped = ds.with_ens(ds.ens * 2.0)
-    np.testing.assert_allclose(swapped.ens, ds.ens * 2.0)
-    np.testing.assert_allclose(swapped.obs, ds.obs)
+    np.testing.assert_array_equal(sub.ens, ds.ens[:3])
+    np.testing.assert_array_equal(sub.obs, ds.obs[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -257,25 +256,40 @@ def test_ndjson_save_load_roundtrip_property(tmp_path_factory, ds):
 
 def test_standardize_fit_and_apply():
     ds = _tiny_dataset(t=40, seed=3)
-    std, stats = standardize(ds)
-    np.testing.assert_allclose(std.ens.mean(axis=(0, 1)), 0.0, atol=1e-12)
-    np.testing.assert_allclose(std.ens.std(axis=(0, 1)), 1.0, atol=1e-12)
-    np.testing.assert_allclose(std.scalars.mean(axis=0), 0.0, atol=1e-12)
+    stats = fit_norm(ds)
+    ens, scalars = standardize(ds, stats)
+    np.testing.assert_allclose(ens.mean(axis=(0, 1)), 0.0, atol=1e-12)
+    np.testing.assert_allclose(ens.std(axis=(0, 1)), 1.0, atol=1e-12)
+    np.testing.assert_allclose(scalars.mean(axis=0), 0.0, atol=1e-12)
     # applying train stats to other data uses the train statistics
     other = _tiny_dataset(t=40, seed=4)
-    applied, stats2 = standardize(other, stats)
-    assert stats2 is stats
+    applied, _ = standardize(other, stats)
     expected = (other.ens - np.asarray(stats["ens_mean"])) \
         / np.asarray(stats["ens_std"])
-    np.testing.assert_allclose(applied.ens, expected)
+    np.testing.assert_array_equal(applied, expected)
+    # a stand-in ensemble block replaces the dataset's own
+    stand_in, applied_scalars = standardize(other, stats, ens=ds.ens)
+    np.testing.assert_array_equal(stand_in, ens)
+    np.testing.assert_array_equal(applied_scalars,
+                                  standardize(other, stats)[1])
+    renamed = dict(stats, predictor_names=["a", "b"])
+    with pytest.raises(ConfigError, match="name mismatch"):
+        standardize(other, renamed)
+    # a standard deviation this small overflows the standardized values
+    tiny = dict(stats, ens_std=[1e-320, 1.0])
+    with np.errstate(over="ignore"), \
+            pytest.raises(ConfigError, match="non-finite"):
+        standardize(other, tiny)
 
 
-def test_standardize_rejects_constant_column():
+def test_fit_norm_rejects_constant_column():
     ds = _tiny_dataset()
-    flat = ds.with_ens(np.concatenate(
-        [ds.ens[:, :, :1], np.full_like(ds.ens[:, :, 1:], 2.5)], axis=2))
+    flat = Dataset(np.concatenate(
+        [ds.ens[:, :, :1], np.full_like(ds.ens[:, :, 1:], 2.5)], axis=2),
+        ds.scalars, ds.station, ds.times, ds.obs, ds.lead_hours,
+        ds.predictor_names, ds.scalar_names)
     with pytest.raises(ConfigError, match="constant"):
-        standardize(flat)
+        fit_norm(flat)
 
 
 def test_split_temporal_blocks_are_disjoint_and_ordered():

@@ -326,7 +326,7 @@ def test_raw_eps_report_is_evaluate_quantiles_on_sorted_members():
 @pytest.mark.parametrize("arch", ["emos", "drn", "bqn", "ed-drn", "ed-bqn",
                                   "st-drn", "st-bqn"])
 def test_model_mean_crps_runs_one_forward_pass(arch):
-    from enspost.data import standardize
+    from enspost.data import fit_norm
     from enspost.models import (EMOSModel, ModelConfig, NeuralModel,
                                 emos_params, init_params)
     ds = generate_synthetic(SynthConfig(stations=2, days=10, members=6))
@@ -343,11 +343,12 @@ def test_model_mean_crps_runs_one_forward_pass(arch):
     else:
         params = init_params(cfg, ds.n_predictors, ds.n_scalars,
                              ds.n_stations, rng=np.random.default_rng(0))
-        model = NeuralModel(cfg, params, standardize(ds)[1], ds.n_stations,
+        model = NeuralModel(cfg, params, fit_norm(ds), ds.n_stations,
                             ds.primary, ds.predictor_names, ds.scalar_names)
     calls = []
     forward = model.raw_theta
-    model.raw_theta = lambda dataset: calls.append(1) or forward(dataset)
+    model.raw_theta = lambda dataset, ens=None: (calls.append(1)
+                                                 or forward(dataset, ens))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # EMOS without cells falls back
         assert np.isfinite(model_mean_crps(model, ds))

@@ -6,15 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from enspost.data import SynthConfig, generate_synthetic, split_temporal
+from enspost.data import (Dataset, SynthConfig, fit_norm, generate_synthetic,
+                          split_temporal)
 from enspost.errors import ConfigError, ContractError, DomainError
-from enspost.importance import (SUMMARY_KINDS, ChiResult, PerturbationSpec,
-                                _box_stats, _midranks, chi, chi_ratio,
-                                conditional_bins, delta0,
+from enspost.evaluation import model_mean_crps
+from enspost.importance import (PERTURBATION_KINDS, SUMMARY_KINDS, ChiResult,
+                                PerturbationSpec, _box_stats, _midranks, chi,
+                                chi_ratio, conditional_bins, delta0,
                                 derive_seed, importance_report, perturb,
                                 preservation_csv, preservation_matrix,
                                 spearman, summary_statistic)
-from enspost.models import ModelConfig
+from enspost.models import (ARCHITECTURES, EMOSModel, ModelConfig,
+                            NeuralModel, emos_params, init_params)
 from enspost.train import train_model
 from oracles import spearman_ref, summary_stat_ref
 
@@ -94,49 +97,85 @@ def _dataset(days=40, stations=4, members=10, seed=0):
                                        ("conditional", "std")])
 def test_perturb_conserves_value_multiset(kind, stat):
     ds = _dataset()
+    col = ds.ens[:, :, 1]
     spec = PerturbationSpec(1, kind, statistic=stat, bins=10, seed=3)
-    out = perturb(ds, spec)
-    np.testing.assert_array_equal(
-        np.sort(out.ens[:, :, 1].ravel()), np.sort(ds.ens[:, :, 1].ravel()))
-    # other predictors untouched
-    np.testing.assert_array_equal(out.ens[:, :, 0], ds.ens[:, :, 0])
-    np.testing.assert_array_equal(out.obs, ds.obs)
+    out = perturb(col, spec)
+    assert out.shape == col.shape
+    np.testing.assert_array_equal(np.sort(out.ravel()), np.sort(col.ravel()))
 
 
 @pytest.mark.parametrize("kind,stat", [("rank_aware", None),
                                        ("conditional", "mean")])
 def test_rank_operators_preserve_member_rank_patterns(kind, stat):
     ds = _dataset()
+    col = ds.ens[:, :, 0]
     spec = PerturbationSpec(0, kind, statistic=stat, bins=10, seed=4)
-    out = perturb(ds, spec)
-    before = np.argsort(np.argsort(ds.ens[:, :, 0], axis=1), axis=1)
-    after = np.argsort(np.argsort(out.ens[:, :, 0], axis=1), axis=1)
+    out = perturb(col, spec)
+    before = np.argsort(np.argsort(col, axis=1), axis=1)
+    after = np.argsort(np.argsort(out, axis=1), axis=1)
     np.testing.assert_array_equal(before, after)
 
 
 def test_perturb_is_deterministic_in_seed():
-    ds = _dataset()
+    col = _dataset().ens[:, :, 0]
     spec = PerturbationSpec(0, "fully_random", seed=5)
-    np.testing.assert_array_equal(perturb(ds, spec).ens,
-                                  perturb(ds, spec).ens)
+    np.testing.assert_array_equal(perturb(col, spec), perturb(col, spec))
     other = PerturbationSpec(0, "fully_random", seed=6)
-    assert not np.array_equal(perturb(ds, spec).ens, perturb(ds, other).ens)
+    assert not np.array_equal(perturb(col, spec), perturb(col, other))
 
 
 def test_perturb_rejects_bad_inputs():
-    ds = _dataset()
-    with pytest.raises(ConfigError):
-        perturb(ds, PerturbationSpec(99, "fully_random"))
+    col = _dataset().ens[:1, :, 0]
     with pytest.raises(DomainError):
-        perturb(ds.subset(np.array([0])), PerturbationSpec(0, "fully_random"))
+        perturb(col, PerturbationSpec(0, "fully_random"))
 
 
 def test_conditional_with_singleton_bins_is_identity():
-    ds = _dataset(days=10, stations=2)
+    col = _dataset(days=10, stations=2).ens[:, :, 0]
     spec = PerturbationSpec(0, "conditional", statistic="mean",
                             bins=10**9, seed=0)
-    out = perturb(ds, spec)
-    np.testing.assert_array_equal(out.ens, ds.ens)
+    np.testing.assert_array_equal(perturb(col, spec), col)
+
+
+def _untrained(arch, ds):
+    """A model of each architecture with random parameters."""
+    config = ModelConfig(architecture=arch, hidden_sizes=(6, 5),
+                         latent_width=8, attention_heads=2,
+                         n_attention_blocks=1, bernstein_degree=4,
+                         embedding_dim=3, n_quantile_levels=9)
+    fields = dict(n_stations=ds.n_stations, primary=ds.primary,
+                  predictor_names=ds.predictor_names,
+                  scalar_names=ds.scalar_names)
+    rng = np.random.default_rng(0)
+    if arch == "emos":
+        keys = sorted({(int(s), int(m))
+                       for s, m in zip(ds.station, ds.months())})
+        table = rng.normal(size=(1 + len(keys), 6))
+        return EMOSModel(config, emos_params(table), keys, norm=None,
+                         **fields)
+    params = init_params(config, ds.n_predictors, ds.n_scalars,
+                         ds.n_stations, rng=rng)
+    return NeuralModel(config, params, fit_norm(ds), **fields)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_stand_in_block_gives_the_bits_of_a_rebuilt_dataset(arch):
+    # a forward on a shuffled stand-in ensemble block equals a forward on a
+    # Dataset constructed from that block
+    ds = _dataset(days=12, stations=3, members=6, seed=1)
+    model = _untrained(arch, ds)
+    for i in range(ds.n_predictors):
+        for kind in PERTURBATION_KINDS:
+            spec = PerturbationSpec(i, kind, statistic="std", bins=5, seed=i)
+            ens = ds.ens.copy()
+            ens[:, :, i] = perturb(ds.ens[:, :, i], spec)
+            rebuilt = Dataset(ens, ds.scalars, ds.station, ds.times, ds.obs,
+                              ds.lead_hours, ds.predictor_names,
+                              ds.scalar_names, ds.primary, ds.n_stations)
+            np.testing.assert_array_equal(model.raw_theta(ds, ens=ens),
+                                          model.raw_theta(rebuilt))
+            assert model_mean_crps(model, ds, ens=ens) \
+                == model_mean_crps(model, rebuilt)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +333,9 @@ def _count_raw_theta(monkeypatch, model):
     calls = []
     inner = model.raw_theta
 
-    def counted(dataset):
+    def counted(dataset, ens=None):
         calls.append(1)
-        return inner(dataset)
+        return inner(dataset, ens)
 
     monkeypatch.setattr(model, "raw_theta", counted)
     return calls
@@ -341,6 +380,31 @@ def test_importance_report_scores_each_distinct_forecast_once(
     assert [len(calls) for calls in counts] == [1 + p + s * c + c] * 2
     np.testing.assert_equal(report["delta0"], expected_delta)
     np.testing.assert_equal(report["chi"], expected_chi)
+
+
+@pytest.mark.filterwarnings("ignore:.*global EMOS coefficients.*")
+def test_importance_builds_no_dataset(drn_and_test, monkeypatch):
+    model, emos, test = drn_and_test
+    built = []
+    init = Dataset.__init__
+    monkeypatch.setattr(Dataset, "__init__",
+                        lambda self, *a, **k: built.append(1)
+                        or init(self, *a, **k))
+    importance_report([model, emos], test, bins=10, seed=5,
+                      statistics=("mean", "std"), chi_predictors=[0, 1])
+    col = test.ens[:, :, 0]
+    ens = test.ens.copy()
+    ens[:, :, 0] = perturb(col, PerturbationSpec(0, "fully_random"))
+    for m in (model, emos):
+        m.raw_theta(test, ens=ens)
+        model_mean_crps(m, test, ens=ens)
+    assert built == []
+
+
+def test_skill_losses_reject_a_predictor_out_of_range(drn_and_test):
+    model, _, test = drn_and_test
+    with pytest.raises(ConfigError, match="predictor index"):
+        delta0(model, test, PerturbationSpec(99, "fully_random"))
 
 
 def test_importance_report_rejects_bad_options_before_any_forward(

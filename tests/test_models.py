@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enspost.autodiff as ad
-from enspost.data import (Dataset, SynthConfig, generate_synthetic,
+from enspost.data import (Dataset, SynthConfig, fit_norm, generate_synthetic,
                           standardize)
 from enspost.dist import QuantileLevels
 from enspost.errors import ConfigError, DomainError, NumericError
@@ -36,10 +36,9 @@ def _dataset(seed=0, days=12, stations=3, members=6):
 
 def _tiny_model(arch, ds, seed=0):
     cfg = ModelConfig(architecture=arch, seed=seed, **TINY)
-    std, norm = standardize(ds)
     params = init_params(cfg, ds.n_predictors, ds.n_scalars, ds.n_stations,
                          rng=np.random.default_rng(seed))
-    return NeuralModel(cfg, params, norm, ds.n_stations, ds.primary,
+    return NeuralModel(cfg, params, fit_norm(ds), ds.n_stations, ds.primary,
                        ds.predictor_names, ds.scalar_names)
 
 
@@ -108,10 +107,12 @@ def test_summary_base_values_and_invariance():
 
 def test_summary_graph_features_are_summary_base_and_scalars():
     ds = _dataset()
-    inputs = graph_inputs(ModelConfig(architecture="drn", **TINY), ds)
+    norm = fit_norm(ds)
+    inputs = graph_inputs(ModelConfig(architecture="drn", **TINY), ds, norm)
+    ens, scalars = standardize(ds, norm)
     np.testing.assert_array_equal(
         inputs["features"],
-        np.concatenate([summary_base(ds.ens, ds.primary), ds.scalars], axis=1))
+        np.concatenate([summary_base(ens, ds.primary), scalars], axis=1))
     np.testing.assert_array_equal(inputs["station"], ds.station)
 
 
@@ -146,8 +147,7 @@ def test_set_models_are_permutation_invariant(arch):
     theta = model.raw_theta(ds)
     rng = np.random.default_rng(1)
     perm = rng.permutation(ds.n_members)
-    permuted = ds.with_ens(ds.ens[:, perm])
-    theta_p = model.raw_theta(permuted)
+    theta_p = model.raw_theta(ds, ens=ds.ens[:, perm])
     rel = np.abs(theta_p - theta) / np.maximum(np.abs(theta), 1e-12)
     assert rel.max() < 1e-9
 
@@ -155,7 +155,7 @@ def test_set_models_are_permutation_invariant(arch):
 @functools.lru_cache(maxsize=None)
 def _permutation_data():
     ds = _dataset(days=3, stations=2, members=7)
-    return ds, standardize(ds)[1]
+    return ds, fit_norm(ds)
 
 
 @settings(max_examples=40)
@@ -171,7 +171,7 @@ def test_set_models_are_member_permutation_invariant_property(arch, pooling,
     model = NeuralModel(cfg, params, norm, ds.n_stations, ds.primary,
                         ds.predictor_names, ds.scalar_names)
     theta = model.raw_theta(ds)
-    permuted = model.raw_theta(ds.with_ens(ds.ens[:, list(perm)]))
+    permuted = model.raw_theta(ds, ens=ds.ens[:, list(perm)])
     # permutations only reorder sums over members: rounding-level changes
     # relative to the output scale
     assert np.max(np.abs(permuted - theta)) <= 1e-9 * np.max(np.abs(theta))
@@ -182,7 +182,7 @@ def test_summary_models_exactly_invariant():
     model = _tiny_model("drn", ds)
     perm = np.random.default_rng(2).permutation(ds.n_members)
     np.testing.assert_array_equal(model.raw_theta(ds),
-                                  model.raw_theta(ds.with_ens(ds.ens[:, perm])))
+                                  model.raw_theta(ds, ens=ds.ens[:, perm]))
 
 
 def test_emos_raw_theta_matches_per_row_forward():
@@ -259,14 +259,16 @@ def test_param_shapes_cover_init_params():
 
 def test_graph_inputs_match_architecture():
     ds = _dataset()
-    emos_in = graph_inputs(ModelConfig(architecture="emos", **TINY), ds)
+    norm = fit_norm(ds)
+    emos_in = graph_inputs(ModelConfig(architecture="emos", **TINY), ds, None)
     assert list(emos_in) == ["features"]
     assert emos_in["features"].shape == (len(ds), 2)
-    drn_in = graph_inputs(ModelConfig(architecture="drn", **TINY), ds)
+    drn_in = graph_inputs(ModelConfig(architecture="drn", **TINY), ds, norm)
     assert drn_in["features"].shape == (
         len(ds), 2 + (ds.n_predictors - 1) + ds.n_scalars)
-    set_in = graph_inputs(ModelConfig(architecture="st-drn", **TINY), ds)
-    assert set_in["ens"].shape == ds.ens.shape
+    set_in = graph_inputs(ModelConfig(architecture="st-drn", **TINY), ds,
+                          norm)
+    np.testing.assert_array_equal(set_in["ens"], standardize(ds, norm)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,8 @@ def test_adam_rejects_nonpositive_lr():
 
 
 def _loss_value(cfg, loss, ds):
-    from enspost.data import standardize
-    std, _ = standardize(ds)
-    data = std if cfg.architecture != "emos" else ds
-    inputs = dict(graph_inputs(cfg, data))
+    from enspost.data import fit_norm
+    inputs = dict(graph_inputs(cfg, ds, fit_norm(ds)))
     inputs["y"] = ds.obs
     params = init_params(cfg, ds.n_predictors, ds.n_scalars, ds.n_stations,
                          rng=np.random.default_rng(0))
