@@ -10,15 +10,27 @@ writes a manifest with SHA-256 hashes of its outputs.
 
 Exit codes: 0 success, 2 configuration/input error or out of memory, 3
 numeric failure.
+
+Memory policy: :func:`main` first fixes glibc's malloc thresholds
+(:func:`keep_freed_memory`).  Left dynamic, glibc hands the top of the heap
+back to the kernel after every set-model forward or training step, whose
+temporaries (attention scores of (n, heads, M, M)) are larger than its trim
+threshold, and the next step faults the same pages back in one by one.  With
+fixed thresholds the freed temporaries stay in the heap and are reused.
+Pool workers of ``train --workers`` inherit the setting through fork.  The
+policy applies on glibc only; elsewhere it does nothing.  ``timings.json``
+records the process's CPU time, minor page faults and peak RSS.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from collections import namedtuple
@@ -232,8 +244,21 @@ def write_manifest(out_dir, command, config, outputs, timings):
     }
     _write_json(os.path.join(out_dir, "run_manifest.json"), manifest)
     _write_json(os.path.join(out_dir, "timings.json"),
-                {"command": command, "seconds": timings})
+                {"command": command, "seconds": timings,
+                 "resources": _resource_use()})
     return manifest
+
+
+def _resource_use():
+    """CPU seconds, minor page faults and peak RSS of this process plus the
+    children it has waited for (the pool workers of ``train --workers``)."""
+    own, workers = (resource.getrusage(who) for who in (
+        resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return {"user_s": own.ru_utime + workers.ru_utime,
+            "sys_s": own.ru_stime + workers.ru_stime,
+            "minor_faults": own.ru_minflt + workers.ru_minflt,
+            # in KiB on Linux; for the children, the largest child's peak
+            "max_rss_mb": max(own.ru_maxrss, workers.ru_maxrss) / 1024.0}
 
 
 def _model_config(config):
@@ -437,6 +462,30 @@ def cmd_importance(config, out_dir):
 # Entry point
 # ---------------------------------------------------------------------------
 
+# glibc mallopt parameters (malloc.h) and the values main() fixes them at
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20   # glibc's ceiling for its dynamic one on 64-bit
+TRIM_THRESHOLD = 64 << 20   # above the live set of a set-model step
+
+
+def keep_freed_memory():
+    """Fix glibc's malloc thresholds so freed arrays stay in the heap.
+
+    Blocks up to MMAP_THRESHOLD come from the heap, and its top goes back
+    to the kernel only past TRIM_THRESHOLD of free space.  Returns the
+    ``mallopt`` results (1 on success); without ``mallopt`` (not glibc)
+    it does nothing and returns an empty list.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:
+        return []
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return [mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD),
+            mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)]
+
+
 _COMMANDS = {
     "synth": cmd_synth,
     "train": cmd_train,
@@ -470,6 +519,7 @@ def build_parser():
 
 
 def main(argv=None):
+    keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         config = load_run_config(args.config, overrides=args.sets,

@@ -12,9 +12,10 @@ forecasts and importance all build graph inputs with :func:`graph_inputs`.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -171,6 +172,53 @@ def param_shapes(config: ModelConfig, n_predictors, n_scalars, n_stations):
         "dec_w1": (h0, d_out), "dec_b1": (d_out,),
     })
     return shapes
+
+
+def _too_large(count):
+    return count * 8 > np.iinfo(np.intp).max    # float64 bytes
+
+
+def _oversized(config, dims):
+    """What holds more float64 values than NumPy indexes, the first such
+    parameter slice or else the whole vector, and its count; None if none
+    does."""
+    # counts of one attention block stand for every block, so a huge block
+    # count is never enumerated
+    shapes = param_shapes(replace(config, n_attention_blocks=1), *dims)
+    counts = {name: math.prod(int(d) for d in shape)
+              for name, shape in shapes.items()}
+    for name, count in counts.items():
+        if _too_large(count):
+            return f"parameter {name}", count
+    block = sum(n for name, n in counts.items() if name.startswith("blk0_"))
+    total = sum(counts.values()) + (config.n_attention_blocks - 1) * block
+    return ("the parameter vector", total) if _too_large(total) else None
+
+
+def check_model_size(config: ModelConfig, n_predictors, n_scalars,
+                     n_stations):
+    """ConfigError naming the model fields that make the quantile level
+    grid, a parameter slice or the parameter vector hold more bytes than
+    NumPy indexes.  Counts are Python ints, so nothing is allocated."""
+    if _too_large(config.n_quantile_levels):
+        raise ConfigError(
+            f"config field model.n_quantile_levels: {config.n_quantile_levels}"
+            " float64 levels: more bytes than NumPy indexes")
+    dims = (n_predictors, n_scalars, n_stations)
+    found = _oversized(config, dims)
+    if found is None:
+        return
+    # blame each size field whose least value moves or removes the overflow
+    least = {"embedding_dim": 1,
+             "hidden_sizes": (1,) * len(config.hidden_sizes),
+             "latent_width": config.attention_heads,
+             "n_attention_blocks": 1, "bernstein_degree": 1}
+    fields = [name for name, value in least.items() if (_oversized(
+        replace(config, **{name: value}), dims) or ("",))[0] != found[0]]
+    raise ConfigError(
+        f"config field {', '.join('model.' + f for f in fields or least)}: "
+        f"{found[0]} would hold {found[1]} float64 values: more bytes than "
+        "NumPy indexes")
 
 
 def init_params(config: ModelConfig, n_predictors, n_scalars, n_stations,
@@ -531,8 +579,11 @@ def _check_header_fields(path, header):
 
 def load_model(path):
     header, block = _read_checkpoint(path)
+    dims = (len(header["predictor_names"]), len(header["scalar_names"]),
+            header["n_stations"])
     try:
         config = ModelConfig.from_dict(header["config"])
+        check_model_size(config, *dims)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: corrupt model config ({exc})") from exc
     common = dict(norm=header["norm"], n_stations=header["n_stations"],
@@ -545,9 +596,7 @@ def load_model(path):
                               f"{len(header['cell_keys'])} EMOS cells")
         return EMOSModel(config, emos_params(block), header["cell_keys"],
                          **common)
-    layout = ParamVector.build(param_shapes(
-        config, len(header["predictor_names"]), len(header["scalar_names"]),
-        header["n_stations"])).layout
+    layout = ParamVector.build(param_shapes(config, *dims)).layout
     if header["layout"] != {name: [off, list(shape)]
                             for name, (off, shape) in layout.items()}:
         raise ConfigError(f"{path}: parameter layout does not match the "

@@ -23,8 +23,8 @@ from .dist import (TENSOR_OPS, QuantileLevels, crps_tlogis_core,
                    theta_mean_crps, theta_quantiles, tlogis_params)
 from .errors import ConfigError, ContractError, DomainError, NumericError
 from .models import (EMOSModel, ModelConfig, NeuralModel, build_graph,
-                     emos_cell_link, emos_params, eval_chunked, graph_inputs,
-                     init_params)
+                     check_model_size, emos_cell_link, emos_params,
+                     eval_chunked, graph_inputs, init_params)
 
 MIN_EMOS_CELL = 10    # station/month cells smaller than this use the global fit
 EMOS_CELL_STEPS = 80  # full-batch Adam steps of the batched cell fit
@@ -217,6 +217,8 @@ def train_model(config: ModelConfig, train: Dataset, val: Dataset):
     full-batch from the identity link, then its cells (:func:`_train_emos`).
     """
     _check_split(train, val)
+    check_model_size(config, train.n_predictors, train.n_scalars,
+                     train.n_stations)
     t0 = time.perf_counter()
     emos = config.architecture == "emos"
     norm = None if emos else fit_norm(train)

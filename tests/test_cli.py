@@ -10,9 +10,11 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +22,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import enspost
+import enspost.cli as cli
+from enspost.autodiff import ParamVector
 from enspost.cli import (apply_override, check_run_config, load_run_config,
                          main, resolve_workers, _parse_override)
 from enspost.data import SynthConfig, load_ndjson
+from enspost.dist import QuantileLevels
 from enspost.errors import ConfigError
 from enspost.importance import SUMMARY_KINDS
 from enspost.models import ModelConfig
@@ -379,6 +384,105 @@ def test_ensemble_blocks_numpy_cannot_index_exit_2(tmp_path, capsys, sets):
     assert "more bytes than NumPy indexes" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x" / "dataset.ndjson").exists()
+
+
+@pytest.mark.parametrize("sets,field", [
+    (["model.embedding_dim=100000000000000000000"], "embedding_dim"),
+    (["model.hidden_sizes=[100000000000000000000,4]"], "hidden_sizes"),
+    (["model.architecture=st-drn",
+      "model.latent_width=100000000000000000000"], "latent_width"),
+    (["model.architecture=bqn",
+      "model.bernstein_degree=100000000000000000000"], "bernstein_degree"),
+    (["model.n_quantile_levels=100000000000000000000"], "n_quantile_levels"),
+    # each layer is 1e10 wide and fits; the 1e10 x 1e10 weight between them
+    # does not
+    (["model.hidden_sizes=[10000000000,10000000000]"], "hidden_sizes"),
+])
+def test_model_sizes_numpy_cannot_index_exit_2_before_allocating(
+        tmp_path, capsys, monkeypatch, sets, field):
+    def allocate(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(ParamVector, "build", allocate)
+    monkeypatch.setattr(QuantileLevels, "equidistant", allocate)
+    out = tmp_path / "x"
+    assert _run("train", out, SYNTH_SETS + MODEL_SETS + sets) == 2
+    err = capsys.readouterr().err
+    assert f"config field model.{field}:" in err
+    assert "more bytes than NumPy indexes" in err
+    assert "Traceback" not in err
+    assert not list(out.glob("model_*.bin"))
+
+
+@pytest.mark.parametrize("command,sets", [
+    ("synth", SYNTH_SETS),
+    ("train", SYNTH_SETS + MODEL_SETS + ["train.pool_size=1"]),
+])
+def test_timings_record_resource_use(tmp_path, command, sets):
+    assert _run(command, tmp_path, sets) == 0
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    resources = timings["resources"]
+    assert sorted(resources) == ["max_rss_mb", "minor_faults", "sys_s",
+                                 "user_s"]
+    assert type(resources["minor_faults"]) is int
+    for key in ("max_rss_mb", "sys_s", "user_s"):
+        assert type(resources[key]) is float and resources[key] >= 0
+    assert resources["max_rss_mb"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Malloc policy
+# ---------------------------------------------------------------------------
+
+
+class _Mallopt:
+    """Records its (param, value) calls; returns 1 like glibc's mallopt."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_keep_freed_memory_fixes_both_glibc_thresholds(monkeypatch):
+    mallopt = _Mallopt()
+    monkeypatch.setattr(cli.ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert cli.keep_freed_memory() == [1, 1]
+    # glibc's M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD is -1
+    (mmap, mmap_bytes), (trim, trim_bytes) = mallopt.calls
+    assert (mmap, mmap_bytes) == (-3, 32 << 20)
+    assert trim == -1 and trim_bytes >= 64 << 20
+
+
+def test_keep_freed_memory_without_mallopt_does_nothing(monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace())
+    assert cli.keep_freed_memory() == []
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_main_fixes_the_malloc_policy_before_dispatch(tmp_path, monkeypatch,
+                                                      command):
+    events = []
+
+    def dispatched(*args, **kwargs):
+        """Record the dispatch."""
+        events.append(command)
+        return 0
+
+    monkeypatch.setattr(cli, "keep_freed_memory",
+                        lambda: events.append("policy"))
+    monkeypatch.setitem(cli._COMMANDS, command, dispatched)
+    assert _run(command, tmp_path / "x") == 0
+    assert events == ["policy", command]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+def test_keep_freed_memory_succeeds_on_glibc():
+    assert cli.keep_freed_memory() == [1, 1]
 
 
 class _ArrayMemoryError(MemoryError):

@@ -19,9 +19,9 @@ from enspost.dist import QuantileLevels
 from enspost.errors import ConfigError, DomainError, NumericError
 from enspost.models import (ARCHITECTURES, POOLING_KINDS, EMOSModel,
                             ModelConfig, NeuralModel, build_graph,
-                            emos_params, graph_inputs, init_params,
-                            load_model, param_shapes, save_model,
-                            summary_base)
+                            check_model_size, emos_params, graph_inputs,
+                            init_params, load_model, param_shapes,
+                            save_model, summary_base)
 from oracles import emos_forward
 
 TINY = dict(hidden_sizes=(6, 5), latent_width=8, attention_heads=2,
@@ -257,6 +257,31 @@ def test_param_shapes_cover_init_params():
         assert set(params.layout) == set(shapes)
 
 
+@pytest.mark.parametrize("arch,sizes,message", [
+    # one block fits; 1e20 of them do not, and none is enumerated
+    ("st-drn", dict(n_attention_blocks=10**20),
+     "model.n_attention_blocks: the parameter vector would hold"),
+    # each field alone fits, w0 of (2e9 + 4) x 2e9 values does not
+    ("drn", dict(embedding_dim=2 * 10**9, hidden_sizes=(2 * 10**9, 4)),
+     "model.embedding_dim, model.hidden_sizes: parameter w0 would hold"),
+    # the station embedding is the first slice past the limit
+    ("st-drn", dict(embedding_dim=10**20, latent_width=10**20),
+     "field model.embedding_dim: parameter emb would hold"),
+])
+def test_check_model_size_names_the_fields_past_the_limit(arch, sizes,
+                                                          message):
+    cfg = ModelConfig(architecture=arch, **{**TINY, **sizes})
+    with pytest.raises(ConfigError, match=message):
+        check_model_size(cfg, 4, 1, 3)
+
+
+def test_check_model_size_accepts_models_numpy_can_index():
+    for arch in ARCHITECTURES:
+        check_model_size(ModelConfig(architecture=arch, **TINY), 4, 1, 3)
+    # 1e8 x 10 values fit in an index, whatever memory holds
+    check_model_size(ModelConfig(embedding_dim=10**8), 4, 1, 10)
+
+
 def test_graph_inputs_match_architecture():
     ds = _dataset()
     norm = fit_norm(ds)
@@ -397,7 +422,9 @@ def test_load_model_rejects_non_finite_blocks_and_bad_header_fields(tmp_path):
                           norm["ens_mean"])}),
                       ("layout", {**header["layout"], "b0": [0, [6]]}),
                       ("config", {**header["config"], "hidden_sizes": [6, 4]}),
-                      ("config", ["ab"]), ("config", ["abc"])]
+                      ("config", ["ab"]), ("config", ["abc"]),
+                      ("config", {**header["config"],
+                                  "embedding_dim": 10**20})]
         for key, value in cases:
             _write_checkpoint(bad, {**header, key: value}, block)
             with pytest.raises(ConfigError):
