@@ -3,10 +3,10 @@
 The engine is deliberately small: it supports exactly the primitives needed
 for MLPs, set attention and the scoring-rule losses used elsewhere in this
 package (affine maps, elementwise arithmetic, softplus/exp/log/tanh/
-sigmoid, softmax, mean/max/min reductions, concatenation and embedding
-lookup), plus one fused multi-head ``attention`` op with a hand-written
-backward.  Everything is eager: calling an op both computes the forward
-value and records the adjoint closure on a tape implied by the parent links.
+sigmoid, mean/max/min reductions, concatenation and embedding lookup),
+plus one fused multi-head ``attention`` op with a hand-written backward.
+Everything is eager: calling an op both computes the forward value and
+records the adjoint closure on a tape implied by the parent links.
 A node stores the first gradient it receives as is and adds later ones out
 of place, so backward closures never write into their incoming gradient.
 A graph is a plain function ``fn(params, inputs) -> Tensor``: only the
@@ -353,21 +353,6 @@ def trunc_tail(a):
     y = _trunc_tail_value(a.value)
     out = Tensor(y, (a,), op="trunc_tail")
     out._backward = lambda g: a._accumulate(g * (2.0 * _sigmoid(a.value) * y - 1.0))
-    return out
-
-
-def softmax(a, axis=-1):
-    a = _wrap(a)
-    z = a.value - a.value.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, (a,), op="softmax")
-
-    def backward(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        a._accumulate(y * (g - inner))
-
-    out._backward = backward
     return out
 
 

@@ -44,7 +44,7 @@ from .evaluation import (nominal_pi_level, pit_csv, raw_eps_report,
                          report_table)
 from .importance import (DEFAULT_BINS, SUMMARY_KINDS, derive_seed,
                          importance_report, preservation_csv)
-from .models import ModelConfig, load_model, save_model
+from .models import ModelConfig, _too_large, load_model, save_model
 from .train import ModelPool, resample_and_score, train_pool
 
 # A field's check: a predicate and what it expects, for the error message.
@@ -86,7 +86,11 @@ RUN_CONFIG_CHECKS = {
     "model": _fields(ModelConfig, seed=0),
     "train": {"pool_size": _integer(1)},
     "eval": {"checkpoints": _STRING, "draw_size": _integer(1),
-             "reps": _integer(1), "pit_bins": _integer(2),
+             "reps": _integer(1),
+             "pit_bins": _Check(lambda v: (type(v) is int and v >= 2
+                                           and not _too_large(v + 1)),
+                                "an integer >= 2 whose bins + 1 float64 "
+                                "edges NumPy can index"),
              "level": _Check(lambda v: _is_real(v) and 0 < v < 1,
                              "a number strictly between 0 and 1")},
     "importance": {
@@ -188,16 +192,8 @@ def load_run_config(path, overrides=(), seed=None, out=None):
 
 
 def resolve_workers(flag_value):
-    """--workers flag, else ENSPOST_WORKERS env var, else 1."""
-    if flag_value is not None:
-        return max(1, flag_value)
-    env = os.environ.get("ENSPOST_WORKERS")
-    if env is None:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ConfigError(f"ENSPOST_WORKERS must be an integer, got {env!r}")
+    """--workers flag, at least 1; 1 without the flag."""
+    return 1 if flag_value is None else max(1, flag_value)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +505,7 @@ def build_parser():
                               "paths, JSON-parsed values)")
         cmd.add_argument("--workers", type=int, default=None,
                          help="parallel training workers, used by train "
-                              "only (default: ENSPOST_WORKERS env var, "
-                              "else 1)")
+                              "only (default 1)")
         cmd.add_argument("--out", default=None,
                          help="output directory (default from config)")
         cmd.add_argument("--seed", type=int, default=None,

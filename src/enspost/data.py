@@ -321,6 +321,9 @@ class SynthConfig:
                               "9999-12-31")
         if self.members < 2:
             raise ConfigError("members must be >= 2")
+        if not _is_int(self.lead_hours):    # the loader's rule for "lead"
+            raise ConfigError(f"lead_hours must be a 64-bit integer, got "
+                              f"{self.lead_hours}")
         size = self.days * self.stations * self.members * len(PREDICTOR_NAMES)
         if size * 8 > np.iinfo(np.intp).max:   # the float64 ensemble block
             raise ConfigError(f"days x stations x members x predictors = {size}"

@@ -92,30 +92,39 @@ class QuantileLevels:
         return self.levels.size
 
 
-class _NumpyOps:
-    """Shared arithmetic shim so one formula serves numpy and Tensors."""
-
-    softplus = staticmethod(lambda x: np.logaddexp(0.0, x))
-    sigmoid = staticmethod(ad._sigmoid)
-    exp = staticmethod(np.exp)
-    trunc_tail = staticmethod(ad._trunc_tail_value)
-    where = staticmethod(np.where)
-    value = staticmethod(np.asarray)
-    concat = staticmethod(lambda parts: np.concatenate(parts, axis=-1))
+# One formula serves NumPy arrays and autodiff Tensors: each primitive below
+# builds a tape node when an argument is a Tensor and is plain NumPy
+# otherwise.  The autodiff op is looked up when called.
 
 
-class _TensorOps:
-    softplus = staticmethod(ad.softplus)
-    sigmoid = staticmethod(ad.sigmoid)
-    exp = staticmethod(ad.exp)
-    trunc_tail = staticmethod(ad.trunc_tail)
-    where = staticmethod(ad.where)
-    value = staticmethod(lambda x: x.value if isinstance(x, ad.Tensor) else np.asarray(x))
-    concat = staticmethod(lambda parts: ad.concat(parts, axis=-1))
+def _softplus(x):
+    return ad.softplus(x) if isinstance(x, ad.Tensor) else np.logaddexp(0.0, x)
 
 
-NUMPY_OPS = _NumpyOps()
-TENSOR_OPS = _TensorOps()
+def _exp(x):
+    return ad.exp(x) if isinstance(x, ad.Tensor) else np.exp(x)
+
+
+def _trunc_tail(x):
+    if isinstance(x, ad.Tensor):
+        return ad.trunc_tail(x)
+    return ad._trunc_tail_value(x)
+
+
+def _where(cond, a, b):
+    if isinstance(a, ad.Tensor) or isinstance(b, ad.Tensor):
+        return ad.where(cond, a, b)
+    return np.where(cond, a, b)
+
+
+def _concat(parts):
+    if any(isinstance(p, ad.Tensor) for p in parts):
+        return ad.concat(parts, axis=-1)
+    return np.concatenate(parts, axis=-1)
+
+
+def _value(x):
+    return x.value if isinstance(x, ad.Tensor) else np.asarray(x)
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +149,17 @@ def bernstein_basis(degree, p):
     return binom * pe**nu * (1.0 - pe) ** (degree - nu)
 
 
-def bqn_coefficients(theta, ops=NUMPY_OPS):
+def bqn_coefficients(theta):
     """Map raw outputs to non-decreasing coefficients.
 
     ``alpha_0 = theta_0`` and ``alpha_v = alpha_{v-1} + softplus(theta_v)``
     for v >= 1, as increments times upper-triangular ones.  Works on
-    trailing axes; ``ops=TENSOR_OPS`` builds it for the training loss.
+    trailing axes; a Tensor ``theta`` builds it for the training loss.
     """
-    if ops is NUMPY_OPS:
+    if not isinstance(theta, ad.Tensor):
         theta = np.asarray(theta, dtype=np.float64)
-    increments = ops.concat([theta[..., :1], ops.softplus(theta[..., 1:])])
-    size = ops.value(theta).shape[-1]
+    increments = _concat([theta[..., :1], _softplus(theta[..., 1:])])
+    size = _value(theta).shape[-1]
     return increments @ np.triu(np.ones((size, size)))
 
 
@@ -166,9 +175,9 @@ def bqn_quantile(dist: BernsteinQuantile, p):
 # ---------------------------------------------------------------------------
 
 
-def tlogis_params(theta, ops=NUMPY_OPS):
+def tlogis_params(theta):
     """Location and scale of raw (..., 2) outputs: identity and softplus."""
-    return theta[..., 0], ops.softplus(theta[..., 1]) + SCALE_FLOOR
+    return theta[..., 0], _softplus(theta[..., 1]) + SCALE_FLOOR
 
 
 def tlogis_map(theta):
@@ -180,7 +189,7 @@ def tlogis_map(theta):
 _TRUNC_CLAMP = 300.0  # switch to the deep-truncation limit beyond this
 
 
-def crps_tlogis_core(mu, sigma, y, lower, ops=NUMPY_OPS):
+def crps_tlogis_core(mu, sigma, y, lower):
     """Closed-form CRPS of a left-truncated logistic distribution.
 
     With standardized observation u (clamped below at the standardized
@@ -201,18 +210,18 @@ def crps_tlogis_core(mu, sigma, y, lower, ops=NUMPY_OPS):
     """
     y_std = (y - mu) / sigma
     lb = (lower - mu) / sigma
-    above = ops.value(y_std) > ops.value(lb)
-    t = ops.where(above, y_std - lb, 0.0 * y_std)
-    deep = ops.value(lb) >= _TRUNC_CLAMP
+    above = _value(y_std) > _value(lb)
+    t = _where(above, y_std - lb, 0.0 * y_std)
+    deep = _value(lb) >= _TRUNC_CLAMP
     # direct branch, on arguments capped so e^{SP(lb)} cannot overflow
-    lb_c = ops.where(deep, _TRUNC_CLAMP + 0.0 * lb, lb)
-    amp = ops.exp(ops.softplus(lb_c))
-    mid_direct = 2.0 * amp * (ops.softplus(-(lb_c + t)) - ops.softplus(-lb_c))
-    mid_limit = 2.0 * (ops.exp(-t) - 1.0)
-    mid = ops.where(deep, mid_limit, mid_direct)
-    core = t + mid + ops.trunc_tail(lb_c)
-    below_obs = ops.value(y) < lower
-    below = ops.where(below_obs, (lower - y) / sigma, 0.0 * y_std)
+    lb_c = _where(deep, _TRUNC_CLAMP + 0.0 * lb, lb)
+    amp = _exp(_softplus(lb_c))
+    mid_direct = 2.0 * amp * (_softplus(-(lb_c + t)) - _softplus(-lb_c))
+    mid_limit = 2.0 * (_exp(-t) - 1.0)
+    mid = _where(deep, mid_limit, mid_direct)
+    core = t + mid + _trunc_tail(lb_c)
+    below_obs = _value(y) < lower
+    below = _where(below_obs, (lower - y) / sigma, 0.0 * y_std)
     return sigma * (core + below)
 
 
@@ -233,9 +242,8 @@ def tlogis_cdf(dist: TruncLogistic, y):
     accurate however much mass the truncation removes."""
     u = (np.asarray(y, dtype=np.float64) - dist.location) / dist.scale
     lb = (dist.lower - dist.location) / dist.scale
-    softplus = NUMPY_OPS.softplus
     # log survival ratio, capped at 0 below the bound; "0.0 -" returns +0.0
-    log_ratio = np.minimum(softplus(lb) - softplus(u), 0.0)
+    log_ratio = np.minimum(_softplus(lb) - _softplus(u), 0.0)
     return _scalar_or_array(0.0 - np.expm1(log_ratio))
 
 
@@ -248,7 +256,7 @@ def tlogis_quantile(dist: TruncLogistic, p):
         tlogis_quantile_core(dist.location, dist.scale, p, dist.lower))
 
 
-def tlogis_quantile_core(mu, sigma, p, lower=0.0, ops=NUMPY_OPS):
+def tlogis_quantile_core(mu, sigma, p, lower=0.0):
     """Inverse CDF of the truncated logistic, broadcasting (mu, sigma) over p.
 
     With lb = (lower - mu) / sigma the truncated level p maps to the base
@@ -259,7 +267,7 @@ def tlogis_quantile_core(mu, sigma, p, lower=0.0, ops=NUMPY_OPS):
     returns +inf.
     """
     lb = (lower - mu) / sigma
-    return lower + sigma * (ops.softplus(-lb + np.log(p)) - np.log1p(-p))
+    return lower + sigma * (_softplus(-lb + np.log(p)) - np.log1p(-p))
 
 
 # ---------------------------------------------------------------------------
@@ -290,20 +298,19 @@ def level_grid(levels):
     return np.asarray(levels, dtype=np.float64)
 
 
-def theta_quantiles(theta, family, levels, ops=NUMPY_OPS):
+def theta_quantiles(theta, family, levels):
     """(n, K) quantile matrix of raw outputs at the given levels.
 
     ``family`` is "tlogis" (theta holds location and raw scale) or "bqn"
-    (theta holds the raw Bernstein coefficients of degree D - 1).
-    ``ops=TENSOR_OPS`` builds the same matrix for the training losses.
+    (theta holds the raw Bernstein coefficients of degree D - 1).  A Tensor
+    ``theta`` builds the same matrix for the training losses.
     """
     levels = level_grid(levels)
     if family == "tlogis":
-        mu, sigma = tlogis_params(theta, ops)
-        return tlogis_quantile_core(mu[:, None], sigma[:, None], levels,
-                                    ops=ops)
-    degree = ops.value(theta).shape[1] - 1
-    return bqn_coefficients(theta, ops) @ bernstein_basis(degree, levels).T
+        mu, sigma = tlogis_params(theta)
+        return tlogis_quantile_core(mu[:, None], sigma[:, None], levels)
+    degree = _value(theta).shape[1] - 1
+    return bqn_coefficients(theta) @ bernstein_basis(degree, levels).T
 
 
 def theta_mean_crps(theta, obs, family, levels):

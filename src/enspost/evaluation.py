@@ -68,18 +68,6 @@ def pi_bounds(forecast, level):
     raise DomainError(f"unsupported forecast type {type(forecast).__name__}")
 
 
-def ensemble_pit(values, y, rng):
-    """Unified PIT of an observation against an empirical forecast.
-
-    Rank position among the values, uniformly randomized across ties, mapped
-    to (0, 1) by the (M+1) convention.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    below = int(np.count_nonzero(values < y))
-    ties = int(np.count_nonzero(values == y))
-    return (below + rng.uniform() * (1 + ties)) / (values.size + 1.0)
-
-
 def _checked(batch_shape, observations, level):
     """Validated (observations, level) of one evaluation call."""
     observations = np.asarray(observations, dtype=np.float64)
@@ -186,18 +174,14 @@ def model_mean_crps(model, dataset: Dataset, ens=None):
         QuantileLevels.equidistant(model.config.n_quantile_levels))
 
 
-def raw_eps_report(dataset: Dataset, primary=None, level=None, pit_bins=20,
-                   rng=None):
+def raw_eps_report(dataset: Dataset, level=None, pit_bins=20, rng=None):
     """Score the raw primary ensemble itself (the EPS baseline row).
 
     The sorted members are a quantile forecast at the order-statistic levels
     k/(M+1); at the nominal (M-1)/(M+1) level the PI is exactly the ensemble
     range.  PIT is the randomized rank position.
     """
-    primary = dataset.primary if primary is None else int(primary)
-    if not 0 <= primary < dataset.n_predictors:
-        raise DomainError("primary predictor index out of range")
-    members = np.sort(dataset.ens[:, :, primary], axis=1)
+    members = np.sort(dataset.ens[:, :, dataset.primary], axis=1)
     m = members.shape[1]
     level = float(nominal_pi_level(m)) if level is None else level
     return evaluate_quantiles(members, dataset.obs, level,

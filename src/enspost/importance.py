@@ -125,16 +125,15 @@ def conditional_bins(stat_values, bins):
 
     Unique values are ranked ascending and cut into contiguous runs of
     ``ceil(U/B)``; samples sharing a value share a bin.  Returns
-    ``(bin_ids, n_bins, collapsed)`` where ``collapsed`` flags B exceeding
-    the number of unique values.
+    ``(bin_ids, n_bins)``; n_bins is below B when B exceeds the number of
+    unique values.
     """
     if bins < 1:
         raise ConfigError("need at least one bin")
     uniq, inverse = np.unique(np.asarray(stat_values), return_inverse=True)
-    n_unique = uniq.size
-    run = -(-n_unique // bins)  # ceil
+    run = -(-uniq.size // bins)  # ceil
     bin_ids = inverse // run
-    return bin_ids, int(bin_ids.max()) + 1, bins > n_unique
+    return bin_ids, int(bin_ids.max()) + 1
 
 
 def perturb(col, spec: PerturbationSpec):
@@ -157,7 +156,7 @@ def perturb(col, spec: PerturbationSpec):
     if spec.kind == "rank_aware":
         return _rank_aware_transplant(col, rng.permutation(t))
     stat = summary_statistic(col, spec.statistic)
-    bin_ids, n_bins, _ = conditional_bins(stat, spec.bins)
+    bin_ids, n_bins = conditional_bins(stat, spec.bins)
     donor_perm = np.arange(t)
     for b in range(n_bins):
         members = np.nonzero(bin_ids == b)[0]

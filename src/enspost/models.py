@@ -234,13 +234,13 @@ def init_params(config: ModelConfig, n_predictors, n_scalars, n_stations,
 # ---------------------------------------------------------------------------
 
 
-def mlp_forward(x, P, prefix, n_layers, activation=ad.tanh):
+def mlp_forward(x, P, prefix, n_layers):
     """Affine stack with tanh hidden activations and a linear output."""
     h = x
     for i in range(n_layers):
         h = ad.linear(h, P[f"{prefix}w{i}"], P[f"{prefix}b{i}"])
         if i < n_layers - 1:
-            h = activation(h)
+            h = ad.tanh(h)
     return h
 
 

@@ -17,10 +17,11 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
+from . import evaluation
 from .autodiff import ParamVector
 from .data import Dataset, fit_norm
-from .dist import (TENSOR_OPS, QuantileLevels, crps_tlogis_core,
-                   theta_mean_crps, theta_quantiles, tlogis_params)
+from .dist import (QuantileLevels, crps_tlogis_core, theta_mean_crps,
+                   theta_quantiles, tlogis_params)
 from .errors import ConfigError, ContractError, DomainError, NumericError
 from .models import (EMOSModel, ModelConfig, NeuralModel, build_graph,
                      check_model_size, emos_cell_link, emos_params,
@@ -72,11 +73,9 @@ def loss_graph(config: ModelConfig, loss=None):
     def fn(P, I):
         theta = base(P, I)
         if loss == "crps" and config.family == "tlogis":
-            mu, sigma = tlogis_params(theta, ops=TENSOR_OPS)
-            return ad.mean(crps_tlogis_core(mu, sigma, I["y"], 0.0,
-                                            ops=TENSOR_OPS))
-        quantiles = theta_quantiles(theta, config.family, levels,
-                                    ops=TENSOR_OPS)
+            mu, sigma = tlogis_params(theta)
+            return ad.mean(crps_tlogis_core(mu, sigma, I["y"], 0.0))
+        quantiles = theta_quantiles(theta, config.family, levels)
         if loss == "quantile_score":
             return _pinball_mean(quantiles, I["y"], levels)
         return _crps_sample_mean(quantiles, I["y"])
@@ -264,8 +263,8 @@ def _fit_cells(config, table, features, obs, cell):
               "weight": 1.0 / np.bincount(cell)[cell]}
 
     def loss(P, I):
-        mu, sigma = tlogis_params(emos_cell_link(P, I), ops=TENSOR_OPS)
-        crps = crps_tlogis_core(mu, sigma, I["y"], 0.0, ops=TENSOR_OPS)
+        mu, sigma = tlogis_params(emos_cell_link(P, I))
+        crps = crps_tlogis_core(mu, sigma, I["y"], 0.0)
         return ad._sum(crps * I["weight"])
 
     optimizer = Adam(table.size, config.learning_rate)
@@ -378,7 +377,6 @@ def resample_and_score(pool: ModelPool, test: Dataset, k=10, reps=50,
     EvaluationReports and a summary dict (mean/min/max/spread of the mean
     CRPS across draws).
     """
-    from .evaluation import evaluate_quantiles, nominal_pi_level
     if not 1 <= k <= len(pool):
         raise DomainError(f"draw size {k} outside 1..{len(pool)} (pool size)")
     if reps < 1:
@@ -386,7 +384,7 @@ def resample_and_score(pool: ModelPool, test: Dataset, k=10, reps=50,
     rng = rng if rng is not None else np.random.default_rng(0)
     levels = QuantileLevels.equidistant(pool.config.n_quantile_levels)
     if level is None:
-        level = float(nominal_pi_level(test.n_members))
+        level = float(evaluation.nominal_pi_level(test.n_members))
 
     stack = np.empty((len(pool), len(test), len(levels)))
     for i, model in enumerate(pool.models):
@@ -397,9 +395,9 @@ def resample_and_score(pool: ModelPool, test: Dataset, k=10, reps=50,
         total = stack[idx[0]].copy()
         for i in idx[1:]:   # in draw order, as np.mean of the drawn list
             total += stack[i]
-        reports.append(evaluate_quantiles(total / k, test.obs, level,
-                                          levels=levels, pit_bins=pit_bins,
-                                          rng=rng))
+        reports.append(evaluation.evaluate_quantiles(
+            total / k, test.obs, level, levels=levels, pit_bins=pit_bins,
+            rng=rng))
     scores = np.array([r.mean_crps for r in reports])
     summary = {
         "mean_crps": float(scores.mean()),

@@ -271,6 +271,22 @@ def central_difference(f, x, h=1e-6):
     return grad
 
 
+def softmax(a, axis=-1):
+    """Softmax along ``axis`` as one autodiff tape node."""
+    a = ad._wrap(a)
+    z = a.value - a.value.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=axis, keepdims=True)
+    out = ad.Tensor(y, (a,), op="softmax")
+
+    def backward(g):
+        inner = (g * y).sum(axis=axis, keepdims=True)
+        a._accumulate(y * (g - inner))
+
+    out._backward = backward
+    return out
+
+
 def multihead_attention_ref(queries, keys, values, wq, wk, wv, wo, heads):
     """Multi-head softmax attention composed from autodiff primitives.
 
@@ -288,14 +304,26 @@ def multihead_attention_ref(queries, keys, values, wq, wk, wv, wo, heads):
 
     q, k, v = split(queries @ wq), split(keys @ wk), split(values @ wv)
     scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(lw / heads))
-    mixed = ad.softmax(scores, axis=-1) @ v
+    mixed = softmax(scores, axis=-1) @ v
     n, _, n_q, _ = mixed.value.shape
     return ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (n, n_q, lw)) @ wo
 
 
 # ---------------------------------------------------------------------------
-# Calibration oracle
+# Calibration oracles
 # ---------------------------------------------------------------------------
+
+
+def ensemble_pit(values, y, rng):
+    """Unified PIT of an observation against an empirical forecast.
+
+    Rank position among the values, uniformly randomized across ties, mapped
+    to (0, 1) by the (M+1) convention.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    below = int(np.count_nonzero(values < y))
+    ties = int(np.count_nonzero(values == y))
+    return (below + rng.uniform() * (1 + ties)) / (values.size + 1.0)
 
 
 def multinomial_band(n, bins, n_sigma=4.0):
@@ -373,7 +401,9 @@ RUN_CONFIG_SCHEMA = {
                 "checkpoints": {"type": "string"},
                 "draw_size": {"type": "integer", "minimum": 1},
                 "reps": {"type": "integer", "minimum": 1},
-                "pit_bins": {"type": "integer", "minimum": 2},
+                "pit_bins": {"type": "integer", "minimum": 2,
+                             # bins + 1 float64 edges NumPy can index
+                             "maximum": np.iinfo(np.intp).max // 8 - 1},
                 "level": {"type": "number",
                           "exclusiveMinimum": 0, "exclusiveMaximum": 1},
             },

@@ -200,17 +200,10 @@ def test_checker_agrees_with_the_reference_schema(config):
     assert accepted == _STRICT_REFERENCE.is_valid(config)
 
 
-def test_resolve_workers_flag_env_default(monkeypatch):
-    monkeypatch.delenv("ENSPOST_WORKERS", raising=False)
+def test_resolve_workers_flag_env_default():
     assert resolve_workers(None) == 1
     assert resolve_workers(4) == 4
     assert resolve_workers(0) == 1          # clamped to at least one
-    monkeypatch.setenv("ENSPOST_WORKERS", "3")
-    assert resolve_workers(None) == 3
-    assert resolve_workers(2) == 2          # flag wins over the env var
-    monkeypatch.setenv("ENSPOST_WORKERS", "many")
-    with pytest.raises(ConfigError):
-        resolve_workers(None)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +360,40 @@ def test_days_past_the_last_iso_date_exit_2(tmp_path, capsys, days):
     assert _run("synth", tmp_path / "x", [f"synth.days={days}"]) == 2
     assert "days must be at most 2916096" in capsys.readouterr().err
     assert not (tmp_path / "x" / "dataset.ndjson").exists()
+
+
+@pytest.mark.parametrize("lead", [2**63, -2**63 - 1, 10**20])
+def test_lead_hours_outside_64_bits_exit_2(tmp_path, capsys, lead):
+    # the NDJSON loader refuses such a "lead", so synth must not write it
+    assert _run("synth", tmp_path / "x", [f"synth.lead_hours={lead}"]) == 2
+    err = capsys.readouterr().err
+    assert "lead_hours must be a 64-bit integer" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x" / "dataset.ndjson").exists()
+
+
+def test_largest_lead_hours_round_trip_through_train(tmp_path):
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", synth_dir,
+                SYNTH_SETS + [f"synth.lead_hours={2**63 - 1}"]) == 0
+    data = synth_dir / "dataset.ndjson"
+    assert load_ndjson(data).lead_hours == 2**63 - 1
+    assert _run("train", tmp_path / "train",
+                [f'data.path="{data}"'] + MODEL_SETS
+                + ["train.pool_size=1"]) == 0
+
+
+@pytest.mark.parametrize("bins", [10**20, 2**60 - 1])
+def test_pit_bins_numpy_cannot_index_exit_2(tmp_path, capsys, bins):
+    # 2**60 - 1 bins have 2**60 edges of 8 bytes: one byte past what NumPy
+    # indexes; 2**60 - 2 bins pass the check
+    assert _run("evaluate", tmp_path / "x",
+                SYNTH_SETS + [f"eval.pit_bins={bins}"]) == 2
+    err = capsys.readouterr().err
+    assert "config field eval.pit_bins:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+    assert load_run_config(None, overrides=[f"eval.pit_bins={2**60 - 2}"])
 
 
 @pytest.mark.parametrize("sets", [

@@ -1,5 +1,6 @@
 """Unit tests for forecast distributions and scoring rules."""
 
+import inspect
 import math
 
 import numpy as np
@@ -171,8 +172,7 @@ def test_crps_tlogis_differentiable_core_matches_numpy_core():
     sigma = rng.uniform(0.2, 3, size=8)
     y = rng.normal(5, 4, size=8)
     plain = dist.crps_tlogis_core(mu, sigma, y, 0.0)
-    tens = dist.crps_tlogis_core(ad.Tensor(mu), ad.Tensor(sigma), y, 0.0,
-                                 ops=dist.TENSOR_OPS)
+    tens = dist.crps_tlogis_core(ad.Tensor(mu), ad.Tensor(sigma), y, 0.0)
     np.testing.assert_allclose(tens.value, plain, rtol=1e-14)
 
 
@@ -234,10 +234,54 @@ def test_tlogis_quantile_core_serves_tensors_and_numpy_alike():
     sigma = rng.uniform(0.1, 3.0, size=(6, 1))
     p = dist.QuantileLevels.equidistant(9).levels
     plain = dist.tlogis_quantile_core(mu, sigma, p)
-    tens = dist.tlogis_quantile_core(ad.Tensor(mu), ad.Tensor(sigma), p,
-                                     ops=dist.TENSOR_OPS)
+    tens = dist.tlogis_quantile_core(ad.Tensor(mu), ad.Tensor(sigma), p)
     # Tensor division multiplies by a reciprocal, so the last bit may move
     np.testing.assert_allclose(tens.value, plain, rtol=1e-14)
+
+
+def _numpy_path_results():
+    rng = np.random.default_rng(8)
+    levels = dist.QuantileLevels.equidistant(9)
+    y = rng.normal(2, 2, size=5)
+    tlogis, bqn = rng.normal(2, 2, size=(5, 2)), rng.normal(0, 1, size=(5, 4))
+    forecast = dist.tlogis_map(tlogis)
+    # deep truncation (lb past 300) and an observation below the bound
+    deep = dist.TruncLogistic(np.array([-400.0, 1.0]), np.array([1.0, 1.0]))
+    return [dist.theta_mean_crps(tlogis, y, "tlogis", levels),
+            dist.theta_mean_crps(bqn, y, "bqn", levels),
+            dist.theta_quantiles(tlogis, "tlogis", levels),
+            dist.theta_quantiles(bqn, "bqn", levels),
+            dist.crps_tlogis(forecast, y), dist.tlogis_cdf(forecast, y),
+            dist.tlogis_quantile(forecast, 0.3),
+            dist.crps_tlogis(deep, np.array([2.0, -1.0]))]
+
+
+def test_numpy_inputs_touch_no_autodiff_op(monkeypatch):
+    expected = _numpy_path_results()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an autodiff op ran on NumPy inputs")
+
+    # every public function of the module, and building any Tensor
+    for name, value in vars(ad).items():
+        if (inspect.isfunction(value) and not name.startswith("_")
+                and value.__module__ == ad.__name__):
+            monkeypatch.setattr(ad, name, refuse)
+    monkeypatch.setattr(ad.Tensor, "__init__", refuse)
+    for got, want in zip(_numpy_path_results(), expected, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_tensor_inputs_build_tensors():
+    rng = np.random.default_rng(9)
+    mu, sigma = rng.normal(5, 3, size=6), rng.uniform(0.2, 3, size=6)
+    y = rng.normal(5, 4, size=6)
+    crps = dist.crps_tlogis_core(ad.Tensor(mu), ad.Tensor(sigma), y, 0.0)
+    assert isinstance(crps, ad.Tensor)
+    theta = rng.normal(0, 1, size=(6, 5))
+    alpha = dist.bqn_coefficients(ad.Tensor(theta))
+    assert isinstance(alpha, ad.Tensor)
+    np.testing.assert_array_equal(alpha.value, dist.bqn_coefficients(theta))
 
 
 def test_theta_core_matches_per_forecast_objects():

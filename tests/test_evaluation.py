@@ -13,11 +13,11 @@ from enspost.dist import (BernsteinQuantile, QuantileLevels, TruncLogistic,
                           crps_sample_batch, crps_tlogis, tlogis_cdf,
                           tlogis_map, tlogis_quantile)
 from enspost.errors import ContractError, DomainError
-from enspost.evaluation import (EvaluationReport, ensemble_pit, evaluate,
+from enspost.evaluation import (EvaluationReport, evaluate,
                                 evaluate_quantiles, model_mean_crps,
                                 nominal_pi_level, pi_bounds, pit_csv,
                                 raw_eps_report, report_table)
-from oracles import crps_sample, crps_tlogis_quad
+from oracles import crps_sample, crps_tlogis_quad, ensemble_pit
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +308,6 @@ def test_raw_eps_report_nominal_interval_is_ensemble_range():
     members = np.sort(ds.ens[:, :, ds.primary], axis=1)
     expected = np.mean(members[:, -1] - members[:, 0])
     assert rep.mean_pi_length == pytest.approx(expected)
-    with pytest.raises(DomainError):
-        raw_eps_report(ds, primary=99)
 
 
 def test_raw_eps_report_is_evaluate_quantiles_on_sorted_members():

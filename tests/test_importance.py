@@ -70,12 +70,12 @@ def test_perturbation_spec_validation():
 
 def test_conditional_bins_rank_unique_values():
     stat = np.array([3.0, 1.0, 1.0, 2.0, 5.0, 4.0])   # 5 unique values
-    bin_ids, n_bins, collapsed = conditional_bins(stat, bins=2)
+    bin_ids, n_bins = conditional_bins(stat, bins=2)
     # runs of ceil(5/2)=3 unique values: {1,2,3} then {4,5}
     np.testing.assert_array_equal(bin_ids, [0, 0, 0, 0, 1, 1])
-    assert n_bins == 2 and not collapsed
-    ids2, n2, collapsed2 = conditional_bins(stat, bins=100)
-    assert collapsed2 and n2 == 5      # every unique value its own bin
+    assert n_bins == 2
+    ids2, n2 = conditional_bins(stat, bins=100)
+    assert n2 == 5                     # every unique value its own bin
     assert ids2[1] == ids2[2]          # ties always share a bin
     for bins in (0, -3):
         with pytest.raises(ConfigError, match="bin"):
