@@ -22,6 +22,8 @@ import datetime
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -119,6 +121,7 @@ class Dataset:
 
 
 _FIELDS = ("time", "station", "lead", "obs", "ens", "scalars")
+_FIELD_GETTER = itemgetter(*_FIELDS)
 
 
 def _is_real(value):
@@ -164,6 +167,93 @@ def _check_record(rec, lineno):
                               f"{expected}")
 
 
+# Records are checked and converted a chunk at a time: enough to pay for the
+# per-column checks, few enough that the records' dicts never hold much
+# more memory than the arrays they become.
+CHUNK_RECORDS = 64
+_DAYS = np.array(["0001-01-01", "9999-12-31"], dtype="datetime64[D]")
+
+
+def _layout(rec):
+    """What every record shares with the first: predictor names, scalar
+    names, ensemble size and lead."""
+    ens = rec["ens"]
+    return (tuple(ens), tuple(rec["scalars"]),
+            len(next(iter(ens.values()), ())), rec["lead"])
+
+
+def _types(values):
+    return set(map(type, values))
+
+
+def _columns(recs):
+    """(ens as (n, p, M), scalars, station, times, obs) of well-formed
+    records."""
+    times, station, _, obs, ens, scalars = zip(*map(_FIELD_GETTER, recs))
+    return (np.array([list(e.values()) for e in ens], dtype=np.float64),
+            np.array([list(s.values()) for s in scalars], dtype=np.float64),
+            np.array(station, dtype=np.int64), list(times),
+            np.array(list(map(float, obs))))
+
+
+def _bulk_columns(recs, layout):
+    """:func:`_columns` of records that all pass :func:`_check_record` and
+    share ``layout``, or None when a record might not.  Each check runs once
+    per column; a column holding an integer is left to the record-by-record
+    check, because an integer just past the float64 range rounds to a
+    finite float64."""
+    if _types(recs) != {dict}:
+        return None
+    try:
+        times, station, lead, obs, ens, scalars = zip(
+            *map(_FIELD_GETTER, recs))
+    except KeyError:
+        return None
+    names, scalar_names, m, lead_0 = layout
+    if not (_types(ens) == _types(scalars) == {dict}
+            and set(map(tuple, ens)) == {names}
+            and set(map(tuple, scalars)) == {scalar_names}
+            and _types(station) == _types(lead) == {int}
+            and set(lead) == {lead_0} and _types(times) == {str}
+            and _types(obs) == {float}):
+        return None
+    members = list(chain.from_iterable(map(dict.values, ens)))
+    numbers = chain(chain.from_iterable(members),
+                    chain.from_iterable(map(dict.values, scalars)))
+    if not (_types(members) <= {list} and set(map(len, members)) <= {m}
+            and _types(numbers) <= {float}):
+        return None
+    try:
+        columns = _columns(recs)          # station ids must fit int64
+        days = np.array(times, dtype="datetime64[D]")
+    except (OverflowError, ValueError):
+        return None
+    # NumPy also reads years 0 and past 9999, and forms other than
+    # YYYY-MM-DD, which date.fromisoformat refuses
+    if not (all(np.isfinite(columns[i]).all() for i in (0, 1, 4))
+            and ((_DAYS[0] <= days) & (days <= _DAYS[1])).all()
+            and days.astype(str).tolist() == columns[3]):
+        return None
+    return columns
+
+
+def _checked_columns(chunk, first):
+    """:func:`_columns` of a chunk of (line number, record) pairs; raises
+    ConfigError naming the first mistyped record, or the first whose layout
+    differs from ``first``, as a record-by-record check would."""
+    recs = [rec for _, rec in chunk]
+    columns = _bulk_columns(recs, first)
+    if columns is not None:
+        return columns
+    for lineno, rec in chunk:
+        _check_record(rec, lineno)
+        if _layout(rec) != first:
+            raise ConfigError(f"line {lineno}: predictor names, scalar "
+                              f"names, ensemble size or lead differ from "
+                              f"the first record")
+    return _columns(recs)
+
+
 def load_ndjson(path, primary=0, n_stations=None):
     """Parse an NDJSON forecast file into a :class:`Dataset`.
 
@@ -171,7 +261,17 @@ def load_ndjson(path, primary=0, n_stations=None):
     (not boolean) values; a mistyped record raises ConfigError naming the
     line and the field.
     """
-    rows, first = [], None
+    parts, chunk, first = [], [], None
+
+    def flush():
+        nonlocal first
+        if chunk:
+            if first is None:
+                _check_record(chunk[0][1], chunk[0][0])
+                first = _layout(chunk[0][1])
+            parts.append(_checked_columns(chunk, first))
+            chunk.clear()
+
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -179,28 +279,27 @@ def load_ndjson(path, primary=0, n_stations=None):
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
+                flush()     # a mistyped earlier line is reported first
                 raise ConfigError(f"line {lineno}: invalid JSON ({exc})") from exc
-            _check_record(rec, lineno)
-            ens = np.array(list(rec["ens"].values()), dtype=np.float64).T
-            scal = np.array(list(rec["scalars"].values()), dtype=np.float64)
-            layout = (list(rec["ens"]), list(rec["scalars"]), ens.shape,
-                      rec["lead"])
-            first = first or layout
-            if layout != first:
-                raise ConfigError(f"line {lineno}: predictor names, scalar "
-                                  f"names, ensemble size or lead differ from "
-                                  f"the first record")
-            rows.append((ens, scal, rec["station"], rec["time"],
-                         float(rec["obs"])))
-    if not rows:
+            chunk.append((lineno, rec))
+            if len(chunk) == CHUNK_RECORDS:
+                flush()
+    flush()
+    if not parts:
         raise ConfigError(f"{path}: empty dataset")
+    ens, scalars, station, times, obs = zip(*parts)
+    parts.clear()       # each chunk's arrays go once they are joined
+    ens, scalars, station, obs = map(np.concatenate,
+                                     (ens, scalars, station, obs))
     predictor_names, scalar_names, _, lead = first
     return Dataset(
-        ens=np.stack([r[0] for r in rows]),
-        scalars=np.stack([r[1] for r in rows]),
-        station=[r[2] for r in rows],
-        times=[r[3] for r in rows],
-        obs=[r[4] for r in rows],
+        # (T, p, M) read as (T, M, p): the memory layout of stacked (M, p)
+        # records, which fit_norm's sums over axes (0, 1) depend on
+        ens=ens.transpose(0, 2, 1) if ens.ndim == 3 else ens,
+        scalars=scalars,
+        station=station,
+        times=list(chain.from_iterable(times)),
+        obs=obs,
         lead_hours=lead,
         predictor_names=predictor_names,
         scalar_names=scalar_names,

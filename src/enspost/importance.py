@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .evaluation import model_mean_crps
 
 SUMMARY_KINDS = ("mean", "std", "min", "max", "iqr", "range",
                  "skewness", "kurtosis")
+# statistics of the sorted members only: a transplanted row has them of its
+# donor row, whose values it takes in another order
+ORDER_STATISTICS = ("min", "max", "iqr", "range")
 PERTURBATION_KINDS = ("fully_random", "rank_aware", "conditional")
 DEFAULT_BINS = 100
 CHI_RELIABLE_FRACTION = 1e-3  # denominator threshold relative to base score
@@ -113,13 +117,6 @@ def _member_ranks(col):
     return ranks
 
 
-def _rank_aware_transplant(col, donor_perm):
-    """Donor rows reordered to the receiving rows' member rank patterns."""
-    donor_sorted = np.sort(col[donor_perm], axis=1)
-    rows = np.arange(col.shape[0])[:, None]
-    return donor_sorted[rows, _member_ranks(col)]
-
-
 def conditional_bins(stat_values, bins):
     """Bin ids from ranking on the *unique* statistic values.
 
@@ -136,14 +133,68 @@ def conditional_bins(stat_values, bins):
     return bin_ids, int(bin_ids.max()) + 1
 
 
-def perturb(col, spec: PerturbationSpec):
-    """Shuffled copy of a predictor's (n, M) member column (the caller
-    picks the column; ``spec.predictor`` is not read).
-
-    All three operators permute whole member rows between samples, so the
-    multiset of values is conserved exactly; rank-aware and conditional
-    additionally preserve each sample's member rank pattern.
+class _Column:
+    """One predictor's (n, M) member column with the facts its shuffles
+    use, each computed on first use.  None depends on a model or a seed, so
+    one instance serves every model's shuffles and the preservation matrix.
     """
+
+    def __init__(self, values):
+        self.values = values
+        self._statistics, self._ranked, self._bins = {}, {}, {}
+
+    @cached_property
+    def ranks(self):
+        return _member_ranks(self.values)
+
+    @cached_property
+    def sorted_rows(self):
+        return np.sort(self.values, axis=1)
+
+    def statistic(self, kind):
+        if kind not in self._statistics:
+            self._statistics[kind] = summary_statistic(self.values, kind)
+        return self._statistics[kind]
+
+    def midranks(self, kind):
+        if kind not in self._ranked:
+            self._ranked[kind] = _midranks(self.statistic(kind))
+        return self._ranked[kind]
+
+    def bin_segments(self, kind, bins):
+        """(order, ends): a stable argsort of the conditional bin ids, so
+        each bin is the contiguous segment of ``order`` ending at its end."""
+        if (kind, bins) not in self._bins:
+            bin_ids, n_bins = conditional_bins(self.statistic(kind), bins)
+            self._bins[kind, bins] = (
+                np.argsort(bin_ids, kind="stable"),
+                np.cumsum(np.bincount(bin_ids, minlength=n_bins)).tolist())
+        return self._bins[kind, bins]
+
+    def transplant(self, donors):
+        """Donor rows reordered to the receiving rows' member rank patterns
+        (sorting a donor row is sorting its own row)."""
+        return self.sorted_rows[donors[:, None], self.ranks]
+
+
+def _conditional_donors(column, spec, rng):
+    """Donor row of each row: a random permutation within each bin of the
+    conditioning statistic.  Bins are shuffled in increasing order, each by
+    the draws ``rng.permutation`` of its size would take."""
+    order, ends = column.bin_segments(spec.statistic, spec.bins)
+    shuffled = order.copy()
+    start = 0
+    for end in ends:
+        rng.shuffle(shuffled[start:end])
+        start = end
+    donors = np.empty_like(order)
+    donors[order] = shuffled
+    return donors
+
+
+def _shuffle(column, spec):
+    """Shuffled copy of the column under ``spec`` (see :func:`perturb`)."""
+    col = column.values
     if len(col) < 2:
         raise DomainError("need at least two samples to shuffle")
     rng = np.random.default_rng(spec.seed)
@@ -154,14 +205,19 @@ def perturb(col, spec: PerturbationSpec):
         member_perms = np.argsort(rng.random((t, m)), axis=1)
         return donor[np.arange(t)[:, None], member_perms]
     if spec.kind == "rank_aware":
-        return _rank_aware_transplant(col, rng.permutation(t))
-    stat = summary_statistic(col, spec.statistic)
-    bin_ids, n_bins = conditional_bins(stat, spec.bins)
-    donor_perm = np.arange(t)
-    for b in range(n_bins):
-        members = np.nonzero(bin_ids == b)[0]
-        donor_perm[members] = members[rng.permutation(members.size)]
-    return _rank_aware_transplant(col, donor_perm)
+        return column.transplant(rng.permutation(t))
+    return column.transplant(_conditional_donors(column, spec, rng))
+
+
+def perturb(col, spec: PerturbationSpec):
+    """Shuffled copy of a predictor's (n, M) member column (the caller
+    picks the column; ``spec.predictor`` is not read).
+
+    All three operators permute whole member rows between samples, so the
+    multiset of values is conserved exactly; rank-aware and conditional
+    additionally preserve each sample's member rank pattern.
+    """
+    return _shuffle(_Column(col), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +231,15 @@ def derive_seed(seed, *tags):
     return int(np.random.SeedSequence([int(seed), digest]).generate_state(1)[0])
 
 
-def _skill_losses(model, test: Dataset, specs):
+def _columns(test: Dataset):
+    return [_Column(test.ens[:, :, i]) for i in range(test.n_predictors)]
+
+
+def _skill_losses(model, test: Dataset, specs, columns):
     """Base mean CRPS S[g] and the skill loss S[g o P] - S[g] of each
     distinct spec; each forecast is scored once.  A spec's forecast sees
-    one copy of the test ensemble block with its column shuffled."""
+    one copy of the test ensemble block with its column shuffled;
+    ``columns`` holds the :class:`_Column` of each predictor."""
     if any(spec.predictor >= test.n_predictors for spec in specs):
         raise ConfigError("predictor index out of range")
     base = model_mean_crps(model, test)
@@ -186,10 +247,10 @@ def _skill_losses(model, test: Dataset, specs):
         raise DomainError("degenerate model: mean CRPS is zero")
     ens, losses = test.ens.copy(), {}
     for spec in dict.fromkeys(specs):
-        col = test.ens[:, :, spec.predictor]
-        ens[:, :, spec.predictor] = perturb(col, spec)
+        column = columns[spec.predictor]
+        ens[:, :, spec.predictor] = _shuffle(column, spec)
         losses[spec] = model_mean_crps(model, test, ens=ens) - base
-        ens[:, :, spec.predictor] = col
+        ens[:, :, spec.predictor] = column.values
     return base, losses
 
 
@@ -214,7 +275,8 @@ def delta0(model, test: Dataset, spec: PerturbationSpec = None):
 
     ``spec=None`` is the identity perturbation and returns exactly 0.
     """
-    base, losses = _skill_losses(model, test, [spec] if spec else [])
+    base, losses = _skill_losses(model, test, [spec] if spec else [],
+                                 _columns(test))
     return losses[spec] / base if spec else 0.0
 
 
@@ -228,7 +290,8 @@ def chi_ratio(model, test: Dataset, spec_num: PerturbationSpec,
     """
     if spec_num.predictor != spec_ref.predictor:
         raise ContractError("operators must act on the same predictor")
-    return _ratio(*_skill_losses(model, test, [spec_num, spec_ref]),
+    return _ratio(*_skill_losses(model, test, [spec_num, spec_ref],
+                                 _columns(test)),
                   spec_num, spec_ref)
 
 
@@ -259,6 +322,12 @@ def _midranks(x):
     return ranks
 
 
+def _rank_correlation(rx, ry):
+    if np.ptp(rx) == 0 or np.ptp(ry) == 0:
+        return float("nan")
+    return float(np.corrcoef(rx, ry)[0, 1])
+
+
 def spearman(x, y):
     """Rank correlation: the Pearson correlation of mid-ranks.
 
@@ -270,10 +339,7 @@ def spearman(x, y):
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size or x.size < 2:
         raise DomainError("need two equal-length vectors")
-    rx, ry = _midranks(x), _midranks(y)
-    if np.ptp(rx) == 0 or np.ptp(ry) == 0:
-        return float("nan")
-    return float(np.corrcoef(rx, ry)[0, 1])
+    return _rank_correlation(_midranks(x), _midranks(y))
 
 
 def preservation_matrix(dataset: Dataset, predictor, bins=DEFAULT_BINS,
@@ -286,20 +352,34 @@ def preservation_matrix(dataset: Dataset, predictor, bins=DEFAULT_BINS,
     """
     if not 0 <= predictor < dataset.n_predictors:
         raise ConfigError("predictor index out of range")
-    if len(dataset) < 10:
+    return _preservation(_Column(dataset.ens[:, :, predictor]), predictor,
+                         bins, seed, statistics)
+
+
+def _preservation(column, predictor, bins, seed, statistics):
+    """:func:`preservation_matrix` of one predictor's column.  An order
+    statistic of a shuffled row is its donor row's, and the mid-ranks of
+    a permuted vector are its permuted mid-ranks, so only the moment
+    statistics are computed on the shuffled column."""
+    if len(column.values) < 10:
         raise DomainError("need at least 10 samples")
-    col = dataset.ens[:, :, predictor]
-    original = {s: summary_statistic(col, s) for s in statistics}
     matrix = np.empty((len(statistics), len(statistics)))
     for i, cond in enumerate(statistics):
         spec = PerturbationSpec(predictor, "conditional", statistic=cond,
                                 bins=bins,
                                 seed=derive_seed(seed, "preserve", predictor,
                                                  cond))
-        shuffled = perturb(col, spec)
+        donors = _conditional_donors(column, spec,
+                                     np.random.default_rng(spec.seed))
+        shuffled = None
         for j, measured in enumerate(statistics):
-            matrix[i, j] = spearman(original[measured],
-                                    summary_statistic(shuffled, measured))
+            if measured in ORDER_STATISTICS:
+                ranks = column.midranks(measured)[donors]
+            else:
+                if shuffled is None:
+                    shuffled = column.transplant(donors)
+                ranks = _midranks(summary_statistic(shuffled, measured))
+            matrix[i, j] = _rank_correlation(column.midranks(measured), ranks)
     return matrix
 
 
@@ -322,8 +402,10 @@ def importance_report(models, test: Dataset, bins=DEFAULT_BINS, seed=0,
 
     Delta0 uses the fully-random operator; chi ratios use the rank-aware
     reference.  Each (model, predictor) cell gets an independently derived
-    seed; preservation matrices are model-free and computed once.  Each
-    model scores its base forecast and each distinct perturbation once.
+    seed; preservation matrices are model-free and computed once, and the
+    statistics, bins and member ranks of each test column are computed
+    once and shared by every model.  Each model scores its base forecast
+    and each distinct perturbation once.
     """
     if not models:
         raise DomainError("need at least one model")
@@ -334,6 +416,7 @@ def importance_report(models, test: Dataset, bins=DEFAULT_BINS, seed=0,
         raise ConfigError(f"chi predictors {list(chi_predictors)} out of "
                           f"range for {test.n_predictors} predictors")
 
+    columns = _columns(test)
     delta_runs = {name: [] for name in names}
     chi_runs = {(i, stat): [] for i in chi_predictors for stat in statistics}
     for run, model in enumerate(models):
@@ -344,7 +427,8 @@ def importance_report(models, test: Dataset, bins=DEFAULT_BINS, seed=0,
                                        derive_seed(seed, "chi", run, i))
                  for i, stat in chi_runs}
         base, losses = _skill_losses(
-            model, test, deltas + [s for pair in pairs.values() for s in pair])
+            model, test, deltas + [s for pair in pairs.values() for s in pair],
+            columns)
         for name, spec in zip(names, deltas):
             delta_runs[name].append(losses[spec] / base)
         for key, pair in pairs.items():
@@ -357,8 +441,8 @@ def importance_report(models, test: Dataset, bins=DEFAULT_BINS, seed=0,
             "reliable": all(r.reliable for r in ratios)}
 
     preservation = {
-        names[i]: preservation_matrix(test, i, bins=bins, seed=seed,
-                                      statistics=statistics).tolist()
+        names[i]: _preservation(columns[i], i, bins, seed,
+                                statistics).tolist()
         for i in chi_predictors
     }
     return {

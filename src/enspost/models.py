@@ -175,7 +175,10 @@ def param_shapes(config: ModelConfig, n_predictors, n_scalars, n_stations):
 
 
 def _too_large(count):
-    return count * 8 > np.iinfo(np.intp).max    # float64 bytes
+    """Whether NumPy refuses an array of ``count`` float64 values.  It
+    refuses 64 values short of the byte limit: ``np.arange`` raises
+    "array is too big" from 2**60 - 64 elements on 64-bit builds."""
+    return (count + 64) * 8 > np.iinfo(np.intp).max
 
 
 def _oversized(config, dims):

@@ -296,12 +296,6 @@ def _train_emos(config, train: Dataset, features, global_fit, fields):
 # ---------------------------------------------------------------------------
 
 
-def _check_family(models):
-    families = {m.family for m in models}
-    if len(families) > 1:
-        raise ContractError(f"mixed forecast families {sorted(families)}")
-
-
 @dataclass
 class ModelPool:
     """Independently seeded fits of one configuration."""
@@ -315,7 +309,9 @@ class ModelPool:
             raise ContractError("pool needs at least one model")
         if self.reports is not None and len(self.models) != len(self.reports):
             raise ContractError("pool needs matching models and reports")
-        _check_family(self.models)
+        families = {m.family for m in self.models}
+        if len(families) > 1:
+            raise ContractError(f"mixed forecast families {sorted(families)}")
 
     def __len__(self):
         return len(self.models)
@@ -354,28 +350,15 @@ def train_pool(config: ModelConfig, train: Dataset, val: Dataset, n=20,
                      reports=[r[1] for r in results])
 
 
-def aggregate_quantiles(models, dataset: Dataset, levels):
-    """Level-wise mean of the models' quantiles; (n, K), non-decreasing rows.
-
-    For Bernstein models this equals the quantile function of the
-    coefficient-averaged alpha (the expansion is linear in alpha).
-    """
-    if not models:
-        raise DomainError("need at least one model")
-    _check_family(models)
-    return np.mean([m.quantiles(dataset, levels) for m in models], axis=0)
-
-
 def resample_and_score(pool: ModelPool, test: Dataset, k=10, reps=50,
                        rng=None, level=None, pit_bins=20):
     """Score ``reps`` random k-subsets of the pool on the test set.
 
     Draws are without replacement within a draw.  Each pool member's
     quantiles are computed once and kept, so memory grows with the pool
-    size, not the draw size; a draw averages them level-wise, as
-    :func:`aggregate_quantiles` does.  Returns the list of per-draw
-    EvaluationReports and a summary dict (mean/min/max/spread of the mean
-    CRPS across draws).
+    size, not the draw size; a draw averages them level-wise.  Returns the
+    list of per-draw EvaluationReports and a summary dict
+    (mean/min/max/spread of the mean CRPS across draws).
     """
     if not 1 <= k <= len(pool):
         raise DomainError(f"draw size {k} outside 1..{len(pool)} (pool size)")

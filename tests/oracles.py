@@ -7,12 +7,16 @@ batched library path to its one-at-a-time definition: they reuse the
 library's building blocks (the Bernstein quantile function, the EMOS loss
 graph and Adam) and differ only in how the work is batched.  Likewise the
 composed attention reference pins the fused ``autodiff.attention`` op to
-the autodiff primitives it replaces.  The run-configuration reference is the
-JSON Schema the CLI once validated against, checked by ``jsonschema``.
+the autodiff primitives it replaces, the line-by-line NDJSON loader pins the
+chunked one, and the per-bin shuffle and fully recomputed preservation
+matrix pin the importance code that shares column facts between models.
+The run-configuration reference is the JSON Schema the CLI once validated
+against, checked by ``jsonschema``.
 """
 
 import copy
 import dataclasses
+import json
 import sys
 
 import jsonschema
@@ -21,9 +25,12 @@ import numpy as np
 from scipy import integrate, special, stats
 
 from enspost import autodiff as ad
-from enspost.data import SynthConfig
+from enspost.data import Dataset, SynthConfig, _check_record
 from enspost.dist import bqn_quantile
-from enspost.importance import SUMMARY_KINDS
+from enspost.errors import ConfigError, DomainError
+from enspost.importance import (SUMMARY_KINDS, PerturbationSpec,
+                                _member_ranks, conditional_bins, derive_seed,
+                                spearman, summary_statistic)
 from enspost.models import ModelConfig, graph_inputs
 from enspost.train import (EMOS_CELL_STEPS, MIN_EMOS_CELL, Adam,
                            loss_graph)
@@ -256,6 +263,121 @@ def spearman_ref(x, y):
 
 
 # ---------------------------------------------------------------------------
+# Importance references: facts recomputed per shuffle, bins drawn one by one
+# ---------------------------------------------------------------------------
+
+
+def _rank_aware_transplant(col, donor_perm):
+    """Donor rows reordered to the receiving rows' member rank patterns."""
+    donor_sorted = np.sort(col[donor_perm], axis=1)
+    rows = np.arange(col.shape[0])[:, None]
+    return donor_sorted[rows, _member_ranks(col)]
+
+
+def perturb_per_bin(col, spec, rng=None):
+    """The shuffling operators with every fact recomputed per call and the
+    conditional shuffle drawn one bin at a time, ``rng.permutation`` of each
+    bin's members in bin order.  ``rng`` defaults to one seeded by
+    ``spec.seed``."""
+    if len(col) < 2:
+        raise DomainError("need at least two samples to shuffle")
+    rng = np.random.default_rng(spec.seed) if rng is None else rng
+    t, m = col.shape
+    if spec.kind == "fully_random":
+        donor = col[rng.permutation(t)]
+        member_perms = np.argsort(rng.random((t, m)), axis=1)
+        return donor[np.arange(t)[:, None], member_perms]
+    if spec.kind == "rank_aware":
+        return _rank_aware_transplant(col, rng.permutation(t))
+    return _rank_aware_transplant(col, conditional_donors_per_bin(col, spec,
+                                                                  rng))
+
+
+def conditional_donors_per_bin(col, spec, rng):
+    """Donor row of each row under the conditional shuffle, bin by bin."""
+    bin_ids, n_bins = conditional_bins(summary_statistic(col, spec.statistic),
+                                       spec.bins)
+    donor_perm = np.arange(len(col))
+    for b in range(n_bins):
+        members = np.nonzero(bin_ids == b)[0]
+        donor_perm[members] = members[rng.permutation(members.size)]
+    return donor_perm
+
+
+def preservation_matrix_recomputed(col, predictor, bins, seed, statistics):
+    """Preservation matrix of an (n, M) column: each statistic computed on
+    the shuffled column and each Spearman correlation from scratch."""
+    original = {s: summary_statistic(col, s) for s in statistics}
+    matrix = np.empty((len(statistics), len(statistics)))
+    for i, cond in enumerate(statistics):
+        spec = PerturbationSpec(predictor, "conditional", statistic=cond,
+                                bins=bins,
+                                seed=derive_seed(seed, "preserve", predictor,
+                                                 cond))
+        shuffled = perturb_per_bin(col, spec)
+        for j, measured in enumerate(statistics):
+            matrix[i, j] = spearman(original[measured],
+                                    summary_statistic(shuffled, measured))
+    return matrix
+
+
+# ---------------------------------------------------------------------------
+# Line-by-line NDJSON loader
+# ---------------------------------------------------------------------------
+
+
+def load_ndjson_per_line(path, primary=0, n_stations=None):
+    """An NDJSON forecast file parsed, checked and converted one record at
+    a time."""
+    rows, first = [], None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"line {lineno}: invalid JSON ({exc})") from exc
+            _check_record(rec, lineno)
+            ens = np.array(list(rec["ens"].values()), dtype=np.float64).T
+            scal = np.array(list(rec["scalars"].values()), dtype=np.float64)
+            layout = (list(rec["ens"]), list(rec["scalars"]), ens.shape,
+                      rec["lead"])
+            first = first or layout
+            if layout != first:
+                raise ConfigError(f"line {lineno}: predictor names, scalar "
+                                  f"names, ensemble size or lead differ from "
+                                  f"the first record")
+            rows.append((ens, scal, rec["station"], rec["time"],
+                         float(rec["obs"])))
+    if not rows:
+        raise ConfigError(f"{path}: empty dataset")
+    predictor_names, scalar_names, _, lead = first
+    return Dataset(
+        ens=np.stack([r[0] for r in rows]),
+        scalars=np.stack([r[1] for r in rows]),
+        station=[r[2] for r in rows],
+        times=[r[3] for r in rows],
+        obs=[r[4] for r in rows],
+        lead_hours=lead,
+        predictor_names=predictor_names,
+        scalar_names=scalar_names,
+        primary=primary,
+        n_stations=n_stations,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Pool aggregation
+# ---------------------------------------------------------------------------
+
+
+def aggregate_quantiles(models, dataset, levels):
+    """Level-wise mean of the models' quantiles; (n, K)."""
+    return np.mean([m.quantiles(dataset, levels) for m in models], axis=0)
+
+
+# ---------------------------------------------------------------------------
 # Gradient oracles
 # ---------------------------------------------------------------------------
 
@@ -402,8 +524,9 @@ RUN_CONFIG_SCHEMA = {
                 "draw_size": {"type": "integer", "minimum": 1},
                 "reps": {"type": "integer", "minimum": 1},
                 "pit_bins": {"type": "integer", "minimum": 2,
-                             # bins + 1 float64 edges NumPy can index
-                             "maximum": np.iinfo(np.intp).max // 8 - 1},
+                             # bins + 1 float64 edges np.arange makes:
+                             # it refuses 2**60 - 64 of them
+                             "maximum": np.iinfo(np.intp).max // 8 - 65},
                 "level": {"type": "number",
                           "exclusiveMinimum": 0, "exclusiveMaximum": 1},
             },

@@ -27,9 +27,9 @@ from enspost.importance import (PerturbationSpec, chi, chi_ratio, delta0,
                                 perturb, preservation_matrix)
 from enspost.models import (ARCHITECTURES, ModelConfig, graph_inputs,
                             init_params)
-from enspost.train import (aggregate_quantiles, loss_graph,
-                           resample_and_score, train_pool)
-from oracles import (crps_ensemble_exact, crps_tlogis_quad, multinomial_band)
+from enspost.train import loss_graph, resample_and_score, train_pool
+from oracles import (aggregate_quantiles, crps_ensemble_exact,
+                     crps_tlogis_quad, multinomial_band)
 
 
 def _verdict(number, label, ok, detail=""):

@@ -383,17 +383,17 @@ def test_largest_lead_hours_round_trip_through_train(tmp_path):
                 + ["train.pool_size=1"]) == 0
 
 
-@pytest.mark.parametrize("bins", [10**20, 2**60 - 1])
+@pytest.mark.parametrize("bins", [10**20, 2**60 - 65])
 def test_pit_bins_numpy_cannot_index_exit_2(tmp_path, capsys, bins):
-    # 2**60 - 1 bins have 2**60 edges of 8 bytes: one byte past what NumPy
-    # indexes; 2**60 - 2 bins pass the check
+    # 2**60 - 65 bins have 2**60 - 64 edges, the first count np.arange
+    # refuses with "array is too big"; 2**60 - 66 bins pass the check
     assert _run("evaluate", tmp_path / "x",
                 SYNTH_SETS + [f"eval.pit_bins={bins}"]) == 2
     err = capsys.readouterr().err
     assert "config field eval.pit_bins:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x").exists()
-    assert load_run_config(None, overrides=[f"eval.pit_bins={2**60 - 2}"])
+    assert load_run_config(None, overrides=[f"eval.pit_bins={2**60 - 66}"])
 
 
 @pytest.mark.parametrize("sets", [
@@ -421,6 +421,8 @@ def test_ensemble_blocks_numpy_cannot_index_exit_2(tmp_path, capsys, sets):
     (["model.architecture=bqn",
       "model.bernstein_degree=100000000000000000000"], "bernstein_degree"),
     (["model.n_quantile_levels=100000000000000000000"], "n_quantile_levels"),
+    # the first level count np.arange refuses with "array is too big"
+    ([f"model.n_quantile_levels={2**60 - 64}"], "n_quantile_levels"),
     # each layer is 1e10 wide and fits; the 1e10 x 1e10 weight between them
     # does not
     (["model.hidden_sizes=[10000000000,10000000000]"], "hidden_sizes"),

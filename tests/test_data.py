@@ -2,6 +2,9 @@
 
 import datetime
 import json
+import sys
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -9,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from enspost.data import (PREDICTOR_NAMES, SCALAR_NAMES, Dataset, SynthConfig,
-                          fit_norm, generate_synthetic, load_ndjson,
-                          save_ndjson, split_temporal, standardize)
+from enspost.data import (CHUNK_RECORDS, PREDICTOR_NAMES, SCALAR_NAMES,
+                          Dataset, SynthConfig, fit_norm, generate_synthetic,
+                          load_ndjson, save_ndjson, split_temporal,
+                          standardize)
 from enspost.errors import ConfigError
+from oracles import load_ndjson_per_line
 
 
 def _tiny_dataset(t=6, m=4, p=2, q=2, seed=0, primary=0):
@@ -162,7 +167,7 @@ GOOD_RECORD = {"time": "2020-01-01", "station": 0, "lead": 6, "obs": 1.0,
                "ens": {"x": [1.0, 2.0], "y": [3, 4]}, "scalars": {"s": 0.5}}
 
 
-@pytest.mark.parametrize("line, field", [
+MISTYPED = [
     ('["not", "an", "object"]', "JSON object"),
     ('"text"', "JSON object"),
     (json.dumps(dict(GOOD_RECORD, obs="1.0")), "'obs'"),
@@ -198,13 +203,158 @@ GOOD_RECORD = {"time": "2020-01-01", "station": 0, "lead": 6, "obs": 1.0,
     (json.dumps(dict(GOOD_RECORD, ens={"x": [1.0, float("inf")],
                                        "y": [3, 4]})), "'ens'"),
     (json.dumps(dict(GOOD_RECORD, scalars={"s": -10**400})), "'scalars'"),
-])
+]
+
+
+@pytest.mark.parametrize("line, field", MISTYPED)
 def test_load_ndjson_rejects_mistyped_records(tmp_path, line, field):
     path = tmp_path / "bad.ndjson"
     path.write_text(json.dumps(GOOD_RECORD) + "\n" + line + "\n")
     with pytest.raises(ConfigError, match="line 2") as err:
         load_ndjson(path)
     assert field in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Chunked loading against the line-by-line reference
+# ---------------------------------------------------------------------------
+
+FLOAT_RECORD = dict(GOOD_RECORD, ens={"x": [1.0, 2.0], "y": [3.0, 4.0]})
+FLOAT_MAX_PLUS_ONE = int(sys.float_info.max) + 1
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def _same_outcome(path):
+    """The chunked loader raises the reference's error or loads its
+    arrays, bit for bit and in the same memory layout."""
+    try:
+        expected = load_ndjson_per_line(path)
+    except ConfigError as ref:
+        with pytest.raises(ConfigError) as ours:
+            load_ndjson(path)
+        assert str(ours.value) == str(ref)
+        return
+    got = load_ndjson(path)
+    for name in ("ens", "scalars", "station", "times", "obs"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.strides == b.strides, name
+        np.testing.assert_array_equal(a, b)
+    for name in ("lead_hours", "predictor_names", "scalar_names",
+                 "n_stations"):
+        assert getattr(got, name) == getattr(expected, name)
+
+
+@st.composite
+def _records(draw):
+    """Records as JSON lines: 1-600 records, so that chunks of
+    CHUNK_RECORDS fill and overflow, with some numbers written as JSON
+    integers and some blank lines."""
+    n, p, q = draw(st.integers(1, 600)), draw(st.integers(2, 5)), \
+        draw(st.integers(0, 3))
+    m = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    as_int = draw(st.sampled_from([0.0, 0.01, 0.5]))
+    first_day = np.datetime64("0001-01-01")
+    days = rng.integers(0, 3652059, size=n)    # to 9999-12-31
+
+    def number(v):
+        return int(round(v * 1e3)) if rng.random() < as_int else float(v)
+
+    lines = []
+    for k in range(n):
+        rec = {"time": str(first_day + days[k]),
+               "station": int(rng.integers(0, 50)), "lead": 12,
+               "obs": number(rng.normal(10, 3)),
+               "ens": {f"p{j}": [number(v) for v in rng.normal(0, 5, m)]
+                       for j in range(p)},
+               "scalars": {f"s{j}": number(rng.normal()) for j in range(q)}}
+        lines.append(json.dumps(rec))
+        if rng.random() < 0.01:
+            lines.append("")
+    return lines
+
+
+@settings(max_examples=40)
+@given(lines=_records())
+def test_chunked_load_equals_line_by_line_reference(tmp_path_factory, lines):
+    _same_outcome(_write_lines(tmp_path_factory.mktemp("ndjson") / "d.ndjson",
+                               lines))
+
+
+@pytest.mark.parametrize("line, field", MISTYPED)
+def test_chunked_load_reports_the_first_mistyped_line(tmp_path, line, field):
+    # the mistyped record sits at a random line of the first or second
+    # chunk, and a line of invalid JSON follows it in the same chunk
+    rng = np.random.default_rng(zlib.crc32(line.encode()))
+    start = CHUNK_RECORDS * int(rng.integers(0, 2))
+    bad = int(rng.integers(max(start, 1), start + CHUNK_RECORDS - 1))
+    broken = int(rng.integers(bad + 1, start + CHUNK_RECORDS))
+    lines = [json.dumps(FLOAT_RECORD)] * (start + CHUNK_RECORDS + 3)
+    lines[bad], lines[broken] = line, '{"time": '
+    path = _write_lines(tmp_path / "bad.ndjson", lines)
+    with pytest.raises(ConfigError, match=f"line {bad + 1}:") as err:
+        load_ndjson(path)
+    assert field in str(err.value)
+    _same_outcome(path)
+
+
+@pytest.mark.parametrize("record", [
+    dict(FLOAT_RECORD, ens={"x": [1, 2], "y": [3.0, -4]}),
+    dict(FLOAT_RECORD, obs=2**70, scalars={"s": -3}),
+    dict(FLOAT_RECORD, obs=int(sys.float_info.max)),
+    dict(FLOAT_RECORD, obs=FLOAT_MAX_PLUS_ONE),
+    dict(FLOAT_RECORD, ens={"x": [1.0, FLOAT_MAX_PLUS_ONE], "y": [3.0, 4.0]}),
+    dict(FLOAT_RECORD, scalars={"s": -FLOAT_MAX_PLUS_ONE}),
+    dict(FLOAT_RECORD, ens={"x": [1.0, True], "y": [3.0, 4.0]}),
+    dict(FLOAT_RECORD, scalars={"s": True}),
+    dict(FLOAT_RECORD, obs=False),
+    dict(FLOAT_RECORD, station=2**63 - 1),
+    dict(FLOAT_RECORD, station=-2**63),
+    dict(FLOAT_RECORD, obs=float("-inf")),
+    dict(FLOAT_RECORD, scalars={"s": float("nan")}),
+    dict(FLOAT_RECORD, time="0001-01-01"),
+    dict(FLOAT_RECORD, time="9999-12-31"),
+    dict(FLOAT_RECORD, time="0000-01-01"),
+    dict(FLOAT_RECORD, time="10000-01-01"),
+    dict(FLOAT_RECORD, time="-001-01-01"),
+    dict(FLOAT_RECORD, time="NaT"),
+    dict(FLOAT_RECORD, time=""),
+    dict(FLOAT_RECORD, time="+2020-01-01"),
+    dict(FLOAT_RECORD, time=" 2020-01-01"),
+    dict(FLOAT_RECORD, time="2020-01-01T00"),
+    dict(FLOAT_RECORD, time="2019-02-29"),
+    dict(FLOAT_RECORD, ens={"x": [1.0, 2.0]}),
+    dict(FLOAT_RECORD, ens={"y": [3.0, 4.0], "x": [1.0, 2.0]}),
+    dict(FLOAT_RECORD, ens={"x": [1.0, 2.0, 5.0], "y": [3.0, 4.0, 6.0]}),
+    dict(FLOAT_RECORD, scalars={}),
+    dict(FLOAT_RECORD, extra="ignored"),
+])
+@pytest.mark.parametrize("at", [1, CHUNK_RECORDS + 7])
+def test_chunked_load_edge_records_match_reference(tmp_path, record, at):
+    lines = [json.dumps(FLOAT_RECORD)] * (CHUNK_RECORDS + 20)
+    lines[at] = json.dumps(record)
+    _same_outcome(_write_lines(tmp_path / "edge.ndjson", lines))
+
+
+def test_chunked_load_peak_memory_is_a_small_multiple_of_the_arrays(
+        tmp_path):
+    ds = generate_synthetic(SynthConfig(stations=10, days=500, members=20))
+    path = tmp_path / "big.ndjson"
+    save_ndjson(ds, path)
+    tracemalloc.start()
+    try:
+        back = load_ndjson(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.nbytes for a in (back.ens, back.scalars, back.station,
+                                    back.obs))
+    assert len(back) == 5000
+    assert peak < 3 * arrays, (peak, arrays)
 
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

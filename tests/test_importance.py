@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+import enspost.importance as importance
 from enspost.data import (Dataset, SynthConfig, fit_norm, generate_synthetic,
                           split_temporal)
 from enspost.errors import ConfigError, ContractError, DomainError
 from enspost.evaluation import model_mean_crps
 from enspost.importance import (PERTURBATION_KINDS, SUMMARY_KINDS, ChiResult,
-                                PerturbationSpec, _box_stats, _midranks, chi,
+                                PerturbationSpec, _box_stats, _Column,
+                                _conditional_donors, _midranks, chi,
                                 chi_ratio, conditional_bins, delta0,
                                 derive_seed, importance_report, perturb,
                                 preservation_csv, preservation_matrix,
@@ -19,7 +21,9 @@ from enspost.importance import (PERTURBATION_KINDS, SUMMARY_KINDS, ChiResult,
 from enspost.models import (ARCHITECTURES, EMOSModel, ModelConfig,
                             NeuralModel, emos_params, init_params)
 from enspost.train import train_model
-from oracles import spearman_ref, summary_stat_ref
+from oracles import (conditional_donors_per_bin, perturb_per_bin,
+                     preservation_matrix_recomputed, spearman_ref,
+                     summary_stat_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -425,3 +429,88 @@ def test_preservation_csv_format():
     lines = text.strip().split("\n")
     assert lines[0] == "conditioning,mean,std"
     assert lines[1].startswith("mean,1.000000,0.000000")
+
+
+# ---------------------------------------------------------------------------
+# Shared column facts against per-shuffle recomputation
+# ---------------------------------------------------------------------------
+
+REFERENCE_BINS = (2, 7, 100)
+
+
+def _reference_dataset(n=60, members=7, seed=0):
+    """Predictors: plain normal members, members tied within and across rows
+    (signed zeros among them), and a constant column, whose statistics are
+    all tied, so that every Spearman correlation with it is NaN."""
+    rng = np.random.default_rng(seed)
+    plain = rng.normal(size=(n, members))
+    tied = np.round(rng.normal(size=(n, members)))
+    tied[tied == 0] = np.where(rng.random((tied == 0).sum()) < 0.5, -0.0, 0.0)
+    ens = np.stack([plain, tied, np.full((n, members), 1.5)], axis=2)
+    return Dataset(ens, rng.normal(size=(n, 1)), np.arange(n) % 3,
+                   [f"2020-01-{1 + k // 3:02d}" for k in range(n)],
+                   rng.normal(size=n), 6, ["plain", "tied", "constant"],
+                   ["s0"], n_stations=3)
+
+
+@pytest.mark.parametrize("bins", REFERENCE_BINS)
+@pytest.mark.parametrize("stat", SUMMARY_KINDS)
+def test_conditional_shuffle_matches_per_bin_draws(stat, bins):
+    # same donors, and the generator left in the same state
+    ds = _reference_dataset()
+    for i in range(ds.n_predictors):
+        col = ds.ens[:, :, i]
+        for seed in range(5):
+            spec = PerturbationSpec(i, "conditional", statistic=stat,
+                                    bins=bins, seed=seed)
+            ours, ref = np.random.default_rng(seed), \
+                np.random.default_rng(seed)
+            np.testing.assert_array_equal(
+                _conditional_donors(_Column(col), spec, ours),
+                conditional_donors_per_bin(col, spec, ref))
+            assert ours.bit_generator.state == ref.bit_generator.state
+            np.testing.assert_array_equal(perturb(col, spec),
+                                          perturb_per_bin(col, spec))
+
+
+@pytest.mark.parametrize("kind", ["fully_random", "rank_aware"])
+def test_unconditional_shuffles_match_reference(kind):
+    ds = _reference_dataset()
+    for i in range(ds.n_predictors):
+        spec = PerturbationSpec(i, kind, seed=i)
+        np.testing.assert_array_equal(perturb(ds.ens[:, :, i], spec),
+                                      perturb_per_bin(ds.ens[:, :, i], spec))
+
+
+@pytest.mark.parametrize("bins", REFERENCE_BINS)
+def test_preservation_matrix_equals_full_recompute(bins):
+    ds = _reference_dataset()
+    for i in range(ds.n_predictors):
+        ours = preservation_matrix(ds, i, bins=bins, seed=3)
+        ref = preservation_matrix_recomputed(ds.ens[:, :, i], i, bins, 3,
+                                             SUMMARY_KINDS)
+        np.testing.assert_array_equal(ours, ref)     # NaN where ref has NaN
+    assert np.isnan(ours).all()                      # the constant column
+
+
+@pytest.mark.filterwarnings("ignore:.*global EMOS coefficients.*")
+@pytest.mark.parametrize("bins", REFERENCE_BINS)
+def test_importance_report_equals_per_shuffle_recomputation(bins):
+    ds = _reference_dataset()
+    # the constant column cannot be normalized, so models are fitted to
+    # the layout of a dataset with a varying third column
+    layout = Dataset(ds.ens + np.arange(ds.ens.size).reshape(ds.ens.shape)
+                     * 1e-3, ds.scalars, ds.station, ds.times, ds.obs,
+                     ds.lead_hours, ds.predictor_names, ds.scalar_names,
+                     n_stations=ds.n_stations)
+    models = [_untrained(arch, layout) for arch in ("drn", "emos", "ed-drn")]
+    ours = importance_report(models, ds, bins=bins, seed=9)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importance, "_shuffle", lambda column, spec:
+                      perturb_per_bin(column.values, spec))
+        patch.setattr(importance, "_preservation",
+                      lambda column, *args:
+                      preservation_matrix_recomputed(column.values, *args))
+        ref = importance_report(models, ds, bins=bins, seed=9)
+    np.testing.assert_equal(ours, ref)
+    assert np.isnan(ours["preservation"]["constant"]).all()

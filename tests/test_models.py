@@ -280,6 +280,11 @@ def test_check_model_size_accepts_models_numpy_can_index():
         check_model_size(ModelConfig(architecture=arch, **TINY), 4, 1, 3)
     # 1e8 x 10 values fit in an index, whatever memory holds
     check_model_size(ModelConfig(embedding_dim=10**8), 4, 1, 10)
+    # np.arange refuses 2**60 - 64 float64 values and tries to allocate
+    # one fewer
+    check_model_size(ModelConfig(n_quantile_levels=2**60 - 65), 4, 1, 3)
+    with pytest.raises(ConfigError, match="model.n_quantile_levels"):
+        check_model_size(ModelConfig(n_quantile_levels=2**60 - 64), 4, 1, 3)
 
 
 def test_graph_inputs_match_architecture():

