@@ -16,6 +16,8 @@ or cell ids included) reach ``fn`` as the caller passed them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError
@@ -46,7 +48,7 @@ class ParamVector:
         values = np.asarray(values, dtype=np.float64).ravel()
         covered = 0
         for name, (offset, shape) in sorted(layout.items(), key=lambda kv: kv[1][0]):
-            n = int(np.prod(shape, dtype=int))
+            n = math.prod(shape)
             if offset != covered:
                 raise ConfigError(f"layout slice {name!r} overlaps or leaves a gap")
             covered += n
@@ -72,7 +74,7 @@ class ParamVector:
         for name, shape in shapes.items():
             shape = tuple(int(s) for s in shape)
             layout[name] = (offset, shape)
-            n = int(np.prod(shape, dtype=int))
+            n = math.prod(shape)
             if initializer is None:
                 chunk = np.zeros(n)
             else:
@@ -86,7 +88,7 @@ class ParamVector:
 
     def view(self, name):
         offset, shape = self.layout[name]
-        n = int(np.prod(shape, dtype=int))
+        n = math.prod(shape)
         return self.values[offset : offset + n].reshape(shape)
 
     def copy(self):

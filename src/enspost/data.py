@@ -350,16 +350,17 @@ def fit_norm(dataset: Dataset):
     }
 
 
-def standardize(dataset: Dataset, stats, ens=None):
+def standardize(dataset: Dataset, stats):
     """Standardized (ens, scalars) arrays of a dataset under the
     :func:`fit_norm` statistics ``stats`` (the usual train-fit / test-apply
-    contract).  ``ens``, an (n, M, p) block, stands in for ``dataset.ens``.
+    contract).  Each value is standardized on its own, with its predictor's
+    statistics.
     """
     if stats["predictor_names"] != dataset.predictor_names \
             or stats["scalar_names"] != dataset.scalar_names:
         raise ConfigError("normalization stats name mismatch")
-    ens = dataset.ens if ens is None else ens
-    ens = (ens - np.asarray(stats["ens_mean"])) / np.asarray(stats["ens_std"])
+    ens = (dataset.ens - np.asarray(stats["ens_mean"])) \
+        / np.asarray(stats["ens_std"])
     scalars = (dataset.scalars - np.asarray(stats["scalar_mean"])) \
         / np.asarray(stats["scalar_std"])
     if not (np.isfinite(ens).all() and np.isfinite(scalars).all()):
@@ -372,13 +373,15 @@ def split_temporal(dataset: Dataset, fractions):
     if len(fractions) != 3 or any(f < 0 for f in fractions) \
             or abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError("fractions must be three non-negatives summing to 1")
-    times = np.unique(dataset.times)
-    n = times.size
+    # the distinct dates in np.unique's order; np.unique of an object
+    # array would import numpy.ma
+    times = sorted(set(dataset.times))
+    n = len(times)
     n_train = int(round(fractions[0] * n))
     n_val = int(round(fractions[1] * n))
     cuts = [times[:n_train], times[n_train:n_train + n_val],
             times[n_train + n_val:]]
-    if any(block.size == 0 for block in cuts):
+    if not all(cuts):
         raise ConfigError("temporal split produced an empty block")
     return tuple(dataset.subset(np.isin(dataset.times, block))
                  for block in cuts)

@@ -162,15 +162,20 @@ def evaluate_quantiles(quantiles, observations, level, levels=None,
     return _report(crps, lo, hi, pits, observations, level, pit_bins)
 
 
-def model_mean_crps(model, dataset: Dataset, ens=None):
+def model_mean_crps(model, dataset: Dataset):
     """Mean CRPS of a fitted model on a dataset, from one forward pass.
 
     Truncated-logistic families use the closed form; quantile families are
     scored as K-point empirical forecasts at the model's level grid.
-    ``ens``, an (n, M, p) block, stands in for ``dataset.ens``.
     """
+    return inputs_mean_crps(model, model.inputs(dataset), dataset.obs)
+
+
+def inputs_mean_crps(model, inputs, observations):
+    """:func:`model_mean_crps` of graph inputs from ``model.inputs`` (or
+    ``model.shuffled_inputs``) and their observations."""
     return theta_mean_crps(
-        model.raw_theta(dataset, ens), dataset.obs, model.family,
+        model.forward(inputs), observations, model.family,
         QuantileLevels.equidistant(model.config.n_quantile_levels))
 
 

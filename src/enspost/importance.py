@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, ContractError, DomainError
-from .evaluation import model_mean_crps
+from .evaluation import inputs_mean_crps
 
 SUMMARY_KINDS = ("mean", "std", "min", "max", "iqr", "range",
                  "skewness", "kurtosis")
@@ -192,21 +192,24 @@ def _conditional_donors(column, spec, rng):
     return donors
 
 
-def _shuffle(column, spec):
-    """Shuffled copy of the column under ``spec`` (see :func:`perturb`)."""
-    col = column.values
-    if len(col) < 2:
+def _donors(column, spec, rng):
+    """Donor row of each row under ``spec``, the first draws from ``rng``:
+    every operator gives each row the members of one row."""
+    if len(column.values) < 2:
         raise DomainError("need at least two samples to shuffle")
-    rng = np.random.default_rng(spec.seed)
-    t, m = col.shape
+    if spec.kind == "conditional":
+        return _conditional_donors(column, spec, rng)
+    return rng.permutation(len(column.values))
 
+
+def _members(column, spec, donors, rng):
+    """The shuffled column: each row holds its donor row's members, in a
+    random order (fully random) or in its own member rank pattern."""
     if spec.kind == "fully_random":
-        donor = col[rng.permutation(t)]
-        member_perms = np.argsort(rng.random((t, m)), axis=1)
-        return donor[np.arange(t)[:, None], member_perms]
-    if spec.kind == "rank_aware":
-        return column.transplant(rng.permutation(t))
-    return column.transplant(_conditional_donors(column, spec, rng))
+        t, m = column.values.shape
+        return column.values[donors[:, None],
+                             np.argsort(rng.random((t, m)), axis=1)]
+    return column.transplant(donors)
 
 
 def perturb(col, spec: PerturbationSpec):
@@ -217,7 +220,8 @@ def perturb(col, spec: PerturbationSpec):
     multiset of values is conserved exactly; rank-aware and conditional
     additionally preserve each sample's member rank pattern.
     """
-    return _shuffle(_Column(col), spec)
+    column, rng = _Column(col), np.random.default_rng(spec.seed)
+    return _members(column, spec, _donors(column, spec, rng), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +241,24 @@ def _columns(test: Dataset):
 
 def _skill_losses(model, test: Dataset, specs, columns):
     """Base mean CRPS S[g] and the skill loss S[g o P] - S[g] of each
-    distinct spec; each forecast is scored once.  A spec's forecast sees
-    one copy of the test ensemble block with its column shuffled;
-    ``columns`` holds the :class:`_Column` of each predictor."""
+    distinct spec; each forecast is scored once.  The model's graph inputs
+    of the test set are built once; a spec's forecast replaces the shuffled
+    predictor's part of them.  ``columns`` holds the :class:`_Column` of
+    each predictor."""
     if any(spec.predictor >= test.n_predictors for spec in specs):
         raise ConfigError("predictor index out of range")
-    base = model_mean_crps(model, test)
+    inputs = model.inputs(test)
+    base = inputs_mean_crps(model, inputs, test.obs)
     if base == 0.0:
         raise DomainError("degenerate model: mean CRPS is zero")
-    ens, losses = test.ens.copy(), {}
+    losses = {}
     for spec in dict.fromkeys(specs):
-        column = columns[spec.predictor]
-        ens[:, :, spec.predictor] = _shuffle(column, spec)
-        losses[spec] = model_mean_crps(model, test, ens=ens) - base
-        ens[:, :, spec.predictor] = column.values
+        column, rng = columns[spec.predictor], np.random.default_rng(spec.seed)
+        donors = _donors(column, spec, rng)
+        shuffled = model.shuffled_inputs(
+            inputs, spec.predictor, donors,
+            partial(_members, column, spec, donors, rng))
+        losses[spec] = inputs_mean_crps(model, shuffled, test.obs) - base
     return base, losses
 
 

@@ -6,7 +6,9 @@ coefficients, a summary-statistic MLP (DRN/BQN benchmark), an
 encoder-decoder set pooling network and a set transformer.  The network
 families consume standardized predictors plus a learned station embedding;
 all of them are permutation invariant in the ensemble members.  Training,
-forecasts and importance all build graph inputs with :func:`graph_inputs`.
+forecasts and importance all build graph inputs with :func:`graph_inputs`;
+importance builds them once per model and replaces one predictor's part of
+them per shuffle (:meth:`_FittedModel.shuffled_inputs`).
 """
 
 from __future__ import annotations
@@ -107,6 +109,14 @@ def summary_base(ens, primary):
     cols = [prim.mean(axis=-1), prim.std(axis=-1, ddof=1)]
     cols.extend(others.mean(axis=-2).T)
     return np.stack(cols, axis=-1)
+
+
+def summary_columns(primary, predictor):
+    """Columns of :func:`summary_base` computed from one predictor's
+    members."""
+    if predictor == primary:
+        return [0, 1]
+    return [2 + predictor - (predictor > primary)]
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +340,16 @@ def build_graph(config: ModelConfig):
     return fn
 
 
-def graph_inputs(config: ModelConfig, dataset: Dataset, norm, ens=None):
+def graph_inputs(config: ModelConfig, dataset: Dataset, norm):
     """Input arrays expected by :func:`build_graph` for a dataset.
 
-    ``ens``, an (n, M, p) block, stands in for ``dataset.ens``.  Networks
-    consume arrays standardized with ``norm`` (from ``data.fit_norm``);
-    EMOS consumes raw primary mean/std and ignores ``norm``.
+    Networks consume arrays standardized with ``norm`` (from
+    ``data.fit_norm``); EMOS consumes raw primary mean/std and ignores
+    ``norm``.
     """
-    ens = dataset.ens if ens is None else ens
     if config.architecture == "emos":
-        return {"features": summary_base(ens, dataset.primary)[:, :2]}
-    ens, scalars = standardize(dataset, norm, ens)
+        return {"features": summary_base(dataset.ens, dataset.primary)[:, :2]}
+    ens, scalars = standardize(dataset, norm)
     if config.architecture in ("drn", "bqn"):
         return {"features": np.concatenate(
                     [summary_base(ens, dataset.primary), scalars], axis=-1),
@@ -406,15 +415,38 @@ class _FittedModel:
                 f"dataset primary predictor {dataset.primary} differs from "
                 f"the model's {self.primary}")
 
-    def raw_theta(self, dataset: Dataset, ens=None):
-        """Raw theta (n, D) of the subclass's ``graph``; ``ens``, an
-        (n, M, p) block, stands in for ``dataset.ens``."""
-        self._check_dataset(dataset)
-        return eval_chunked(self.graph, self.params,
-                            self._inputs(dataset, ens))
+    def raw_theta(self, dataset: Dataset):
+        """Raw theta (n, D) of the subclass's ``graph``."""
+        return self.forward(self.inputs(dataset))
 
-    def _inputs(self, dataset, ens):
-        return graph_inputs(self.config, dataset, self.norm, ens)
+    def inputs(self, dataset: Dataset):
+        """Graph inputs of a dataset the model accepts."""
+        self._check_dataset(dataset)
+        return graph_inputs(self.config, dataset, self.norm)
+
+    def forward(self, inputs):
+        """Raw theta (n, D) of graph inputs from :meth:`inputs`."""
+        return eval_chunked(self.graph, self.params, inputs)
+
+    def shuffled_inputs(self, inputs, predictor, donors, members):
+        """:meth:`inputs` of a dataset with one predictor's column shuffled
+        between rows, from the dataset's own ``inputs``: row i holds the
+        members of row ``donors[i]``, ordered as in ``members()``, the
+        shuffled (n, M) column.  :func:`summary_base` sorts each row's
+        members into one memory layout, so summary columns are gathered at
+        the donor rows, bit for bit, without calling ``members``; set models
+        standardize the one column (standardizing is elementwise)."""
+        if "features" in inputs:
+            features = inputs["features"].copy()
+            # EMOS features hold the primary's columns only
+            cols = [c for c in summary_columns(self.primary, predictor)
+                    if c < features.shape[1]]
+            features[:, cols] = inputs["features"][donors[:, None], cols]
+            return {**inputs, "features": features}
+        ens = inputs["ens"].copy()
+        ens[:, :, predictor] = ((members() - self.norm["ens_mean"][predictor])
+                                / self.norm["ens_std"][predictor])
+        return {**inputs, "ens": ens}
 
     def forecast(self, dataset: Dataset):
         """One distribution object holding a forecast per sample."""
@@ -451,7 +483,8 @@ class EMOSModel(_FittedModel):
         self.keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
         self._warned = False
 
-    def _inputs(self, dataset, ens):
+    def inputs(self, dataset: Dataset):
+        inputs = super().inputs(dataset)
         # table row of each (station, month); 0 where no cell was fitted
         slot = np.zeros((self.n_stations, 13), dtype=np.int64)
         station, month = self.keys.T
@@ -462,7 +495,7 @@ class EMOSModel(_FittedModel):
             warnings.warn(f"{missing} samples used global EMOS coefficients "
                           "(no station/month cell fitted)")
             self._warned = True
-        return {**super()._inputs(dataset, ens), "cell": cell}
+        return {**inputs, "cell": cell}
 
 
 # ---------------------------------------------------------------------------

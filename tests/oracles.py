@@ -8,8 +8,10 @@ library's building blocks (the Bernstein quantile function, the EMOS loss
 graph and Adam) and differ only in how the work is batched.  Likewise the
 composed attention reference pins the fused ``autodiff.attention`` op to
 the autodiff primitives it replaces, the line-by-line NDJSON loader pins the
-chunked one, and the per-bin shuffle and fully recomputed preservation
-matrix pin the importance code that shares column facts between models.
+chunked one, and the per-bin shuffle, the graph inputs rebuilt from a
+shuffled dataset and the fully recomputed preservation matrix pin the
+importance code that shares column facts between models and replaces one
+predictor's part of each model's inputs.
 The run-configuration reference is the JSON Schema the CLI once validated
 against, checked by ``jsonschema``.
 """
@@ -282,15 +284,24 @@ def perturb_per_bin(col, spec, rng=None):
     if len(col) < 2:
         raise DomainError("need at least two samples to shuffle")
     rng = np.random.default_rng(spec.seed) if rng is None else rng
-    t, m = col.shape
+    return members_per_bin(col, spec, donors_per_bin(col, spec, rng), rng)
+
+
+def donors_per_bin(col, spec, rng):
+    """Donor row of each row of an (n, M) column under ``spec``."""
+    if spec.kind == "conditional":
+        return conditional_donors_per_bin(col, spec, rng)
+    return rng.permutation(len(col))
+
+
+def members_per_bin(col, spec, donors, rng):
+    """The shuffled column of :func:`perturb_per_bin` from its donor rows."""
     if spec.kind == "fully_random":
-        donor = col[rng.permutation(t)]
+        t, m = col.shape
+        donor = col[donors]
         member_perms = np.argsort(rng.random((t, m)), axis=1)
         return donor[np.arange(t)[:, None], member_perms]
-    if spec.kind == "rank_aware":
-        return _rank_aware_transplant(col, rng.permutation(t))
-    return _rank_aware_transplant(col, conditional_donors_per_bin(col, spec,
-                                                                  rng))
+    return _rank_aware_transplant(col, donors)
 
 
 def conditional_donors_per_bin(col, spec, rng):
@@ -302,6 +313,24 @@ def conditional_donors_per_bin(col, spec, rng):
         members = np.nonzero(bin_ids == b)[0]
         donor_perm[members] = members[rng.permutation(members.size)]
     return donor_perm
+
+
+def with_ensemble(dataset, ens):
+    """A Dataset holding an (n, M, p) ``ens`` block in place of the
+    dataset's own, built through the constructor."""
+    return Dataset(ens, dataset.scalars, dataset.station, dataset.times,
+                   dataset.obs, dataset.lead_hours, dataset.predictor_names,
+                   dataset.scalar_names, dataset.primary, dataset.n_stations)
+
+
+def rebuilt_shuffled_inputs(model, dataset):
+    """``model.shuffled_inputs`` of the dataset recomputed from a Dataset
+    holding the shuffled block (donor rows are read from ``members()``)."""
+    def shuffled_inputs(inputs, predictor, donors, members):
+        ens = dataset.ens.copy()
+        ens[:, :, predictor] = members()
+        return model.inputs(with_ensemble(dataset, ens))
+    return shuffled_inputs
 
 
 def preservation_matrix_recomputed(col, predictor, bins, seed, statistics):

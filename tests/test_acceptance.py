@@ -29,7 +29,7 @@ from enspost.models import (ARCHITECTURES, ModelConfig, graph_inputs,
                             init_params)
 from enspost.train import loss_graph, resample_and_score, train_pool
 from oracles import (aggregate_quantiles, crps_ensemble_exact,
-                     crps_tlogis_quad, multinomial_band)
+                     crps_tlogis_quad, multinomial_band, with_ensemble)
 
 
 def _verdict(number, label, ok, detail=""):
@@ -87,11 +87,11 @@ _TINY = dict(hidden_sizes=(6, 5), latent_width=8, attention_heads=2,
              n_quantile_levels=9)
 
 
-def _theta(config, params, data, norm, ens=None):
+def _theta(config, params, data, norm):
     import enspost.autodiff as ad
     from enspost.models import build_graph
     return ad.eval_graph(build_graph(config), params,
-                         dict(graph_inputs(config, data, norm, ens)))
+                         dict(graph_inputs(config, data, norm)))
 
 
 def test_criterion_03_permutation_invariance():
@@ -110,7 +110,7 @@ def test_criterion_03_permutation_invariance():
             sample = ds.subset(idx)
             permuted = sample.ens[:, rng.permutation(ds.n_members), :]
             a = _theta(config, params, sample, norm)
-            b = _theta(config, params, sample, norm, permuted)
+            b = _theta(config, params, with_ensemble(sample, permuted), norm)
             if arch.startswith(("drn", "bqn")):
                 rel = max(rel, float(np.max(np.abs(a - b))))   # exact
             else:

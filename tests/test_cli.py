@@ -694,3 +694,21 @@ def test_package_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_split_temporal_does_not_load_numpy_ma():
+    # importing numpy.ma costs every train/evaluate/importance stage about
+    # 17 ms; np.unique of the object array of dates would load it
+    code = ("import sys\n"
+            "from enspost.data import SynthConfig, generate_synthetic, "
+            "split_temporal\n"
+            "ds = generate_synthetic(SynthConfig(stations=2, days=20))\n"
+            "blocks = split_temporal(ds, (0.6, 0.2, 0.2))\n"
+            "assert sum(map(len, blocks)) == len(ds)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(enspost.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -344,9 +344,8 @@ def test_model_mean_crps_runs_one_forward_pass(arch):
         model = NeuralModel(cfg, params, fit_norm(ds), ds.n_stations,
                             ds.primary, ds.predictor_names, ds.scalar_names)
     calls = []
-    forward = model.raw_theta
-    model.raw_theta = lambda dataset, ens=None: (calls.append(1)
-                                                 or forward(dataset, ens))
+    forward = model.forward
+    model.forward = lambda inputs: calls.append(1) or forward(inputs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # EMOS without cells falls back
         assert np.isfinite(model_mean_crps(model, ds))

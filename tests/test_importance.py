@@ -7,23 +7,26 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 import enspost.importance as importance
+import enspost.models as models
 from enspost.data import (Dataset, SynthConfig, fit_norm, generate_synthetic,
                           split_temporal)
 from enspost.errors import ConfigError, ContractError, DomainError
-from enspost.evaluation import model_mean_crps
+from enspost.evaluation import inputs_mean_crps, model_mean_crps
 from enspost.importance import (PERTURBATION_KINDS, SUMMARY_KINDS, ChiResult,
                                 PerturbationSpec, _box_stats, _Column,
-                                _conditional_donors, _midranks, chi,
-                                chi_ratio, conditional_bins, delta0,
-                                derive_seed, importance_report, perturb,
-                                preservation_csv, preservation_matrix,
-                                spearman, summary_statistic)
+                                _conditional_donors, _donors, _members,
+                                _midranks, chi, chi_ratio, conditional_bins,
+                                delta0, derive_seed, importance_report,
+                                perturb, preservation_csv,
+                                preservation_matrix, spearman,
+                                summary_statistic)
 from enspost.models import (ARCHITECTURES, EMOSModel, ModelConfig,
                             NeuralModel, emos_params, init_params)
 from enspost.train import train_model
-from oracles import (conditional_donors_per_bin, perturb_per_bin,
-                     preservation_matrix_recomputed, spearman_ref,
-                     summary_stat_ref)
+from oracles import (conditional_donors_per_bin, donors_per_bin,
+                     members_per_bin, perturb_per_bin,
+                     preservation_matrix_recomputed, rebuilt_shuffled_inputs,
+                     spearman_ref, summary_stat_ref, with_ensemble)
 
 
 # ---------------------------------------------------------------------------
@@ -162,24 +165,50 @@ def _untrained(arch, ds):
     return NeuralModel(config, params, fit_norm(ds), **fields)
 
 
+def _shuffle(ds, spec):
+    """(donor rows, shuffled column) of one spec, drawn as importance does."""
+    column, rng = _Column(ds.ens[:, :, spec.predictor]), \
+        np.random.default_rng(spec.seed)
+    donors = _donors(column, spec, rng)
+    return donors, _members(column, spec, donors, rng)
+
+
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_stand_in_block_gives_the_bits_of_a_rebuilt_dataset(arch):
-    # a forward on a shuffled stand-in ensemble block equals a forward on a
-    # Dataset constructed from that block
+    # a forward on the model's inputs with one predictor's part shuffled
+    # equals a forward on a Dataset constructed from the shuffled block
     ds = _dataset(days=12, stations=3, members=6, seed=1)
     model = _untrained(arch, ds)
+    inputs = model.inputs(ds)
     for i in range(ds.n_predictors):
         for kind in PERTURBATION_KINDS:
             spec = PerturbationSpec(i, kind, statistic="std", bins=5, seed=i)
+            donors, col = _shuffle(ds, spec)
+            np.testing.assert_array_equal(col, perturb(ds.ens[:, :, i], spec))
             ens = ds.ens.copy()
-            ens[:, :, i] = perturb(ds.ens[:, :, i], spec)
-            rebuilt = Dataset(ens, ds.scalars, ds.station, ds.times, ds.obs,
-                              ds.lead_hours, ds.predictor_names,
-                              ds.scalar_names, ds.primary, ds.n_stations)
-            np.testing.assert_array_equal(model.raw_theta(ds, ens=ens),
+            ens[:, :, i] = col
+            rebuilt = with_ensemble(ds, ens)
+            shuffled = model.shuffled_inputs(inputs, i, donors, lambda: col)
+            np.testing.assert_equal(shuffled, model.inputs(rebuilt))
+            np.testing.assert_array_equal(model.forward(shuffled),
                                           model.raw_theta(rebuilt))
-            assert model_mean_crps(model, ds, ens=ens) \
+            assert inputs_mean_crps(model, shuffled, ds.obs) \
                 == model_mean_crps(model, rebuilt)
+    # the base inputs are never written
+    np.testing.assert_equal(inputs, model.inputs(ds))
+
+
+@pytest.mark.parametrize("arch", ["emos", "drn", "bqn"])
+def test_summary_models_do_not_build_the_shuffled_column(arch):
+    ds = _dataset(days=12, stations=3, members=6, seed=1)
+    model = _untrained(arch, ds)
+
+    def members():
+        raise AssertionError("summary models read donor rows only")
+
+    for i in range(ds.n_predictors):
+        donors = np.random.default_rng(i).permutation(len(ds))
+        model.shuffled_inputs(model.inputs(ds), i, donors, members)
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +362,15 @@ def test_importance_report_structure(drn_and_test):
         importance_report([], test)
 
 
-def _count_raw_theta(monkeypatch, model):
+def _count_calls(monkeypatch, owner, name):
     calls = []
-    inner = model.raw_theta
+    inner = getattr(owner, name)
 
-    def counted(dataset, ens=None):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return inner(dataset, ens)
+        return inner(*args, **kwargs)
 
-    monkeypatch.setattr(model, "raw_theta", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -376,12 +405,16 @@ def test_importance_report_scores_each_distinct_forecast_once(
     statistics, chi_predictors = ("mean", "std", "skewness"), [0, 1]
     expected_delta, expected_chi = _report_by_public_calls(
         [model, emos], test, 10, 5, statistics, chi_predictors)
-    counts = [_count_raw_theta(monkeypatch, m) for m in (model, emos)]
+    counts = [_count_calls(monkeypatch, m, "forward") for m in (model, emos)]
+    built = _count_calls(monkeypatch, models, "graph_inputs")
+    standardized = _count_calls(monkeypatch, models, "standardize")
     report = importance_report([model, emos], test, bins=10, seed=5,
                                statistics=statistics,
                                chi_predictors=chi_predictors)
     p, s, c = test.n_predictors, len(statistics), len(chi_predictors)
     assert [len(calls) for calls in counts] == [1 + p + s * c + c] * 2
+    # inputs are built once per model; EMOS reads raw members
+    assert (len(built), len(standardized)) == (2, 1)
     np.testing.assert_equal(report["delta0"], expected_delta)
     np.testing.assert_equal(report["chi"], expected_chi)
 
@@ -396,12 +429,10 @@ def test_importance_builds_no_dataset(drn_and_test, monkeypatch):
                         or init(self, *a, **k))
     importance_report([model, emos], test, bins=10, seed=5,
                       statistics=("mean", "std"), chi_predictors=[0, 1])
-    col = test.ens[:, :, 0]
-    ens = test.ens.copy()
-    ens[:, :, 0] = perturb(col, PerturbationSpec(0, "fully_random"))
+    donors, col = _shuffle(test, PerturbationSpec(0, "fully_random"))
     for m in (model, emos):
-        m.raw_theta(test, ens=ens)
-        model_mean_crps(m, test, ens=ens)
+        inputs_mean_crps(m, m.shuffled_inputs(m.inputs(test), 0, donors,
+                                              lambda: col), test.obs)
     assert built == []
 
 
@@ -414,7 +445,7 @@ def test_skill_losses_reject_a_predictor_out_of_range(drn_and_test):
 def test_importance_report_rejects_bad_options_before_any_forward(
         drn_and_test, monkeypatch):
     model, _, test = drn_and_test
-    calls = _count_raw_theta(monkeypatch, model)
+    calls = _count_calls(monkeypatch, model, "forward")
     for predictor in (test.n_predictors, -1):
         with pytest.raises(ConfigError, match=r"chi predictors \["):
             importance_report([model], test, chi_predictors=[predictor])
@@ -503,14 +534,21 @@ def test_importance_report_equals_per_shuffle_recomputation(bins):
                      * 1e-3, ds.scalars, ds.station, ds.times, ds.obs,
                      ds.lead_hours, ds.predictor_names, ds.scalar_names,
                      n_stations=ds.n_stations)
-    models = [_untrained(arch, layout) for arch in ("drn", "emos", "ed-drn")]
-    ours = importance_report(models, ds, bins=bins, seed=9)
+    pool = [_untrained(arch, layout) for arch in ("drn", "emos", "ed-drn")]
+    ours = importance_report(pool, ds, bins=bins, seed=9)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(importance, "_shuffle", lambda column, spec:
-                      perturb_per_bin(column.values, spec))
+        # reference shuffles, and each shuffled forecast's inputs built
+        # from a Dataset holding the shuffled block
+        patch.setattr(importance, "_donors", lambda column, spec, rng:
+                      donors_per_bin(column.values, spec, rng))
+        patch.setattr(importance, "_members", lambda column, spec, donors,
+                      rng: members_per_bin(column.values, spec, donors, rng))
+        for model in pool:
+            patch.setattr(model, "shuffled_inputs",
+                          rebuilt_shuffled_inputs(model, ds))
         patch.setattr(importance, "_preservation",
                       lambda column, *args:
                       preservation_matrix_recomputed(column.values, *args))
-        ref = importance_report(models, ds, bins=bins, seed=9)
+        ref = importance_report(pool, ds, bins=bins, seed=9)
     np.testing.assert_equal(ours, ref)
     assert np.isnan(ours["preservation"]["constant"]).all()

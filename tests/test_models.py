@@ -21,8 +21,8 @@ from enspost.models import (ARCHITECTURES, POOLING_KINDS, EMOSModel,
                             ModelConfig, NeuralModel, build_graph,
                             check_model_size, emos_params, graph_inputs,
                             init_params, load_model, param_shapes,
-                            save_model, summary_base)
-from oracles import emos_forward
+                            save_model, summary_base, summary_columns)
+from oracles import emos_forward, with_ensemble
 
 TINY = dict(hidden_sizes=(6, 5), latent_width=8, attention_heads=2,
             n_attention_blocks=2, bernstein_degree=4, embedding_dim=3,
@@ -105,6 +105,44 @@ def test_summary_base_values_and_invariance():
         summary_base(ens[:, :1], 0)
 
 
+@st.composite
+def _shuffled_blocks(draw):
+    """(block, primary, donors, shuffled block, moved predictors): the
+    moved predictors' columns take the members of the donor rows, in any
+    order in each row."""
+    n, m, p = (draw(st.integers(1, 6)), draw(st.integers(2, 6)),
+               draw(st.integers(1, 4)))
+    element = draw(st.sampled_from([
+        st.floats(-1e300, 1e300, allow_nan=False),
+        st.sampled_from([-0.0, 0.0, 1.0, -2.5]),
+        st.floats(-1e-300, 1e-300, allow_nan=False)]))
+    block = np.array(draw(st.lists(element, min_size=n * m * p,
+                                   max_size=n * m * p))).reshape(n, m, p)
+    donors = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    moved = draw(st.sets(st.integers(0, p - 1), min_size=1))
+    shuffled = block.copy()
+    for j in moved:
+        for i in range(n):
+            order = draw(st.permutations(range(m)))
+            shuffled[i, :, j] = block[donors[i], order, j]
+    return block, draw(st.integers(0, p - 1)), donors, shuffled, moved
+
+
+@settings(max_examples=300)
+@given(case=_shuffled_blocks())
+def test_summary_base_of_shuffled_rows_is_a_gather(case):
+    # importance reads a shuffled block's summary columns from the donor
+    # rows of the original summaries: the bits must agree
+    block, primary, donors, shuffled, moved = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = summary_base(block, primary)
+        got = summary_base(shuffled, primary)
+    for j in moved:
+        cols = summary_columns(primary, j)
+        expected[:, cols] = expected[donors[:, None], cols]
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_summary_graph_features_are_summary_base_and_scalars():
     ds = _dataset()
     norm = fit_norm(ds)
@@ -147,7 +185,7 @@ def test_set_models_are_permutation_invariant(arch):
     theta = model.raw_theta(ds)
     rng = np.random.default_rng(1)
     perm = rng.permutation(ds.n_members)
-    theta_p = model.raw_theta(ds, ens=ds.ens[:, perm])
+    theta_p = model.raw_theta(with_ensemble(ds, ds.ens[:, perm]))
     rel = np.abs(theta_p - theta) / np.maximum(np.abs(theta), 1e-12)
     assert rel.max() < 1e-9
 
@@ -171,7 +209,7 @@ def test_set_models_are_member_permutation_invariant_property(arch, pooling,
     model = NeuralModel(cfg, params, norm, ds.n_stations, ds.primary,
                         ds.predictor_names, ds.scalar_names)
     theta = model.raw_theta(ds)
-    permuted = model.raw_theta(ds, ens=ds.ens[:, list(perm)])
+    permuted = model.raw_theta(with_ensemble(ds, ds.ens[:, list(perm)]))
     # permutations only reorder sums over members: rounding-level changes
     # relative to the output scale
     assert np.max(np.abs(permuted - theta)) <= 1e-9 * np.max(np.abs(theta))
@@ -182,7 +220,8 @@ def test_summary_models_exactly_invariant():
     model = _tiny_model("drn", ds)
     perm = np.random.default_rng(2).permutation(ds.n_members)
     np.testing.assert_array_equal(model.raw_theta(ds),
-                                  model.raw_theta(ds, ens=ds.ens[:, perm]))
+                                  model.raw_theta(with_ensemble(
+                                      ds, ds.ens[:, perm])))
 
 
 def test_emos_raw_theta_matches_per_row_forward():
