@@ -1,10 +1,11 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-The engine is deliberately small: it supports exactly the primitives needed
-for MLPs, set attention and the scoring-rule losses used elsewhere in this
-package (affine maps, elementwise arithmetic, softplus/exp/log/tanh/
-sigmoid, mean/max/min reductions, concatenation and embedding lookup),
-plus one fused multi-head ``attention`` op with a hand-written backward.
+The engine is deliberately small: it supports exactly the primitives the
+seven architectures' graphs and their scoring-rule losses use (affine maps,
+elementwise arithmetic, exp/tanh/softplus and the truncated-logistic tail
+term, sum/mean/max/min reductions, concatenation, reshapes, slicing,
+embedding lookup and constant-condition selection), plus one fused
+multi-head ``attention`` op with a hand-written backward.
 Everything is eager: calling an op both computes the forward value and
 records the adjoint closure on a tape implied by the parent links.
 A node stores the first gradient it receives as is and adds later ones out
@@ -41,7 +42,8 @@ class ParamVector:
 
     ``layout`` maps a name to ``(offset, shape)``.  Slices must be disjoint
     and cover the vector exactly; views returned by :meth:`view` alias the
-    underlying storage.
+    underlying storage.  They are built once, so ``values`` must only ever be
+    written in place, never rebound.
     """
 
     def __init__(self, values, layout):
@@ -60,6 +62,9 @@ class ParamVector:
             raise NumericError("parameter vector contains non-finite entries")
         self.values = values
         self.layout = dict(layout)
+        self._views = {name: values[offset:offset + math.prod(shape)]
+                       .reshape(shape)
+                       for name, (offset, shape) in self.layout.items()}
 
     @classmethod
     def build(cls, shapes, initializer=None):
@@ -87,15 +92,14 @@ class ParamVector:
         return cls(values, layout)
 
     def view(self, name):
-        offset, shape = self.layout[name]
-        n = math.prod(shape)
-        return self.values[offset : offset + n].reshape(shape)
+        return self._views[name]
 
     def copy(self):
         return ParamVector(self.values.copy(), self.layout)
 
-    def zeros_like(self):
-        return ParamVector(np.zeros_like(self.values), self.layout)
+    def __reduce__(self):
+        # a pickled view would come back as a copy, no longer aliasing values
+        return ParamVector, (self.values, self.layout)
 
     @property
     def size(self):
@@ -286,13 +290,6 @@ def exp(a):
     return out
 
 
-def log(a):
-    a = _wrap(a)
-    out = Tensor(np.log(a.value), (a,), op="log")
-    out._backward = lambda g: a._accumulate(g / a.value)
-    return out
-
-
 def tanh(a):
     a = _wrap(a)
     y = np.tanh(a.value)
@@ -307,14 +304,6 @@ def _sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def sigmoid(a):
-    a = _wrap(a)
-    y = _sigmoid(a.value)
-    out = Tensor(y, (a,), op="sigmoid")
-    out._backward = lambda g: a._accumulate(g * y * (1.0 - y))
-    return out
 
 
 def softplus(a):
@@ -358,12 +347,12 @@ def trunc_tail(a):
     return out
 
 
-def _sum(a, axis=None, keepdims=False):
+def _sum(a, axis=None):
     a = _wrap(a)
-    out = Tensor(a.value.sum(axis=axis, keepdims=keepdims), (a,), op="sum")
+    out = Tensor(a.value.sum(axis=axis), (a,), op="sum")
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.value.shape))
 
@@ -371,13 +360,10 @@ def _sum(a, axis=None, keepdims=False):
     return out
 
 
-def mean(a, axis=None, keepdims=False):
+def mean(a, axis=None):
     a = _wrap(a)
-    if axis is None:
-        n = a.value.size
-    else:
-        n = a.value.shape[axis]
-    return mul(_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    n = a.value.size if axis is None else a.value.shape[axis]
+    return mul(_sum(a, axis=axis), 1.0 / n)
 
 
 def _extremum(a, axis, np_reduce):
@@ -447,14 +433,6 @@ def reshape(a, shape):
     return out
 
 
-def transpose(a, axes):
-    a = _wrap(a)
-    inverse = np.argsort(axes)
-    out = Tensor(a.value.transpose(axes), (a,), op="transpose")
-    out._backward = lambda g: a._accumulate(g.transpose(inverse))
-    return out
-
-
 def where(cond, a, b):
     """Select elementwise on a *constant* boolean condition."""
     cond = np.asarray(cond, dtype=bool)
@@ -469,10 +447,9 @@ def where(cond, a, b):
     return out
 
 
-def linear(x, w, b=None):
+def linear(x, w, b):
     """Affine map on the trailing axis: ``x @ w + b``."""
-    y = matmul(x, w)
-    return y if b is None else add(y, b)
+    return add(matmul(x, w), b)
 
 
 def _split_heads(t, heads):
@@ -553,8 +530,8 @@ def attention(xq, xk, xv, wq, wk, wv, wo, heads):
 
 
 def _leaves(params: ParamVector):
-    return {name: Tensor(params.view(name), op=f"param:{name}")
-            for name in params.layout}
+    return {name: Tensor(view, op=f"param:{name}")
+            for name, view in params._views.items()}
 
 
 def _run(fn, params: ParamVector, inputs):
@@ -582,17 +559,23 @@ def eval_graph(fn, params: ParamVector, inputs=None):
 
 
 def value_and_grad(fn, params: ParamVector, inputs=None):
-    """Scalar value and gradient of a graph in one forward/backward pass."""
+    """Scalar value and gradient of a graph in one forward/backward pass.
+
+    The gradient is one flat float64 array in the layout of
+    ``params.values``; slices that no path reaches are zero.
+    """
     out, leaves = _run(fn, params, inputs)
     if out.value.ndim != 0 and out.value.size != 1:
         raise ContractError("value_and_grad requires a scalar-valued graph")
     _check_finite(out)
     out.backward()
-    result = params.zeros_like()
+    grad = np.zeros_like(params.values)
     for name, leaf in leaves.items():
         if leaf.grad is not None:
-            result.view(name)[...] = leaf.grad
-    return float(out.value), result
+            offset = params.layout[name][0]
+            grad[offset:offset + leaf.value.size].reshape(
+                leaf.value.shape)[...] = leaf.grad
+    return float(out.value), grad
 
 
 def finite_diff_check(fn, params: ParamVector, inputs=None, step=1e-4):
@@ -614,7 +597,7 @@ def finite_diff_check(fn, params: ParamVector, inputs=None, step=1e-4):
     """
     if step <= 0:
         raise ConfigError("step must be positive")
-    analytic = value_and_grad(fn, params, inputs)[1].values
+    analytic = value_and_grad(fn, params, inputs)[1]
     numeric = np.zeros_like(analytic)
     work = params.copy()
 

@@ -34,6 +34,7 @@ SCALAR_NAMES = ("lat", "lon", "yday_cos")
 SYNTH_START = datetime.date(2016, 1, 1)   # date of synthetic day 0
 # days up to the last ISO date, 9999-12-31
 MAX_SYNTH_DAYS = (datetime.date.max - SYNTH_START).days + 1
+_DAYS = np.array(["0001-01-01", "9999-12-31"], dtype="datetime64[D]")
 
 
 class Dataset:
@@ -59,6 +60,7 @@ class Dataset:
         if scalars.shape != (t, len(scalar_names)) or station.shape != (t,) \
                 or obs.shape != (t,) or times.shape != (t,):
             raise ConfigError("inconsistent column lengths")
+        _check_dates(times)
         if len(predictor_names) != p:
             raise ConfigError("predictor_names must match ensemble width")
         if not 0 <= primary < p:
@@ -141,6 +143,22 @@ def _is_date(text):
         return False
 
 
+def _check_dates(times):
+    """Raise ConfigError naming the first of ``times`` that is not a date
+    written YYYY-MM-DD (0001-01-01 to 9999-12-31)."""
+    try:
+        days = np.array(times, dtype="datetime64[D]")
+        # NumPy also reads years 0 and past 9999, integers as day counts and
+        # forms other than YYYY-MM-DD, which date.fromisoformat refuses
+        ok = (((_DAYS[0] <= days) & (days <= _DAYS[1])).all()
+              and days.astype(str).tolist() == list(times))
+    except (OverflowError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        bad = next(t for t in times if not _is_date(t))
+        raise ConfigError(f"time {bad!r} is not an ISO date YYYY-MM-DD")
+
+
 def _check_record(rec, lineno):
     """Raise ConfigError naming the line and the first mistyped field."""
     if not isinstance(rec, dict):
@@ -171,7 +189,6 @@ def _check_record(rec, lineno):
 # per-column checks, few enough that the records' dicts never hold much
 # more memory than the arrays they become.
 CHUNK_RECORDS = 64
-_DAYS = np.array(["0001-01-01", "9999-12-31"], dtype="datetime64[D]")
 
 
 def _layout(rec):
@@ -225,16 +242,11 @@ def _bulk_columns(recs, layout):
         return None
     try:
         columns = _columns(recs)          # station ids must fit int64
-        days = np.array(times, dtype="datetime64[D]")
-    except (OverflowError, ValueError):
+        _check_dates(columns[3])
+    except (ConfigError, OverflowError, ValueError):
         return None
-    # NumPy also reads years 0 and past 9999, and forms other than
-    # YYYY-MM-DD, which date.fromisoformat refuses
-    if not (all(np.isfinite(columns[i]).all() for i in (0, 1, 4))
-            and ((_DAYS[0] <= days) & (days <= _DAYS[1])).all()
-            and days.astype(str).tolist() == columns[3]):
-        return None
-    return columns
+    finite = all(np.isfinite(columns[i]).all() for i in (0, 1, 4))
+    return columns if finite else None
 
 
 def _checked_columns(chunk, first):

@@ -257,13 +257,12 @@ def mlp_forward(x, P, prefix, n_layers):
     return h
 
 
-def attention_pool(latents, P, heads, prefix="pool"):
+def attention_pool(latents, P, heads):
     """Attend a learnable query over the member latents; returns (n, L)."""
     lw = latents.value.shape[-1]
-    query = ad.reshape(P[f"{prefix}_q"], (1, 1, lw))
-    out = ad.attention(query, latents, latents, P[f"{prefix}_wq"],
-                       P[f"{prefix}_wk"], P[f"{prefix}_wv"], P[f"{prefix}_wo"],
-                       heads)
+    query = ad.reshape(P["pool_q"], (1, 1, lw))
+    out = ad.attention(query, latents, latents, P["pool_wq"], P["pool_wk"],
+                       P["pool_wv"], P["pool_wo"], heads)
     n = out.value.shape[0]
     return ad.reshape(out, (n, lw))
 

@@ -90,21 +90,23 @@ def loss_graph(config: ModelConfig, loss=None):
 class Adam:
     """Adaptive per-parameter steps, beta=(0.9, 0.999), eps=1e-8."""
 
-    def __init__(self, size, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, size, lr):
         if lr <= 0:
             raise ConfigError("learning rate must be positive")
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
 
     def step(self, values, grad):
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * grad
+        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * grad * grad
+        m_hat = self.m / (1.0 - self.BETA1 ** self.t)
+        v_hat = self.v / (1.0 - self.BETA2 ** self.t)
+        values -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +200,7 @@ def _fit_loop(config, loss, params, inputs, obs, val_graph, val_inputs,
             except NumericError as exc:
                 raise NumericError(
                     f"epoch {epoch}, batch at {start}: {exc}") from exc
-            optimizer.step(params.values, gradient.values)
+            optimizer.step(params.values, gradient)
             total += value * idx.size
         train_losses.append(total / n)
         score = _val_crps(config, val_graph, params, val_inputs, val_obs)
@@ -270,7 +272,7 @@ def _fit_cells(config, table, features, obs, cell):
     optimizer = Adam(table.size, config.learning_rate)
     for _ in range(EMOS_CELL_STEPS):
         _, gradient = ad.value_and_grad(loss, table, inputs)
-        optimizer.step(table.values, gradient.values)
+        optimizer.step(table.values, gradient)
 
 
 def _train_emos(config, train: Dataset, features, global_fit, fields):
@@ -320,9 +322,11 @@ class ModelPool:
         """(min, median, max) of the selected-epoch validation CRPS."""
         if self.reports is None:
             raise ContractError("pool was loaded without training reports")
-        best = [r.val_crps[r.selected_epoch] for r in self.reports]
-        return (float(np.min(best)), float(np.median(best)),
-                float(np.max(best)))
+        best = sorted(r.val_crps[r.selected_epoch] for r in self.reports)
+        # np.median's mean of the middle one or two, without importing numpy.ma
+        mid = len(best) // 2
+        return (float(best[0]), float((best[mid] + best[~mid]) / 2),
+                float(best[-1]))
 
 
 def _fit_one(args):

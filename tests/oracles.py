@@ -224,7 +224,7 @@ def emos_cells_sequential(config, train, start):
             inputs = {"features": features[mask], "y": train.obs[mask]}
             for _ in range(EMOS_CELL_STEPS):
                 _, gradient = ad.value_and_grad(loss, params, inputs)
-                optimizer.step(params.values, gradient.values)
+                optimizer.step(params.values, gradient)
             cells[(int(station), int(month))] = params.values
     return cells
 
@@ -438,6 +438,15 @@ def softmax(a, axis=-1):
     return out
 
 
+def transpose(a, axes):
+    """Axis permutation as one autodiff tape node."""
+    a = ad._wrap(a)
+    inverse = np.argsort(axes)
+    out = ad.Tensor(a.value.transpose(axes), (a,), op="transpose")
+    out._backward = lambda g: a._accumulate(g.transpose(inverse))
+    return out
+
+
 def multihead_attention_ref(queries, keys, values, wq, wk, wv, wo, heads):
     """Multi-head softmax attention composed from autodiff primitives.
 
@@ -450,14 +459,14 @@ def multihead_attention_ref(queries, keys, values, wq, wk, wv, wo, heads):
 
     def split(t):
         n, s, _ = t.value.shape
-        return ad.transpose(ad.reshape(t, (n, s, heads, lw // heads)),
-                            (0, 2, 1, 3))
+        return transpose(ad.reshape(t, (n, s, heads, lw // heads)),
+                         (0, 2, 1, 3))
 
     q, k, v = split(queries @ wq), split(keys @ wk), split(values @ wv)
-    scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(lw / heads))
+    scores = (q @ transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(lw / heads))
     mixed = softmax(scores, axis=-1) @ v
     n, _, n_q, _ = mixed.value.shape
-    return ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (n, n_q, lw)) @ wo
+    return ad.reshape(transpose(mixed, (0, 2, 1, 3)), (n, n_q, lw)) @ wo
 
 
 # ---------------------------------------------------------------------------

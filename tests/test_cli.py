@@ -2,8 +2,8 @@
 
 All commands are exercised in-process through ``enspost.cli.main`` so exit
 codes, stdout and artifacts can be checked without spawning subprocesses.
-Only the import guard runs a fresh interpreter, since ``sys.modules`` of the
-test process already holds the oracles' scipy.
+Only the import guards run a fresh interpreter, since ``sys.modules`` of the
+test process already holds the oracles' scipy and ``numpy.ma``.
 """
 
 import dataclasses
@@ -678,6 +678,16 @@ def test_mistyped_ndjson_and_chi_predictor_exit_2(tmp_path, capsys):
     assert "chi predictors [4]" in capsys.readouterr().err
 
 
+def _fresh_python(code):
+    """Stripped stdout of ``code`` run by a fresh interpreter that imports
+    this enspost."""
+    src = str(Path(enspost.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
 def test_package_import_does_not_load_scipy():
     # every CLI stage is a fresh process, so import time is paid per stage;
     # scipy and jsonschema are oracles for the tests only and must stay off
@@ -688,12 +698,7 @@ def test_package_import_does_not_load_scipy():
             "import enspost.train\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[0] in ('scipy', 'jsonschema')))\n")
-    src = str(Path(enspost.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_python(code) == "[]"
 
 
 def test_split_temporal_does_not_load_numpy_ma():
@@ -706,9 +711,22 @@ def test_split_temporal_does_not_load_numpy_ma():
             "blocks = split_temporal(ds, (0.6, 0.2, 0.2))\n"
             "assert sum(map(len, blocks)) == len(ds)\n"
             "print('numpy.ma' in sys.modules)\n")
-    src = str(Path(enspost.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert _fresh_python(code) == "False"
+
+
+def test_train_stage_does_not_load_numpy_ma(tmp_path):
+    # np.median of the pool's validation scores would load it
+    data = tmp_path / "synth" / "dataset.ndjson"
+    assert _run("synth", data.parent, ["synth.stations=2",
+                                       "synth.days=30"]) == 0
+    argv = ["train", "--out", str(tmp_path / "train")]
+    for item in [f'data.path="{data}"', *MODEL_SETS]:
+        argv += ["--set", item]
+    code = ("import sys\n"
+            "from enspost.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    assert _fresh_python(code).splitlines()[-1] == "False"
+    summary = json.loads((tmp_path / "train" / "train_reports.json")
+                         .read_text())["val_crps_summary"]
+    assert summary["min"] <= summary["median"] <= summary["max"]

@@ -2,6 +2,7 @@
 
 import datetime
 import json
+import re
 import sys
 import tracemalloc
 import zlib
@@ -111,6 +112,23 @@ def test_months_read_the_month_of_any_iso_date():
                  predictor_names=["p0"], scalar_names=[])
     assert ds.months().dtype == np.int64
     assert ds.months().tolist() == [int(t[5:7]) for t in times]
+
+
+@pytest.mark.parametrize("bad, times", [
+    ("'2020-13-01'", ["2020-01-01", "2020-13-01"]),
+    ("'not a date'", ["not a date", "2020-01-01"]),
+    ("20200101", [20200101, 20200102]),
+    ("'0000-12-31'", ["2020-01-01", "0000-12-31"]),
+    ("'10000-01-01'", ["10000-01-01", "2020-01-01"]),
+    ("'2020-1-01'", ["2020-01-01", "2020-1-01"]),
+    ("None", ["2020-01-01", None]),
+])
+def test_dataset_rejects_times_that_are_not_iso_dates(bad, times):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigError, match=f"time {re.escape(bad)} is not"):
+        Dataset(ens=rng.normal(size=(2, 2, 1)), scalars=np.zeros((2, 0)),
+                station=[0, 0], times=times, obs=np.zeros(2), lead_hours=6,
+                predictor_names=["p0"], scalar_names=[])
 
 
 def test_subset_keeps_the_selected_rows():

@@ -1,8 +1,10 @@
 """Unit tests for losses, the optimizer and the training loops."""
 
+import inspect
 import os
 import tempfile
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,13 +13,15 @@ from hypothesis import strategies as st
 
 import enspost.autodiff as ad
 import enspost.train as train_mod
-from enspost.data import SynthConfig, generate_synthetic, split_temporal
+from enspost.data import (SynthConfig, fit_norm, generate_synthetic,
+                          split_temporal)
 from enspost.dist import QuantileLevels, bernstein_basis, bqn_coefficients
 from enspost.errors import ConfigError, ContractError, DomainError
 from enspost.evaluation import (evaluate_quantiles, model_mean_crps,
                                 nominal_pi_level)
-from enspost.models import (ModelConfig, graph_inputs, init_params,
-                            load_model, save_model)
+from enspost.models import (ARCHITECTURES, POOLING_KINDS, ModelConfig,
+                            graph_inputs, init_params, load_model,
+                            save_model)
 from enspost.train import (Adam, ModelPool, TrainReport, loss_graph,
                            resample_and_score, train_model, train_pool)
 from oracles import aggregate_quantiles, emos_cells_sequential, pinball_ref
@@ -75,13 +79,39 @@ def test_adam_rejects_nonpositive_lr():
 
 
 def _loss_value(cfg, loss, ds):
-    from enspost.data import fit_norm
     inputs = dict(graph_inputs(cfg, ds, fit_norm(ds)))
     inputs["y"] = ds.obs
     params = init_params(cfg, ds.n_predictors, ds.n_scalars, ds.n_stations,
                          rng=np.random.default_rng(0))
     return float(ad.eval_graph(loss_graph(cfg, loss), params, inputs)), \
         params, inputs
+
+
+def test_every_autodiff_op_is_used_by_a_loss_graph(monkeypatch):
+    # each op function autodiff defines must be called while the loss
+    # graphs of the seven architectures (both losses, every pooling kind of
+    # the ed- models) are differentiated; an op no graph uses fails here
+    ops = {name: fn for name, fn in vars(ad).items()
+           if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+           and not name.startswith("_") and name not in ad.__all__}
+    called = set()
+    for name, fn in ops.items():
+        def spy(*args, _name=name, _fn=fn, **kwargs):
+            called.add(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ad, name, spy)   # ops are looked up when called
+    ds = generate_synthetic(SynthConfig(stations=2, days=4, members=6))
+    norm = fit_norm(ds)
+    for arch in ARCHITECTURES:
+        poolings = POOLING_KINDS if arch.startswith("ed-") else ("attention",)
+        for pooling in poolings:
+            cfg = ModelConfig(architecture=arch, pooling=pooling, **TINY)
+            params = init_params(cfg, ds.n_predictors, ds.n_scalars,
+                                 ds.n_stations)
+            inputs = {**graph_inputs(cfg, ds, norm), "y": ds.obs}
+            for loss in ("crps", "quantile_score"):
+                ad.value_and_grad(loss_graph(cfg, loss), params, inputs)
+    assert sorted(set(ops) - called) == []
 
 
 def test_loss_graph_rejects_unknown_loss():
@@ -317,6 +347,22 @@ def test_train_pool_caps_workers_at_pool_size(monkeypatch):
     assert [r.seed for r in pool.reports] == [0, 1]
     train_pool(cfg, train, val, n=3, workers=2)
     assert started == [2, 2]
+
+
+@settings(max_examples=60)
+@given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8))
+@example([0.1, 0.2])
+@example([0.3, 0.1, 0.2])
+def test_val_crps_summary_is_numpy_min_median_max_bit_for_bit(scores):
+    reports = [TrainReport(seed=i, train_losses=[], val_crps=[s],
+                           selected_epoch=0, wall_time=0.0)
+               for i, s in enumerate(scores)]
+    pool = ModelPool(config=ModelConfig(**TINY),
+                     models=[SimpleNamespace(family="tlogis")] * len(scores),
+                     reports=reports)
+    expected = (np.min(scores), np.median(scores), np.max(scores))
+    assert [float(v).hex() for v in pool.val_crps_summary()] == \
+        [float(v).hex() for v in expected]
 
 
 def test_model_pool_validation():
