@@ -6,13 +6,19 @@ elementwise arithmetic, exp/tanh/softplus and the truncated-logistic tail
 term, sum/mean/max/min reductions, concatenation, reshapes, slicing,
 embedding lookup and constant-condition selection), plus one fused
 multi-head ``attention`` op with a hand-written backward.
-Everything is eager: calling an op both computes the forward value and
-records the adjoint closure on a tape implied by the parent links.
+Everything is eager: calling an op computes its forward value at once.
+The tape, implied by the parent links, holds only the nodes a gradient can
+flow through: the parameter leaves of :func:`value_and_grad`, and every op
+output with a parent on the tape.  Such a node keeps its parents on the tape
+and its adjoint closure; a constant, an input array or an op computed from
+them alone keeps neither, and no closure computes a gradient for it.  The
+leaves of :func:`eval_graph` are off the tape, so a forward keeps no graph
+and each intermediate is freed as soon as the graph function drops it.
 A node stores the first gradient it receives as is and adds later ones out
 of place, so backward closures never write into their incoming gradient.
 A graph is a plain function ``fn(params, inputs) -> Tensor``: only the
-parameter slices become tape leaves, and the input arrays (integer station
-or cell ids included) reach ``fn`` as the caller passed them.
+parameter slices become leaves, and the input arrays (integer station or
+cell ids included) reach ``fn`` as the caller passed them.
 """
 
 from __future__ import annotations
@@ -115,21 +121,25 @@ class ParamVector:
 
 
 class Tensor:
-    """Node in the differentiation tape.
+    """Node of a graph; on the tape when one of its parents is.
 
-    NumPy defers to it (``__array_ufunc__ = None``): ``ndarray ⊕ Tensor``
-    calls the Tensor's reflected operator and returns a Tensor.
+    A node off the tape drops its parents and ``backward``.  A new leaf is
+    off the tape; :func:`_leaves` puts the parameter leaves of a gradient on
+    it.  NumPy defers to a Tensor (``__array_ufunc__ = None``):
+    ``ndarray ⊕ Tensor`` calls the Tensor's reflected operator and returns a
+    Tensor.
     """
 
-    __slots__ = ("value", "grad", "op", "_parents", "_backward")
+    __slots__ = ("value", "grad", "op", "_parents", "_backward", "_on_tape")
     __array_ufunc__ = None
 
     def __init__(self, value, parents=(), backward=None, op="leaf"):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.op = op
-        self._parents = parents
-        self._backward = backward
+        self._parents = [p for p in parents if p._on_tape]
+        self._on_tape = bool(self._parents)
+        self._backward = backward if self._on_tape else None
 
     @property
     def shape(self):
@@ -225,37 +235,35 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.value + b.value, (a, b), op="add")
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.value.shape))
-        b._accumulate(_unbroadcast(g, b.value.shape))
+        if a._on_tape:
+            a._accumulate(_unbroadcast(g, a.value.shape))
+        if b._on_tape:
+            b._accumulate(_unbroadcast(g, b.value.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.value + b.value, (a, b), backward, "add")
 
 
 def mul(a, b):
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.value * b.value, (a, b), op="mul")
 
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.value, a.value.shape))
-        b._accumulate(_unbroadcast(g * a.value, b.value.shape))
+        if a._on_tape:
+            a._accumulate(_unbroadcast(g * b.value, a.value.shape))
+        if b._on_tape:
+            b._accumulate(_unbroadcast(g * a.value, b.value.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.value * b.value, (a, b), backward, "mul")
 
 
 def reciprocal(a):
     a = _wrap(a)
-    out = Tensor(1.0 / a.value, (a,), op="reciprocal")
 
     def backward(g):
         a._accumulate(_unbroadcast(-g / (a.value * a.value), a.value.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(1.0 / a.value, (a,), backward, "reciprocal")
 
 
 def _weight_grad(x, g):
@@ -266,11 +274,13 @@ def _weight_grad(x, g):
 def matmul(a, b):
     """Matrix product with numpy-style batch broadcasting on leading axes."""
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.value @ b.value, (a, b), op="matmul")
 
     def backward(g):
-        ga = g @ np.swapaxes(b.value, -1, -2)
-        a._accumulate(_unbroadcast(ga, a.value.shape))
+        if a._on_tape:
+            ga = g @ np.swapaxes(b.value, -1, -2)
+            a._accumulate(_unbroadcast(ga, a.value.shape))
+        if not b._on_tape:
+            return
         if b.value.ndim == 2 and a.value.ndim >= 2:
             # a batch times a weight: every leading axis of ``a`` is a row
             b._accumulate(_weight_grad(a.value, g))
@@ -278,24 +288,19 @@ def matmul(a, b):
             gb = np.swapaxes(a.value, -1, -2) @ g
             b._accumulate(_unbroadcast(gb, b.value.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.value @ b.value, (a, b), backward, "matmul")
 
 
 def exp(a):
     a = _wrap(a)
     y = np.exp(a.value)
-    out = Tensor(y, (a,), op="exp")
-    out._backward = lambda g: a._accumulate(g * y)
-    return out
+    return Tensor(y, (a,), lambda g: a._accumulate(g * y), "exp")
 
 
 def tanh(a):
     a = _wrap(a)
     y = np.tanh(a.value)
-    out = Tensor(y, (a,), op="tanh")
-    out._backward = lambda g: a._accumulate(g * (1.0 - y * y))
-    return out
+    return Tensor(y, (a,), lambda g: a._accumulate(g * (1.0 - y * y)), "tanh")
 
 
 def _sigmoid(x):
@@ -308,10 +313,8 @@ def _sigmoid(x):
 
 def softplus(a):
     a = _wrap(a)
-    y = np.logaddexp(0.0, a.value)
-    out = Tensor(y, (a,), op="softplus")
-    out._backward = lambda g: a._accumulate(g * _sigmoid(a.value))
-    return out
+    return Tensor(np.logaddexp(0.0, a.value), (a,),
+                  lambda g: a._accumulate(g * _sigmoid(a.value)), "softplus")
 
 
 def _trunc_tail_value(lb):
@@ -342,22 +345,22 @@ def trunc_tail(a):
     """
     a = _wrap(a)
     y = _trunc_tail_value(a.value)
-    out = Tensor(y, (a,), op="trunc_tail")
-    out._backward = lambda g: a._accumulate(g * (2.0 * _sigmoid(a.value) * y - 1.0))
-    return out
+
+    def backward(g):
+        a._accumulate(g * (2.0 * _sigmoid(a.value) * y - 1.0))
+
+    return Tensor(y, (a,), backward, "trunc_tail")
 
 
 def _sum(a, axis=None):
     a = _wrap(a)
-    out = Tensor(a.value.sum(axis=axis), (a,), op="sum")
 
     def backward(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.value.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.value.sum(axis=axis), (a,), backward, "sum")
 
 
 def mean(a, axis=None):
@@ -369,16 +372,14 @@ def mean(a, axis=None):
 def _extremum(a, axis, np_reduce):
     a = _wrap(a)
     y = np_reduce(a.value, axis=axis, keepdims=True)
-    # ties share the gradient equally so finite differences stay consistent
-    mask = (a.value == y).astype(np.float64)
-    mask /= mask.sum(axis=axis, keepdims=True)
-    out = Tensor(np.squeeze(y, axis=axis), (a,), op=np_reduce.__name__)
 
     def backward(g):
+        # ties share the gradient equally so finite differences stay consistent
+        mask = (a.value == y).astype(np.float64)
+        mask /= mask.sum(axis=axis, keepdims=True)
         a._accumulate(np.expand_dims(g, axis) * mask)
 
-    out._backward = backward
-    return out
+    return Tensor(np.squeeze(y, axis=axis), (a,), backward, np_reduce.__name__)
 
 
 def amax(a, axis):
@@ -391,30 +392,26 @@ def amin(a, axis):
 
 def concat(tensors, axis=-1):
     tensors = [_wrap(t) for t in tensors]
-    out = Tensor(np.concatenate([t.value for t in tensors], axis=axis),
-                 tuple(tensors), op="concat")
-    sizes = [t.value.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
+        splits = np.cumsum([t.value.shape[axis] for t in tensors])[:-1]
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t._accumulate(piece)
+            if t._on_tape:
+                t._accumulate(piece)
 
-    out._backward = backward
-    return out
+    return Tensor(np.concatenate([t.value for t in tensors], axis=axis),
+                  tensors, backward, "concat")
 
 
 def _gather(a, key, op):
     a = _wrap(a)
-    out = Tensor(a.value[key], (a,), op=op)
 
     def backward(g):
         acc = np.zeros_like(a.value)
         np.add.at(acc, key, g)
         a._accumulate(acc)
 
-    out._backward = backward
-    return out
+    return Tensor(a.value[key], (a,), backward, op)
 
 
 def take(a, key):
@@ -428,23 +425,22 @@ def embedding(table, indices):
 
 def reshape(a, shape):
     a = _wrap(a)
-    out = Tensor(a.value.reshape(shape), (a,), op="reshape")
-    out._backward = lambda g: a._accumulate(g.reshape(a.value.shape))
-    return out
+    return Tensor(a.value.reshape(shape), (a,),
+                  lambda g: a._accumulate(g.reshape(a.value.shape)), "reshape")
 
 
 def where(cond, a, b):
     """Select elementwise on a *constant* boolean condition."""
     cond = np.asarray(cond, dtype=bool)
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(np.where(cond, a.value, b.value), (a, b), op="where")
 
     def backward(g):
-        a._accumulate(_unbroadcast(np.where(cond, g, 0.0), a.value.shape))
-        b._accumulate(_unbroadcast(np.where(cond, 0.0, g), b.value.shape))
+        if a._on_tape:
+            a._accumulate(_unbroadcast(np.where(cond, g, 0.0), a.value.shape))
+        if b._on_tape:
+            b._accumulate(_unbroadcast(np.where(cond, 0.0, g), b.value.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(np.where(cond, a.value, b.value), (a, b), backward, "where")
 
 
 def linear(x, w, b):
@@ -499,12 +495,11 @@ def attention(xq, xk, xv, wq, wk, wv, wo, heads):
     o = e @ v
     o /= total                            # softmax(scores) @ V
     mixed = _merge_heads(o)
-    out = Tensor(mixed @ wo.value, (xq, xk, xv, wq, wk, wv, wo),
-                 op="attention")
 
     def backward(g):
         p = e / total
-        wo._accumulate(_weight_grad(mixed, g))
+        if wo._on_tape:
+            wo._accumulate(_weight_grad(mixed, g))
         go = _split_heads(g @ wo.value.T, heads)
         gv = np.swapaxes(p, -1, -2) @ go
         gs = go @ np.swapaxes(v, -1, -2)
@@ -517,11 +512,13 @@ def attention(xq, xk, xv, wq, wk, wv, wo, heads):
             if gh.shape[0] != x.value.shape[0]:   # shared by the batch
                 gh = gh.sum(axis=0, keepdims=True)
             gh = _merge_heads(gh)
-            w._accumulate(_weight_grad(x.value, gh))
-            x._accumulate(gh @ w.value.T)
+            if w._on_tape:
+                w._accumulate(_weight_grad(x.value, gh))
+            if x._on_tape:
+                x._accumulate(gh @ w.value.T)
 
-    out._backward = backward
-    return out
+    return Tensor(mixed @ wo.value, (xq, xk, xv, wq, wk, wv, wo), backward,
+                  "attention")
 
 
 # ---------------------------------------------------------------------------
@@ -529,15 +526,19 @@ def attention(xq, xk, xv, wq, wk, wv, wo, heads):
 # ---------------------------------------------------------------------------
 
 
-def _leaves(params: ParamVector):
-    return {name: Tensor(view, op=f"param:{name}")
-            for name, view in params._views.items()}
+def _leaves(params: ParamVector, on_tape=True):
+    leaves = {name: Tensor(view, op=f"param:{name}")
+              for name, view in params._views.items()}
+    for leaf in leaves.values():
+        leaf._on_tape = on_tape
+    return leaves
 
 
-def _run(fn, params: ParamVector, inputs):
+def _run(fn, params: ParamVector, inputs, on_tape=True):
     """``fn(leaves, inputs)`` and the leaves: the parameter slices become
-    tape leaves, the input arrays reach ``fn`` as the caller passed them."""
-    leaves = _leaves(params)
+    leaves, on the tape if ``on_tape``; the input arrays reach ``fn`` as the
+    caller passed them."""
+    leaves = _leaves(params, on_tape)
     out = fn(leaves, inputs or {})
     if not isinstance(out, Tensor):
         raise ConfigError("graph function must return a Tensor")
@@ -545,16 +546,23 @@ def _run(fn, params: ParamVector, inputs):
 
 
 def _check_finite(out: Tensor):
-    """Raise NumericError naming the first op with a non-finite value."""
+    """Raise NumericError naming the first op on the tape with a non-finite
+    value."""
     if not np.all(np.isfinite(out.value)):
         bad = next(n for n in out._topo() if not np.all(np.isfinite(n.value)))
         raise NumericError(f"non-finite value produced by op {bad.op!r}")
 
 
 def eval_graph(fn, params: ParamVector, inputs=None):
-    """Forward-evaluate a graph; returns a numpy array."""
-    out, _ = _run(fn, params, inputs)
-    _check_finite(out)
+    """Forward-evaluate a graph; returns a numpy array.
+
+    The leaves are off the tape, so the forward keeps no graph.  A
+    non-finite output runs the graph once more on the tape, to name the op
+    that produced it.
+    """
+    out, _ = _run(fn, params, inputs, on_tape=False)
+    if not np.all(np.isfinite(out.value)):
+        _check_finite(_run(fn, params, inputs)[0])
     return out.value.copy()
 
 

@@ -69,6 +69,24 @@ class ChiResult:
 # ---------------------------------------------------------------------------
 
 
+def _percentiles(values, qs):
+    """``np.percentile(values, qs, axis=-1)`` for ``qs`` below 100, bit for
+    bit, as a list: NumPy's linear method (virtual index (n - 1) q, then a
+    lerp that interpolates from the upper neighbour from weight 0.5 on) on
+    the sorted values.  ``np.percentile`` itself loads ``numpy.ma`` through
+    ``np.unique``, some 17 ms per process."""
+    ordered = np.sort(values, axis=-1)
+    n = ordered.shape[-1]
+    out = []
+    for q in qs:
+        index = (n - 1) * (q / 100)
+        low = int(index)
+        a, b = ordered[..., low], ordered[..., min(low + 1, n - 1)]
+        t = index - low
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
+
+
 def summary_statistic(values, kind):
     """One of the eight ensemble summary statistics, along the last axis.
 
@@ -88,7 +106,7 @@ def summary_statistic(values, kind):
     if kind == "max":
         return values.max(axis=-1)
     if kind == "iqr":
-        q25, q75 = np.percentile(values, [25, 75], axis=-1)
+        q25, q75 = _percentiles(values, [25, 75])
         return q75 - q25
     if kind == "range":
         return values.max(axis=-1) - values.min(axis=-1)
@@ -398,7 +416,7 @@ def _preservation(column, predictor, bins, seed, statistics):
 
 def _box_stats(values):
     values = np.asarray(values, dtype=np.float64)
-    q25, median, q75 = np.percentile(values, [25, 50, 75])
+    q25, median, q75 = _percentiles(values, [25, 50, 75])
     return {"mean": float(values.mean()), "min": float(values.min()),
             "q25": float(q25), "median": float(median), "q75": float(q75),
             "max": float(values.max())}

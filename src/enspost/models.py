@@ -373,13 +373,13 @@ def emos_params(table):
 
 def eval_chunked(graph, params, inputs):
     """Forward-evaluate a graph over row chunks of its inputs (one empty
-    chunk for empty inputs)."""
+    chunk for empty inputs); a single chunk's array is returned as it is."""
     n = len(next(iter(inputs.values())))
-    return np.concatenate([
-        ad.eval_graph(graph, params,
-                      {k: v[start:start + CHUNK_ROWS]
-                       for k, v in inputs.items()})
-        for start in range(0, max(n, 1), CHUNK_ROWS)], axis=0)
+    chunks = [ad.eval_graph(graph, params,
+                            {k: v[start:start + CHUNK_ROWS]
+                             for k, v in inputs.items()})
+              for start in range(0, max(n, 1), CHUNK_ROWS)]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ validation epoch are returned.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -346,6 +345,9 @@ def train_pool(config: ModelConfig, train: Dataset, val: Dataset, n=20,
     tasks = [(replace(config, seed=config.seed + i), train, val)
              for i in range(n)]
     if workers > 1 and n > 1:
+        # imported here: loading multiprocessing costs every other stage
+        # some 13 ms
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
             results = list(pool.map(_fit_one, tasks))
     else:

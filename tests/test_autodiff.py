@@ -2,6 +2,7 @@
 
 import operator
 import pickle
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import enspost.autodiff as ad
+from enspost.dist import crps_tlogis_core
 from enspost.errors import ConfigError, ContractError, NumericError
 from enspost.train import Adam
 from oracles import (central_difference, multihead_attention_ref, softmax,
@@ -382,6 +384,107 @@ def test_backward_never_writes_into_incoming_gradients(case):
 
 
 # ---------------------------------------------------------------------------
+# The tape holds only what a gradient flows through
+# ---------------------------------------------------------------------------
+
+
+def _constants_graph(constant):
+    """Loss with a constant block on both operand sides of every binary op,
+    and a subgraph of constants alone; ``constant(P, I)`` gives the block."""
+    def fn(P, I):
+        x, w, c = P["x"], P["w"], ad._wrap(constant(P, I))
+        cond = c.value > 0.0
+        only_c = ad.exp(ad.mul(c, 0.5)) - 1.0 + ad.mul(1.0, -1.0)
+        parts = [ad.add(c, x), ad.add(x, c), ad.mul(c, x), ad.mul(x, c),
+                 c @ w, x @ c, ad.where(cond, c, x), ad.where(cond, x, c),
+                 c - x, x - c, x / (c * c + 1.0), (c * c + 1.0) / (x * x + 1.0),
+                 ad.amax(x * only_c, axis=1)[:, None] + c,
+                 ad.concat([c, x], axis=1)[:, 2:6]]
+        xs, cs = ad.reshape(x, (1, 4, 4)), ad.reshape(c, (1, 4, 4))
+        parts.append(ad.reshape(
+            ad.attention(cs, xs, cs, w, w, w, w, 2)
+            + ad.attention(xs, cs, xs, w, w, w, w, 2), (4, 4)))
+        return ad._sum(ad.tanh(sum(parts[1:], parts[0])))
+    return fn
+
+
+def _constants_params(seed=11):
+    return _random_params({"x": (4, 4), "w": (4, 4), "c": (4, 4)}, seed)
+
+
+def test_constants_off_the_tape_leave_every_gradient_bit_identical():
+    # the same block as a parameter slice, on the tape, against the same
+    # block as an input array, off it
+    pv = _constants_params()
+    c = pv.view("c").copy()
+    on_tape = _constants_graph(lambda P, I: P["c"])
+    off_tape = _constants_graph(lambda P, I: I["c"])
+    v_on, g_on = ad.value_and_grad(on_tape, pv)
+    v_off, g_off = ad.value_and_grad(off_tape, pv, {"c": c})
+    assert v_on == v_off
+    assert g_off[32:].tolist() == [0.0] * 16
+    assert g_off[:32].tobytes() == g_on[:32].tobytes()
+
+
+def test_value_and_grad_is_the_backward_assembly_with_constants():
+    pv = _random_params({"x": (4, 4), "w": (4, 4)}, seed=12)
+    c = np.random.default_rng(12).normal(0.0, 0.3, size=(4, 4))
+    fn = _constants_graph(lambda P, I: c)
+    analytic, seen = _backward_keeping_upstream(fn, pv)
+    assert all(g.tobytes() == before.tobytes() for g, before in seen)
+    assert ad.value_and_grad(fn, pv)[1].tobytes() == analytic.tobytes()
+    assert ad.finite_diff_check(fn, pv) < 1e-6
+
+
+def test_tape_holds_no_constant_and_nothing_computed_from_constants_alone():
+    y = np.array([0.5, 3.0, -1.0, 40.0])
+
+    def fn(P, I):
+        # crps_tlogis_core builds mul(1.0, -1.0) and other constant nodes
+        mu, sigma = P["theta"][:, 0], ad.softplus(P["theta"][:, 1]) + 0.1
+        return ad.mean(crps_tlogis_core(mu, sigma, y, 0.0))
+
+    pv = _random_params({"theta": (4, 2)}, seed=3)
+    out, leaves = ad._run(fn, pv, None)
+    order = out._topo()
+    assert leaves["theta"] in order
+    for node in order:
+        assert node._on_tape and node.op != "const"
+        assert node._parents or node.op.startswith("param:")
+    constant = ad.mul(1.0, -1.0)
+    assert not constant._on_tape
+    assert not constant._parents and constant._backward is None
+
+
+def test_forward_of_eval_graph_keeps_no_graph():
+    pv = _constants_params(seed=13)
+    out, leaves = ad._run(_constants_graph(lambda P, I: P["c"]), pv, None,
+                          on_tape=False)
+    assert not any(leaf._on_tape for leaf in leaves.values())
+    assert not out._parents and out._backward is None
+
+
+def test_eval_graph_peak_memory_is_bounded_by_graph_width():
+    # a chain of 20 tanh: with a graph kept, every activation stays alive
+    size = 100_000
+    pv = ad.ParamVector(np.linspace(-1.0, 1.0, size), {"x": (0, (size,))})
+
+    def chain(P, I):
+        h = P["x"]
+        for _ in range(20):
+            h = ad.tanh(h)
+        return h
+
+    tracemalloc.start()
+    try:
+        ad.eval_graph(chain, pv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * size
+
+
+# ---------------------------------------------------------------------------
 # Graph evaluation machinery
 # ---------------------------------------------------------------------------
 
@@ -429,6 +532,18 @@ def test_nonfinite_forward_raises_numeric_error_naming_the_op():
     with pytest.raises(NumericError, match="'exp'"):
         with np.errstate(over="ignore"):
             ad.eval_graph(build, pv)
+
+
+def test_nonfinite_op_after_a_constant_subgraph_is_named():
+    def build(P, I):
+        scale = ad.mul(ad.add(1.0, 2.0), 300.0)     # 900, off the tape
+        return ad._sum(ad.exp(ad.mul(P["x"], scale)))
+
+    pv = ad.ParamVector(np.array([1.0, 0.0]), {"x": (0, (2,))})
+    with np.errstate(over="ignore"):
+        for run in (ad.eval_graph, ad.value_and_grad):
+            with pytest.raises(NumericError, match="'exp'"):
+                run(build, pv)
 
 
 def test_graph_receives_its_input_arrays_themselves():

@@ -730,3 +730,50 @@ def test_train_stage_does_not_load_numpy_ma(tmp_path):
     summary = json.loads((tmp_path / "train" / "train_reports.json")
                          .read_text())["val_crps_summary"]
     assert summary["min"] <= summary["median"] <= summary["max"]
+
+
+_WATCHED = ("numpy.ma", "multiprocessing", "concurrent.futures.process")
+
+
+@pytest.fixture(scope="module")
+def fresh_stages(tmp_path_factory):
+    """The modules of ``_WATCHED`` that ``train --workers 1``, ``evaluate``
+    and ``importance`` each leave in ``sys.modules`` of a fresh
+    interpreter."""
+    tmp = tmp_path_factory.mktemp("fresh")
+    data = tmp / "synth" / "dataset.ndjson"
+    assert _run("synth", data.parent, ["synth.stations=2",
+                                       "synth.days=30"]) == 0
+    train = tmp / "train"
+    stages = {
+        "train": ["--workers", "1", "--set", f'data.path="{data}"',
+                  *(x for item in MODEL_SETS for x in ("--set", item))],
+        "evaluate": ["--set", f'data.path="{data}"', "--set",
+                     f'eval.checkpoints="{train}"', "--set", "eval.reps=2"],
+        "importance": ["--set", f'data.path="{data}"', "--set",
+                       f'importance.checkpoints="{train}"', "--set",
+                       "importance.bins=5"],
+    }
+    loaded = {}
+    for command, args in stages.items():
+        argv = [command, "--out", str(tmp / command), *args]
+        code = ("import sys\n"
+                "from enspost.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                f"print('loaded:', *(m for m in {_WATCHED!r}\n"
+                "                    if m in sys.modules))\n")
+        loaded[command] = _fresh_python(code).splitlines()[-1].split()[1:]
+    return loaded
+
+
+def test_importance_stage_does_not_load_numpy_ma(fresh_stages):
+    # np.percentile of the importance statistics would load it
+    assert "numpy.ma" not in fresh_stages["importance"]
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "importance"])
+def test_stage_without_a_pool_does_not_load_multiprocessing(fresh_stages,
+                                                            command):
+    # loading the process pool machinery costs each stage some 13 ms
+    assert not {"multiprocessing", "concurrent.futures.process"} & set(
+        fresh_stages[command])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
 
 import enspost.importance as importance
@@ -55,6 +56,24 @@ def test_summary_statistic_vectorizes_and_handles_constants():
         summary_statistic(np.array([1.0]), "mean")
     with pytest.raises(ConfigError):
         summary_statistic(rows, "mode")
+
+
+@settings(max_examples=200)
+@given(n=st.integers(2, 60), rows=st.one_of(st.none(), st.integers(1, 4)),
+       data=st.data())
+def test_percentiles_are_numpy_percentile_bit_for_bit(n, rows, data):
+    """1-D values, or 2-D values along the last axis, with ties drawn from
+    a small pool of values; + 0.0 turns -0.0 into 0.0, whose place among
+    equal zeros a sort and NumPy's partition may choose differently."""
+    pool = data.draw(st.lists(st.floats(-1e6, 1e6).map(lambda v: v + 0.0),
+                              min_size=1, max_size=n))
+    shape = (n,) if rows is None else (rows, n)
+    values = data.draw(hnp.arrays(np.float64, shape,
+                                  elements=st.sampled_from(pool)))
+    qs = data.draw(st.lists(st.sampled_from([25, 50, 75]), min_size=1,
+                            max_size=3))
+    got = np.asarray(importance._percentiles(values, qs))
+    assert got.tobytes() == np.percentile(values, qs, axis=-1).tobytes()
 
 
 # ---------------------------------------------------------------------------

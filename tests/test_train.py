@@ -321,7 +321,7 @@ def test_train_pool_is_independent_of_workers_property(arch, n, seed):
 
 
 def test_train_pool_caps_workers_at_pool_size(monkeypatch):
-    import enspost.train as train_mod
+    import concurrent.futures
     started = []
 
     class RecordingExecutor:
@@ -339,7 +339,9 @@ def test_train_pool_caps_workers_at_pool_size(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(train_mod, "ProcessPoolExecutor", RecordingExecutor)
+    # train_pool imports the executor when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingExecutor)
     train, val, _ = _splits(days=30)
     cfg = ModelConfig(architecture="drn", max_epochs=2, **TINY)
     pool = train_pool(cfg, train, val, n=2, workers=64)
