@@ -4,8 +4,9 @@ The engine is deliberately small: it supports exactly the primitives the
 seven architectures' graphs and their scoring-rule losses use (affine maps,
 elementwise arithmetic, exp/tanh/softplus and the truncated-logistic tail
 term, sum/mean/max/min reductions, concatenation, reshapes, slicing,
-embedding lookup and constant-condition selection), plus one fused
-multi-head ``attention`` op with a hand-written backward.
+embedding lookup and constant-condition selection), plus two fused ops
+with hand-written backwards: ``linear``, an affine map as one node that
+keeps no product beside its output, and multi-head ``attention``.
 Everything is eager: calling an op computes its forward value at once.
 The tape, implied by the parent links, holds only the nodes a gradient can
 flow through: the parameter leaves of :func:`value_and_grad`, and every op
@@ -16,6 +17,10 @@ leaves of :func:`eval_graph` are off the tape, so a forward keeps no graph
 and each intermediate is freed as soon as the graph function drops it.
 A node stores the first gradient it receives as is and adds later ones out
 of place, so backward closures never write into their incoming gradient.
+A graph's backward runs once: it releases each interior node's gradient,
+closure and parent links as soon as the closure has run, so the
+activations of a training step are freed as the reverse sweep passes them
+and only the leaf gradients remain.
 A graph is a plain function ``fn(params, inputs) -> Tensor``: only the
 parameter slices become leaves, and the input arrays (integer station or
 cell ids included) reach ``fn`` as the caller passed them.
@@ -163,16 +168,27 @@ class Tensor:
         return order
 
     def backward(self):
+        """Accumulate the gradient of this scalar into every leaf on the tape.
+
+        A graph's backward runs once: the reverse sweep drops each interior
+        node's gradient, backward closure and parent links right after the
+        closure runs, so the node and the arrays its closure captured are
+        freed as the sweep passes them.  Leaf gradients stay.
+        """
         if self.value.ndim != 0 and self.value.size != 1:
             raise ContractError("backward requires a scalar output")
         order = self._topo()
         for node in order:
             node.grad = None
         self.grad = np.ones_like(self.value)
-        for node in reversed(order):
-            if node.grad is None or node._backward is None:
+        while order:
+            node = order.pop()
+            if node._backward is None:        # a leaf keeps its gradient
                 continue
-            node._backward(node.grad)
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad = node._backward = None
+            node._parents = []
 
     def _accumulate(self, g):
         # the first gradient may alias another node's or be a read-only
@@ -444,8 +460,25 @@ def where(cond, a, b):
 
 
 def linear(x, w, b):
-    """Affine map on the trailing axis: ``x @ w + b``."""
-    return add(matmul(x, w), b)
+    """Affine map on the trailing axis, ``x @ w + b``, as one tape node.
+
+    ``x`` is (..., D), ``w`` a 2-D (D, L) weight and ``b`` an (L,) bias.  The
+    product is not kept beside the output, and the backward runs the ops of
+    ``add(matmul(x, w), b)``, so every gradient is theirs bit for bit.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    y = x.value @ w.value
+    y += b.value
+
+    def backward(g):
+        if x._on_tape:
+            x._accumulate(g @ w.value.T)
+        if w._on_tape:
+            w._accumulate(_weight_grad(x.value, g))
+        if b._on_tape:
+            b._accumulate(_unbroadcast(g, b.value.shape))
+
+    return Tensor(y, (x, w, b), backward, "linear")
 
 
 def _split_heads(t, heads):

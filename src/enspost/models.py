@@ -8,7 +8,11 @@ families consume standardized predictors plus a learned station embedding;
 all of them are permutation invariant in the ensemble members.  Training,
 forecasts and importance all build graph inputs with :func:`graph_inputs`;
 importance builds them once per model and replaces one predictor's part of
-them per shuffle (:meth:`_FittedModel.shuffled_inputs`).
+them per shuffle (:meth:`_FittedModel.shuffled_inputs`).  Scoring forwards
+run in row blocks sized in bytes (:func:`eval_chunked`): each block's widest
+array -- a set transformer's (heads, M, M) attention scores, an ``ed-*``
+model's (M, latent_width) latents, a summary model's widest layer -- stays
+within BLOCK_BYTES, about 1 MiB.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import ConfigError, DomainError
 
 ARCHITECTURES = ("emos", "drn", "bqn", "ed-drn", "ed-bqn", "st-drn", "st-bqn")
 POOLING_KINDS = ("mean", "max", "min", "attention")
-CHUNK_ROWS = 4096  # rows per forward pass when scoring whole datasets
+BLOCK_BYTES = 1 << 20  # bytes of a scoring forward's widest array per block
 
 
 @dataclass(frozen=True)
@@ -371,15 +375,50 @@ def emos_params(table):
     return ParamVector(table, {"cells": (0, table.shape)})
 
 
-def eval_chunked(graph, params, inputs):
-    """Forward-evaluate a graph over row chunks of its inputs (one empty
-    chunk for empty inputs); a single chunk's array is returned as it is."""
+def _row_values(config: ModelConfig, inputs):
+    """float64 values per row in the widest array a forward of ``config``'s
+    graph makes: the (heads, M, M) attention scores of a set transformer, or
+    its (M, latent_width) latents if those are wider; the (M, latent_width)
+    latents of an ``ed-*`` model; the widest layer of a summary model; a
+    (station, month) coefficient row of EMOS."""
+    arch = config.architecture
+    if arch == "emos":
+        return 6
+    if arch in ("drn", "bqn"):
+        return max(inputs["features"].shape[1] + config.embedding_dim,
+                   *config.hidden_sizes, config.n_outputs)
+    m = inputs["ens"].shape[1]
+    if arch.startswith("ed-"):
+        return m * config.latent_width
+    return m * max(config.attention_heads * m, config.latent_width)
+
+
+def _block_rows(config: ModelConfig, inputs):
+    """Rows per forward block: as many as keep the widest array within
+    BLOCK_BYTES, and at least two."""
+    return max(2, BLOCK_BYTES // (8 * _row_values(config, inputs)))
+
+
+def eval_chunked(config: ModelConfig, graph, params, inputs):
+    """Forward-evaluate a graph over row blocks of its inputs; a single
+    block's array is returned as it is, and empty inputs are one empty block.
+
+    A block holds as many rows as keep the forward's widest array
+    (:func:`_row_values`) within BLOCK_BYTES, about 1 MiB, so that it stays
+    in fast memory: a set transformer scores some 80 rows per block at
+    perfbench sizes, a summary model thousands.  Every op is row-independent
+    and no block but a one-row dataset holds a single row (NumPy multiplies
+    a one-row matrix on another BLAS path, which rounds differently), so the
+    block boundaries move no bit of the result.
+    """
     n = len(next(iter(inputs.values())))
-    chunks = [ad.eval_graph(graph, params,
-                            {k: v[start:start + CHUNK_ROWS]
-                             for k, v in inputs.items()})
-              for start in range(0, max(n, 1), CHUNK_ROWS)]
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
+    starts = list(range(0, n, _block_rows(config, inputs))) or [0]
+    if len(starts) > 1 and starts[-1] == n - 1:
+        del starts[-1]               # the last row joins the block before
+    blocks = [ad.eval_graph(graph, params,
+                            {k: v[start:stop] for k, v in inputs.items()})
+              for start, stop in zip(starts, starts[1:] + [n])]
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +464,7 @@ class _FittedModel:
 
     def forward(self, inputs):
         """Raw theta (n, D) of graph inputs from :meth:`inputs`."""
-        return eval_chunked(self.graph, self.params, inputs)
+        return eval_chunked(self.config, self.graph, self.params, inputs)
 
     def shuffled_inputs(self, inputs, predictor, donors, members):
         """:meth:`inputs` of a dataset with one predictor's column shuffled

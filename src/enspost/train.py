@@ -165,7 +165,7 @@ def _init_output_bias(params: ParamVector, config: ModelConfig, obs):
 
 def _val_crps(config, graph, params, inputs, obs):
     return theta_mean_crps(
-        eval_chunked(graph, params, inputs), obs, config.family,
+        eval_chunked(config, graph, params, inputs), obs, config.family,
         QuantileLevels.equidistant(config.n_quantile_levels))
 
 

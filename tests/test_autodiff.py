@@ -267,6 +267,68 @@ def test_matmul_weight_gemm_matches_generic_path_and_finite_differences(
     assert ad.finite_diff_check(generic, pv) < 1e-6
 
 
+def _affine_graph(affine, on_tape):
+    """Loss of one affine map whose operands named in ``on_tape`` are
+    parameter slices and the others input arrays; ``x`` is also used
+    outside the map, so its gradient sums two parts."""
+    def operand(P, I, name):
+        return P[name] if name in on_tape else I[name]
+
+    def fn(P, I):
+        x, w, b = (operand(P, I, name) for name in "xwb")
+        return ad._sum(ad.tanh(affine(x, w, b))) + ad._sum(ad.mul(x, x))
+    return fn
+
+
+def _affine_operands(x_shape, on_tape, seed=6):
+    rng = np.random.default_rng(seed)
+    arrays = {"x": rng.normal(size=x_shape), "w": rng.normal(size=(5, 3)),
+              "b": rng.normal(size=(3,))}
+    pv = ad.ParamVector.build({k: arrays[k].shape for k in on_tape},
+                              lambda name, shape: arrays[name])
+    return pv, {k: v for k, v in arrays.items() if k not in on_tape}
+
+
+_TAPE_SUBSETS = ["x", "w", "b", "xw", "xb", "wb", "xwb"]
+
+
+@pytest.mark.parametrize("on_tape", _TAPE_SUBSETS)
+@pytest.mark.parametrize("x_shape", [(4, 5), (2, 4, 5)])
+def test_linear_is_add_of_matmul_bit_for_bit(x_shape, on_tape):
+    pv, inputs = _affine_operands(x_shape, on_tape)
+    fused = _affine_graph(ad.linear, on_tape)
+    composed = _affine_graph(lambda x, w, b: ad.add(ad.matmul(x, w), b),
+                             on_tape)
+    v_fused, g_fused = ad.value_and_grad(fused, pv, inputs)
+    v_composed, g_composed = ad.value_and_grad(composed, pv, inputs)
+    assert v_fused == v_composed
+    assert g_fused.tobytes() == g_composed.tobytes()
+    assert ad.eval_graph(fused, pv, inputs).tobytes() == \
+        ad.eval_graph(composed, pv, inputs).tobytes()
+    assert ad.finite_diff_check(fused, pv, inputs) <= 1e-6
+
+
+def test_linear_is_one_tape_node():
+    pv, inputs = _affine_operands((2, 4, 5), "xwb")
+    out, leaves = ad._run(lambda P, I: ad.linear(P["x"], P["w"], P["b"]),
+                          pv, inputs)
+    assert out.op == "linear"
+    assert out._parents == [leaves["x"], leaves["w"], leaves["b"]]
+
+
+def test_nonfinite_affine_output_names_linear():
+    pv, inputs = _affine_operands((4, 5), "wb")
+    pv.view("w")[...] = 1e308
+
+    def fn(P, I):
+        return ad._sum(ad.linear(I["x"], P["w"], P["b"]))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in (ad.eval_graph, ad.value_and_grad):
+            with pytest.raises(NumericError, match="op 'linear'"):
+                run(fn, pv, inputs)
+
+
 def test_batched_matmul_gradient_matches_finite_differences():
     # (n, h, M, d) @ (n, h, d, M), the attention score product
     def fn(P, I):
@@ -482,6 +544,43 @@ def test_eval_graph_peak_memory_is_bounded_by_graph_width():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 8 * size
+
+
+def test_backward_frees_each_interior_gradient_as_it_walks():
+    # a chain of 20 tanh keeps 20 activations for its backward; a sweep
+    # that kept every interior gradient as well would peak near 40 arrays
+    size = 100_000
+    pv = ad.ParamVector(np.linspace(-1.0, 1.0, size), {"x": (0, (size,))})
+
+    def chain(P, I):
+        h = P["x"]
+        for _ in range(20):
+            h = ad.tanh(h)
+        return ad._sum(h)
+
+    tracemalloc.start()
+    try:
+        _, grad = ad.value_and_grad(chain, pv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 26 * 8 * size
+    h, expected = pv.values, np.ones(size)
+    for _ in range(20):
+        h = np.tanh(h)
+        expected *= 1.0 - h * h
+    np.testing.assert_allclose(grad, expected, rtol=1e-12)
+
+
+def test_backward_keeps_leaf_gradients_and_drops_interior_ones():
+    pv = _random_params({"x": (3,), "w": (3,)}, seed=2)
+    out, leaves = ad._run(
+        lambda P, I: ad._sum(ad.tanh(P["x"] * P["w"])), pv, None)
+    interior = [node for node in out._topo() if node._parents]
+    out.backward()
+    assert all(leaf.grad is not None for leaf in leaves.values())
+    assert all(node.grad is None and node._backward is None
+               and not node._parents for node in interior)
 
 
 # ---------------------------------------------------------------------------

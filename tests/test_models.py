@@ -2,9 +2,11 @@
 
 import functools
 import json
+import math
 import os
 import struct
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enspost.autodiff as ad
+from enspost import models
 from enspost.data import (Dataset, SynthConfig, fit_norm, generate_synthetic,
                           standardize)
 from enspost.dist import QuantileLevels
@@ -261,6 +264,84 @@ def test_raw_theta_of_an_empty_dataset_is_empty(arch):
     model = _emos_model(ds) if arch == "emos" else _tiny_model(arch, ds)
     empty = ds.subset(np.arange(0))
     assert model.raw_theta(empty).shape == (0, model.config.n_outputs)
+
+
+def _counting_eval_graph(monkeypatch):
+    """Patch ``ad.eval_graph`` to record the row count of each call."""
+    rows, inner = [], ad.eval_graph
+
+    def spy(graph, params, inputs=None):
+        rows.append(len(next(iter(inputs.values()))))
+        return inner(graph, params, inputs)
+    monkeypatch.setattr(ad, "eval_graph", spy)
+    return rows
+
+
+@pytest.mark.parametrize("block", [1, 5, 8, 9])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_forward_in_blocks_is_one_forward_bit_for_bit(arch, block,
+                                                      monkeypatch):
+    # 36 rows: blocks of 8 leave 4, blocks of 9 divide them, blocks of 5
+    # leave one row, which joins the block before it, and a budget of one
+    # row still takes two
+    ds = _dataset()
+    model = _emos_model(ds) if arch == "emos" else _tiny_model(arch, ds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # EMOS cells without a row
+        inputs = model.inputs(ds)
+    whole = ad.eval_graph(model.graph, model.params, inputs)
+    monkeypatch.setattr(models, "BLOCK_BYTES",
+                        8 * block * models._row_values(model.config, inputs))
+    rows = _counting_eval_graph(monkeypatch)
+    theta = model.forward(inputs)
+    expected = {1: [2] * 18, 5: [5] * 6 + [6], 8: [8] * 4 + [4],
+                9: [9] * 4}[block]
+    assert rows == expected
+    assert theta.tobytes() == whole.tobytes()
+    empty = model.forward({k: v[:0] for k, v in inputs.items()})
+    assert rows[-1] == 0 and empty.shape == (0, model.config.n_outputs)
+
+
+def _perfbench_block_count(arch, n, stations, **sizes):
+    """Forward blocks of ``n`` rows of a model at the sizes of a perfbench
+    workload (default members, predictors and scalars)."""
+    ds = generate_synthetic(SynthConfig(stations=stations, days=2))
+    cfg = ModelConfig(architecture=arch, **sizes)
+    inputs = graph_inputs(cfg, ds, None if arch == "emos" else fit_norm(ds))
+    return math.ceil(n / models._block_rows(cfg, inputs))
+
+
+def test_block_rule_at_perfbench_sizes():
+    # test rows: 30% of stations x 160 days (drn, st-bqn), 2 x 600 (emos)
+    assert _perfbench_block_count("drn", 768, 16) == 1
+    assert _perfbench_block_count("emos", 360, 2) == 1
+    assert _perfbench_block_count(
+        "st-bqn", 384, 8, latent_width=32, attention_heads=4,
+        n_attention_blocks=1, hidden_sizes=(32, 16)) >= 4
+
+
+def test_set_transformer_forward_peak_is_a_few_blocks():
+    # 1200 rows in one block would hold 15 MB of (heads, M, M) scores
+    cfg = ModelConfig(architecture="st-bqn", latent_width=32,
+                      attention_heads=4, n_attention_blocks=1,
+                      hidden_sizes=(32, 16), embedding_dim=3)
+    rng = np.random.default_rng(0)
+    n, members, stations = 1200, 20, 4
+    inputs = {"ens": rng.normal(size=(n, members, 3)),
+              "scalars": rng.normal(size=(n, 2)),
+              "station": rng.integers(0, stations, size=n)}
+    model = NeuralModel(cfg, init_params(cfg, 3, 2, stations), None,
+                        stations, 0, ["a", "b", "c"], ["d", "e"])
+    widest = 8 * models._block_rows(cfg, inputs) * models._row_values(
+        cfg, inputs)
+    assert widest <= models.BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        model.forward(inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * widest
 
 
 def test_models_reject_a_primary_predictor_unlike_their_fit():
