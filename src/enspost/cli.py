@@ -38,7 +38,7 @@ from collections import namedtuple
 import numpy as np
 
 from .data import (SynthConfig, _is_real, generate_synthetic, load_ndjson,
-                   save_ndjson, split_temporal)
+                   save_copy, save_ndjson, sha256_file, split_temporal)
 from .errors import ConfigError, ContractError, DomainError, NumericError
 from .evaluation import (nominal_pi_level, pit_csv, raw_eps_report,
                          report_table)
@@ -201,14 +201,6 @@ def resolve_workers(flag_value):
 # ---------------------------------------------------------------------------
 
 
-def _sha256(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -228,7 +220,7 @@ def write_manifest(out_dir, command, config, outputs, timings):
     pairs, so two runs agree iff every artifact agrees byte-for-byte.
     Timings go to ``timings.json`` only, which is itself not hashed.
     """
-    hashes = {name: _sha256(os.path.join(out_dir, name))
+    hashes = {name: sha256_file(os.path.join(out_dir, name))
               for name in sorted(outputs)}
     overall = hashlib.sha256(
         json.dumps(hashes, sort_keys=True).encode()).hexdigest()
@@ -307,11 +299,13 @@ def _load_pool(directory):
 
 
 def cmd_synth(config, out_dir):
-    """Generate a synthetic dataset; write NDJSON plus a stats sidecar."""
+    """Generate a synthetic dataset; write NDJSON, its binary copy and a
+    stats sidecar."""
     t0 = time.perf_counter()
     dataset = generate_synthetic(_synth_config(config))
     data_path = os.path.join(out_dir, "dataset.ndjson")
     save_ndjson(dataset, data_path)
+    save_copy(dataset, data_path)
     stats = {
         "n_samples": len(dataset),
         "n_members": dataset.n_members,
@@ -329,7 +323,7 @@ def cmd_synth(config, out_dir):
     print(f"synth: T={len(dataset)} M={dataset.n_members} "
           f"p={dataset.n_predictors} q={dataset.n_scalars}")
     write_manifest(out_dir, "synth", config,
-                   ["dataset.ndjson", "dataset_stats.json"],
+                   ["dataset.ndjson", "dataset.npz", "dataset_stats.json"],
                    {"total": time.perf_counter() - t0})
     return 0
 

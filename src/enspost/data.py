@@ -7,6 +7,12 @@ The NDJSON schema is one JSON object per line:
     {"time": "YYYY-MM-DD", "station": int, "lead": int, "obs": float,
      "ens": {"<name>": [M floats], ...}, "scalars": {"<name>": float, ...}}
 
+NDJSON is the interchange format.  :func:`save_copy` writes a binary copy of
+a dataset beside its NDJSON file (same name, suffix ``.npz``) that records
+the SHA-256 of the NDJSON bytes; :func:`load_ndjson` reads that copy instead
+of parsing the text only while the digest matches, and builds the same
+:class:`Dataset` either way.
+
 The synthetic generator produces a desk-scale postprocessing task with known
 ground truth: a biased, underdispersed primary ensemble, one auxiliary
 channel whose ensemble *spread* encodes the observation noise regime, one
@@ -19,8 +25,12 @@ models can.
 from __future__ import annotations
 
 import datetime
+import hashlib
 import json
+import os
 import sys
+import zipfile
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -266,13 +276,10 @@ def _checked_columns(chunk, first):
     return _columns(recs)
 
 
-def load_ndjson(path, primary=0, n_stations=None):
-    """Parse an NDJSON forecast file into a :class:`Dataset`.
-
-    Every line must be a JSON object of the schema above with finite numeric
-    (not boolean) values; a mistyped record raises ConfigError naming the
-    line and the field.
-    """
+def _parse_ndjson(path):
+    """The columns of an NDJSON forecast file as :func:`load_ndjson` hands
+    them to :class:`Dataset`; a mistyped record raises ConfigError naming
+    its line and field."""
     parts, chunk, first = [], [], None
 
     def flush():
@@ -304,17 +311,35 @@ def load_ndjson(path, primary=0, n_stations=None):
     ens, scalars, station, obs = map(np.concatenate,
                                      (ens, scalars, station, obs))
     predictor_names, scalar_names, _, lead = first
+    return {"ens": ens, "scalars": scalars, "station": station,
+            "times": list(chain.from_iterable(times)), "obs": obs,
+            "lead": lead, "predictor_names": predictor_names,
+            "scalar_names": scalar_names}
+
+
+def load_ndjson(path, primary=0, n_stations=None):
+    """Parse an NDJSON forecast file into a :class:`Dataset`.
+
+    Every line must be a JSON object of the schema above with finite numeric
+    (not boolean) values; a mistyped record raises ConfigError naming the
+    line and the field.  When the binary copy of :func:`save_copy` lies
+    beside ``path`` and records the digest of ``path``'s bytes, its arrays
+    are read instead, and the :class:`Dataset` checks them as it checks
+    parsed records.
+    """
+    columns = _read_copy(path) or _parse_ndjson(path)
+    ens = columns["ens"]
     return Dataset(
         # (T, p, M) read as (T, M, p): the memory layout of stacked (M, p)
         # records, which fit_norm's sums over axes (0, 1) depend on
         ens=ens.transpose(0, 2, 1) if ens.ndim == 3 else ens,
-        scalars=scalars,
-        station=station,
-        times=list(chain.from_iterable(times)),
-        obs=obs,
-        lead_hours=lead,
-        predictor_names=predictor_names,
-        scalar_names=scalar_names,
+        scalars=columns["scalars"],
+        station=columns["station"],
+        times=columns["times"],
+        obs=columns["obs"],
+        lead_hours=columns["lead"],
+        predictor_names=columns["predictor_names"],
+        scalar_names=columns["scalar_names"],
         primary=primary,
         n_stations=n_stations,
     )
@@ -335,6 +360,97 @@ def save_ndjson(dataset: Dataset, path):
                             for j, name in enumerate(dataset.scalar_names)},
             }
             fh.write(json.dumps(rec) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Binary copy
+# ---------------------------------------------------------------------------
+
+
+# The arrays of a binary copy, name -> (dtype, ndim), where "U" is a str
+# array of any width.  ``ens`` is the (T, p, M) block that parsing builds,
+# so both routes give Dataset the same memory layout; ``sha256`` is the
+# digest of the NDJSON bytes the copy stands for.
+_COPY = {"ens": ("f8", 3), "scalars": ("f8", 2), "station": ("i8", 1),
+         "times": ("M8[D]", 1), "obs": ("f8", 1), "lead": ("i8", 0),
+         "predictor_names": ("U", 1), "scalar_names": ("U", 1),
+         "sha256": ("U", 0)}
+
+
+def sha256_file(path):
+    """Hex SHA-256 of a file's bytes, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _copy_path(path):
+    return os.path.splitext(os.fspath(path))[0] + ".npz"
+
+
+def save_copy(dataset: Dataset, path):
+    """Write the binary copy of ``dataset`` beside the NDJSON file ``path``,
+    which must hold what :func:`save_ndjson` wrote of it.  The copy is an
+    uncompressed ``.npz`` of plain arrays (no pickles) and records the
+    digest of ``path``'s bytes."""
+    arrays = {
+        "ens": dataset.ens.transpose(0, 2, 1),
+        "scalars": dataset.scalars,
+        "station": dataset.station,
+        "times": dataset.times.astype("datetime64[D]"),
+        "obs": dataset.obs,
+        "lead": np.int64(dataset.lead_hours),
+        "predictor_names": np.array(dataset.predictor_names, dtype=str),
+        "scalar_names": np.array(dataset.scalar_names, dtype=str),
+        "sha256": np.array(sha256_file(path)),
+    }
+    for key in ("predictor_names", "scalar_names"):
+        if arrays[key].tolist() != getattr(dataset, key):
+            raise ConfigError(f"{key} ending in NUL do not fit a str array")
+    # np.savez's layout (stored members, the fixed 1980 timestamp), but each
+    # array goes out in C order a block at a time, so that no whole copy of
+    # the ensemble block is made
+    with zipfile.ZipFile(_copy_path(path), "w") as npz:
+        for name, array in arrays.items():
+            with npz.open(name + ".npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array_header_1_0(fh, {
+                    "descr": np.lib.format.dtype_to_descr(array.dtype),
+                    "fortran_order": False, "shape": array.shape})
+                for block in np.nditer(array, ["external_loop", "buffered",
+                                               "zerosize_ok"],
+                                       buffersize=1 << 13, order="C"):
+                    fh.write(block.tobytes())
+
+
+def _read_copy(path):
+    """The columns of the binary copy beside the NDJSON file ``path``, as
+    :func:`_parse_ndjson` gives them, or None unless the copy opens without
+    unpickling, holds exactly the arrays of :data:`_COPY` and records the
+    digest of ``path``'s bytes."""
+    try:
+        # np.load would leave a file it opened unclosed when a zip it
+        # starts to read turns out truncated
+        with open(_copy_path(path), "rb") as fh, \
+                np.load(fh, allow_pickle=False) as npz:
+            if sorted(npz.files) != sorted(_COPY) \
+                    or str(npz["sha256"]) != sha256_file(path):
+                return None
+            copy = {name: npz[name] for name in _COPY}
+            if not all(copy[name].ndim == ndim and (
+                    copy[name].dtype.kind == "U" if kind == "U"
+                    else copy[name].dtype == kind)
+                    for name, (kind, ndim) in _COPY.items()):
+                return None
+    # the copy only saves parsing: whatever keeps it from loading (no file,
+    # a truncated or foreign file, a pickled array), the NDJSON decides
+    except Exception:
+        return None
+    return {**copy, "times": copy["times"].astype(str).tolist(),
+            "lead": int(copy["lead"]),
+            "predictor_names": copy["predictor_names"].tolist(),
+            "scalar_names": copy["scalar_names"].tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +501,18 @@ def split_temporal(dataset: Dataset, fractions):
     if len(fractions) != 3 or any(f < 0 for f in fractions) \
             or abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError("fractions must be three non-negatives summing to 1")
-    # the distinct dates in np.unique's order; np.unique of an object
-    # array would import numpy.ma
-    times = sorted(set(dataset.times))
-    n = len(times)
+    dates = sorted(set(dataset.times))
+    n = len(dates)
     n_train = int(round(fractions[0] * n))
     n_val = int(round(fractions[1] * n))
-    cuts = [times[:n_train], times[n_train:n_train + n_val],
-            times[n_train + n_val:]]
-    if not all(cuts):
+    if not 0 < n_train < n_train + n_val < n:
         raise ConfigError("temporal split produced an empty block")
-    return tuple(dataset.subset(np.isin(dataset.times, block))
-                 for block in cuts)
+    # rows are sorted by time, so each block is the slice of rows from the
+    # first row of its first date
+    cuts = [0, *(bisect_left(dataset.times, dates[k])
+                 for k in (n_train, n_train + n_val)), len(dataset)]
+    return tuple(dataset.subset(slice(lo, hi))
+                 for lo, hi in zip(cuts, cuts[1:]))
 
 
 # ---------------------------------------------------------------------------

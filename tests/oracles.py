@@ -8,10 +8,11 @@ library's building blocks (the Bernstein quantile function, the EMOS loss
 graph and Adam) and differ only in how the work is batched.  Likewise the
 composed attention reference pins the fused ``autodiff.attention`` op to
 the autodiff primitives it replaces, the line-by-line NDJSON loader pins the
-chunked one, and the per-bin shuffle, the graph inputs rebuilt from a
-shuffled dataset and the fully recomputed preservation matrix pin the
-importance code that shares column facts between models and replaces one
-predictor's part of each model's inputs.
+chunked one, the date-membership split pins the row-slice one, and the
+per-bin shuffle, the graph inputs rebuilt from a shuffled dataset and the
+fully recomputed preservation matrix pin the importance code that shares
+column facts between models and replaces one predictor's part of each
+model's inputs.
 The run-configuration reference is the JSON Schema the CLI once validated
 against, checked by ``jsonschema``.
 """
@@ -394,6 +395,18 @@ def load_ndjson_per_line(path, primary=0, n_stations=None):
         primary=primary,
         n_stations=n_stations,
     )
+
+
+def split_temporal_by_dates(dataset, fractions):
+    """(train, val, test) blocks of a dataset, each the rows whose date lies
+    in its share of the sorted distinct dates, picked by set membership."""
+    times = sorted(set(dataset.times))
+    n_train = int(round(fractions[0] * len(times)))
+    n_val = int(round(fractions[1] * len(times)))
+    cuts = [times[:n_train], times[n_train:n_train + n_val],
+            times[n_train + n_val:]]
+    return tuple(dataset.subset(np.isin(dataset.times, block))
+                 for block in cuts)
 
 
 # ---------------------------------------------------------------------------

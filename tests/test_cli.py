@@ -240,7 +240,7 @@ def test_synth_writes_dataset_stats_and_manifest(tmp_path, capsys):
     assert stats["n_samples"] == 180
     assert stats["obs_mean"] == pytest.approx(np.mean(ds.obs))
     manifest = _manifest(out)
-    assert set(manifest["outputs"]) == {"dataset.ndjson",
+    assert set(manifest["outputs"]) == {"dataset.ndjson", "dataset.npz",
                                         "dataset_stats.json"}
     timings = json.loads((out / "timings.json").read_text())
     assert timings["command"] == "synth" and "total" in timings["seconds"]
@@ -676,6 +676,59 @@ def test_mistyped_ndjson_and_chi_predictor_exit_2(tmp_path, capsys):
                 [f'data.path="{data}"', f'importance.checkpoints="{train_dir}"',
                  "importance.predictors=[4]"]) == 2
     assert "chi predictors [4]" in capsys.readouterr().err
+
+
+def _run_stages(synth_dir, out, train_dir=None):
+    """run_hash of train, evaluate and importance run on a synth directory;
+    evaluate and importance score the pool in ``train_dir`` if given."""
+    data = f'data.path="{synth_dir / "dataset.ndjson"}"'
+    assert _run("train", out / "train", [data] + MODEL_SETS) == 0
+    pool = train_dir or out / "train"
+    assert _run("evaluate", out / "evaluate",
+                [data, f'eval.checkpoints="{pool}"', "eval.reps=2"]) == 0
+    assert _run("importance", out / "importance",
+                [data, f'importance.checkpoints="{pool}"',
+                 "importance.bins=5"]) == 0
+    return {stage: _manifest(out / stage)["run_hash"]
+            for stage in ("train", "evaluate", "importance")}
+
+
+def test_stages_hash_the_same_without_the_binary_copy(tmp_path):
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", synth_dir, SYNTH_SETS) == 0
+    with_copy = _run_stages(synth_dir, tmp_path / "with")
+    (synth_dir / "dataset.npz").unlink()
+    assert _run_stages(synth_dir, tmp_path / "without",
+                       tmp_path / "with" / "train") == with_copy
+
+
+def test_stages_read_the_binary_copy_not_the_ndjson(tmp_path, monkeypatch):
+    # a digest check that never matched would fall back to parsing, and
+    # every other test would still pass
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", synth_dir, SYNTH_SETS) == 0
+
+    def no_parsing(_):
+        raise AssertionError("the NDJSON was parsed")
+
+    monkeypatch.setattr(enspost.data, "json", types.SimpleNamespace(
+        loads=no_parsing, JSONDecodeError=json.JSONDecodeError))
+    assert _run("evaluate", tmp_path / "eval",
+                [f'data.path="{synth_dir / "dataset.ndjson"}"']) == 0
+
+
+def test_binary_copy_with_non_finite_obs_exits_2(tmp_path, capsys):
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", synth_dir, SYNTH_SETS) == 0
+    copy = synth_dir / "dataset.npz"
+    with np.load(copy) as npz:
+        arrays = dict(npz)
+    arrays["obs"][0] = np.inf          # the digest still matches
+    np.savez(copy, **arrays)
+    assert _run("evaluate", tmp_path / "eval",
+                [f'data.path="{synth_dir / "dataset.ndjson"}"']) == 2
+    err = capsys.readouterr().err
+    assert "non-finite values in obs" in err and "Traceback" not in err
 
 
 def _fresh_python(code):

@@ -2,10 +2,12 @@
 
 import datetime
 import json
+import os
 import re
 import sys
 import tracemalloc
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from enspost import data
 from enspost.data import (CHUNK_RECORDS, PREDICTOR_NAMES, SCALAR_NAMES,
                           Dataset, SynthConfig, fit_norm, generate_synthetic,
-                          load_ndjson, save_ndjson, split_temporal,
+                          load_ndjson, save_copy, save_ndjson, split_temporal,
                           standardize)
 from enspost.errors import ConfigError
-from oracles import load_ndjson_per_line
+from oracles import load_ndjson_per_line, split_temporal_by_dates
 
 
 def _tiny_dataset(t=6, m=4, p=2, q=2, seed=0, primary=0):
@@ -418,6 +421,176 @@ def test_ndjson_save_load_roundtrip_property(tmp_path_factory, ds):
 
 
 # ---------------------------------------------------------------------------
+# Binary copy
+# ---------------------------------------------------------------------------
+
+
+def _signature(ds):
+    """Everything a loaded dataset hands on, bit for bit: each array's
+    dtype, shape, strides and bytes, the dates, names, lead, primary,
+    station count and the fit_norm statistics (or the error it raises)."""
+    arrays = [(a.dtype.str, a.shape, a.strides, a.tobytes())
+              for a in (ds.ens, ds.scalars, ds.station, ds.obs)]
+    try:
+        norm = repr(fit_norm(ds))
+    except ConfigError as exc:
+        norm = str(exc)
+    return (arrays, ds.times.strides, list(map(type, ds.times)),
+            list(ds.times), ds.lead_hours, ds.predictor_names,
+            ds.scalar_names, ds.primary, ds.n_stations, norm)
+
+
+def _not_parsed():
+    """A context in which load_ndjson fails if it parses the NDJSON."""
+    return mock.patch.object(data, "_parse_ndjson",
+                             side_effect=AssertionError("parsed the NDJSON"))
+
+
+def _copy_of(path):
+    return path.with_suffix(".npz")
+
+
+def _assert_copy_loads_like_ndjson(path, ds, primary, n_stations):
+    save_ndjson(ds, path)
+    save_copy(ds, path)
+    with _not_parsed():
+        from_copy = load_ndjson(path, primary=primary, n_stations=n_stations)
+    os.remove(_copy_of(path))
+    parsed = load_ndjson(path, primary=primary, n_stations=n_stations)
+    assert _signature(from_copy) == _signature(parsed)
+
+
+@settings(max_examples=30)
+@given(stations=st.integers(1, 4), days=st.integers(1, 40),
+       members=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       lead=st.integers(-2**63, 2**63 - 1), primary=st.integers(0, 3),
+       n_stations=st.one_of(st.none(), st.integers(4, 6)))
+def test_binary_copy_loads_the_synthetic_dataset_the_ndjson_does(
+        tmp_path_factory, stations, days, members, seed, lead, primary,
+        n_stations):
+    ds = generate_synthetic(SynthConfig(stations=stations, days=days,
+                                        members=members, seed=seed,
+                                        lead_hours=lead))
+    path = tmp_path_factory.mktemp("copy") / "dataset.ndjson"
+    _assert_copy_loads_like_ndjson(path, ds, primary, n_stations)
+
+
+@settings(max_examples=30)
+@given(ds=_datasets(), primary=st.integers(0, 2))
+def test_binary_copy_loads_any_dataset_the_ndjson_does(tmp_path_factory, ds,
+                                                       primary):
+    # no scalars, repeated (time, station) rows and any float values
+    path = tmp_path_factory.mktemp("copy") / "data.ndjson"
+    primary = min(primary, ds.n_predictors - 1)
+    _assert_copy_loads_like_ndjson(path, ds, primary, ds.n_stations)
+
+
+def test_names_a_str_array_would_cut_have_no_binary_copy(tmp_path):
+    ds = _tiny_dataset()
+    named = Dataset(ds.ens, ds.scalars, ds.station, ds.times, ds.obs,
+                    ds.lead_hours, ["p0", "p1\0"], ds.scalar_names)
+    path = tmp_path / "data.ndjson"
+    save_ndjson(named, path)
+    with pytest.raises(ConfigError, match="NUL"):
+        save_copy(named, path)
+    assert load_ndjson(path).predictor_names == ["p0", "p1\0"]
+
+
+@pytest.fixture
+def copied(tmp_path):
+    """An NDJSON file with its binary copy, and the dataset both hold."""
+    ds = generate_synthetic(SynthConfig(stations=3, days=30, members=4))
+    path = tmp_path / "dataset.ndjson"
+    save_ndjson(ds, path)
+    save_copy(ds, path)
+    return path, ds
+
+
+def test_ndjson_edited_after_the_copy_is_parsed(copied):
+    path, ds = copied
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[4])
+    rec["obs"] = "12.5"
+    path.write_text("\n".join(lines[:4] + [json.dumps(rec)] + lines[5:]))
+    with pytest.raises(ConfigError, match="line 5: field 'obs'"):
+        load_ndjson(path)
+    rec["obs"] = 99.5
+    path.write_text("\n".join(lines[:4] + [json.dumps(rec)] + lines[5:]))
+    edited = load_ndjson(path)
+    assert edited.obs[4] == 99.5
+    np.testing.assert_array_equal(np.delete(edited.obs, 4),
+                                  np.delete(ds.obs, 4))
+
+
+_UNPICKLED = []
+
+
+def _spring():
+    _UNPICKLED.append("unpickled")
+
+
+class _Trap:
+    """Pickles to a call of _spring, so unpickling it leaves a trace."""
+
+    def __reduce__(self):
+        return _spring, ()
+
+
+def _rewrite_copy(path, **changes):
+    """Rewrite an NDJSON file's binary copy with arrays replaced, added or
+    (given None) dropped."""
+    with np.load(_copy_of(path)) as npz:
+        arrays = {**npz, **changes}
+    np.savez(_copy_of(path),
+             **{k: v for k, v in arrays.items() if v is not None})
+
+
+@pytest.mark.parametrize("breakage", [
+    "truncated", "garbage", "pickled obs", "obs as float32", "ens as 2-d",
+    "extra array", "missing scalars", "stale digest", "digest as bytes"])
+def test_a_broken_copy_is_never_read(copied, breakage):
+    path, ds = copied
+    copy = _copy_of(path)
+    with np.load(copy) as npz:
+        obs, ens = npz["obs"], npz["ens"]
+    if breakage == "truncated":
+        copy.write_bytes(copy.read_bytes()[:-100])
+    elif breakage == "garbage":
+        copy.write_bytes(b"not a zip file" * 100)
+    else:
+        _rewrite_copy(path, **{
+            "pickled obs": {"obs": np.array([_Trap()] * len(obs))},
+            "obs as float32": {"obs": obs.astype(np.float32)},
+            "ens as 2-d": {"ens": ens.reshape(len(ens), -1)},
+            "extra array": {"extra": np.zeros(2)},
+            "missing scalars": {"scalars": None},
+            "stale digest": {"sha256": np.array("0" * 64)},
+            "digest as bytes": {"sha256": np.array(data.sha256_file(path)
+                                                   .encode())},
+        }[breakage])
+    with mock.patch.object(data, "_parse_ndjson",
+                           wraps=data._parse_ndjson) as parse:
+        loaded = load_ndjson(path)
+    parse.assert_called_once()
+    assert _UNPICKLED == []
+    assert _signature(loaded) == _signature(load_ndjson_per_line(path))
+
+
+def test_a_matching_copy_gets_the_dataset_checks(copied):
+    path, _ = copied
+    with np.load(_copy_of(path)) as npz:
+        obs, times = npz["obs"].copy(), npz["times"].copy()
+    obs[3] = np.nan
+    _rewrite_copy(path, obs=obs)
+    with _not_parsed(), pytest.raises(ConfigError, match="non-finite .* obs"):
+        load_ndjson(path)
+    times[0] = np.datetime64("NaT")
+    _rewrite_copy(path, obs=np.nan_to_num(obs), times=times)
+    with _not_parsed(), pytest.raises(ConfigError, match="'NaT'"):
+        load_ndjson(path)
+
+
+# ---------------------------------------------------------------------------
 # Standardization and splitting
 # ---------------------------------------------------------------------------
 
@@ -471,6 +644,21 @@ def test_split_temporal_blocks_are_disjoint_and_ordered():
         split_temporal(ds, (0.5, 0.5, 0.5))
     with pytest.raises(ConfigError):
         split_temporal(ds, (0.99, 0.005, 0.005))
+
+
+@settings(max_examples=40)
+@given(ds=_datasets(), fractions=st.lists(st.integers(0, 4), min_size=3,
+                                          max_size=3).filter(any))
+def test_split_temporal_slices_the_blocks_of_its_dates(ds, fractions):
+    fractions = [f / sum(fractions) for f in fractions]
+    try:
+        blocks = split_temporal(ds, fractions)
+    except ConfigError:
+        assert not all(map(len, split_temporal_by_dates(ds, fractions)))
+        return
+    for block, reference in zip(blocks, split_temporal_by_dates(ds,
+                                                               fractions)):
+        assert _signature(block) == _signature(reference)
 
 
 # ---------------------------------------------------------------------------
