@@ -8,22 +8,22 @@ embedding lookup and constant-condition selection), plus two fused ops
 with hand-written backwards: ``linear``, an affine map as one node that
 keeps no product beside its output, and multi-head ``attention``.
 Everything is eager: calling an op computes its forward value at once.
-The tape, implied by the parent links, holds only the nodes a gradient can
-flow through: the parameter leaves of :func:`value_and_grad`, and every op
-output with a parent on the tape.  Such a node keeps its parents on the tape
-and its adjoint closure; a constant, an input array or an op computed from
-them alone keeps neither, and no closure computes a gradient for it.  The
-leaves of :func:`eval_graph` are off the tape, so a forward keeps no graph
-and each intermediate is freed as soon as the graph function drops it.
+A Tensor is always on the tape; ops on arrays return arrays.  An op with a
+Tensor operand returns a Tensor that keeps those operands as parents and
+its adjoint closure; an op on arrays or numbers alone returns a plain
+float64 array, so no constant is boxed and no closure computes a gradient
+for one.  :func:`eval_graph` hands the graph the parameter views
+themselves, so a forward is plain NumPy: it builds no Tensor, keeps no
+graph, and frees each intermediate as soon as the graph function drops it.
 A node stores the first gradient it receives as is and adds later ones out
 of place, so backward closures never write into their incoming gradient.
 A graph's backward runs once: it releases each interior node's gradient,
 closure and parent links as soon as the closure has run, so the
 activations of a training step are freed as the reverse sweep passes them
 and only the leaf gradients remain.
-A graph is a plain function ``fn(params, inputs) -> Tensor``: only the
-parameter slices become leaves, and the input arrays (integer station or
-cell ids included) reach ``fn`` as the caller passed them.
+A graph is a plain function ``fn(params, inputs) -> Tensor or array``: only
+the parameter slices become leaves, and the input arrays (integer station
+or cell ids included) reach ``fn`` as the caller passed them.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .errors import ConfigError, ContractError, NumericError
 __all__ = [
     "ParamVector",
     "Tensor",
+    "value_of",
     "eval_graph",
     "value_and_grad",
     "finite_diff_check",
@@ -126,25 +127,25 @@ class ParamVector:
 
 
 class Tensor:
-    """Node of a graph; on the tape when one of its parents is.
+    """Node on the tape: a leaf, or the output of an op with a Tensor
+    operand, which keeps those operands as parents.  A Tensor is always on
+    the tape; ops on arrays return arrays.
 
-    A node off the tape drops its parents and ``backward``.  A new leaf is
-    off the tape; :func:`_leaves` puts the parameter leaves of a gradient on
-    it.  NumPy defers to a Tensor (``__array_ufunc__ = None``):
-    ``ndarray ⊕ Tensor`` calls the Tensor's reflected operator and returns a
-    Tensor.
+    NumPy defers to a Tensor (``__array_ufunc__ = None``): ``ndarray ⊕
+    Tensor`` calls the Tensor's reflected operator and returns a Tensor.  A
+    Tensor has no ``__array__``, through which NumPy would silently drop the
+    tape; :func:`value_of` reads its array.
     """
 
-    __slots__ = ("value", "grad", "op", "_parents", "_backward", "_on_tape")
+    __slots__ = ("value", "grad", "op", "_parents", "_backward")
     __array_ufunc__ = None
 
     def __init__(self, value, parents=(), backward=None, op="leaf"):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.op = op
-        self._parents = [p for p in parents if p._on_tape]
-        self._on_tape = bool(self._parents)
-        self._backward = backward if self._on_tape else None
+        self._parents = parents
+        self._backward = backward
 
     @property
     def shape(self):
@@ -214,10 +215,10 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return mul(self, reciprocal(_wrap(other)))
+        return mul(self, reciprocal(other))
 
     def __rtruediv__(self, other):
-        return mul(_wrap(other), reciprocal(self))
+        return mul(other, reciprocal(self))
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -235,8 +236,18 @@ class Tensor:
         return f"Tensor(op={self.op!r}, shape={self.value.shape})"
 
 
-def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(x, op="const")
+def value_of(x):
+    """The array of a Tensor, or ``x`` itself as a float64 array."""
+    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _node(value, operands, backward, op):
+    """An op's result: a Tensor whose parents are its Tensor operands, or,
+    when no operand is a Tensor, ``value`` as a float64 array."""
+    parents = [a for a in operands if isinstance(a, Tensor)]
+    if not parents:
+        return np.asarray(value, dtype=np.float64)
+    return Tensor(value, parents, backward, op)
 
 
 def _unbroadcast(g, shape):
@@ -250,36 +261,36 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
-    a, b = _wrap(a), _wrap(b)
+    av, bv = value_of(a), value_of(b)
 
     def backward(g):
-        if a._on_tape:
-            a._accumulate(_unbroadcast(g, a.value.shape))
-        if b._on_tape:
-            b._accumulate(_unbroadcast(g, b.value.shape))
+        if isinstance(a, Tensor):
+            a._accumulate(_unbroadcast(g, av.shape))
+        if isinstance(b, Tensor):
+            b._accumulate(_unbroadcast(g, bv.shape))
 
-    return Tensor(a.value + b.value, (a, b), backward, "add")
+    return _node(av + bv, (a, b), backward, "add")
 
 
 def mul(a, b):
-    a, b = _wrap(a), _wrap(b)
+    av, bv = value_of(a), value_of(b)
 
     def backward(g):
-        if a._on_tape:
-            a._accumulate(_unbroadcast(g * b.value, a.value.shape))
-        if b._on_tape:
-            b._accumulate(_unbroadcast(g * a.value, b.value.shape))
+        if isinstance(a, Tensor):
+            a._accumulate(_unbroadcast(g * bv, av.shape))
+        if isinstance(b, Tensor):
+            b._accumulate(_unbroadcast(g * av, bv.shape))
 
-    return Tensor(a.value * b.value, (a, b), backward, "mul")
+    return _node(av * bv, (a, b), backward, "mul")
 
 
 def reciprocal(a):
-    a = _wrap(a)
+    av = value_of(a)
 
     def backward(g):
-        a._accumulate(_unbroadcast(-g / (a.value * a.value), a.value.shape))
+        a._accumulate(_unbroadcast(-g / (av * av), av.shape))
 
-    return Tensor(1.0 / a.value, (a,), backward, "reciprocal")
+    return _node(1.0 / av, (a,), backward, "reciprocal")
 
 
 def _weight_grad(x, g):
@@ -289,34 +300,32 @@ def _weight_grad(x, g):
 
 def matmul(a, b):
     """Matrix product with numpy-style batch broadcasting on leading axes."""
-    a, b = _wrap(a), _wrap(b)
+    av, bv = value_of(a), value_of(b)
 
     def backward(g):
-        if a._on_tape:
-            ga = g @ np.swapaxes(b.value, -1, -2)
-            a._accumulate(_unbroadcast(ga, a.value.shape))
-        if not b._on_tape:
+        if isinstance(a, Tensor):
+            ga = g @ np.swapaxes(bv, -1, -2)
+            a._accumulate(_unbroadcast(ga, av.shape))
+        if not isinstance(b, Tensor):
             return
-        if b.value.ndim == 2 and a.value.ndim >= 2:
+        if bv.ndim == 2 and av.ndim >= 2:
             # a batch times a weight: every leading axis of ``a`` is a row
-            b._accumulate(_weight_grad(a.value, g))
+            b._accumulate(_weight_grad(av, g))
         else:
-            gb = np.swapaxes(a.value, -1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.value.shape))
+            gb = np.swapaxes(av, -1, -2) @ g
+            b._accumulate(_unbroadcast(gb, bv.shape))
 
-    return Tensor(a.value @ b.value, (a, b), backward, "matmul")
+    return _node(av @ bv, (a, b), backward, "matmul")
 
 
 def exp(a):
-    a = _wrap(a)
-    y = np.exp(a.value)
-    return Tensor(y, (a,), lambda g: a._accumulate(g * y), "exp")
+    y = np.exp(value_of(a))
+    return _node(y, (a,), lambda g: a._accumulate(g * y), "exp")
 
 
 def tanh(a):
-    a = _wrap(a)
-    y = np.tanh(a.value)
-    return Tensor(y, (a,), lambda g: a._accumulate(g * (1.0 - y * y)), "tanh")
+    y = np.tanh(value_of(a))
+    return _node(y, (a,), lambda g: a._accumulate(g * (1.0 - y * y)), "tanh")
 
 
 def _sigmoid(x):
@@ -328,9 +337,9 @@ def _sigmoid(x):
 
 
 def softplus(a):
-    a = _wrap(a)
-    return Tensor(np.logaddexp(0.0, a.value), (a,),
-                  lambda g: a._accumulate(g * _sigmoid(a.value)), "softplus")
+    av = value_of(a)
+    return _node(np.logaddexp(0.0, av), (a,),
+                 lambda g: a._accumulate(g * _sigmoid(av)), "softplus")
 
 
 def _trunc_tail_value(lb):
@@ -359,43 +368,43 @@ def trunc_tail(a):
     The derivative follows from d/dw[(-log1p(-w) - w)/w^2] together with
     dw/dlb = -w(1-w): it collapses to ``g'(lb) = 2 sigmoid(lb) g(lb) - 1``.
     """
-    a = _wrap(a)
-    y = _trunc_tail_value(a.value)
+    av = value_of(a)
+    y = _trunc_tail_value(av)
 
     def backward(g):
-        a._accumulate(g * (2.0 * _sigmoid(a.value) * y - 1.0))
+        a._accumulate(g * (2.0 * _sigmoid(av) * y - 1.0))
 
-    return Tensor(y, (a,), backward, "trunc_tail")
+    return _node(y, (a,), backward, "trunc_tail")
 
 
 def _sum(a, axis=None):
-    a = _wrap(a)
+    av = value_of(a)
 
     def backward(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.value.shape))
+        a._accumulate(np.broadcast_to(g, av.shape))
 
-    return Tensor(a.value.sum(axis=axis), (a,), backward, "sum")
+    return _node(av.sum(axis=axis), (a,), backward, "sum")
 
 
 def mean(a, axis=None):
-    a = _wrap(a)
-    n = a.value.size if axis is None else a.value.shape[axis]
+    av = value_of(a)
+    n = av.size if axis is None else av.shape[axis]
     return mul(_sum(a, axis=axis), 1.0 / n)
 
 
 def _extremum(a, axis, np_reduce):
-    a = _wrap(a)
-    y = np_reduce(a.value, axis=axis, keepdims=True)
+    av = value_of(a)
+    y = np_reduce(av, axis=axis, keepdims=True)
 
     def backward(g):
         # ties share the gradient equally so finite differences stay consistent
-        mask = (a.value == y).astype(np.float64)
+        mask = (av == y).astype(np.float64)
         mask /= mask.sum(axis=axis, keepdims=True)
         a._accumulate(np.expand_dims(g, axis) * mask)
 
-    return Tensor(np.squeeze(y, axis=axis), (a,), backward, np_reduce.__name__)
+    return _node(np.squeeze(y, axis=axis), (a,), backward, np_reduce.__name__)
 
 
 def amax(a, axis):
@@ -407,27 +416,27 @@ def amin(a, axis):
 
 
 def concat(tensors, axis=-1):
-    tensors = [_wrap(t) for t in tensors]
+    values = [value_of(t) for t in tensors]
 
     def backward(g):
-        splits = np.cumsum([t.value.shape[axis] for t in tensors])[:-1]
+        splits = np.cumsum([v.shape[axis] for v in values])[:-1]
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            if t._on_tape:
+            if isinstance(t, Tensor):
                 t._accumulate(piece)
 
-    return Tensor(np.concatenate([t.value for t in tensors], axis=axis),
-                  tensors, backward, "concat")
+    return _node(np.concatenate(values, axis=axis), tensors, backward,
+                 "concat")
 
 
 def _gather(a, key, op):
-    a = _wrap(a)
+    av = value_of(a)
 
     def backward(g):
-        acc = np.zeros_like(a.value)
+        acc = np.zeros_like(av)
         np.add.at(acc, key, g)
         a._accumulate(acc)
 
-    return Tensor(a.value[key], (a,), backward, op)
+    return _node(av[key], (a,), backward, op)
 
 
 def take(a, key):
@@ -435,28 +444,28 @@ def take(a, key):
 
 
 def embedding(table, indices):
-    """Row lookup into ``table`` (a Tensor) with integer ``indices``."""
+    """Row lookup into ``table`` with integer ``indices``."""
     return _gather(table, np.asarray(indices), "embedding")
 
 
 def reshape(a, shape):
-    a = _wrap(a)
-    return Tensor(a.value.reshape(shape), (a,),
-                  lambda g: a._accumulate(g.reshape(a.value.shape)), "reshape")
+    av = value_of(a)
+    return _node(av.reshape(shape), (a,),
+                 lambda g: a._accumulate(g.reshape(av.shape)), "reshape")
 
 
 def where(cond, a, b):
     """Select elementwise on a *constant* boolean condition."""
     cond = np.asarray(cond, dtype=bool)
-    a, b = _wrap(a), _wrap(b)
+    av, bv = value_of(a), value_of(b)
 
     def backward(g):
-        if a._on_tape:
-            a._accumulate(_unbroadcast(np.where(cond, g, 0.0), a.value.shape))
-        if b._on_tape:
-            b._accumulate(_unbroadcast(np.where(cond, 0.0, g), b.value.shape))
+        if isinstance(a, Tensor):
+            a._accumulate(_unbroadcast(np.where(cond, g, 0.0), av.shape))
+        if isinstance(b, Tensor):
+            b._accumulate(_unbroadcast(np.where(cond, 0.0, g), bv.shape))
 
-    return Tensor(np.where(cond, a.value, b.value), (a, b), backward, "where")
+    return _node(np.where(cond, av, bv), (a, b), backward, "where")
 
 
 def linear(x, w, b):
@@ -466,19 +475,19 @@ def linear(x, w, b):
     product is not kept beside the output, and the backward runs the ops of
     ``add(matmul(x, w), b)``, so every gradient is theirs bit for bit.
     """
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    y = x.value @ w.value
-    y += b.value
+    xv, wv, bv = value_of(x), value_of(w), value_of(b)
+    y = xv @ wv
+    y += bv
 
     def backward(g):
-        if x._on_tape:
-            x._accumulate(g @ w.value.T)
-        if w._on_tape:
-            w._accumulate(_weight_grad(x.value, g))
-        if b._on_tape:
-            b._accumulate(_unbroadcast(g, b.value.shape))
+        if isinstance(x, Tensor):
+            x._accumulate(g @ wv.T)
+        if isinstance(w, Tensor):
+            w._accumulate(_weight_grad(xv, g))
+        if isinstance(b, Tensor):
+            b._accumulate(_unbroadcast(g, bv.shape))
 
-    return Tensor(y, (x, w, b), backward, "linear")
+    return _node(y, (x, w, b), backward, "linear")
 
 
 def _split_heads(t, heads):
@@ -509,17 +518,17 @@ def attention(xq, xk, xv, wq, wk, wv, wo, heads):
     the row sum taken as the equal, smaller ``rowsum(gO ⊙ O)`` (Dao et al.
     2022), and every weight gradient is one 2-D GEMM.
     """
-    xq, xk, xv, wq, wk, wv, wo = (_wrap(t) for t in (xq, xk, xv, wq, wk,
-                                                     wv, wo))
-    width = wq.value.shape[-1]
+    operands = (xq, xk, xv, wq, wk, wv, wo)
+    xq_v, xk_v, xv_v, wq_v, wk_v, wv_v, wo_v = (value_of(t) for t in operands)
+    width = wq_v.shape[-1]
     if width % heads != 0:
         raise ConfigError("heads must divide the channel width")
     scale = 1.0 / np.sqrt(width / heads)
-    q = xq.value @ wq.value
+    q = xq_v @ wq_v
     q *= scale
     q = _split_heads(q, heads)
-    k = _split_heads(xk.value @ wk.value, heads)
-    v = _split_heads(xv.value @ wv.value, heads)
+    k = _split_heads(xk_v @ wk_v, heads)
+    v = _split_heads(xv_v @ wv_v, heads)
     e = q @ np.swapaxes(k, -1, -2)        # scaled scores, exponentiated
     e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
@@ -531,9 +540,9 @@ def attention(xq, xk, xv, wq, wk, wv, wo, heads):
 
     def backward(g):
         p = e / total
-        if wo._on_tape:
+        if isinstance(wo, Tensor):
             wo._accumulate(_weight_grad(mixed, g))
-        go = _split_heads(g @ wo.value.T, heads)
+        go = _split_heads(g @ wo_v.T, heads)
         gv = np.swapaxes(p, -1, -2) @ go
         gs = go @ np.swapaxes(v, -1, -2)
         gs -= np.einsum("...i,...i->...", go, o)[..., None]
@@ -542,61 +551,66 @@ def attention(xq, xk, xv, wq, wk, wv, wo, heads):
         gq *= scale
         gk = np.swapaxes(gs, -1, -2) @ q
         for x, w, gh in ((xq, wq, gq), (xk, wk, gk), (xv, wv, gv)):
-            if gh.shape[0] != x.value.shape[0]:   # shared by the batch
+            x_v, w_v = value_of(x), value_of(w)
+            if gh.shape[0] != x_v.shape[0]:   # shared by the batch
                 gh = gh.sum(axis=0, keepdims=True)
             gh = _merge_heads(gh)
-            if w._on_tape:
-                w._accumulate(_weight_grad(x.value, gh))
-            if x._on_tape:
-                x._accumulate(gh @ w.value.T)
+            if isinstance(w, Tensor):
+                w._accumulate(_weight_grad(x_v, gh))
+            if isinstance(x, Tensor):
+                x._accumulate(gh @ w_v.T)
 
-    return Tensor(mixed @ wo.value, (xq, xk, xv, wq, wk, wv, wo), backward,
-                  "attention")
+    return _node(mixed @ wo_v, operands, backward, "attention")
 
 
 # ---------------------------------------------------------------------------
-# Graphs: functions ``fn(params, inputs) -> Tensor``
+# Graphs: functions ``fn(params, inputs) -> Tensor or array``
 # ---------------------------------------------------------------------------
 
 
-def _leaves(params: ParamVector, on_tape=True):
-    leaves = {name: Tensor(view, op=f"param:{name}")
-              for name, view in params._views.items()}
-    for leaf in leaves.values():
-        leaf._on_tape = on_tape
-    return leaves
+def _leaves(params: ParamVector):
+    return {name: Tensor(view, op=f"param:{name}")
+            for name, view in params._views.items()}
 
 
-def _run(fn, params: ParamVector, inputs, on_tape=True):
+def _output(out):
+    """``out`` if a graph may return it: a Tensor, an array or a float."""
+    if not isinstance(out, (Tensor, np.ndarray, float)):
+        raise ConfigError("graph function must return a Tensor or an array")
+    return out
+
+
+def _run(fn, params: ParamVector, inputs):
     """``fn(leaves, inputs)`` and the leaves: the parameter slices become
-    leaves, on the tape if ``on_tape``; the input arrays reach ``fn`` as the
-    caller passed them."""
-    leaves = _leaves(params, on_tape)
-    out = fn(leaves, inputs or {})
+    Tensor leaves; the input arrays reach ``fn`` as the caller passed them."""
+    leaves = _leaves(params)
+    return _output(fn(leaves, inputs or {})), leaves
+
+
+def _check_finite(out):
+    """Raise NumericError unless a graph's result is finite, naming the
+    first op on the tape with a non-finite value."""
+    if np.all(np.isfinite(value_of(out))):
+        return
     if not isinstance(out, Tensor):
-        raise ConfigError("graph function must return a Tensor")
-    return out, leaves
-
-
-def _check_finite(out: Tensor):
-    """Raise NumericError naming the first op on the tape with a non-finite
-    value."""
-    if not np.all(np.isfinite(out.value)):
-        bad = next(n for n in out._topo() if not np.all(np.isfinite(n.value)))
-        raise NumericError(f"non-finite value produced by op {bad.op!r}")
+        raise NumericError("non-finite value that no parameter reaches")
+    bad = next(n for n in out._topo() if not np.all(np.isfinite(n.value)))
+    raise NumericError(f"non-finite value produced by op {bad.op!r}")
 
 
 def eval_graph(fn, params: ParamVector, inputs=None):
-    """Forward-evaluate a graph; returns a numpy array.
+    """Forward-evaluate a graph; returns a fresh float64 array.
 
-    The leaves are off the tape, so the forward keeps no graph.  A
-    non-finite output runs the graph once more on the tape, to name the op
-    that produced it.
+    The graph receives the parameter views themselves, so every op returns
+    a plain array and the forward keeps no graph.  A non-finite output runs
+    the graph once more on the tape, to name the op that produced it.
     """
-    out, _ = _run(fn, params, inputs, on_tape=False)
-    if not np.all(np.isfinite(out.value)):
+    out = value_of(_output(fn(params._views, inputs or {})))
+    if not np.all(np.isfinite(out)):
         _check_finite(_run(fn, params, inputs)[0])
-    return out.value.copy()
+        # the tape's a / b multiplies by 1 / b, which may round to finite
+        raise NumericError("non-finite value produced by a division")
+    return np.array(out, order="C")
 
 
 def value_and_grad(fn, params: ParamVector, inputs=None):
@@ -606,17 +620,19 @@ def value_and_grad(fn, params: ParamVector, inputs=None):
     ``params.values``; slices that no path reaches are zero.
     """
     out, leaves = _run(fn, params, inputs)
-    if out.value.ndim != 0 and out.value.size != 1:
+    value = value_of(out)
+    if value.ndim != 0 and value.size != 1:
         raise ContractError("value_and_grad requires a scalar-valued graph")
     _check_finite(out)
-    out.backward()
+    if isinstance(out, Tensor):
+        out.backward()
     grad = np.zeros_like(params.values)
     for name, leaf in leaves.items():
         if leaf.grad is not None:
             offset = params.layout[name][0]
             grad[offset:offset + leaf.value.size].reshape(
                 leaf.value.shape)[...] = leaf.grad
-    return float(out.value), grad
+    return float(value), grad
 
 
 def finite_diff_check(fn, params: ParamVector, inputs=None, step=1e-4):

@@ -92,39 +92,10 @@ class QuantileLevels:
         return self.levels.size
 
 
-# One formula serves NumPy arrays and autodiff Tensors: each primitive below
-# builds a tape node when an argument is a Tensor and is plain NumPy
-# otherwise.  The autodiff op is looked up when called.
-
-
-def _softplus(x):
-    return ad.softplus(x) if isinstance(x, ad.Tensor) else np.logaddexp(0.0, x)
-
-
-def _exp(x):
-    return ad.exp(x) if isinstance(x, ad.Tensor) else np.exp(x)
-
-
-def _trunc_tail(x):
-    if isinstance(x, ad.Tensor):
-        return ad.trunc_tail(x)
-    return ad._trunc_tail_value(x)
-
-
-def _where(cond, a, b):
-    if isinstance(a, ad.Tensor) or isinstance(b, ad.Tensor):
-        return ad.where(cond, a, b)
-    return np.where(cond, a, b)
-
-
-def _concat(parts):
-    if any(isinstance(p, ad.Tensor) for p in parts):
-        return ad.concat(parts, axis=-1)
-    return np.concatenate(parts, axis=-1)
-
-
-def _value(x):
-    return x.value if isinstance(x, ad.Tensor) else np.asarray(x)
+# One formula serves NumPy arrays and autodiff Tensors: an ``ad.*`` op returns
+# a Tensor on the tape when an operand is one and a plain float64 array
+# otherwise, so the training losses and the evaluators share every formula.
+# The op is looked up when called.
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +127,8 @@ def bqn_coefficients(theta):
     for v >= 1, as increments times upper-triangular ones.  Works on
     trailing axes; a Tensor ``theta`` builds it for the training loss.
     """
-    if not isinstance(theta, ad.Tensor):
-        theta = np.asarray(theta, dtype=np.float64)
-    increments = _concat([theta[..., :1], _softplus(theta[..., 1:])])
-    size = _value(theta).shape[-1]
+    increments = ad.concat([theta[..., :1], ad.softplus(theta[..., 1:])])
+    size = theta.shape[-1]
     return increments @ np.triu(np.ones((size, size)))
 
 
@@ -177,7 +146,7 @@ def bqn_quantile(dist: BernsteinQuantile, p):
 
 def tlogis_params(theta):
     """Location and scale of raw (..., 2) outputs: identity and softplus."""
-    return theta[..., 0], _softplus(theta[..., 1]) + SCALE_FLOOR
+    return theta[..., 0], ad.softplus(theta[..., 1]) + SCALE_FLOOR
 
 
 def tlogis_map(theta):
@@ -210,18 +179,18 @@ def crps_tlogis_core(mu, sigma, y, lower):
     """
     y_std = (y - mu) / sigma
     lb = (lower - mu) / sigma
-    above = _value(y_std) > _value(lb)
-    t = _where(above, y_std - lb, 0.0 * y_std)
-    deep = _value(lb) >= _TRUNC_CLAMP
+    above = ad.value_of(y_std) > ad.value_of(lb)
+    t = ad.where(above, y_std - lb, 0.0 * y_std)
+    deep = ad.value_of(lb) >= _TRUNC_CLAMP
     # direct branch, on arguments capped so e^{SP(lb)} cannot overflow
-    lb_c = _where(deep, _TRUNC_CLAMP + 0.0 * lb, lb)
-    amp = _exp(_softplus(lb_c))
-    mid_direct = 2.0 * amp * (_softplus(-(lb_c + t)) - _softplus(-lb_c))
-    mid_limit = 2.0 * (_exp(-t) - 1.0)
-    mid = _where(deep, mid_limit, mid_direct)
-    core = t + mid + _trunc_tail(lb_c)
-    below_obs = _value(y) < lower
-    below = _where(below_obs, (lower - y) / sigma, 0.0 * y_std)
+    lb_c = ad.where(deep, _TRUNC_CLAMP + 0.0 * lb, lb)
+    amp = ad.exp(ad.softplus(lb_c))
+    mid_direct = 2.0 * amp * (ad.softplus(-(lb_c + t)) - ad.softplus(-lb_c))
+    mid_limit = 2.0 * (ad.exp(-t) - 1.0)
+    mid = ad.where(deep, mid_limit, mid_direct)
+    core = t + mid + ad.trunc_tail(lb_c)
+    below_obs = ad.value_of(y) < lower
+    below = ad.where(below_obs, (lower - y) / sigma, 0.0 * y_std)
     return sigma * (core + below)
 
 
@@ -243,7 +212,7 @@ def tlogis_cdf(dist: TruncLogistic, y):
     u = (np.asarray(y, dtype=np.float64) - dist.location) / dist.scale
     lb = (dist.lower - dist.location) / dist.scale
     # log survival ratio, capped at 0 below the bound; "0.0 -" returns +0.0
-    log_ratio = np.minimum(_softplus(lb) - _softplus(u), 0.0)
+    log_ratio = np.minimum(ad.softplus(lb) - ad.softplus(u), 0.0)
     return _scalar_or_array(0.0 - np.expm1(log_ratio))
 
 
@@ -267,7 +236,7 @@ def tlogis_quantile_core(mu, sigma, p, lower=0.0):
     returns +inf.
     """
     lb = (lower - mu) / sigma
-    return lower + sigma * (_softplus(-lb + np.log(p)) - np.log1p(-p))
+    return lower + sigma * (ad.softplus(-lb + np.log(p)) - np.log1p(-p))
 
 
 # ---------------------------------------------------------------------------
@@ -298,19 +267,28 @@ def level_grid(levels):
     return np.asarray(levels, dtype=np.float64)
 
 
-def theta_quantiles(theta, family, levels):
-    """(n, K) quantile matrix of raw outputs at the given levels.
+def quantile_map(family, levels, degree):
+    """Function from raw outputs theta (n, degree + 1) to their (n, K)
+    quantile matrix at the given levels.
 
     ``family`` is "tlogis" (theta holds location and raw scale) or "bqn"
-    (theta holds the raw Bernstein coefficients of degree D - 1).  A Tensor
-    ``theta`` builds the same matrix for the training losses.
+    (theta holds the raw Bernstein coefficients), whose basis is built here
+    once.  A Tensor ``theta`` builds the same matrix for the training losses.
     """
     levels = level_grid(levels)
     if family == "tlogis":
-        mu, sigma = tlogis_params(theta)
-        return tlogis_quantile_core(mu[:, None], sigma[:, None], levels)
-    degree = _value(theta).shape[1] - 1
-    return bqn_coefficients(theta) @ bernstein_basis(degree, levels).T
+        def quantiles(theta):
+            mu, sigma = tlogis_params(theta)
+            return tlogis_quantile_core(mu[:, None], sigma[:, None], levels)
+        return quantiles
+    basis = bernstein_basis(degree, levels).T
+    return lambda theta: bqn_coefficients(theta) @ basis
+
+
+def theta_quantiles(theta, family, levels):
+    """(n, K) quantile matrix of raw outputs at the given levels; see
+    :func:`quantile_map`."""
+    return quantile_map(family, levels, theta.shape[1] - 1)(theta)
 
 
 def theta_mean_crps(theta, obs, family, levels):

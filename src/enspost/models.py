@@ -263,11 +263,11 @@ def mlp_forward(x, P, prefix, n_layers):
 
 def attention_pool(latents, P, heads):
     """Attend a learnable query over the member latents; returns (n, L)."""
-    lw = latents.value.shape[-1]
+    lw = latents.shape[-1]
     query = ad.reshape(P["pool_q"], (1, 1, lw))
     out = ad.attention(query, latents, latents, P["pool_wq"], P["pool_wk"],
                        P["pool_wv"], P["pool_wo"], heads)
-    n = out.value.shape[0]
+    n = out.shape[0]
     return ad.reshape(out, (n, lw))
 
 
@@ -291,7 +291,7 @@ def _member_inputs(P, I):
     n, m, _ = ens.shape
     emb = ad.embedding(P["emb"], I["station"])   # (n, E)
     context = ad.concat([I["scalars"], emb], axis=-1)
-    context = ad.reshape(context, (n, 1, context.value.shape[-1]))
+    context = ad.reshape(context, (n, 1, context.shape[-1]))
     tile = np.ones((1, m, 1))
     context = ad.mul(context, tile)      # broadcast across members
     return ad.concat([ens, context], axis=-1)

@@ -19,8 +19,8 @@ from . import autodiff as ad
 from . import evaluation
 from .autodiff import ParamVector
 from .data import Dataset, fit_norm
-from .dist import (QuantileLevels, crps_tlogis_core, theta_mean_crps,
-                   theta_quantiles, tlogis_params)
+from .dist import (QuantileLevels, crps_tlogis_core, quantile_map,
+                   theta_mean_crps, tlogis_params)
 from .errors import ConfigError, ContractError, DomainError, NumericError
 from .models import (EMOSModel, ModelConfig, NeuralModel, build_graph,
                      check_model_size, emos_cell_link, emos_params,
@@ -36,18 +36,18 @@ EMOS_CELL_STEPS = 80  # full-batch Adam steps of the batched cell fit
 
 
 def _abs(t):
-    return ad.where(t.value >= 0.0, t, -t)
+    return ad.where(ad.value_of(t) >= 0.0, t, -t)
 
 
 def _pinball_mean(quantiles, y, levels):
     y2 = y[:, None]
-    indicator = (y2 < quantiles.value).astype(np.float64)
+    indicator = (y2 < ad.value_of(quantiles)).astype(np.float64)
     return ad.mean(2.0 * (indicator - levels) * (quantiles - y2))
 
 
 def _crps_sample_mean(quantiles, y):
     """Mean ensemble CRPS of row-sorted quantile matrices (differentiable)."""
-    k = quantiles.value.shape[1]
+    k = quantiles.shape[1]
     term1 = ad.mean(_abs(quantiles - y[:, None]), axis=1)
     weights = (2.0 * np.arange(k) - k + 1.0) / (k * k)
     term2 = ad.reshape(quantiles @ weights[:, None], (-1,))
@@ -68,13 +68,14 @@ def loss_graph(config: ModelConfig, loss=None):
         raise ConfigError(f"unknown loss {loss!r}")
     base = build_graph(config)
     levels = QuantileLevels.equidistant(config.n_quantile_levels).levels
+    quantiles_of = quantile_map(config.family, levels, config.bernstein_degree)
 
     def fn(P, I):
         theta = base(P, I)
         if loss == "crps" and config.family == "tlogis":
             mu, sigma = tlogis_params(theta)
             return ad.mean(crps_tlogis_core(mu, sigma, I["y"], 0.0))
-        quantiles = theta_quantiles(theta, config.family, levels)
+        quantiles = quantiles_of(theta)
         if loss == "quantile_score":
             return _pinball_mean(quantiles, I["y"], levels)
         return _crps_sample_mean(quantiles, I["y"])

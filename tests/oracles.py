@@ -437,27 +437,24 @@ def central_difference(f, x, h=1e-6):
 
 def softmax(a, axis=-1):
     """Softmax along ``axis`` as one autodiff tape node."""
-    a = ad._wrap(a)
-    z = a.value - a.value.max(axis=axis, keepdims=True)
+    av = ad.value_of(a)
+    z = av - av.max(axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = ad.Tensor(y, (a,), op="softmax")
 
     def backward(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
         a._accumulate(y * (g - inner))
 
-    out._backward = backward
-    return out
+    return ad._node(y, (a,), backward, "softmax")
 
 
 def transpose(a, axes):
     """Axis permutation as one autodiff tape node."""
-    a = ad._wrap(a)
     inverse = np.argsort(axes)
-    out = ad.Tensor(a.value.transpose(axes), (a,), op="transpose")
-    out._backward = lambda g: a._accumulate(g.transpose(inverse))
-    return out
+    return ad._node(ad.value_of(a).transpose(axes), (a,),
+                    lambda g: a._accumulate(g.transpose(inverse)),
+                    "transpose")
 
 
 def multihead_attention_ref(queries, keys, values, wq, wk, wv, wo, heads):
@@ -468,17 +465,17 @@ def multihead_attention_ref(queries, keys, values, wq, wk, wv, wo, heads):
     each its own tape node with its own backward.  A (1, k, width) query
     broadcasts on the batch axis.
     """
-    lw = wq.value.shape[-1]
+    lw = wq.shape[-1]
 
     def split(t):
-        n, s, _ = t.value.shape
+        n, s, _ = t.shape
         return transpose(ad.reshape(t, (n, s, heads, lw // heads)),
                          (0, 2, 1, 3))
 
     q, k, v = split(queries @ wq), split(keys @ wk), split(values @ wv)
     scores = (q @ transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(lw / heads))
     mixed = softmax(scores, axis=-1) @ v
-    n, _, n_q, _ = mixed.value.shape
+    n, _, n_q, _ = mixed.shape
     return ad.reshape(transpose(mixed, (0, 2, 1, 3)), (n, n_q, lw)) @ wo
 
 

@@ -107,7 +107,7 @@ def test_sigmoid_matches_reference_and_is_tail_stable():
 
 def test_softplus_matches_reference():
     x = np.linspace(-30, 30, 101)
-    out = ad.softplus(x).value
+    out = ad.softplus(x)
     np.testing.assert_allclose(out, softplus_ref(x), rtol=1e-14)
 
 
@@ -127,6 +127,68 @@ def test_trunc_tail_value_matches_high_precision_reference():
         assert got == pytest.approx(ref, rel=1e-12), lb
     # asymptote: all mass truncated
     assert float(ad._trunc_tail_value(np.array([1e8]))[0]) == pytest.approx(0.5)
+
+
+def _op_cases(rows, cols, second):
+    """Every op with the shapes of its operands: a (rows, cols) operand and,
+    for the elementwise binary ops, a broadcast one of shape ``second``."""
+    m = (rows, cols)
+    cond = np.arange(rows * cols).reshape(m) % 3 == 0
+    return {
+        "add": (ad.add, [m, second]),
+        "mul": (ad.mul, [m, second]),
+        "reciprocal": (ad.reciprocal, [m]),
+        "matmul": (ad.matmul, [m, (cols, 2)]),
+        "exp": (ad.exp, [m]),
+        "tanh": (ad.tanh, [m]),
+        "softplus": (ad.softplus, [m]),
+        "trunc_tail": (ad.trunc_tail, [m]),
+        "sum": (ad._sum, [m]),
+        "mean": (lambda a: ad.mean(a, axis=1), [m]),
+        "amax": (lambda a: ad.amax(a, axis=0), [m]),
+        "amin": (lambda a: ad.amin(a, axis=1), [m]),
+        "concat": (lambda a, b: ad.concat([a, b], axis=0), [m, (1, cols)]),
+        "take": (lambda a: ad.take(a, (slice(1, None), 0)), [m]),
+        "embedding": (lambda a: ad.embedding(a, np.arange(rows)[::-1]), [m]),
+        "reshape": (lambda a: ad.reshape(a, (cols, rows)), [m]),
+        "where": (lambda a, b: ad.where(cond, a, b), [m, second]),
+        "linear": (ad.linear, [m, (cols, 2), (2,)]),
+        "attention": (lambda x, w: ad.attention(x, x, x, w, w, w, w, 2),
+                      [(rows, cols, 4), (4, 4)]),
+    }
+
+
+def _operand(data, shape, integer):
+    """A drawn operand: a Python number for shape (), else an array."""
+    if shape == ():
+        return data.draw(st.integers(-3, 3) if integer
+                         else st.floats(-3.0, 3.0))
+    if integer:
+        return data.draw(hnp.arrays(np.int64, shape,
+                                    elements=st.integers(-3, 3)))
+    return data.draw(hnp.arrays(np.float64, shape,
+                                elements=st.floats(-3.0, 3.0)))
+
+
+@settings(max_examples=300)
+@given(op=st.sampled_from(sorted(_op_cases(1, 1, ()))),
+       rows=st.integers(1, 3), cols=st.integers(1, 3),
+       second=st.sampled_from(["full", "row", "column", "number"]),
+       integer=st.booleans(), data=st.data())
+def test_ops_on_arrays_return_the_tensor_value_as_an_array(op, rows, cols,
+                                                           second, integer,
+                                                           data):
+    shape = {"full": (rows, cols), "row": (cols,), "column": (rows, 1),
+             "number": ()}[second]
+    call, shapes = _op_cases(rows, cols, shape)[op]
+    operands = [_operand(data, s, integer) for s in shapes]
+    with np.errstate(divide="ignore", over="ignore"):
+        plain = call(*operands)
+        taped = call(*[ad.Tensor(a) for a in operands])
+    assert type(plain) is np.ndarray and plain.dtype == np.float64
+    assert isinstance(taped, ad.Tensor) and taped._parents
+    assert plain.shape == taped.shape
+    assert plain.tobytes() == taped.value.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +241,7 @@ def test_reduction_and_where_gradient():
         x = P["x"]
         big = ad.amax(x, axis=1)
         small = ad.amin(x, axis=1)
-        sel = ad.where(x.value > 0, x * 2.0, x / 3.0)
+        sel = ad.where(ad.value_of(x) > 0, x * 2.0, x / 3.0)
         return ad.mean(sel) + ad._sum(big - small)
 
     _check_graph_grad(build, x0)
@@ -454,8 +516,8 @@ def _constants_graph(constant):
     """Loss with a constant block on both operand sides of every binary op,
     and a subgraph of constants alone; ``constant(P, I)`` gives the block."""
     def fn(P, I):
-        x, w, c = P["x"], P["w"], ad._wrap(constant(P, I))
-        cond = c.value > 0.0
+        x, w, c = P["x"], P["w"], constant(P, I)
+        cond = ad.value_of(c) > 0.0
         only_c = ad.exp(ad.mul(c, 0.5)) - 1.0 + ad.mul(1.0, -1.0)
         parts = [ad.add(c, x), ad.add(x, c), ad.mul(c, x), ad.mul(x, c),
                  c @ w, x @ c, ad.where(cond, c, x), ad.where(cond, x, c),
@@ -511,19 +573,33 @@ def test_tape_holds_no_constant_and_nothing_computed_from_constants_alone():
     order = out._topo()
     assert leaves["theta"] in order
     for node in order:
-        assert node._on_tape and node.op != "const"
+        assert isinstance(node, ad.Tensor)
         assert node._parents or node.op.startswith("param:")
-    constant = ad.mul(1.0, -1.0)
-    assert not constant._on_tape
-    assert not constant._parents and constant._backward is None
+    assert not isinstance(ad.mul(1.0, -1.0), ad.Tensor)
 
 
-def test_forward_of_eval_graph_keeps_no_graph():
+def test_forward_of_eval_graph_keeps_no_graph(monkeypatch):
+    # the graph receives the parameter views themselves and builds no Tensor
     pv = _constants_params(seed=13)
-    out, leaves = ad._run(_constants_graph(lambda P, I: P["c"]), pv, None,
-                          on_tape=False)
-    assert not any(leaf._on_tape for leaf in leaves.values())
-    assert not out._parents and out._backward is None
+    graph = _constants_graph(lambda P, I: P["c"])
+    seen = []
+
+    def fn(P, I):
+        seen.append(P)
+        return graph(P, I)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval_graph built a Tensor")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ad.Tensor, "__init__", refuse)
+        out = ad.eval_graph(fn, pv)
+    assert seen[0].keys() == pv.layout.keys()
+    assert all(seen[0][name] is pv.view(name) for name in pv.layout)
+    assert type(out) is np.ndarray
+    # the graph divides, and a Tensor's a / b multiplies by 1 / b
+    assert float(out) == pytest.approx(ad.value_and_grad(graph, pv)[0],
+                                       rel=1e-14)
 
 
 def test_eval_graph_peak_memory_is_bounded_by_graph_width():
@@ -664,6 +740,44 @@ def test_graph_receives_its_input_arrays_themselves():
     assert float(out) == pytest.approx(14.0 / 3.0 + 5.0 + 3.0 + 5.0)
 
 
+def test_graph_with_no_path_to_a_parameter_has_a_zero_gradient():
+    pv = ad.ParamVector(np.array([1.0, 2.0]), {"x": (0, (2,))})
+    c = np.array([0.0, 1.0])
+    value, grad = ad.value_and_grad(lambda P, I: ad._sum(ad.exp(I["c"])), pv,
+                                    {"c": c})
+    assert value == float(np.sum(np.exp(c)))
+    assert grad.tolist() == [0.0, 0.0]
+    value, grad = ad.value_and_grad(lambda P, I: 2.5, pv)
+    assert value == 2.5 and grad.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("result", [lambda P: 2.5, lambda P: np.float64(2.5),
+                                    lambda P: np.array(2.5),
+                                    lambda P: ad._sum(P["x"]),
+                                    lambda P: P["x"][1]])
+def test_eval_graph_of_a_scalar_result_is_a_float64_array(result):
+    pv = ad.ParamVector(np.array([0.0, 2.5]), {"x": (0, (2,))})
+    out = ad.eval_graph(lambda P, I: result(P), pv)
+    assert type(out) is np.ndarray and out.dtype == np.float64
+    assert out.shape == () and float(out) == 2.5
+    assert not np.shares_memory(out, pv.values)
+
+
+@pytest.mark.parametrize("result", [None, "2.5", [2.5], {"x": 2.5}])
+def test_graph_returning_neither_an_array_nor_a_tensor_is_rejected(result):
+    pv = ad.ParamVector(np.array([1.0]), {"x": (0, (1,))})
+    for run in (ad.eval_graph, ad.value_and_grad):
+        with pytest.raises(ConfigError, match="must return"):
+            run(lambda P, I: result, pv)
+
+
+def test_eval_graph_never_returns_a_view_of_the_parameters():
+    pv = ad.ParamVector(np.array([1.0, 2.0, 3.0]), {"x": (0, (3,))})
+    out = ad.eval_graph(lambda P, I: ad.reshape(P["x"], (3, 1)), pv)
+    assert out.tolist() == [[1.0], [2.0], [3.0]]
+    assert not np.shares_memory(out, pv.values) and out.flags.c_contiguous
+
+
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv, "@": operator.matmul}
 
@@ -711,11 +825,10 @@ def test_finite_diff_check_passes_correct_gradient():
 
 def test_finite_diff_check_catches_wrong_gradient():
     def bad_mul(a):
-        a = ad._wrap(a)
+        av = ad.value_of(a)
         # deliberately wrong backward: d(x^2)/dx claimed to be x, not 2x
-        return ad.Tensor(a.value * a.value, parents=(a,),
-                         backward=lambda g: a._accumulate(g * a.value),
-                         op="bad")
+        return ad._node(av * av, (a,), lambda g: a._accumulate(g * av),
+                        "bad")
 
     def build(P, I):
         return ad._sum(bad_mul(P["x"]))

@@ -266,6 +266,39 @@ def test_raw_theta_of_an_empty_dataset_is_empty(arch):
     assert model.raw_theta(empty).shape == (0, model.config.n_outputs)
 
 
+@pytest.mark.parametrize("arch, pooling", [
+    (arch, pooling) for arch in (*ARCHITECTURES, "emos-cells")
+    for pooling in (POOLING_KINDS if arch.startswith("ed-") else [None])])
+def test_forward_builds_no_tensor_and_equals_the_tape(arch, pooling,
+                                                      monkeypatch):
+    ds = _dataset(days=4)
+    if arch == "emos-cells":
+        model = _emos_model(ds)
+    else:
+        cfg = ModelConfig(architecture=arch, pooling=pooling or "attention",
+                          **TINY)
+        params = init_params(cfg, ds.n_predictors, ds.n_scalars,
+                             ds.n_stations, rng=np.random.default_rng(1))
+        model = NeuralModel(cfg, params, fit_norm(ds), ds.n_stations,
+                            ds.primary, ds.predictor_names, ds.scalar_names)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # EMOS cells without a row
+        inputs = model.inputs(ds)
+    built = []
+    init = ad.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counting)
+    theta = ad.eval_graph(model.graph, model.params, inputs)
+    assert built == []
+    taped, _ = ad._run(model.graph, model.params, inputs)
+    assert built and isinstance(taped, ad.Tensor)
+    assert theta.tobytes() == taped.value.tobytes()
+
+
 def _counting_eval_graph(monkeypatch):
     """Patch ``ad.eval_graph`` to record the row count of each call."""
     rows, inner = [], ad.eval_graph

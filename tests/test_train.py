@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import enspost.autodiff as ad
 import enspost.train as train_mod
+from enspost import dist
 from enspost.data import (SynthConfig, fit_norm, generate_synthetic,
                           split_temporal)
 from enspost.dist import QuantileLevels, bernstein_basis, bqn_coefficients
@@ -150,6 +151,23 @@ def test_tlogis_crps_loss_matches_closed_form():
     sigma = np.logaddexp(0.0, theta[:, 1]) + SCALE_FLOOR
     expected = float(np.mean(crps_tlogis_core(mu, sigma, ds.obs, 0.0)))
     assert value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("arch", ["bqn", "drn"])
+def test_loss_graph_builds_the_bernstein_basis_once(arch, monkeypatch):
+    calls, basis = [], dist.bernstein_basis
+    monkeypatch.setattr(dist, "bernstein_basis",
+                        lambda degree, p: calls.append(degree) or basis(
+                            degree, p))
+    cfg = ModelConfig(architecture=arch, **TINY)
+    ds = generate_synthetic(SynthConfig(stations=2, days=4, members=6))
+    graph = loss_graph(cfg, "quantile_score")
+    inputs = {**graph_inputs(cfg, ds, fit_norm(ds)), "y": ds.obs}
+    params = init_params(cfg, ds.n_predictors, ds.n_scalars, ds.n_stations)
+    for _ in range(3):
+        ad.value_and_grad(graph, params, inputs)
+        ad.eval_graph(graph, params, inputs)
+    assert calls == ([cfg.bernstein_degree] if arch == "bqn" else [])
 
 
 # ---------------------------------------------------------------------------
