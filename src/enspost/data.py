@@ -7,6 +7,7 @@ The NDJSON schema is one JSON object per line:
     {"time": "YYYY-MM-DD", "station": int, "lead": int, "obs": float,
      "ens": {"<name>": [M floats], ...}, "scalars": {"<name>": float, ...}}
 
+Dates are held as ``datetime64[D]``; :class:`Dataset` also takes ISO strings.
 NDJSON is the interchange format.  :func:`save_copy` writes a binary copy of
 a dataset beside its NDJSON file (same name, suffix ``.npz``) that records
 the SHA-256 of the NDJSON bytes; :func:`load_ndjson` reads that copy instead
@@ -30,7 +31,6 @@ import json
 import os
 import sys
 import zipfile
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -41,17 +41,17 @@ from .errors import ConfigError
 
 PREDICTOR_NAMES = ("primary", "aux_spread", "aux_skew", "noise")
 SCALAR_NAMES = ("lat", "lon", "yday_cos")
-SYNTH_START = datetime.date(2016, 1, 1)   # date of synthetic day 0
-# days up to the last ISO date, 9999-12-31
-MAX_SYNTH_DAYS = (datetime.date.max - SYNTH_START).days + 1
 _DAYS = np.array(["0001-01-01", "9999-12-31"], dtype="datetime64[D]")
+SYNTH_START = np.datetime64("2016-01-01")   # date of synthetic day 0
+MAX_SYNTH_DAYS = (_DAYS[1] - SYNTH_START).item().days + 1   # to 9999-12-31
 
 
 class Dataset:
     """Immutable column-major collection of forecast cases.
 
     Samples are kept sorted by (time, station).  ``ens`` has shape
-    (T, M, p), ``scalars`` (T, q), ``station`` and ``obs`` length T.
+    (T, M, p), ``scalars`` (T, q), ``station``, ``obs`` and ``times`` length
+    T; ``times`` is stored as ``datetime64[D]`` (given so or as ISO strings).
     """
 
     def __init__(self, ens, scalars, station, times, obs, lead_hours,
@@ -59,7 +59,6 @@ class Dataset:
         ens = np.asarray(ens, dtype=np.float64)
         scalars = np.asarray(scalars, dtype=np.float64)
         station = np.asarray(station, dtype=np.int64)
-        times = np.asarray(times, dtype=object)
         obs = np.asarray(obs, dtype=np.float64)
         primary = int(primary)
         if ens.ndim != 3:
@@ -68,9 +67,9 @@ class Dataset:
         if m < 2:
             raise ConfigError("ensembles need at least two members")
         if scalars.shape != (t, len(scalar_names)) or station.shape != (t,) \
-                or obs.shape != (t,) or times.shape != (t,):
+                or obs.shape != (t,) or np.shape(times) != (t,):
             raise ConfigError("inconsistent column lengths")
-        _check_dates(times)
+        times = _dates(times)
         if len(predictor_names) != p:
             raise ConfigError("predictor_names must match ensemble width")
         if not 0 <= primary < p:
@@ -153,20 +152,24 @@ def _is_date(text):
         return False
 
 
-def _check_dates(times):
-    """Raise ConfigError naming the first of ``times`` that is not a date
-    written YYYY-MM-DD (0001-01-01 to 9999-12-31)."""
+def _dates(times):
+    """``times``, as datetime64[D] or strings YYYY-MM-DD, as datetime64[D] days
+    0001-01-01 to 9999-12-31; ConfigError names the first value that is not."""
+    times = np.asarray(times)
     try:
-        days = np.array(times, dtype="datetime64[D]")
-        # NumPy also reads years 0 and past 9999, integers as day counts and
-        # forms other than YYYY-MM-DD, which date.fromisoformat refuses
+        days = times.astype("datetime64[D]", copy=False)
+        # NumPy also reads years 0 and past 9999, integers as day counts,
+        # other units and forms other than YYYY-MM-DD
         ok = (((_DAYS[0] <= days) & (days <= _DAYS[1])).all()
-              and days.astype(str).tolist() == list(times))
+              and (times.dtype == days.dtype
+                   or days.astype(str).tolist() == times.tolist()))
     except (OverflowError, TypeError, ValueError):
         ok = False
-    if not ok:
-        bad = next(t for t in times if not _is_date(t))
+    if not ok:     # days are named by their text, so NaT as 'NaT'
+        values = times.astype(str) if times.dtype == _DAYS.dtype else times
+        bad = next(t for t in values.tolist() if not _is_date(t))
         raise ConfigError(f"time {bad!r} is not an ISO date YYYY-MM-DD")
+    return days
 
 
 def _check_record(rec, lineno):
@@ -219,7 +222,7 @@ def _columns(recs):
     times, station, _, obs, ens, scalars = zip(*map(_FIELD_GETTER, recs))
     return (np.array([list(e.values()) for e in ens], dtype=np.float64),
             np.array([list(s.values()) for s in scalars], dtype=np.float64),
-            np.array(station, dtype=np.int64), list(times),
+            np.array(station, dtype=np.int64), _dates(times),
             np.array(list(map(float, obs))))
 
 
@@ -251,8 +254,7 @@ def _bulk_columns(recs, layout):
             and _types(numbers) <= {float}):
         return None
     try:
-        columns = _columns(recs)          # station ids must fit int64
-        _check_dates(columns[3])
+        columns = _columns(recs)     # raises on ids past int64, bad dates
     except (ConfigError, OverflowError, ValueError):
         return None
     finite = all(np.isfinite(columns[i]).all() for i in (0, 1, 4))
@@ -306,14 +308,12 @@ def _parse_ndjson(path):
     flush()
     if not parts:
         raise ConfigError(f"{path}: empty dataset")
-    ens, scalars, station, times, obs = zip(*parts)
+    columns = zip(*parts)
     parts.clear()       # each chunk's arrays go once they are joined
-    ens, scalars, station, obs = map(np.concatenate,
-                                     (ens, scalars, station, obs))
+    ens, scalars, station, times, obs = map(np.concatenate, columns)
     predictor_names, scalar_names, _, lead = first
-    return {"ens": ens, "scalars": scalars, "station": station,
-            "times": list(chain.from_iterable(times)), "obs": obs,
-            "lead": lead, "predictor_names": predictor_names,
+    return {"ens": ens, "scalars": scalars, "station": station, "times": times,
+            "obs": obs, "lead": lead, "predictor_names": predictor_names,
             "scalar_names": scalar_names}
 
 
@@ -399,7 +399,7 @@ def save_copy(dataset: Dataset, path):
         "ens": dataset.ens.transpose(0, 2, 1),
         "scalars": dataset.scalars,
         "station": dataset.station,
-        "times": dataset.times.astype("datetime64[D]"),
+        "times": dataset.times,
         "obs": dataset.obs,
         "lead": np.int64(dataset.lead_hours),
         "predictor_names": np.array(dataset.predictor_names, dtype=str),
@@ -447,10 +447,8 @@ def _read_copy(path):
     # a truncated or foreign file, a pickled array), the NDJSON decides
     except Exception:
         return None
-    return {**copy, "times": copy["times"].astype(str).tolist(),
-            "lead": int(copy["lead"]),
-            "predictor_names": copy["predictor_names"].tolist(),
-            "scalar_names": copy["scalar_names"].tolist()}
+    return {**copy, **{key: copy[key].tolist()
+                       for key in ("lead", "predictor_names", "scalar_names")}}
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +499,16 @@ def split_temporal(dataset: Dataset, fractions):
     if len(fractions) != 3 or any(f < 0 for f in fractions) \
             or abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError("fractions must be three non-negatives summing to 1")
-    dates = sorted(set(dataset.times))
-    n = len(dates)
+    # rows are sorted by time, so each block is the slice of rows from the
+    # first row of its first date
+    times = dataset.times
+    firsts = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
+    n = len(firsts)
     n_train = int(round(fractions[0] * n))
     n_val = int(round(fractions[1] * n))
     if not 0 < n_train < n_train + n_val < n:
         raise ConfigError("temporal split produced an empty block")
-    # rows are sorted by time, so each block is the slice of rows from the
-    # first row of its first date
-    cuts = [0, *(bisect_left(dataset.times, dates[k])
-                 for k in (n_train, n_train + n_val)), len(dataset)]
+    cuts = [0, firsts[n_train], firsts[n_train + n_val], len(dataset)]
     return tuple(dataset.subset(slice(lo, hi))
                  for lo, hi in zip(cuts, cuts[1:]))
 
@@ -580,8 +578,8 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     lat = rng.uniform(47.0, 55.0, size=s)
     lon = rng.uniform(6.0, 15.0, size=s)
 
-    dates = [SYNTH_START + datetime.timedelta(days=k) for k in range(d)]
-    yday = np.array([dt.timetuple().tm_yday for dt in dates], dtype=np.float64)
+    days = SYNTH_START + np.arange(d)
+    yday = (days - days.astype("datetime64[Y]")).astype(np.float64) + 1
 
     # latent truth: station AR(1) anomaly plus seasonal cycle
     anom = np.zeros((d, s))
@@ -626,7 +624,7 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
         ens=ens.reshape(t_total, m, -1),
         scalars=scalars.reshape(t_total, -1),
         station=np.tile(np.arange(s), d),
-        times=np.repeat([dt.isoformat() for dt in dates], s),
+        times=np.repeat(days, s),
         obs=obs.reshape(t_total),
         lead_hours=config.lead_hours,
         predictor_names=PREDICTOR_NAMES,

@@ -8,17 +8,19 @@ library's building blocks (the Bernstein quantile function, the EMOS loss
 graph and Adam) and differ only in how the work is batched.  Likewise the
 composed attention reference pins the fused ``autodiff.attention`` op to
 the autodiff primitives it replaces, the line-by-line NDJSON loader pins the
-chunked one, the date-membership split pins the row-slice one, and the
-per-bin shuffle, the graph inputs rebuilt from a shuffled dataset and the
-fully recomputed preservation matrix pin the importance code that shares
-column facts between models and replaces one predictor's part of each
-model's inputs.
+chunked one, the date-membership split pins the row-slice one, the
+``datetime.date`` calendar pins the synthetic generator's, and the per-bin
+shuffle, the graph inputs rebuilt from a shuffled dataset and the fully
+recomputed preservation matrix pin the importance code that shares column
+facts between models and replaces one predictor's part of each model's
+inputs.
 The run-configuration reference is the JSON Schema the CLI once validated
 against, checked by ``jsonschema``.
 """
 
 import copy
 import dataclasses
+import datetime
 import json
 import sys
 
@@ -407,6 +409,17 @@ def split_temporal_by_dates(dataset, fractions):
             times[n_train + n_val:]]
     return tuple(dataset.subset(np.isin(dataset.times, block))
                  for block in cuts)
+
+
+def synthetic_calendar(days):
+    """(ISO dates, yday_cos column) of the first ``days`` synthetic days,
+    counted from 2016-01-01 with ``datetime.date`` and ``tm_yday``."""
+    dates = [datetime.date(2016, 1, 1) + datetime.timedelta(days=k)
+             for k in range(days)]
+    yday = np.array([dt.timetuple().tm_yday for dt in dates],
+                    dtype=np.float64)
+    return ([dt.isoformat() for dt in dates],
+            np.cos(2 * np.pi * yday / 365.0))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from enspost.data import (CHUNK_RECORDS, PREDICTOR_NAMES, SCALAR_NAMES,
                           load_ndjson, save_copy, save_ndjson, split_temporal,
                           standardize)
 from enspost.errors import ConfigError
-from oracles import load_ndjson_per_line, split_temporal_by_dates
+from oracles import (load_ndjson_per_line, split_temporal_by_dates,
+                     synthetic_calendar)
 
 
 def _tiny_dataset(t=6, m=4, p=2, q=2, seed=0, primary=0):
@@ -56,7 +57,8 @@ def test_dataset_sorts_by_time_then_station():
         predictor_names=["x"],
         scalar_names=["s"],
     )
-    assert list(ds.times) == ["2020-01-01", "2020-01-02", "2020-01-02"]
+    assert ds.times.astype(str).tolist() == ["2020-01-01", "2020-01-02",
+                                             "2020-01-02"]
     assert list(ds.station) == [0, 0, 1]
     assert list(ds.obs) == [3.0, 2.0, 1.0]
 
@@ -125,6 +127,18 @@ def test_months_read_the_month_of_any_iso_date():
     ("'10000-01-01'", ["10000-01-01", "2020-01-01"]),
     ("'2020-1-01'", ["2020-01-01", "2020-1-01"]),
     ("None", ["2020-01-01", None]),
+    # datetime64 days are named by their text, other units by their value
+    ("'NaT'", np.array(["2020-01-01", "NaT"], dtype="datetime64[D]")),
+    ("datetime.datetime(2020, 1, 1, 0, 0)",
+     np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[s]")),
+    ("datetime.date(2020, 1, 1)",
+     np.array(["2020-01", "2020-02"], dtype="datetime64[M]")),
+    ("datetime.date(2020, 1, 2)",
+     np.array(["2020-01-02", "2020-01-09"], dtype="datetime64[W]")),
+    ("'0000-12-31'", np.array(["2020-01-01", "0000-12-31"],
+                              dtype="datetime64[D]")),
+    ("'10000-01-01'", np.array(["10000-01-01", "2020-01-01"],
+                               dtype="datetime64[D]")),
 ])
 def test_dataset_rejects_times_that_are_not_iso_dates(bad, times):
     rng = np.random.default_rng(0)
@@ -590,6 +604,45 @@ def test_a_matching_copy_gets_the_dataset_checks(copied):
         load_ndjson(path)
 
 
+def _with_times(ds, times, order):
+    """``ds`` rebuilt from its rows in ``order``, its dates given as
+    ``times`` (in ``ds``'s row order)."""
+    return Dataset(ds.ens[order], ds.scalars[order], ds.station[order],
+                   np.asarray(times)[order], ds.obs[order], ds.lead_hours,
+                   ds.predictor_names, ds.scalar_names, ds.primary,
+                   ds.n_stations)
+
+
+_COLUMNS = ("ens", "scalars", "station", "times", "obs")
+
+
+@settings(max_examples=40)
+@given(ds=_datasets(), days=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_times_are_datetime64_days_on_every_route(tmp_path_factory, ds, days,
+                                                  seed):
+    order = np.random.default_rng(seed).permutation(len(ds))
+    from_text = _with_times(ds, ds.times.astype(str).tolist(), order)
+    from_days = _with_times(ds, ds.times, order)
+    for name in _COLUMNS:
+        a, b = getattr(from_text, name), getattr(from_days, name)
+        assert (a.dtype, a.shape, a.strides, a.tobytes()) \
+            == (b.dtype, b.shape, b.strides, b.tobytes()), name
+    path = tmp_path_factory.mktemp("routes") / "data.ndjson"
+    save_ndjson(ds, path)
+    routes = [ds, from_text, generate_synthetic(SynthConfig(days=days)),
+              load_ndjson(path), ds.subset(order[:len(ds) // 2]),
+              ds.subset(slice(1, None))]
+    save_copy(ds, path)
+    with _not_parsed():
+        routes.append(load_ndjson(path))
+    try:
+        routes += split_temporal(ds, (0.4, 0.3, 0.3))
+    except ConfigError:
+        assert len(set(ds.times)) < 3
+    for route in routes:
+        assert route.times.dtype == "datetime64[D]"
+
+
 # ---------------------------------------------------------------------------
 # Standardization and splitting
 # ---------------------------------------------------------------------------
@@ -706,6 +759,18 @@ def test_synthetic_hidden_signals_live_in_the_right_moments():
     # the dead channel correlates with nothing
     dead = ds.ens[:, :, 3].mean(axis=1)
     assert abs(np.corrcoef(dead, obs)[0, 1]) < 0.05
+
+
+def test_synthetic_calendar_equals_the_date_oracle():
+    # 1600 days cross the leap days 2016-02-29 and 2020-02-29
+    stations, days = 3, 1600
+    ds = generate_synthetic(SynthConfig(stations=stations, days=days,
+                                        members=2))
+    dates, yday_cos = synthetic_calendar(days)
+    assert {"2016-02-29", "2020-02-29"} <= set(dates)
+    assert ds.times.astype(str).tolist() == np.repeat(dates, stations).tolist()
+    column = ds.scalars[:, SCALAR_NAMES.index("yday_cos")]
+    assert column.tobytes() == np.repeat(yday_cos, stations).tobytes()
 
 
 def test_synth_config_validation():
