@@ -2,11 +2,13 @@
 
 The engine is deliberately small: it supports exactly the primitives the
 seven architectures' graphs and their scoring-rule losses use (affine maps,
-elementwise arithmetic, exp/tanh/softplus and the truncated-logistic tail
-term, sum/mean/max/min reductions, concatenation, reshapes, slicing,
-embedding lookup and constant-condition selection), plus two fused ops
-with hand-written backwards: ``linear``, an affine map as one node that
-keeps no product beside its output, and multi-head ``attention``.
+elementwise arithmetic, tanh/softplus, sum/mean/max/min reductions,
+concatenation, reshapes, slicing, embedding lookup and constant-condition
+selection), plus two fused ops with hand-written backwards: ``linear``, an
+affine map as one node that keeps no product beside its output, and
+multi-head ``attention``.  The closed-form CRPS loss
+(:func:`enspost.dist.crps_tlogis_core`) is one more such node, built with
+:func:`_node` where its formula lives.
 Everything is eager: calling an op computes its forward value at once.
 A Tensor is always on the tape; ops on arrays return arrays.  An op with a
 Tensor operand returns a Tensor that keeps those operands as parents and
@@ -318,11 +320,6 @@ def matmul(a, b):
     return _node(av @ bv, (a, b), backward, "matmul")
 
 
-def exp(a):
-    y = np.exp(value_of(a))
-    return _node(y, (a,), lambda g: a._accumulate(g * y), "exp")
-
-
 def tanh(a):
     y = np.tanh(value_of(a))
     return _node(y, (a,), lambda g: a._accumulate(g * (1.0 - y * y)), "tanh")
@@ -349,7 +346,9 @@ def _trunc_tail_value(lb):
     in terms of ``w = sigmoid(-lb)`` it equals ``(-log1p(-w) - w) / w**2``,
     which tends to 1/2 as lb grows; the naive difference of softplus and
     sigmoid cancels catastrophically there, so small ``w`` switches to the
-    Taylor series ``1/2 + w/3 + w^2/4 + w^3/5 + w^4/6``.
+    Taylor series ``1/2 + w/3 + w^2/4 + w^3/5 + w^4/6``.  Its derivative
+    follows from d/dw[(-log1p(-w) - w)/w^2] together with dw/dlb = -w(1-w):
+    it collapses to ``g'(lb) = 2 sigmoid(lb) g(lb) - 1``.
     """
     lb = np.asarray(lb, dtype=np.float64)
     small = lb > 6.9  # w = sigmoid(-lb) < 1e-3
@@ -360,21 +359,6 @@ def _trunc_tail_value(lb):
     w = _sigmoid(-lb)
     series = 0.5 + w * (1.0 / 3.0 + w * (0.25 + w * (0.2 + w / 6.0)))
     return np.where(small, series, direct)
-
-
-def trunc_tail(a):
-    """Tail term of the truncated-logistic CRPS; see :func:`_trunc_tail_value`.
-
-    The derivative follows from d/dw[(-log1p(-w) - w)/w^2] together with
-    dw/dlb = -w(1-w): it collapses to ``g'(lb) = 2 sigmoid(lb) g(lb) - 1``.
-    """
-    av = value_of(a)
-    y = _trunc_tail_value(av)
-
-    def backward(g):
-        a._accumulate(g * (2.0 * _sigmoid(av) * y - 1.0))
-
-    return _node(y, (a,), backward, "trunc_tail")
 
 
 def _sum(a, axis=None):

@@ -28,6 +28,7 @@ import argparse
 import ctypes
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import resource
@@ -40,12 +41,37 @@ import numpy as np
 from .data import (SynthConfig, _is_real, generate_synthetic, load_ndjson,
                    save_copy, save_ndjson, sha256_file, split_temporal)
 from .errors import ConfigError, ContractError, DomainError, NumericError
-from .evaluation import (nominal_pi_level, pit_csv, raw_eps_report,
-                         report_table)
-from .importance import (DEFAULT_BINS, SUMMARY_KINDS, derive_seed,
-                         importance_report, preservation_csv)
-from .models import ModelConfig, _too_large, load_model, save_model
-from .train import ModelPool, resample_and_score, train_pool
+
+# Names of the modules that only train, evaluate and importance run, so that
+# synth loads only ``data``.  A command (or a config section's checks) binds
+# them here with :func:`_load` before it uses them, and ``cli.<name>``
+# binds them on first access, as a top-level import would.
+_DEFERRED = {
+    "evaluation": ("nominal_pi_level", "pit_csv", "raw_eps_report",
+                   "report_table"),
+    "importance": ("DEFAULT_BINS", "SUMMARY_KINDS", "derive_seed",
+                   "importance_report", "preservation_csv"),
+    "models": ("ModelConfig", "_too_large", "load_model", "save_model"),
+    "train": ("ModelPool", "resample_and_score", "train_pool"),
+}
+
+
+def _load(*modules):
+    """Import ``modules`` of :data:`_DEFERRED` and bind their names here; a
+    name already bound (a wrapper, say) stays."""
+    for module in modules:
+        imported = importlib.import_module(f".{module}", __package__)
+        for name in _DEFERRED[module]:
+            globals().setdefault(name, getattr(imported, name))
+
+
+def __getattr__(name):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # A field's check: a predicate and what it expects, for the error message.
 _Check = namedtuple("_Check", "ok expects required", defaults=(False,))
@@ -75,6 +101,37 @@ def _fields(config_class, **minima):
             for f in dataclasses.fields(config_class)}
 
 
+def _model_checks():
+    _load("models")
+    return _fields(ModelConfig, seed=0)
+
+
+def _eval_checks():
+    _load("models")
+    return {"checkpoints": _STRING, "draw_size": _integer(1),
+            "reps": _integer(1),
+            "pit_bins": _Check(lambda v: (type(v) is int and v >= 2
+                                          and not _too_large(v + 1)),
+                               "an integer >= 2 whose bins + 1 float64 "
+                               "edges NumPy can index"),
+            "level": _Check(lambda v: _is_real(v) and 0 < v < 1,
+                            "a number strictly between 0 and 1")}
+
+
+def _importance_checks():
+    _load("importance")
+    return {
+        "checkpoints": _STRING, "bins": _integer(2),
+        "statistics": _Check(
+            lambda v: (type(v) is list and len(v) > 0
+                       and all(s in SUMMARY_KINDS for s in v)
+                       and len(set(v)) == len(v)),
+            f"a non-empty list of distinct {'/'.join(SUMMARY_KINDS)}"),
+        "predictors": _list(_integer(0))}
+
+
+# The model, eval and importance tables are functions until a config first
+# has that section: they need modules that synth does not load.
 RUN_CONFIG_CHECKS = {
     "seed": _integer(0),
     "out": _STRING,
@@ -83,24 +140,10 @@ RUN_CONFIG_CHECKS = {
              "splits": _list(_Check(lambda v: _is_real(v) and v > 0,
                                     "a number > 0"), size=3),
              "primary": _integer(0)},
-    "model": _fields(ModelConfig, seed=0),
+    "model": _model_checks,
     "train": {"pool_size": _integer(1)},
-    "eval": {"checkpoints": _STRING, "draw_size": _integer(1),
-             "reps": _integer(1),
-             "pit_bins": _Check(lambda v: (type(v) is int and v >= 2
-                                           and not _too_large(v + 1)),
-                                "an integer >= 2 whose bins + 1 float64 "
-                                "edges NumPy can index"),
-             "level": _Check(lambda v: _is_real(v) and 0 < v < 1,
-                             "a number strictly between 0 and 1")},
-    "importance": {
-        "checkpoints": _STRING, "bins": _integer(2),
-        "statistics": _Check(
-            lambda v: (type(v) is list and len(v) > 0
-                       and all(s in SUMMARY_KINDS for s in v)
-                       and len(set(v)) == len(v)),
-            f"a non-empty list of distinct {'/'.join(SUMMARY_KINDS)}"),
-        "predictors": _list(_integer(0))},
+    "eval": _eval_checks,
+    "importance": _importance_checks,
 }
 
 
@@ -113,13 +156,16 @@ def check_run_config(config, checks=RUN_CONFIG_CHECKS, path=""):
     """Raise ConfigError naming the first field that ``checks`` rejects.
 
     ``checks`` maps each field to a check and each section to a table of
-    its own; a field it does not name is rejected at every level.
+    its own, or to the function that builds it; a field it does not name is
+    rejected at every level.
     """
     if type(config) is not dict:
         raise _rejected(path, "an object", config)
     prefix = f"{path}." if path else ""
     for name, value in config.items():
         check = checks.get(name)
+        if callable(check):
+            check = checks[name] = check()
         if check is None:
             raise ConfigError(f"config field {prefix}{name}: unknown field")
         if isinstance(check, dict):
@@ -212,15 +258,17 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def write_manifest(out_dir, command, config, outputs, timings):
+def write_manifest(out_dir, command, config, outputs, timings, digests=None):
     """Run manifest (hashed outputs) plus the non-hashed timing sidecar.
 
     ``outputs`` are paths relative to ``out_dir``; the manifest records a
-    SHA-256 per output and an overall hash over the sorted (name, hash)
-    pairs, so two runs agree iff every artifact agrees byte-for-byte.
-    Timings go to ``timings.json`` only, which is itself not hashed.
+    SHA-256 per output (``digests`` holds those already taken) and an
+    overall hash over the sorted (name, hash) pairs, so two runs agree iff
+    every artifact agrees byte-for-byte.  Timings go to ``timings.json``
+    only, which is itself not hashed.
     """
-    hashes = {name: sha256_file(os.path.join(out_dir, name))
+    known = digests or {}
+    hashes = {name: known.get(name) or sha256_file(os.path.join(out_dir, name))
               for name in sorted(outputs)}
     overall = hashlib.sha256(
         json.dumps(hashes, sort_keys=True).encode()).hexdigest()
@@ -305,7 +353,7 @@ def cmd_synth(config, out_dir):
     dataset = generate_synthetic(_synth_config(config))
     data_path = os.path.join(out_dir, "dataset.ndjson")
     save_ndjson(dataset, data_path)
-    save_copy(dataset, data_path)
+    digest = save_copy(dataset, data_path)
     stats = {
         "n_samples": len(dataset),
         "n_members": dataset.n_members,
@@ -324,12 +372,14 @@ def cmd_synth(config, out_dir):
           f"p={dataset.n_predictors} q={dataset.n_scalars}")
     write_manifest(out_dir, "synth", config,
                    ["dataset.ndjson", "dataset.npz", "dataset_stats.json"],
-                   {"total": time.perf_counter() - t0})
+                   {"total": time.perf_counter() - t0},
+                   digests={"dataset.ndjson": digest})
     return 0
 
 
 def cmd_train(config, out_dir, workers=1):
     """Train a pool of models; write checkpoints, reports and manifest."""
+    _load("models", "train")
     t0 = time.perf_counter()
     train_set, val_set, _ = _load_datasets(config)
     model_config = _model_config(config)
@@ -370,6 +420,7 @@ def cmd_evaluate(config, out_dir):
     ``draw_size``-subsets of the pool are aggregated and scored; without
     one, only the raw-ensemble (EPS) baseline row is produced.
     """
+    _load("evaluation", "importance", "models", "train")
     t0 = time.perf_counter()
     _, _, test_set = _load_datasets(config)
     section = config.get("eval", {})
@@ -418,6 +469,7 @@ def cmd_evaluate(config, out_dir):
 
 def cmd_importance(config, out_dir):
     """Pool-aggregated predictor importance on the test set."""
+    _load("importance", "models", "train")
     t0 = time.perf_counter()
     _, _, test_set = _load_datasets(config)
     section = config.get("importance", {})

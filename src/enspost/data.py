@@ -394,7 +394,8 @@ def save_copy(dataset: Dataset, path):
     """Write the binary copy of ``dataset`` beside the NDJSON file ``path``,
     which must hold what :func:`save_ndjson` wrote of it.  The copy is an
     uncompressed ``.npz`` of plain arrays (no pickles) and records the
-    digest of ``path``'s bytes."""
+    SHA-256 of ``path``'s bytes, which it returns."""
+    digest = sha256_file(path)
     arrays = {
         "ens": dataset.ens.transpose(0, 2, 1),
         "scalars": dataset.scalars,
@@ -404,7 +405,7 @@ def save_copy(dataset: Dataset, path):
         "lead": np.int64(dataset.lead_hours),
         "predictor_names": np.array(dataset.predictor_names, dtype=str),
         "scalar_names": np.array(dataset.scalar_names, dtype=str),
-        "sha256": np.array(sha256_file(path)),
+        "sha256": np.array(digest),
     }
     for key in ("predictor_names", "scalar_names"):
         if arrays[key].tolist() != getattr(dataset, key):
@@ -422,6 +423,7 @@ def save_copy(dataset: Dataset, path):
                                                "zerosize_ok"],
                                        buffersize=1 << 13, order="C"):
                     fh.write(block.tobytes())
+    return digest
 
 
 def _read_copy(path):

@@ -169,29 +169,64 @@ def crps_tlogis_core(mu, sigma, y, lower):
         CRPS / sigma = (u - lb) + 2 e^{SP(lb)} (SP(-u) - SP(-lb))
                        + g(lb) + (lower - y)_+ / sigma
 
-    where g is the stable tail term of :func:`autodiff.trunc_tail`.  This
-    form holds full accuracy however much probability mass the truncation
-    removes (the textbook 1/(1 - F(lb))^2 normalization cancels
+    where g is the stable tail term of :func:`autodiff._trunc_tail_value`.
+    This form holds full accuracy however much probability mass the
+    truncation removes (the textbook 1/(1 - F(lb))^2 normalization cancels
     catastrophically once most mass lies below the bound).  Past lb = 300
     the middle term is replaced by its deep-truncation limit
     2 (e^{-(u - lb)} - 1), exact there to within 1e-130, which avoids the
     e^{SP(lb)} overflow while keeping the dominant (u - lb) term intact.
+
+    A Tensor ``mu`` or ``sigma`` makes the CRPS one tape node whose backward
+    is closed-form.  Write t = (u - lb)_+, lb_c = min(lb, 300), core for the
+    first three terms as a function of (t, lb_c), A = e^{SP(lb_c)} and σ for
+    the sigmoid.  Then
+
+        ∂core/∂t    = 1 - 2 A σ(-(lb_c + t))                (u > lb)
+        ∂core/∂lb_c = 2 A [σ(lb_c) (SP(-(lb_c + t)) - SP(-lb_c))
+                           - σ(-(lb_c + t)) + σ(-lb_c)] + g'(lb_c)
+
+    with g'(lb) = 2 σ(lb) g(lb) - 1; past the clamp ∂core/∂t is
+    1 - 2 e^{-t} and ∂core/∂lb_c is 0.  As ∂u/∂mu = ∂lb/∂mu = -1/sigma,
+    ∂u/∂sigma = -u/sigma and ∂lb/∂sigma = -lb/sigma, and the below-bound
+    term times sigma depends on neither parameter,
+
+        ∂CRPS/∂mu    = -∂core/∂lb_c
+        ∂CRPS/∂sigma = core - t ∂core/∂t - lb ∂core/∂lb_c.
     """
-    y_std = (y - mu) / sigma
-    lb = (lower - mu) / sigma
-    above = ad.value_of(y_std) > ad.value_of(lb)
-    t = ad.where(above, y_std - lb, 0.0 * y_std)
-    deep = ad.value_of(lb) >= _TRUNC_CLAMP
+    mu_v, sigma_v, y = ad.value_of(mu), ad.value_of(sigma), ad.value_of(y)
+    y_std = (y - mu_v) / sigma_v
+    lb = (lower - mu_v) / sigma_v
+    above = y_std > lb
+    t = np.where(above, y_std - lb, 0.0 * y_std)
+    deep = lb >= _TRUNC_CLAMP
     # direct branch, on arguments capped so e^{SP(lb)} cannot overflow
-    lb_c = ad.where(deep, _TRUNC_CLAMP + 0.0 * lb, lb)
-    amp = ad.exp(ad.softplus(lb_c))
-    mid_direct = 2.0 * amp * (ad.softplus(-(lb_c + t)) - ad.softplus(-lb_c))
-    mid_limit = 2.0 * (ad.exp(-t) - 1.0)
-    mid = ad.where(deep, mid_limit, mid_direct)
-    core = t + mid + ad.trunc_tail(lb_c)
-    below_obs = ad.value_of(y) < lower
-    below = ad.where(below_obs, (lower - y) / sigma, 0.0 * y_std)
-    return sigma * (core + below)
+    lb_c = np.where(deep, _TRUNC_CLAMP + 0.0 * lb, lb)
+    amp = np.exp(np.logaddexp(0.0, lb_c))
+    sp_t = np.logaddexp(0.0, -(lb_c + t))
+    sp_lb = np.logaddexp(0.0, -lb_c)
+    mid_direct = 2.0 * amp * (sp_t - sp_lb)
+    decay = np.exp(-t)
+    mid = np.where(deep, 2.0 * (decay - 1.0), mid_direct)
+    tail = ad._trunc_tail_value(lb_c)
+    core = t + mid + tail
+    below = np.where(y < lower, (lower - y) / sigma_v, 0.0 * y_std)
+
+    def backward(g):
+        sig_lb, sig_t = ad._sigmoid(lb_c), ad._sigmoid(-(lb_c + t))
+        d_t = np.where(above, np.where(deep, 1.0 - 2.0 * decay,
+                                       1.0 - 2.0 * amp * sig_t), 0.0)
+        d_lb = np.where(deep, 0.0, 2.0 * amp * (
+            sig_lb * (sp_t - sp_lb) - sig_t + ad._sigmoid(-lb_c))
+            + 2.0 * sig_lb * tail - 1.0)
+        if isinstance(mu, ad.Tensor):
+            mu._accumulate(ad._unbroadcast(-g * d_lb, mu_v.shape))
+        if isinstance(sigma, ad.Tensor):
+            sigma._accumulate(ad._unbroadcast(
+                g * (core - t * d_t - lb * d_lb), sigma_v.shape))
+
+    return ad._node(sigma_v * (core + below), (mu, sigma), backward,
+                    "crps_tlogis")
 
 
 def _scalar_or_array(out):

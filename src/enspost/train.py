@@ -173,7 +173,9 @@ def _val_crps(config, graph, params, inputs, obs):
 def _check_split(train, val):
     if len(train) == 0 or len(val) == 0:
         raise DomainError("train and validation sets must be non-empty")
-    if set(train.times) & set(val.times):
+    # times are sorted: the first train date at or after each val date
+    at = np.searchsorted(train.times, val.times)
+    if np.any(train.times[np.minimum(at, len(train) - 1)] == val.times):
         raise DomainError("train and validation sets share times")
 
 
@@ -255,6 +257,13 @@ def train_model(config: ModelConfig, train: Dataset, val: Dataset):
     return model, report
 
 
+def _cell_loss(P, I):
+    """Batched EMOS cell loss: each row's CRPS times its ``weight``."""
+    mu, sigma = tlogis_params(emos_cell_link(P, I))
+    crps = crps_tlogis_core(mu, sigma, I["y"], 0.0)
+    return ad._sum(crps * I["weight"])
+
+
 def _fit_cells(config, table, features, obs, cell):
     """EMOS_CELL_STEPS Adam steps on an EMOS coefficient table (see
     :func:`emos_params`); ``cell`` is each row's table row, never 0.  The
@@ -263,15 +272,9 @@ def _fit_cells(config, table, features, obs, cell):
     moments; row 0 gets none and keeps its values."""
     inputs = {"features": features, "cell": cell, "y": obs,
               "weight": 1.0 / np.bincount(cell)[cell]}
-
-    def loss(P, I):
-        mu, sigma = tlogis_params(emos_cell_link(P, I))
-        crps = crps_tlogis_core(mu, sigma, I["y"], 0.0)
-        return ad._sum(crps * I["weight"])
-
     optimizer = Adam(table.size, config.learning_rate)
     for _ in range(EMOS_CELL_STEPS):
-        _, gradient = ad.value_and_grad(loss, table, inputs)
+        _, gradient = ad.value_and_grad(_cell_loss, table, inputs)
         optimizer.step(table.values, gradient)
 
 

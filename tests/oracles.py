@@ -470,6 +470,44 @@ def transpose(a, axes):
                     "transpose")
 
 
+def exp(a):
+    """Elementwise exponential as one autodiff tape node."""
+    y = np.exp(ad.value_of(a))
+    return ad._node(y, (a,), lambda g: a._accumulate(g * y), "exp")
+
+
+def trunc_tail(a):
+    """Tail term of the truncated-logistic CRPS (``ad._trunc_tail_value``)
+    as one autodiff tape node, with derivative 2 sigmoid(lb) g(lb) - 1."""
+    av = ad.value_of(a)
+    y = ad._trunc_tail_value(av)
+
+    def backward(g):
+        a._accumulate(g * (2.0 * ad._sigmoid(av) * y - 1.0))
+
+    return ad._node(y, (a,), backward, "trunc_tail")
+
+
+def crps_tlogis_composed(mu, sigma, y, lower):
+    """Closed-form truncated-logistic CRPS as a chain of elementwise ops:
+    the expressions of ``dist.crps_tlogis_core``, whose backward the tape
+    composes op by op."""
+    y_std = (y - mu) / sigma
+    lb = (lower - mu) / sigma
+    above = ad.value_of(y_std) > ad.value_of(lb)
+    t = ad.where(above, y_std - lb, 0.0 * y_std)
+    deep = ad.value_of(lb) >= 300.0
+    lb_c = ad.where(deep, 300.0 + 0.0 * lb, lb)
+    amp = exp(ad.softplus(lb_c))
+    mid_direct = 2.0 * amp * (ad.softplus(-(lb_c + t)) - ad.softplus(-lb_c))
+    mid_limit = 2.0 * (exp(-t) - 1.0)
+    mid = ad.where(deep, mid_limit, mid_direct)
+    core = t + mid + trunc_tail(lb_c)
+    below_obs = ad.value_of(y) < lower
+    below = ad.where(below_obs, (lower - y) / sigma, 0.0 * y_std)
+    return sigma * (core + below)
+
+
 def multihead_attention_ref(queries, keys, values, wq, wk, wv, wo, heads):
     """Multi-head softmax attention composed from autodiff primitives.
 

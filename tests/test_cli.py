@@ -31,6 +31,7 @@ from enspost.dist import QuantileLevels
 from enspost.errors import ConfigError
 from enspost.importance import SUMMARY_KINDS
 from enspost.models import ModelConfig
+from enspost.train import train_pool
 
 from oracles import RUN_CONFIG_SCHEMA, run_config_validator
 
@@ -244,6 +245,23 @@ def test_synth_writes_dataset_stats_and_manifest(tmp_path, capsys):
                                         "dataset_stats.json"}
     timings = json.loads((out / "timings.json").read_text())
     assert timings["command"] == "synth" and "total" in timings["seconds"]
+
+
+def test_synth_hashes_the_dataset_once(tmp_path, monkeypatch):
+    hashed, sha256_file = [], cli.sha256_file
+
+    def counting(path):
+        hashed.append(os.path.basename(path))
+        return sha256_file(path)
+
+    monkeypatch.setattr(cli, "sha256_file", counting)
+    monkeypatch.setattr(enspost.data, "sha256_file", counting)
+    out = tmp_path / "synth"
+    assert _run("synth", out, SYNTH_SETS) == 0
+    assert sorted(hashed) == ["dataset.ndjson", "dataset.npz",
+                              "dataset_stats.json"]
+    assert _manifest(out)["outputs"]["dataset.ndjson"] == sha256_file(
+        out / "dataset.ndjson")
 
 
 def test_synth_manifest_is_deterministic_and_seed_sensitive(tmp_path):
@@ -752,6 +770,34 @@ def test_package_import_does_not_load_scipy():
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[0] in ('scipy', 'jsonschema')))\n")
     assert _fresh_python(code) == "[]"
+
+
+def test_synth_stage_loads_only_data(tmp_path):
+    # synth runs the generator and the writers alone; the modules of
+    # training, scoring and importance cost it their import time
+    argv = ["synth", "--out", str(tmp_path),
+            *(x for item in SYNTH_SETS for x in ("--set", item))]
+    code = ("import sys\n"
+            "from enspost.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('enspost')))"
+            "\n")
+    loaded = _fresh_python(code).splitlines()[-1].split()
+    assert loaded == ["enspost", "enspost.cli", "enspost.data",
+                      "enspost.errors"]
+    for module in ("autodiff", "dist", "models", "evaluation", "importance",
+                   "train"):
+        assert f"enspost.{module}" not in loaded
+
+
+def test_deferred_names_resolve_as_cli_attributes():
+    # cli.<name> of a deferred module's name imports that module
+    assert cli.train_pool is train_pool
+    assert cli.ModelConfig is ModelConfig
+    from enspost.cli import SUMMARY_KINDS as kinds
+    assert kinds is SUMMARY_KINDS
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
 
 
 def test_split_temporal_does_not_load_numpy_ma():

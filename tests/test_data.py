@@ -466,7 +466,8 @@ def _copy_of(path):
 
 def _assert_copy_loads_like_ndjson(path, ds, primary, n_stations):
     save_ndjson(ds, path)
-    save_copy(ds, path)
+    # the digest the copy records is the one it returns
+    assert save_copy(ds, path) == data.sha256_file(path)
     with _not_parsed():
         from_copy = load_ndjson(path, primary=primary, n_stations=n_stations)
     os.remove(_copy_of(path))

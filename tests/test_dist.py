@@ -12,9 +12,10 @@ import enspost.autodiff as ad
 from enspost import dist
 from enspost.errors import DomainError
 from oracles import (bernstein_quantile_ref, crps_ensemble_exact,
-                     crps_ensemble_pairwise, crps_sample, crps_tlogis_mp,
-                     crps_tlogis_quad, pinball_ref, quantile_score_mean,
-                     tlogis_cdf_mp, tlogis_quantile_mp)
+                     crps_ensemble_pairwise, crps_sample,
+                     crps_tlogis_composed, crps_tlogis_mp, crps_tlogis_quad,
+                     pinball_ref, quantile_score_mean, tlogis_cdf_mp,
+                     tlogis_quantile_mp)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +174,64 @@ def test_crps_tlogis_differentiable_core_matches_numpy_core():
     plain = dist.crps_tlogis_core(mu, sigma, y, 0.0)
     tens = dist.crps_tlogis_core(ad.Tensor(mu), ad.Tensor(sigma), y, 0.0)
     np.testing.assert_allclose(tens.value, plain, rtol=1e-14)
+
+
+# One forecast row: the standardized bound lb = (0 - mu) / sigma, where y
+# sits ("above" the bound by a drawn gap, "at" it, or "below" it) and sigma.
+_CRPS_ROW = st.tuples(
+    st.one_of(st.floats(-60.0, 60.0), st.floats(280.0, 450.0)),
+    st.sampled_from(["above", "at", "below"]), st.floats(1e-3, 30.0),
+    st.floats(1e-3, 1e3))
+
+
+def _crps_rows(rows):
+    """(mu, sigma, y) arrays of drawn rows, truncated at 0."""
+    lb, where, gap, sigma = (np.array(col) for col in zip(*rows))
+    mu = -lb * sigma
+    step = np.select([where == "above", where == "below"], [gap, -gap], 0.0)
+    # "at" puts y on the bound itself, where u == lb exactly
+    return mu, sigma, np.where(where == "at", 0.0, mu + (lb + step) * sigma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_CRPS_ROW, min_size=1, max_size=6))
+@example(rows=[(0.0, "at", 1.0, 1.0), (-3.0, "above", 2.0, 0.5),
+               (1.0, "below", 4.0, 2.0), (320.0, "above", 1.5, 1.0),
+               (300.0, "at", 1.0, 1e-3), (5.0, "above", 3.0, 800.0)])
+def test_fused_crps_node_matches_the_composed_graph(rows):
+    mu, sigma, y = _crps_rows(rows)
+    # on arrays: today's expressions, bit for bit
+    plain = dist.crps_tlogis_core(mu, sigma, y, 0.0)
+    assert plain.tobytes() == crps_tlogis_composed(mu, sigma, y,
+                                                   0.0).tobytes()
+    pv = ad.ParamVector(np.concatenate([mu, sigma]),
+                        {"mu": (0, mu.shape), "sigma": (mu.size, mu.shape)})
+    weight = np.linspace(0.5, 1.5, mu.size)
+
+    def loss(crps):
+        return lambda P, I: ad._sum(crps(P["mu"], P["sigma"], y, 0.0) * weight)
+
+    v_fused, g_fused = ad.value_and_grad(loss(dist.crps_tlogis_core), pv)
+    v_composed, g_composed = ad.value_and_grad(loss(crps_tlogis_composed), pv)
+    assert v_fused == pytest.approx(v_composed, rel=1e-12)
+    # single components near 0 cancel in the composed graph; compare each
+    # against the largest
+    assert np.max(np.abs(g_fused - g_composed)) <= 1e-10 * np.max(
+        np.abs(g_composed))
+
+
+def test_fused_crps_is_one_tape_node():
+    pv = ad.ParamVector(np.array([0.5, -1.0, 1.0, 2.0]),
+                        {"mu": (0, (2,)), "sigma": (2, (2,))})
+    y = np.array([1.0, 3.0])
+    out, leaves = ad._run(
+        lambda P, I: dist.crps_tlogis_core(P["mu"], P["sigma"], y, 0.0), pv,
+        None)
+    assert out.op == "crps_tlogis"
+    assert out._parents == [leaves["mu"], leaves["sigma"]]
+    # one operand on the tape is a node with one parent
+    out = dist.crps_tlogis_core(pv.view("mu"), leaves["sigma"], y, 0.0)
+    assert out.op == "crps_tlogis" and out._parents == [leaves["sigma"]]
 
 
 def test_tlogis_cdf_quantile_roundtrip():

@@ -21,8 +21,8 @@ from enspost.errors import ConfigError, ContractError, DomainError
 from enspost.evaluation import (evaluate_quantiles, model_mean_crps,
                                 nominal_pi_level)
 from enspost.models import (ARCHITECTURES, POOLING_KINDS, ModelConfig,
-                            graph_inputs, init_params, load_model,
-                            save_model)
+                            emos_params, graph_inputs, init_params,
+                            load_model, save_model)
 from enspost.train import (Adam, ModelPool, TrainReport, loss_graph,
                            resample_and_score, train_model, train_pool)
 from oracles import aggregate_quantiles, emos_cells_sequential, pinball_ref
@@ -228,6 +228,32 @@ def test_train_model_rejects_overlapping_splits():
     cfg = ModelConfig(architecture="drn", **TINY)
     with pytest.raises(DomainError):
         train_model(cfg, train, train)
+
+
+def test_check_split_compares_dates_exactly():
+    ds = generate_synthetic(SynthConfig(stations=2, days=12, members=4))
+    day = (ds.times - ds.times[0]).astype(np.int64)
+    even, odd = ds.subset(day % 2 == 0), ds.subset(day % 2 == 1)
+    # interleaved dates, none shared, in either role
+    train_mod._check_split(even, odd)
+    train_mod._check_split(odd, even)
+    # exactly one shared date, first, inside or last
+    for shared in (0, 6, 10):
+        val = ds.subset((day % 2 == 1) | (day == shared))
+        with pytest.raises(DomainError, match="share times"):
+            train_mod._check_split(even, val)
+    with pytest.raises(DomainError, match="share times"):
+        train_mod._check_split(odd, ds.subset(day == 11))
+
+
+def test_emos_cell_loss_gradient_matches_finite_differences():
+    rng = np.random.default_rng(4)
+    cell = np.array([1, 2, 1, 3, 2, 1])
+    table = emos_params(rng.normal(0.5, 0.3, size=(4, 6)))
+    inputs = {"features": rng.normal(2.0, 1.0, size=(6, 2)), "cell": cell,
+              "y": np.array([0.0, 1.5, 3.0, 0.2, 4.0, 2.5]),
+              "weight": 1.0 / np.bincount(cell)[cell]}
+    assert ad.finite_diff_check(train_mod._cell_loss, table, inputs) < 1e-4
 
 
 @pytest.mark.filterwarnings("ignore:.*global EMOS coefficients.*")
