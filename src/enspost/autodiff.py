@@ -2,13 +2,14 @@
 
 The engine is deliberately small: it supports exactly the primitives the
 seven architectures' graphs and their scoring-rule losses use (affine maps,
-elementwise arithmetic, tanh/softplus, sum/mean/max/min reductions,
-concatenation, reshapes, slicing, embedding lookup and constant-condition
-selection), plus two fused ops with hand-written backwards: ``linear``, an
-affine map as one node that keeps no product beside its output, and
-multi-head ``attention``.  The closed-form CRPS loss
-(:func:`enspost.dist.crps_tlogis_core`) is one more such node, built with
-:func:`_node` where its formula lives.
+elementwise arithmetic, abs, tanh/softplus, sum/mean/max/min reductions,
+concatenation, reshapes, slicing and embedding lookup), plus two fused ops
+with hand-written backwards: ``linear``, an affine map as one node that
+keeps no product beside its output, and multi-head ``attention``.  The
+closed-form CRPS loss (:func:`enspost.dist.crps_tlogis_core`) is one more
+such node, built with :func:`_node` where its formula lives.  Every forward
+is the NumPy expression of its op (``a / b`` divides), so a formula gives
+the same bits on arrays and on the tape.
 Everything is eager: calling an op computes its forward value at once.
 A Tensor is always on the tape; ops on arrays return arrays.  An op with a
 Tensor operand returns a Tensor that keeps those operands as parents and
@@ -217,10 +218,10 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return mul(self, reciprocal(other))
+        return div(self, other)
 
     def __rtruediv__(self, other):
-        return mul(other, reciprocal(self))
+        return div(other, self)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -286,13 +287,17 @@ def mul(a, b):
     return _node(av * bv, (a, b), backward, "mul")
 
 
-def reciprocal(a):
-    av = value_of(a)
+def div(a, b):
+    av, bv = value_of(a), value_of(b)
+    y = av / bv
 
     def backward(g):
-        a._accumulate(_unbroadcast(-g / (av * av), av.shape))
+        if isinstance(a, Tensor):
+            a._accumulate(_unbroadcast(g / bv, av.shape))
+        if isinstance(b, Tensor):
+            b._accumulate(_unbroadcast(-g * y / bv, bv.shape))
 
-    return _node(1.0 / av, (a,), backward, "reciprocal")
+    return _node(y, (a, b), backward, "div")
 
 
 def _weight_grad(x, g):
@@ -301,12 +306,14 @@ def _weight_grad(x, g):
 
 
 def matmul(a, b):
-    """Matrix product with numpy-style batch broadcasting on leading axes."""
+    """Matrix product with numpy-style batch broadcasting on leading axes;
+    ``b`` may be a 1-D constant."""
     av, bv = value_of(a), value_of(b)
 
     def backward(g):
         if isinstance(a, Tensor):
-            ga = g @ np.swapaxes(bv, -1, -2)
+            ga = (g[..., None] * bv if bv.ndim == 1
+                  else g @ np.swapaxes(bv, -1, -2))
             a._accumulate(_unbroadcast(ga, av.shape))
         if not isinstance(b, Tensor):
             return
@@ -318,6 +325,12 @@ def matmul(a, b):
             b._accumulate(_unbroadcast(gb, bv.shape))
 
     return _node(av @ bv, (a, b), backward, "matmul")
+
+
+def absolute(a):
+    av = value_of(a)
+    return _node(np.abs(av), (a,),
+                 lambda g: a._accumulate(g * np.sign(av)), "absolute")
 
 
 def tanh(a):
@@ -414,13 +427,20 @@ def concat(tensors, axis=-1):
 
 def _gather(a, key, op):
     av = value_of(a)
+    out = av[key]
+    # a view (basic indexing) selects no position twice, so adding through
+    # it gives np.add.at's bits without its per-element loop
+    view = np.may_share_memory(out, av)
 
     def backward(g):
         acc = np.zeros_like(av)
-        np.add.at(acc, key, g)
+        if view:
+            acc[key] += g
+        else:
+            np.add.at(acc, key, g)
         a._accumulate(acc)
 
-    return _node(av[key], (a,), backward, op)
+    return _node(out, (a,), backward, op)
 
 
 def take(a, key):
@@ -436,20 +456,6 @@ def reshape(a, shape):
     av = value_of(a)
     return _node(av.reshape(shape), (a,),
                  lambda g: a._accumulate(g.reshape(av.shape)), "reshape")
-
-
-def where(cond, a, b):
-    """Select elementwise on a *constant* boolean condition."""
-    cond = np.asarray(cond, dtype=bool)
-    av, bv = value_of(a), value_of(b)
-
-    def backward(g):
-        if isinstance(a, Tensor):
-            a._accumulate(_unbroadcast(np.where(cond, g, 0.0), av.shape))
-        if isinstance(b, Tensor):
-            b._accumulate(_unbroadcast(np.where(cond, 0.0, g), bv.shape))
-
-    return _node(np.where(cond, av, bv), (a, b), backward, "where")
 
 
 def linear(x, w, b):
@@ -592,8 +598,6 @@ def eval_graph(fn, params: ParamVector, inputs=None):
     out = value_of(_output(fn(params._views, inputs or {})))
     if not np.all(np.isfinite(out)):
         _check_finite(_run(fn, params, inputs)[0])
-        # the tape's a / b multiplies by 1 / b, which may round to finite
-        raise NumericError("non-finite value produced by a division")
     return np.array(out, order="C")
 
 

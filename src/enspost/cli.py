@@ -38,8 +38,9 @@ from collections import namedtuple
 
 import numpy as np
 
-from .data import (SynthConfig, _is_real, generate_synthetic, load_ndjson,
-                   save_copy, save_ndjson, sha256_file, split_temporal)
+from .data import (SynthConfig, _is_real, derive_seed, generate_synthetic,
+                   load_ndjson, save_copy, save_ndjson, sha256_file,
+                   split_temporal)
 from .errors import ConfigError, ContractError, DomainError, NumericError
 
 # Names of the modules that only train, evaluate and importance run, so that
@@ -49,10 +50,11 @@ from .errors import ConfigError, ContractError, DomainError, NumericError
 _DEFERRED = {
     "evaluation": ("nominal_pi_level", "pit_csv", "raw_eps_report",
                    "report_table"),
-    "importance": ("DEFAULT_BINS", "SUMMARY_KINDS", "derive_seed",
-                   "importance_report", "preservation_csv"),
-    "models": ("ModelConfig", "_too_large", "load_model", "save_model"),
-    "train": ("ModelPool", "resample_and_score", "train_pool"),
+    "importance": ("DEFAULT_BINS", "SUMMARY_KINDS", "importance_report",
+                   "preservation_csv"),
+    "models": ("ModelConfig", "ModelPool", "_too_large", "load_model",
+               "save_model"),
+    "train": ("resample_and_score", "train_pool"),
 }
 
 
@@ -420,7 +422,7 @@ def cmd_evaluate(config, out_dir):
     ``draw_size``-subsets of the pool are aggregated and scored; without
     one, only the raw-ensemble (EPS) baseline row is produced.
     """
-    _load("evaluation", "importance", "models", "train")
+    _load("evaluation", "models", "train")
     t0 = time.perf_counter()
     _, _, test_set = _load_datasets(config)
     section = config.get("eval", {})
@@ -469,7 +471,7 @@ def cmd_evaluate(config, out_dir):
 
 def cmd_importance(config, out_dir):
     """Pool-aggregated predictor importance on the test set."""
-    _load("importance", "models", "train")
+    _load("importance", "models")
     t0 = time.perf_counter()
     _, _, test_set = _load_datasets(config)
     section = config.get("importance", {})

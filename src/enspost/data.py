@@ -1,6 +1,6 @@
-"""Dataset handling: NDJSON I/O, normalization, temporal splits and the
-synthetic ensemble-forecast generator.  Normalization is fitted on a dataset
-and applied to arrays; it builds no second dataset.
+"""Dataset handling: NDJSON I/O, normalization, temporal splits, seed streams
+and the synthetic ensemble-forecast generator.  Normalization is fitted on a
+dataset and applied to arrays; it builds no second dataset.
 
 The NDJSON schema is one JSON object per line:
 
@@ -31,6 +31,7 @@ import json
 import os
 import sys
 import zipfile
+import zlib
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -513,6 +514,12 @@ def split_temporal(dataset: Dataset, fractions):
     cuts = [0, firsts[n_train], firsts[n_train + n_val], len(dataset)]
     return tuple(dataset.subset(slice(lo, hi))
                  for lo, hi in zip(cuts, cuts[1:]))
+
+
+def derive_seed(seed, *tags):
+    """Stable child seed for a named random stream."""
+    digest = zlib.crc32("/".join(str(t) for t in tags).encode("utf-8"))
+    return int(np.random.SeedSequence([int(seed), digest]).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------

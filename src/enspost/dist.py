@@ -4,7 +4,9 @@ Two forecast representations are supported: a logistic distribution
 left-truncated at a lower bound (default 0) parameterized by location and
 scale, and a Bernstein quantile function with non-decreasing coefficients.
 The scoring rules (closed-form and ensemble CRPS) double as training losses
-and as evaluation metrics.
+and as evaluation metrics: one formula serves NumPy arrays and autodiff
+Tensors alike (an ``ad.*`` op on arrays returns an array) and gives both the
+same bits, so a model is selected and judged on the score it minimizes.
 """
 
 from __future__ import annotations
@@ -90,12 +92,6 @@ class QuantileLevels:
 
     def __len__(self):
         return self.levels.size
-
-
-# One formula serves NumPy arrays and autodiff Tensors: an ``ad.*`` op returns
-# a Tensor on the tape when an operand is one and a plain float64 array
-# otherwise, so the training losses and the evaluators share every formula.
-# The op is looked up when called.
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +276,11 @@ def tlogis_quantile_core(mu, sigma, p, lower=0.0):
 
 
 def crps_sample_batch(values, y):
-    """Vectorized ensemble CRPS; ``values`` is (n, m) sorted row-wise."""
-    values = np.asarray(values, dtype=np.float64)
+    """Vectorized ensemble CRPS; ``values`` is an (n, m) array or Tensor
+    sorted row-wise.  Term 1 sums and divides, as ``np.mean`` does."""
     y = np.asarray(y, dtype=np.float64)
     m = values.shape[-1]
-    term1 = np.mean(np.abs(values - y[..., None]), axis=-1)
+    term1 = ad._sum(ad.absolute(values - y[..., None]), axis=-1) / m
     k = np.arange(m)
     term2 = values @ (2.0 * k - m + 1.0) / (m * m)
     return term1 - term2
@@ -326,17 +322,31 @@ def theta_quantiles(theta, family, levels):
     return quantile_map(family, levels, theta.shape[1] - 1)(theta)
 
 
-def theta_mean_crps(theta, obs, family, levels):
-    """Mean CRPS of raw outputs against observations.
+def crps_map(family, levels, degree):
+    """Function from raw outputs theta (an array or, for a loss, a Tensor)
+    and observations to their per-row CRPS.
 
     Truncated-logistic forecasts use the closed form; Bernstein forecasts
-    are scored as K-point empirical forecasts on the level grid.
+    are scored as K-point empirical forecasts on the level grid, through
+    one :func:`quantile_map`.
     """
     if family == "tlogis":
-        mu, sigma = tlogis_params(theta)
-        return float(np.mean(crps_tlogis_core(mu, sigma, obs, 0.0)))
-    return float(crps_sample_batch(theta_quantiles(theta, family, levels),
-                                   obs).mean())
+        def crps(theta, obs):
+            mu, sigma = tlogis_params(theta)
+            return crps_tlogis_core(mu, sigma, obs, 0.0)
+        return crps
+    quantiles = quantile_map(family, levels, degree)
+    return lambda theta, obs: crps_sample_batch(quantiles(theta), obs)
+
+
+def theta_crps(theta, obs, family, levels):
+    """Per-row CRPS of raw outputs; see :func:`crps_map`."""
+    return crps_map(family, levels, theta.shape[1] - 1)(theta, obs)
+
+
+def theta_mean_crps(theta, obs, family, levels):
+    """Mean of :func:`theta_crps` as a float."""
+    return float(np.mean(theta_crps(theta, obs, family, levels)))
 
 
 # ---------------------------------------------------------------------------

@@ -163,20 +163,16 @@ def evaluate_quantiles(quantiles, observations, level, levels=None,
 
 
 def model_mean_crps(model, dataset: Dataset):
-    """Mean CRPS of a fitted model on a dataset, from one forward pass.
-
-    Truncated-logistic families use the closed form; quantile families are
-    scored as K-point empirical forecasts at the model's level grid.
-    """
+    """Mean CRPS (:func:`~enspost.dist.theta_crps`) of a fitted model on a
+    dataset, from one forward pass."""
     return inputs_mean_crps(model, model.inputs(dataset), dataset.obs)
 
 
 def inputs_mean_crps(model, inputs, observations):
     """:func:`model_mean_crps` of graph inputs from ``model.inputs`` (or
     ``model.shuffled_inputs``) and their observations."""
-    return theta_mean_crps(
-        model.forward(inputs), observations, model.family,
-        QuantileLevels.equidistant(model.config.n_quantile_levels))
+    return theta_mean_crps(model.forward(inputs), observations, model.family,
+                           model.config.quantile_levels)
 
 
 def raw_eps_report(dataset: Dataset, level=None, pit_bins=20, rng=None):

@@ -12,13 +12,12 @@ information lives in that statistic.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, derive_seed
 from .errors import ConfigError, ContractError, DomainError
 from .evaluation import inputs_mean_crps
 
@@ -245,12 +244,6 @@ def perturb(col, spec: PerturbationSpec):
 # ---------------------------------------------------------------------------
 # Importance scores
 # ---------------------------------------------------------------------------
-
-
-def derive_seed(seed, *tags):
-    """Stable child seed for a named random stream."""
-    digest = zlib.crc32("/".join(str(t) for t in tags).encode("utf-8"))
-    return int(np.random.SeedSequence([int(seed), digest]).generate_state(1)[0])
 
 
 def _columns(test: Dataset):

@@ -29,7 +29,7 @@ from . import autodiff as ad
 from . import dist as dist_mod
 from .autodiff import ParamVector
 from .data import Dataset, standardize
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, ContractError, DomainError
 
 ARCHITECTURES = ("emos", "drn", "bqn", "ed-drn", "ed-bqn", "st-drn", "st-bqn")
 POOLING_KINDS = ("mean", "max", "min", "attention")
@@ -74,6 +74,11 @@ class ModelConfig:
     @property
     def n_outputs(self):
         return self.bernstein_degree + 1 if self.family == "bqn" else 2
+
+    @property
+    def quantile_levels(self):
+        """The level grid of the quantile loss and the Bernstein CRPS."""
+        return dist_mod.QuantileLevels.equidistant(self.n_quantile_levels)
 
     def to_dict(self):
         d = asdict(self)
@@ -534,6 +539,37 @@ class EMOSModel(_FittedModel):
                           "(no station/month cell fitted)")
             self._warned = True
         return {**inputs, "cell": cell}
+
+
+@dataclass
+class ModelPool:
+    """Independently seeded fits of one configuration."""
+
+    config: ModelConfig
+    models: list             # of one forecast family
+    reports: list = None     # None for pools reloaded from checkpoints
+
+    def __post_init__(self):
+        if not self.models:
+            raise ContractError("pool needs at least one model")
+        if self.reports is not None and len(self.models) != len(self.reports):
+            raise ContractError("pool needs matching models and reports")
+        families = {m.family for m in self.models}
+        if len(families) > 1:
+            raise ContractError(f"mixed forecast families {sorted(families)}")
+
+    def __len__(self):
+        return len(self.models)
+
+    def val_crps_summary(self):
+        """(min, median, max) of the selected-epoch validation CRPS."""
+        if self.reports is None:
+            raise ContractError("pool was loaded without training reports")
+        best = sorted(r.val_crps[r.selected_epoch] for r in self.reports)
+        # np.median's mean of the middle one or two, without importing numpy.ma
+        mid = len(best) // 2
+        return (float(best[0]), float((best[mid] + best[~mid]) / 2),
+                float(best[-1]))
 
 
 # ---------------------------------------------------------------------------

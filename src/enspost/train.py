@@ -10,6 +10,7 @@ validation epoch are returned.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -19,12 +20,11 @@ from . import autodiff as ad
 from . import evaluation
 from .autodiff import ParamVector
 from .data import Dataset, fit_norm
-from .dist import (QuantileLevels, crps_tlogis_core, quantile_map,
-                   theta_mean_crps, tlogis_params)
+from .dist import crps_map, quantile_map, theta_crps, theta_mean_crps
 from .errors import ConfigError, ContractError, DomainError, NumericError
-from .models import (EMOSModel, ModelConfig, NeuralModel, build_graph,
-                     check_model_size, emos_cell_link, emos_params,
-                     eval_chunked, graph_inputs, init_params)
+from .models import (EMOSModel, ModelConfig, ModelPool, NeuralModel,
+                     build_graph, check_model_size, emos_cell_link,
+                     emos_params, eval_chunked, graph_inputs, init_params)
 
 MIN_EMOS_CELL = 10    # station/month cells smaller than this use the global fit
 EMOS_CELL_STEPS = 80  # full-batch Adam steps of the batched cell fit
@@ -35,23 +35,10 @@ EMOS_CELL_STEPS = 80  # full-batch Adam steps of the batched cell fit
 # ---------------------------------------------------------------------------
 
 
-def _abs(t):
-    return ad.where(ad.value_of(t) >= 0.0, t, -t)
-
-
 def _pinball_mean(quantiles, y, levels):
     y2 = y[:, None]
     indicator = (y2 < ad.value_of(quantiles)).astype(np.float64)
     return ad.mean(2.0 * (indicator - levels) * (quantiles - y2))
-
-
-def _crps_sample_mean(quantiles, y):
-    """Mean ensemble CRPS of row-sorted quantile matrices (differentiable)."""
-    k = quantiles.shape[1]
-    term1 = ad.mean(_abs(quantiles - y[:, None]), axis=1)
-    weights = (2.0 * np.arange(k) - k + 1.0) / (k * k)
-    term2 = ad.reshape(quantiles @ weights[:, None], (-1,))
-    return ad.mean(term1 - term2)
 
 
 def loss_graph(config: ModelConfig, loss=None):
@@ -67,19 +54,12 @@ def loss_graph(config: ModelConfig, loss=None):
     if loss not in ("crps", "quantile_score"):
         raise ConfigError(f"unknown loss {loss!r}")
     base = build_graph(config)
-    levels = QuantileLevels.equidistant(config.n_quantile_levels).levels
-    quantiles_of = quantile_map(config.family, levels, config.bernstein_degree)
-
-    def fn(P, I):
-        theta = base(P, I)
-        if loss == "crps" and config.family == "tlogis":
-            mu, sigma = tlogis_params(theta)
-            return ad.mean(crps_tlogis_core(mu, sigma, I["y"], 0.0))
-        quantiles = quantiles_of(theta)
-        if loss == "quantile_score":
-            return _pinball_mean(quantiles, I["y"], levels)
-        return _crps_sample_mean(quantiles, I["y"])
-    return fn
+    levels = config.quantile_levels.levels
+    if loss == "crps":
+        crps = crps_map(config.family, levels, config.bernstein_degree)
+        return lambda P, I: ad.mean(crps(base(P, I), I["y"]))
+    quantiles = quantile_map(config.family, levels, config.bernstein_degree)
+    return lambda P, I: _pinball_mean(quantiles(base(P, I)), I["y"], levels)
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +145,8 @@ def _init_output_bias(params: ParamVector, config: ModelConfig, obs):
 
 
 def _val_crps(config, graph, params, inputs, obs):
-    return theta_mean_crps(
-        eval_chunked(config, graph, params, inputs), obs, config.family,
-        QuantileLevels.equidistant(config.n_quantile_levels))
+    return theta_mean_crps(eval_chunked(config, graph, params, inputs), obs,
+                           config.family, config.quantile_levels)
 
 
 def _check_split(train, val):
@@ -259,8 +238,7 @@ def train_model(config: ModelConfig, train: Dataset, val: Dataset):
 
 def _cell_loss(P, I):
     """Batched EMOS cell loss: each row's CRPS times its ``weight``."""
-    mu, sigma = tlogis_params(emos_cell_link(P, I))
-    crps = crps_tlogis_core(mu, sigma, I["y"], 0.0)
+    crps = theta_crps(emos_cell_link(P, I), I["y"], "tlogis", None)
     return ad._sum(crps * I["weight"])
 
 
@@ -301,37 +279,6 @@ def _train_emos(config, train: Dataset, features, global_fit, fields):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ModelPool:
-    """Independently seeded fits of one configuration."""
-
-    config: ModelConfig
-    models: list             # of one forecast family
-    reports: list = None     # None for pools reloaded from checkpoints
-
-    def __post_init__(self):
-        if not self.models:
-            raise ContractError("pool needs at least one model")
-        if self.reports is not None and len(self.models) != len(self.reports):
-            raise ContractError("pool needs matching models and reports")
-        families = {m.family for m in self.models}
-        if len(families) > 1:
-            raise ContractError(f"mixed forecast families {sorted(families)}")
-
-    def __len__(self):
-        return len(self.models)
-
-    def val_crps_summary(self):
-        """(min, median, max) of the selected-epoch validation CRPS."""
-        if self.reports is None:
-            raise ContractError("pool was loaded without training reports")
-        best = sorted(r.val_crps[r.selected_epoch] for r in self.reports)
-        # np.median's mean of the middle one or two, without importing numpy.ma
-        mid = len(best) // 2
-        return (float(best[0]), float((best[mid] + best[~mid]) / 2),
-                float(best[-1]))
-
-
 def _fit_one(args):
     config, train, val = args
     return train_model(config, train, val)
@@ -342,17 +289,21 @@ def train_pool(config: ModelConfig, train: Dataset, val: Dataset, n=20,
     """Train ``n`` models with seeds ``config.seed + 0..n-1``.
 
     Results are ordered by seed and independent of ``workers``; at most
-    ``n`` worker processes start.
+    ``n`` worker processes start, and no more than the CPUs this process
+    may run on.
     """
     if n < 1:
         raise DomainError("pool size must be at least 1")
     tasks = [(replace(config, seed=config.seed + i), train, val)
              for i in range(n)]
-    if workers > 1 and n > 1:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)     # the CPUs this process may use
+    workers = min(workers, n, cpus)
+    if workers > 1:
         # imported here: loading multiprocessing costs every other stage
         # some 13 ms
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fit_one, tasks))
     else:
         results = [_fit_one(task) for task in tasks]
@@ -375,7 +326,7 @@ def resample_and_score(pool: ModelPool, test: Dataset, k=10, reps=50,
     if reps < 1:
         raise DomainError("reps must be at least 1")
     rng = rng if rng is not None else np.random.default_rng(0)
-    levels = QuantileLevels.equidistant(pool.config.n_quantile_levels)
+    levels = pool.config.quantile_levels
     if level is None:
         level = float(evaluation.nominal_pi_level(test.n_members))
 

@@ -7,7 +7,8 @@ batched library path to its one-at-a-time definition: they reuse the
 library's building blocks (the Bernstein quantile function, the EMOS loss
 graph and Adam) and differ only in how the work is batched.  Likewise the
 composed attention reference pins the fused ``autodiff.attention`` op to
-the autodiff primitives it replaces, the line-by-line NDJSON loader pins the
+the autodiff primitives it replaces, the plain NumPy ensemble CRPS pins the
+one that also serves Tensors, the line-by-line NDJSON loader pins the
 chunked one, the date-membership split pins the row-slice one, the
 ``datetime.date`` calendar pins the synthetic generator's, and the per-bin
 shuffle, the graph inputs rebuilt from a shuffled dataset and the fully
@@ -162,6 +163,19 @@ def crps_sample(values, y):
     # for sorted x: sum_ij |x_i - x_j| = 2 * sum_k x_k (2k - m + 1)
     term2 = np.sum(values * (2.0 * k - m + 1.0)) / (m * m)
     return float(term1 - term2)
+
+
+def crps_sample_batch_numpy(values, y):
+    """The ensemble CRPS as plain NumPy, the expression
+    ``dist.crps_sample_batch`` had before it also served Tensors; on arrays
+    the library must give these bits."""
+    values = np.asarray(values, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    m = values.shape[-1]
+    term1 = np.mean(np.abs(values - y[..., None]), axis=-1)
+    k = np.arange(m)
+    term2 = values @ (2.0 * k - m + 1.0) / (m * m)
+    return term1 - term2
 
 
 def pinball_ref(q, y, p):
@@ -470,6 +484,21 @@ def transpose(a, axes):
                     "transpose")
 
 
+def where(cond, a, b):
+    """Elementwise selection on a constant boolean condition as one
+    autodiff tape node."""
+    cond = np.asarray(cond, dtype=bool)
+    av, bv = ad.value_of(a), ad.value_of(b)
+
+    def backward(g):
+        if isinstance(a, ad.Tensor):
+            a._accumulate(ad._unbroadcast(np.where(cond, g, 0.0), av.shape))
+        if isinstance(b, ad.Tensor):
+            b._accumulate(ad._unbroadcast(np.where(cond, 0.0, g), bv.shape))
+
+    return ad._node(np.where(cond, av, bv), (a, b), backward, "where")
+
+
 def exp(a):
     """Elementwise exponential as one autodiff tape node."""
     y = np.exp(ad.value_of(a))
@@ -495,16 +524,16 @@ def crps_tlogis_composed(mu, sigma, y, lower):
     y_std = (y - mu) / sigma
     lb = (lower - mu) / sigma
     above = ad.value_of(y_std) > ad.value_of(lb)
-    t = ad.where(above, y_std - lb, 0.0 * y_std)
+    t = where(above, y_std - lb, 0.0 * y_std)
     deep = ad.value_of(lb) >= 300.0
-    lb_c = ad.where(deep, 300.0 + 0.0 * lb, lb)
+    lb_c = where(deep, 300.0 + 0.0 * lb, lb)
     amp = exp(ad.softplus(lb_c))
     mid_direct = 2.0 * amp * (ad.softplus(-(lb_c + t)) - ad.softplus(-lb_c))
     mid_limit = 2.0 * (exp(-t) - 1.0)
-    mid = ad.where(deep, mid_limit, mid_direct)
+    mid = where(deep, mid_limit, mid_direct)
     core = t + mid + trunc_tail(lb_c)
     below_obs = ad.value_of(y) < lower
-    below = ad.where(below_obs, (lower - y) / sigma, 0.0 * y_std)
+    below = where(below_obs, (lower - y) / sigma, 0.0 * y_std)
     return sigma * (core + below)
 
 

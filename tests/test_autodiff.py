@@ -17,7 +17,7 @@ from enspost.errors import ConfigError, ContractError, NumericError
 from enspost.train import Adam
 from oracles import (central_difference, crps_tlogis_composed, exp,
                      multihead_attention_ref, softmax, softplus_ref,
-                     transpose, trunc_tail)
+                     transpose, trunc_tail, where)
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +134,14 @@ def _op_cases(rows, cols, second):
     """Every op with the shapes of its operands: a (rows, cols) operand and,
     for the elementwise binary ops, a broadcast one of shape ``second``."""
     m = (rows, cols)
-    cond = np.arange(rows * cols).reshape(m) % 3 == 0
     return {
         "add": (ad.add, [m, second]),
         "mul": (ad.mul, [m, second]),
-        "reciprocal": (ad.reciprocal, [m]),
+        "div": (ad.div, [m, second]),
+        "rdiv": (ad.div, [second, m]),
         "matmul": (ad.matmul, [m, (cols, 2)]),
+        "matvec": (lambda a: ad.matmul(a, np.arange(cols) - 0.5), [m]),
+        "absolute": (ad.absolute, [m]),
         "tanh": (ad.tanh, [m]),
         "softplus": (ad.softplus, [m]),
         "crps_tlogis": (lambda a, b: crps_tlogis_core(a, b, 0.5, 0.0),
@@ -150,9 +152,9 @@ def _op_cases(rows, cols, second):
         "amin": (lambda a: ad.amin(a, axis=1), [m]),
         "concat": (lambda a, b: ad.concat([a, b], axis=0), [m, (1, cols)]),
         "take": (lambda a: ad.take(a, (slice(1, None), 0)), [m]),
+        "take_repeated": (lambda a: ad.take(a, np.zeros(2, dtype=int)), [m]),
         "embedding": (lambda a: ad.embedding(a, np.arange(rows)[::-1]), [m]),
         "reshape": (lambda a: ad.reshape(a, (cols, rows)), [m]),
-        "where": (lambda a, b: ad.where(cond, a, b), [m, second]),
         "linear": (ad.linear, [m, (cols, 2), (2,)]),
         "attention": (lambda x, w: ad.attention(x, x, x, w, w, w, w, 2),
                       [(rows, cols, 4), (4, 4)]),
@@ -242,7 +244,7 @@ def test_reduction_and_where_gradient():
         x = P["x"]
         big = ad.amax(x, axis=1)
         small = ad.amin(x, axis=1)
-        sel = ad.where(ad.value_of(x) > 0, x * 2.0, x / 3.0)
+        sel = where(ad.value_of(x) > 0, x * 2.0, x / 3.0)
         return ad.mean(sel) + ad._sum(big - small)
 
     _check_graph_grad(build, x0)
@@ -259,6 +261,29 @@ def test_concat_reshape_transpose_take_gradient():
         return ad.mean(sliced * sliced)
 
     _check_graph_grad(build, x0)
+
+
+_TAKE_KEYS = [0, -1, np.int64(2), slice(1, None), (slice(None), 0),
+              (Ellipsis, 1), (None, slice(None, None, 2)),
+              (1, slice(None, None, -1)), (slice(0, 3, 2), np.int64(-1)),
+              True, np.array([0, 2, 0]), (np.array([1, 1]), slice(None))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from(range(len(_TAKE_KEYS))), data=st.data())
+def test_take_gradient_equals_add_at_bit_for_bit(key, data):
+    # a basic key adds into a view of the zeros, an array key that may
+    # repeat a position keeps np.add.at; both give np.add.at's bits, signed
+    # zeros included
+    key = _TAKE_KEYS[key]
+    x = ad.Tensor(np.arange(12.0).reshape(3, 4))
+    out = ad.take(x, key)
+    g = data.draw(hnp.arrays(np.float64, out.shape, elements=st.one_of(
+        st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))))
+    out._backward(g)
+    expected = np.zeros((3, 4))
+    np.add.at(expected, key, g)
+    assert x.grad.tobytes() == expected.tobytes()
 
 
 def test_embedding_gradient_accumulates_repeats():
@@ -521,7 +546,7 @@ def _constants_graph(constant):
         cond = ad.value_of(c) > 0.0
         only_c = exp(ad.mul(c, 0.5)) - 1.0 + ad.mul(1.0, -1.0)
         parts = [ad.add(c, x), ad.add(x, c), ad.mul(c, x), ad.mul(x, c),
-                 c @ w, x @ c, ad.where(cond, c, x), ad.where(cond, x, c),
+                 c @ w, x @ c, where(cond, c, x), where(cond, x, c),
                  c - x, x - c, x / (c * c + 1.0), (c * c + 1.0) / (x * x + 1.0),
                  ad.amax(x * only_c, axis=1)[:, None] + c,
                  ad.concat([c, x], axis=1)[:, 2:6]]
@@ -598,9 +623,8 @@ def test_forward_of_eval_graph_keeps_no_graph(monkeypatch):
     assert seen[0].keys() == pv.layout.keys()
     assert all(seen[0][name] is pv.view(name) for name in pv.layout)
     assert type(out) is np.ndarray
-    # the graph divides, and a Tensor's a / b multiplies by 1 / b
-    assert float(out) == pytest.approx(ad.value_and_grad(graph, pv)[0],
-                                       rel=1e-14)
+    # the graph divides, and a Tensor's a / b divides too
+    assert float(out) == ad.value_and_grad(graph, pv)[0]
 
 
 def test_eval_graph_peak_memory_is_bounded_by_graph_width():

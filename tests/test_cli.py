@@ -620,6 +620,34 @@ def test_bad_station_ids_and_corrupt_checkpoints_exit_2(tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+def test_checkpoint_directory_errors_exit_2(tmp_path, capsys):
+    # evaluate and importance reload a pool the same way and reject the
+    # same directories with the same messages
+    synth_dir = tmp_path / "synth"
+    assert _run("synth", synth_dir, SYNTH_SETS) == 0
+    data = f'data.path="{synth_dir / "dataset.ndjson"}"'
+    mixed = tmp_path / "mixed"
+    assert _run("train", mixed, [data] + MODEL_SETS
+                + ["train.pool_size=1"]) == 0
+    bqn = tmp_path / "bqn"
+    assert _run("train", bqn, [data] + MODEL_SETS
+                + ["model.architecture=bqn", "train.pool_size=1"]) == 0
+    (mixed / "model_001.bin").write_bytes((bqn / "model_000.bin")
+                                          .read_bytes())
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    cases = {tmp_path / "none": "checkpoint directory not found",
+             empty: "no model_*.bin checkpoints",
+             mixed: "mixed forecast families ['bqn', 'tlogis']"}
+    capsys.readouterr()
+    for command, section in (("evaluate", "eval"),
+                             ("importance", "importance")):
+        for directory, message in cases.items():
+            assert _run(command, tmp_path / command, [
+                data, f'{section}.checkpoints="{directory}"']) == 2
+            assert message in capsys.readouterr().err
+
+
 def test_primary_predictor_out_of_range_or_unlike_the_fit_exits_2(tmp_path,
                                                                    capsys):
     synth_dir = tmp_path / "synth"
@@ -831,7 +859,8 @@ def test_train_stage_does_not_load_numpy_ma(tmp_path):
     assert summary["min"] <= summary["median"] <= summary["max"]
 
 
-_WATCHED = ("numpy.ma", "multiprocessing", "concurrent.futures.process")
+_WATCHED = ("numpy.ma", "multiprocessing", "concurrent.futures.process",
+            "enspost.importance", "enspost.train")
 
 
 @pytest.fixture(scope="module")
@@ -876,3 +905,24 @@ def test_stage_without_a_pool_does_not_load_multiprocessing(fresh_stages,
     # loading the process pool machinery costs each stage some 13 ms
     assert not {"multiprocessing", "concurrent.futures.process"} & set(
         fresh_stages[command])
+
+
+def test_evaluate_stage_does_not_load_importance(fresh_stages):
+    # evaluate draws its seeds with data.derive_seed
+    assert "enspost.importance" not in fresh_stages["evaluate"]
+    assert "enspost.importance" in fresh_stages["importance"]
+
+
+def test_importance_stage_does_not_load_train(fresh_stages):
+    # importance reloads its pool as a models.ModelPool
+    assert "enspost.train" not in fresh_stages["importance"]
+    assert "enspost.train" in fresh_stages["train"]
+
+
+def test_moved_names_stay_importable_from_their_old_modules():
+    import enspost.data
+    import enspost.importance
+    import enspost.models
+    import enspost.train
+    assert enspost.importance.derive_seed is enspost.data.derive_seed
+    assert enspost.train.ModelPool is enspost.models.ModelPool

@@ -13,9 +13,9 @@ from enspost import dist
 from enspost.errors import DomainError
 from oracles import (bernstein_quantile_ref, crps_ensemble_exact,
                      crps_ensemble_pairwise, crps_sample,
-                     crps_tlogis_composed, crps_tlogis_mp, crps_tlogis_quad,
-                     pinball_ref, quantile_score_mean, tlogis_cdf_mp,
-                     tlogis_quantile_mp)
+                     crps_sample_batch_numpy, crps_tlogis_composed,
+                     crps_tlogis_mp, crps_tlogis_quad, pinball_ref,
+                     quantile_score_mean, tlogis_cdf_mp, tlogis_quantile_mp)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +293,7 @@ def test_tlogis_quantile_core_serves_tensors_and_numpy_alike():
     p = dist.QuantileLevels.equidistant(9).levels
     plain = dist.tlogis_quantile_core(mu, sigma, p)
     tens = dist.tlogis_quantile_core(ad.Tensor(mu), ad.Tensor(sigma), p)
-    # Tensor division multiplies by a reciprocal, so the last bit may move
-    np.testing.assert_allclose(tens.value, plain, rtol=1e-14)
+    assert tens.value.tobytes() == plain.tobytes()
 
 
 def _numpy_path_results():
@@ -405,6 +404,48 @@ def test_crps_sample_matches_exact_ecdf_integral():
                                      abs=1e-12)
         assert ours == pytest.approx(crps_ensemble_pairwise(members, y),
                                      abs=1e-12)
+
+
+# members and observations with ties, both signed zeros and wide magnitudes
+_MEMBER = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.25]),
+                    st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@example(n=1, m=1, data=None)
+@given(n=st.integers(1, 5), m=st.integers(1, 9), data=st.data())
+def test_crps_sample_batch_equals_the_numpy_oracle_bit_for_bit(n, m, data):
+    if data is None:       # one member, the observation on it, signed zeros
+        values, y = np.array([[-0.0]]), np.array([0.0])
+    else:
+        values = np.sort(np.array(data.draw(st.lists(
+            st.lists(_MEMBER, min_size=m, max_size=m),
+            min_size=n, max_size=n))), axis=1)
+        y = np.array(data.draw(st.lists(_MEMBER, min_size=n, max_size=n)))
+        on_member = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                                max_size=n)))
+        y = np.where(on_member, values[:, data.draw(st.integers(0, m - 1))],
+                     y)
+    got = dist.crps_sample_batch(values, y)
+    assert got.tobytes() == crps_sample_batch_numpy(values, y).tobytes()
+    # a training loss of the same members gives the score's bits
+    taped = dist.crps_sample_batch(ad.Tensor(values), y)
+    assert isinstance(taped, ad.Tensor)
+    assert taped.value.tobytes() == got.tobytes()
+
+
+def test_tensor_crps_sample_batch_gradient_matches_finite_differences():
+    rng = np.random.default_rng(11)
+    values = np.sort(rng.normal(0, 2, size=(4, 6)), axis=1)
+    y = rng.normal(0, 2, size=4)
+    pv = ad.ParamVector(values.ravel(), {"v": (0, values.shape)})
+
+    def loss(P, I):
+        return ad.mean(dist.crps_sample_batch(P["v"], y))
+
+    assert ad.value_and_grad(loss, pv)[0] == float(
+        np.mean(dist.crps_sample_batch(values, y)))
+    assert ad.finite_diff_check(loss, pv) < 1e-6
 
 
 def test_crps_sample_batch_matches_scalar():

@@ -115,6 +115,31 @@ def test_every_autodiff_op_is_used_by_a_loss_graph(monkeypatch):
     assert sorted(set(ops) - called) == []
 
 
+_LOSS_CASES = [(arch, pooling, loss) for arch in ARCHITECTURES
+               for pooling in (POOLING_KINDS if arch.startswith("ed-")
+                               else ("attention",))
+               for loss in ("crps", "quantile_score")]
+
+
+@pytest.mark.parametrize("arch,pooling,loss", _LOSS_CASES)
+def test_tape_value_equals_the_forward_bit_for_bit(arch, pooling, loss):
+    # the loss a model is trained on and the score of the same graph on
+    # arrays are one set of bits: every op's forward on the tape is the
+    # NumPy expression eval_graph runs
+    cfg = ModelConfig(architecture=arch, pooling=pooling, **TINY)
+    graph = loss_graph(cfg, loss)
+    for seed in range(6):
+        ds = generate_synthetic(SynthConfig(stations=2, days=5, members=6,
+                                            seed=seed))
+        inputs = {**graph_inputs(cfg, ds, fit_norm(ds)), "y": ds.obs}
+        params = init_params(cfg, ds.n_predictors, ds.n_scalars,
+                             ds.n_stations)
+        params.values[:] = np.random.default_rng(seed).normal(
+            0.0, 0.7, params.size)
+        value = ad.value_and_grad(graph, params, inputs)[0]
+        assert value == float(ad.eval_graph(graph, params, inputs)), seed
+
+
 def test_loss_graph_rejects_unknown_loss():
     with pytest.raises(ConfigError):
         loss_graph(ModelConfig(architecture="drn", **TINY), "mse")
@@ -153,15 +178,16 @@ def test_tlogis_crps_loss_matches_closed_form():
     assert value == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("loss", ["quantile_score", "crps"])
 @pytest.mark.parametrize("arch", ["bqn", "drn"])
-def test_loss_graph_builds_the_bernstein_basis_once(arch, monkeypatch):
+def test_loss_graph_builds_the_bernstein_basis_once(arch, loss, monkeypatch):
     calls, basis = [], dist.bernstein_basis
     monkeypatch.setattr(dist, "bernstein_basis",
                         lambda degree, p: calls.append(degree) or basis(
                             degree, p))
     cfg = ModelConfig(architecture=arch, **TINY)
     ds = generate_synthetic(SynthConfig(stations=2, days=4, members=6))
-    graph = loss_graph(cfg, "quantile_score")
+    graph = loss_graph(cfg, loss)
     inputs = {**graph_inputs(cfg, ds, fit_norm(ds)), "y": ds.obs}
     params = init_params(cfg, ds.n_predictors, ds.n_scalars, ds.n_stations)
     for _ in range(3):
@@ -364,15 +390,16 @@ def test_train_pool_is_independent_of_workers_property(arch, n, seed):
         [_checkpoint_bytes(m) for m in parallel.models]
 
 
-def test_train_pool_caps_workers_at_pool_size(monkeypatch):
+@pytest.fixture
+def started(monkeypatch):
+    """The worker counts train_pool asks a process pool for; the pool maps
+    in process, so no process starts."""
     import concurrent.futures
-    started = []
+    counts = []
 
     class RecordingExecutor:
-        """Records the requested worker count and maps in-process."""
-
         def __init__(self, max_workers):
-            started.append(max_workers)
+            counts.append(max_workers)
 
         def __enter__(self):
             return self
@@ -386,6 +413,12 @@ def test_train_pool_caps_workers_at_pool_size(monkeypatch):
     # train_pool imports the executor when it starts a pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingExecutor)
+    return counts
+
+
+def test_train_pool_caps_workers_at_pool_size(started, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
     train, val, _ = _splits(days=30)
     cfg = ModelConfig(architecture="drn", max_epochs=2, **TINY)
     pool = train_pool(cfg, train, val, n=2, workers=64)
@@ -393,6 +426,24 @@ def test_train_pool_caps_workers_at_pool_size(monkeypatch):
     assert [r.seed for r in pool.reports] == [0, 1]
     train_pool(cfg, train, val, n=3, workers=2)
     assert started == [2, 2]
+
+
+def test_train_pool_caps_workers_at_usable_cpus(started, monkeypatch):
+    # fits that train nothing, so 5000 of them cost only their configs
+    monkeypatch.setattr(train_mod, "_fit_one", lambda task: (
+        SimpleNamespace(family="tlogis"), None))
+    train, val, _ = _splits(days=30)
+    cfg = ModelConfig(architecture="drn", **TINY)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    assert len(train_pool(cfg, train, val, n=5000, workers=5000)) == 5000
+    monkeypatch.delattr(os, "sched_getaffinity")   # the CPU count instead
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    train_pool(cfg, train, val, n=5000, workers=5000)
+    for cpus in (1, None):       # one CPU or an unknown count: in process
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert len(train_pool(cfg, train, val, n=5000, workers=5000)) == 5000
+    assert started == [3, 2]
 
 
 @settings(max_examples=60)
