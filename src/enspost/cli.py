@@ -3,10 +3,12 @@
 Four subcommands (``synth``, ``train``, ``evaluate``, ``importance``) are
 driven by a JSON run configuration checked against
 :data:`RUN_CONFIG_CHECKS`, with ``--set key=value`` overrides for scripting
-experiment grids.  Every command is deterministic given (config, input
-files): all randomness flows from the top-level seed through named streams,
-wall-clock timings are segregated into a non-hashed sidecar, and each run
-writes a manifest with SHA-256 hashes of its outputs.
+experiment grids.  The checker, :func:`enspost.data.check_fields`, and its
+field checks also serve ``SynthConfig``, ``ModelConfig.from_dict`` and the
+checkpoint headers of ``models.load_model``.  Every command is deterministic
+given (config, input files): all randomness flows from the top-level seed
+through named streams, wall-clock timings are segregated into a non-hashed
+sidecar, and each run writes a manifest with SHA-256 hashes of its outputs.
 
 Exit codes: 0 success, 2 configuration/input error or out of memory, 3
 numeric failure.
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import hashlib
 import importlib
 import json
@@ -34,13 +35,13 @@ import os
 import resource
 import sys
 import time
-from collections import namedtuple
 
 import numpy as np
 
-from .data import (SynthConfig, _is_real, derive_seed, generate_synthetic,
-                   load_ndjson, save_copy, save_ndjson, sha256_file,
-                   split_temporal)
+from .data import (SYNTH_CHECKS, SynthConfig, _STRING, _Check, _integer,
+                   _is_real, _list, _rejected, check_fields, derive_seed,
+                   generate_synthetic, load_ndjson, save_copy, save_ndjson,
+                   sha256_file, split_temporal)
 from .errors import ConfigError, ContractError, DomainError, NumericError
 
 # Names of the modules that only train, evaluate and importance run, so that
@@ -52,8 +53,8 @@ _DEFERRED = {
                    "report_table"),
     "importance": ("DEFAULT_BINS", "SUMMARY_KINDS", "importance_report",
                    "preservation_csv"),
-    "models": ("ModelConfig", "ModelPool", "_too_large", "load_model",
-               "save_model"),
+    "models": ("MODEL_CHECKS", "ModelConfig", "ModelPool", "_too_large",
+               "load_model", "save_model"),
     "train": ("resample_and_score", "train_pool"),
 }
 
@@ -73,39 +74,6 @@ def __getattr__(name):
             _load(module)
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# A field's check: a predicate and what it expects, for the error message.
-_Check = namedtuple("_Check", "ok expects required", defaults=(False,))
-_STRING = _Check(lambda v: type(v) is str, "a string")
-_NUMBER = _Check(_is_real, "a finite number")
-
-
-def _integer(low=None):
-    # a JSON integer only: no bool, and no 10.0, which would reach the
-    # dataclasses and NumPy as a float
-    return _Check(lambda v: type(v) is int and (low is None or v >= low),
-                  "an integer" if low is None else f"an integer >= {low}")
-
-
-def _list(item, size=None):
-    return _Check(lambda v: (type(v) is list and size in (None, len(v))
-                             and all(map(item.ok, v))),
-                  "a list" + (f" of {size}" if size else "")
-                  + f", each item {item.expects}")
-
-
-def _fields(config_class, **minima):
-    """Checks for the fields of a config dataclass, typed by its defaults."""
-    by_type = {str: _STRING, float: _NUMBER, tuple: _list(_integer())}
-    return {f.name: (_integer(minima.get(f.name)) if type(f.default) is int
-                     else by_type[type(f.default)])
-            for f in dataclasses.fields(config_class)}
-
-
-def _model_checks():
-    _load("models")
-    return _fields(ModelConfig, seed=0)
 
 
 def _eval_checks():
@@ -137,46 +105,21 @@ def _importance_checks():
 RUN_CONFIG_CHECKS = {
     "seed": _integer(0),
     "out": _STRING,
-    "synth": _fields(SynthConfig, stations=1, days=1, members=2, seed=0),
+    "synth": SYNTH_CHECKS,
     "data": {"path": _STRING._replace(required=True),
              "splits": _list(_Check(lambda v: _is_real(v) and v > 0,
                                     "a number > 0"), size=3),
              "primary": _integer(0)},
-    "model": _model_checks,
+    "model": lambda: __getattr__("MODEL_CHECKS"),
     "train": {"pool_size": _integer(1)},
     "eval": _eval_checks,
     "importance": _importance_checks,
 }
 
 
-def _rejected(field, expects, value):
-    return ConfigError(f"config field {field or '(top level)'}: expected "
-                       f"{expects}, got {json.dumps(value)}")
-
-
-def check_run_config(config, checks=RUN_CONFIG_CHECKS, path=""):
-    """Raise ConfigError naming the first field that ``checks`` rejects.
-
-    ``checks`` maps each field to a check and each section to a table of
-    its own, or to the function that builds it; a field it does not name is
-    rejected at every level.
-    """
-    if type(config) is not dict:
-        raise _rejected(path, "an object", config)
-    prefix = f"{path}." if path else ""
-    for name, value in config.items():
-        check = checks.get(name)
-        if callable(check):
-            check = checks[name] = check()
-        if check is None:
-            raise ConfigError(f"config field {prefix}{name}: unknown field")
-        if isinstance(check, dict):
-            check_run_config(value, check, prefix + name)
-        elif not check.ok(value):
-            raise _rejected(prefix + name, check.expects, value)
-    for name, check in checks.items():
-        if getattr(check, "required", False) and name not in config:
-            raise ConfigError(f"config field {prefix}{name}: required")
+def check_run_config(config):
+    """:func:`check_fields` of a run configuration and RUN_CONFIG_CHECKS."""
+    check_fields(config, RUN_CONFIG_CHECKS)
 
 
 DEFAULT_SPLITS = (0.7, 0.15, 0.15)
@@ -300,11 +243,8 @@ def _resource_use():
 
 
 def _model_config(config):
-    section = dict(config.get("model", {}))
-    if "hidden_sizes" in section:
-        section["hidden_sizes"] = tuple(section["hidden_sizes"])
-    section.setdefault("seed", config["seed"])
-    return ModelConfig(**section)
+    return ModelConfig.from_dict({"seed": config["seed"],
+                                  **config.get("model", {})})
 
 
 def _load_datasets(config):
@@ -323,9 +263,7 @@ def _load_datasets(config):
 
 
 def _synth_config(config):
-    section = dict(config.get("synth", {}))
-    section.setdefault("seed", config["seed"])
-    return SynthConfig(**section)
+    return SynthConfig(**{"seed": config["seed"], **config.get("synth", {})})
 
 
 def _checkpoint_paths(directory):

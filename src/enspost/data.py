@@ -32,7 +32,8 @@ import os
 import sys
 import zipfile
 import zlib
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 from itertools import chain
 from operator import itemgetter
 
@@ -523,6 +524,70 @@ def derive_seed(seed, *tags):
 
 
 # ---------------------------------------------------------------------------
+# Config field checks: run configs, model configs and checkpoint headers
+# ---------------------------------------------------------------------------
+
+
+# A field's check: a predicate and what it expects, for the error message.
+_Check = namedtuple("_Check", "ok expects required", defaults=(False,))
+_STRING = _Check(lambda v: type(v) is str, "a string")
+_NUMBER = _Check(_is_real, "a finite number")
+
+
+def _integer(low=None):
+    # a JSON integer only: no bool, and no 10.0, a float to NumPy
+    return _Check(lambda v: type(v) is int and (low is None or v >= low),
+                  "an integer" if low is None else f"an integer >= {low}")
+
+
+def _list(item, size=None):
+    return _Check(lambda v: (type(v) is list and size in (None, len(v))
+                             and all(map(item.ok, v))),
+                  "a list" + (f" of {size}" if size else "")
+                  + f", each item {item.expects}")
+
+
+def _fields(config_class, **minima):
+    """Checks for the fields of a config dataclass, typed by its defaults."""
+    by_type = {str: _STRING, float: _NUMBER, tuple: _list(_integer())}
+    return {f.name: (_integer(minima.get(f.name)) if type(f.default) is int
+                     else by_type[type(f.default)])
+            for f in fields(config_class)}
+
+
+def _rejected(field, expects, value):
+    return ConfigError(f"config field {field or '(top level)'}: expected "
+                       f"{expects}, got {json.dumps(value)}")
+
+
+def check_fields(config, checks, path="", required=False):
+    """Raise ConfigError naming the first field that ``checks`` rejects.
+
+    ``checks`` maps each field to a check and each section to a table of
+    its own, or to the function that builds it; a field it does not name is
+    rejected at every level.  A required check's field must be there, and
+    with ``required`` every field of every level.
+    """
+    if type(config) is not dict:
+        raise _rejected(path, "an object", config)
+    prefix = f"{path}." if path else ""
+    for name, value in config.items():
+        check = checks.get(name)
+        if callable(check):
+            check = checks[name] = check()
+        if check is None:
+            raise ConfigError(f"config field {prefix}{name}: unknown field")
+        if isinstance(check, dict):
+            check_fields(value, check, prefix + name, required)
+        elif not check.ok(value):
+            raise _rejected(prefix + name, check.expects, value)
+    for name, check in checks.items():
+        if (required or getattr(check, "required", False)) \
+                and name not in config:
+            raise ConfigError(f"config field {prefix}{name}: required")
+
+
+# ---------------------------------------------------------------------------
 # Synthetic generator
 # ---------------------------------------------------------------------------
 
@@ -550,14 +615,11 @@ class SynthConfig:
     dead_channel: float = 1.0
 
     def __post_init__(self):
-        if self.stations < 1 or self.days < 1:
-            raise ConfigError("stations and days must be positive")
+        check_fields(vars(self), SYNTH_CHECKS)
         if self.days > MAX_SYNTH_DAYS:
             raise ConfigError(f"days must be at most {MAX_SYNTH_DAYS}, so the "
                               "last synthetic date is no later than "
                               "9999-12-31")
-        if self.members < 2:
-            raise ConfigError("members must be >= 2")
         if not _is_int(self.lead_hours):    # the loader's rule for "lead"
             raise ConfigError(f"lead_hours must be a 64-bit integer, got "
                               f"{self.lead_hours}")
@@ -565,6 +627,9 @@ class SynthConfig:
         if size * 8 > np.iinfo(np.intp).max:   # the float64 ensemble block
             raise ConfigError(f"days x stations x members x predictors = {size}"
                               " float64 values: more bytes than NumPy indexes")
+
+
+SYNTH_CHECKS = _fields(SynthConfig, stations=1, days=1, members=2, seed=0)
 
 
 BASE_LEVEL = 10.0       # keeps observations far from the truncation bound

@@ -28,7 +28,8 @@ import numpy as np
 from . import autodiff as ad
 from . import dist as dist_mod
 from .autodiff import ParamVector
-from .data import Dataset, standardize
+from .data import (Dataset, _STRING, _Check, _fields, _integer, _is_int,
+                   _is_real, _list, _rejected, check_fields, standardize)
 from .errors import ConfigError, ContractError, DomainError
 
 ARCHITECTURES = ("emos", "drn", "bqn", "ed-drn", "ed-bqn", "st-drn", "st-bqn")
@@ -87,9 +88,14 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d["hidden_sizes"] = tuple(d["hidden_sizes"])
-        return cls(**d)
+        """The config of JSON fields that :data:`MODEL_CHECKS` accepts; a
+        missing field takes its default."""
+        check_fields(d, MODEL_CHECKS)
+        return cls(**{k: tuple(v) if type(v) is list else v
+                      for k, v in d.items()})
+
+
+MODEL_CHECKS = _fields(ModelConfig, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,31 +206,35 @@ def _too_large(count):
     return (count + 64) * 8 > np.iinfo(np.intp).max
 
 
+def _param_counts(config, dims):
+    """float64 values per parameter slice (one attention block standing for
+    all) and in the whole vector, so that no block count is enumerated."""
+    shapes = param_shapes(replace(config, n_attention_blocks=1), *dims)
+    counts = {name: math.prod(int(d) for d in shape)
+              for name, shape in shapes.items()}
+    block = sum(n for name, n in counts.items() if name.startswith("blk0_"))
+    return counts, sum(counts.values()) + (config.n_attention_blocks - 1) * block
+
+
 def _oversized(config, dims):
     """What holds more float64 values than NumPy indexes, the first such
     parameter slice or else the whole vector, and its count; None if none
     does."""
-    # counts of one attention block stand for every block, so a huge block
-    # count is never enumerated
-    shapes = param_shapes(replace(config, n_attention_blocks=1), *dims)
-    counts = {name: math.prod(int(d) for d in shape)
-              for name, shape in shapes.items()}
+    counts, total = _param_counts(config, dims)
     for name, count in counts.items():
         if _too_large(count):
             return f"parameter {name}", count
-    block = sum(n for name, n in counts.items() if name.startswith("blk0_"))
-    total = sum(counts.values()) + (config.n_attention_blocks - 1) * block
     return ("the parameter vector", total) if _too_large(total) else None
 
 
 def check_model_size(config: ModelConfig, n_predictors, n_scalars,
-                     n_stations):
-    """ConfigError naming the model fields that make the quantile level
-    grid, a parameter slice or the parameter vector hold more bytes than
-    NumPy indexes.  Counts are Python ints, so nothing is allocated."""
+                     n_stations, section="model"):
+    """ConfigError naming the fields (of ``section``) that make the quantile
+    level grid, a parameter slice or the parameter vector hold more bytes
+    than NumPy indexes.  Counts are Python ints, so nothing is allocated."""
     if _too_large(config.n_quantile_levels):
         raise ConfigError(
-            f"config field model.n_quantile_levels: {config.n_quantile_levels}"
+            f"config field {section}.n_quantile_levels: {config.n_quantile_levels}"
             " float64 levels: more bytes than NumPy indexes")
     dims = (n_predictors, n_scalars, n_stations)
     found = _oversized(config, dims)
@@ -238,7 +248,7 @@ def check_model_size(config: ModelConfig, n_predictors, n_scalars,
     fields = [name for name, value in least.items() if (_oversized(
         replace(config, **{name: value}), dims) or ("",))[0] != found[0]]
     raise ConfigError(
-        f"config field {', '.join('model.' + f for f in fields or least)}: "
+        f"config field {', '.join(f'{section}.{f}' for f in fields or least)}: "
         f"{found[0]} would hold {found[1]} float64 values: more bytes than "
         "NumPy indexes")
 
@@ -515,24 +525,27 @@ class EMOSModel(_FittedModel):
 
     ``params`` holds one (1+C, 6) table ``cells`` (see :func:`emos_params`):
     row 0 is the global fit, row 1+i the flattened (gamma_mat, gamma_vec)
-    of the (station, month) cell ``keys[i]``.  Samples of cells without a
-    row use row 0, with a warning.
+    of the (station, month) cell ``keys[i]``, and the keys are strictly
+    increasing.  Samples of cells without a row use row 0, with a warning.
     """
 
     graph = staticmethod(emos_cell_link)
 
     def __init__(self, config, params, keys, **fields):
         super().__init__(config, params, **fields)
-        self.keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+        self.keys = np.ascontiguousarray(keys, dtype=np.int64).reshape(-1, 2)
         self._warned = False
 
     def inputs(self, dataset: Dataset):
         inputs = super().inputs(dataset)
-        # table row of each (station, month); 0 where no cell was fitted
-        slot = np.zeros((self.n_stations, 13), dtype=np.int64)
-        station, month = self.keys.T
-        slot[station, month] = np.arange(1, len(self.keys) + 1)
-        cell = slot[dataset.station, dataset.months()]
+        # table row of each (station, month): 1 + its index among the sorted
+        # keys, binary-searched as 16 big-endian bytes, which sort as the
+        # pairs do; 0 where no cell was fitted
+        keys, rows = (pairs.astype(">u8").view("S16")[:, 0] for pairs in (
+            self.keys, np.stack([dataset.station, dataset.months()], -1)))
+        first, past = (np.searchsorted(keys, rows, side)
+                       for side in ("left", "right"))
+        cell = np.where(past > first, past, 0)
         missing = int(np.count_nonzero(cell == 0))
         if missing and not self._warned:
             warnings.warn(f"{missing} samples used global EMOS coefficients "
@@ -608,13 +621,8 @@ def save_model(model, path):
         fh.write(block.astype("<f8").tobytes())
 
 
-_HEADER_KEYS = {"config", "kind", "n_stations", "primary", "predictor_names",
-                "scalar_names", "norm"}
-_KIND_KEYS = {"emos": "cell_keys", "neural": "layout"}
-
-
 def _read_checkpoint(path):
-    """(header dict, float64 block) of a checkpoint file, validated."""
+    """(header JSON value, float64 block) of a checkpoint file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != _MAGIC:
@@ -628,87 +636,76 @@ def _read_checkpoint(path):
         header = json.loads(blob[16:16 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: corrupt checkpoint header ({exc})") from exc
-    if not isinstance(header, dict) or header.get("kind") not in _KIND_KEYS:
-        raise ConfigError(f"{path}: checkpoint header lacks a known kind")
-    missing = (_HEADER_KEYS | {_KIND_KEYS[header["kind"]]}) - set(header)
-    if missing:
-        raise ConfigError(f"{path}: checkpoint header lacks {sorted(missing)}")
     block = blob[16 + hlen:]
     if len(block) % 8:
         raise ConfigError(f"{path}: truncated checkpoint parameter block")
     block = np.frombuffer(block, dtype="<f8").astype(np.float64)
     if not np.all(np.isfinite(block)):
         raise ConfigError(f"{path}: non-finite checkpoint parameters")
-    _check_header_fields(path, header)
     return header, block
 
 
-_NORM_SIZES = {"ens_mean": "predictor_names", "ens_std": "predictor_names",
-               "scalar_mean": "scalar_names", "scalar_std": "scalar_names"}
-
-
-def _list_of(value, kinds, n=None):
-    """Whether a JSON value is a list of ``kinds`` items (``n`` of them)."""
-    return (isinstance(value, list) and n in (None, len(value))
-            and all(type(v) in kinds for v in value))
-
-
-def _check_header_fields(path, header):
-    """ConfigError unless the names, station count, primary index, EMOS
-    cell keys (distinct (station, month) pairs, station below the station
-    count, month 1-12) and network normalization stats have checkpoint types
-    and ranges."""
-    def require(ok, field):
-        if not ok:
-            raise ConfigError(f"{path}: corrupt checkpoint field {field!r}")
-    for key in ("predictor_names", "scalar_names"):
-        require(_list_of(header[key], (str,)), key)
-    require(type(header["n_stations"]) is int and header["n_stations"] >= 1,
-            "n_stations")
-    require(type(header["primary"]) is int
-            and 0 <= header["primary"] < len(header["predictor_names"]),
-            "primary")
-    if header["kind"] == "emos":
-        keys = header["cell_keys"]
-        require(_list_of(keys, (list,))
-                and all(_list_of(k, (int,), 2)
-                        and 0 <= k[0] < header["n_stations"]
-                        and 1 <= k[1] <= 12 for k in keys)
-                and len({tuple(k) for k in keys}) == len(keys), "cell_keys")
-        return
-    norm = header["norm"]
-    require(isinstance(norm, dict) and set(norm) == {
-        "predictor_names", "scalar_names", *_NORM_SIZES}, "norm")
-    for key, names in _NORM_SIZES.items():
-        values = norm[key]
-        require(_list_of(values, (int, float), len(header[names]))
-                and np.all(np.isfinite(values))
-                and (key.endswith("mean") or np.all(np.asarray(values) > 0)),
-                f"norm.{key}")
+_NAMES = _list(_STRING)
+_FLOAT = _Check(lambda v: type(v) is float and _is_real(v), "a finite float")
+_STDS = _list(_Check(lambda v: _FLOAT.ok(v) and v > 0, "a finite float > 0"))
+_HEADER = dict(kind=_STRING, primary=_integer(0), predictor_names=_NAMES,
+               scalar_names=_NAMES,
+               n_stations=_Check(lambda v: _is_int(v) and v >= 1,
+                                 "a 64-bit integer >= 1"))
+# Each kind's checkpoint header, all fields required; norm as fit_norm writes it
+HEADER_CHECKS = {
+    "emos": {**_HEADER, "cell_keys": _list(_list(_integer(0), size=2)),
+             "norm": _Check(lambda v: v is None, "null"),
+             "config": {**MODEL_CHECKS, "architecture": _Check(
+                 lambda v: v == "emos", '"emos"')}},
+    "neural": {**_HEADER, "config": MODEL_CHECKS,
+               "layout": _Check(lambda v: type(v) is dict, "an object"),
+               "norm": {"predictor_names": _NAMES, "scalar_names": _NAMES,
+                        "ens_mean": _list(_FLOAT), "ens_std": _STDS,
+                        "scalar_mean": _list(_FLOAT), "scalar_std": _STDS}},
+}
 
 
 def load_model(path):
+    """The model of a checkpoint file; ConfigError names the file and the
+    header field (HEADER_CHECKS, rules across fields) or size at fault."""
     header, block = _read_checkpoint(path)
-    dims = (len(header["predictor_names"]), len(header["scalar_names"]),
-            header["n_stations"])
     try:
+        kind = header.get("kind") if type(header) is dict else None
+        if kind not in ("emos", "neural"):    # a tuple: a list needs no hash
+            raise _rejected("kind", '"emos" or "neural"', kind)
+        check_fields(header, HEADER_CHECKS[kind], required=True)
+        if header["primary"] >= len(header["predictor_names"]):
+            raise _rejected("primary", "an index of predictor_names",
+                            header["primary"])
+        for key, values in (header["norm"] or {}).items():
+            names = header["scalar_names" if key.startswith("scalar")
+                           else "predictor_names"]
+            if len(values) != len(names):
+                raise _rejected(f"norm.{key}", f"{len(names)} values", values)
+        keys = header.get("cell_keys", [])
+        if not (all(s < header["n_stations"] and 1 <= m <= 12
+                    for s, m in keys)
+                and all(a < b for a, b in zip(keys, keys[1:]))):
+            raise ConfigError("config field cell_keys: expected sorted, distinct"
+                              " [station < n_stations, month 1-12] pairs")
+        dims = (len(header["predictor_names"]), len(header["scalar_names"]),
+                header["n_stations"])
         config = ModelConfig.from_dict(header["config"])
-        check_model_size(config, *dims)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: corrupt model config ({exc})") from exc
-    common = dict(norm=header["norm"], n_stations=header["n_stations"],
-                  primary=header["primary"],
-                  predictor_names=header["predictor_names"],
-                  scalar_names=header["scalar_names"])
-    if header["kind"] == "emos":
-        if block.size != 6 * (1 + len(header["cell_keys"])):
-            raise ConfigError(f"{path}: parameter block does not match "
-                              f"{len(header['cell_keys'])} EMOS cells")
-        return EMOSModel(config, emos_params(block), header["cell_keys"],
-                         **common)
-    layout = ParamVector.build(param_shapes(config, *dims)).layout
-    if header["layout"] != {name: [off, list(shape)]
-                            for name, (off, shape) in layout.items()}:
-        raise ConfigError(f"{path}: parameter layout does not match the "
-                          "model config")
-    return NeuralModel(config, ParamVector(block, layout), **common)
+        check_model_size(config, *dims, section="config")
+        # sizes first, so that no block count past the file is enumerated
+        count = (6 * (1 + len(keys)) if kind == "emos"
+                 else _param_counts(config, dims)[1])
+        if block.size != count:
+            raise ConfigError(f"parameter block holds {block.size} values, "
+                              f"the header {count}")
+        fields = {k: header[k] for k in ("norm", *_HEADER) if k != "kind"}
+        if kind == "emos":
+            return EMOSModel(config, emos_params(block), keys, **fields)
+        layout = ParamVector.build(param_shapes(config, *dims)).layout
+        if header["layout"] != {name: [off, list(shape)]
+                                for name, (off, shape) in layout.items()}:
+            raise ConfigError("parameter layout does not match the config")
+        return NeuralModel(config, ParamVector(block, layout), **fields)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: corrupt checkpoint: {exc}") from exc

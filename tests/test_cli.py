@@ -702,6 +702,51 @@ def test_corrupt_emos_checkpoint_exits_2(tmp_path, capsys, corruption):
     assert not (eval_dir / "evaluation.json").exists()
 
 
+@pytest.fixture(scope="module")
+def one_model_pools(tmp_path_factory):
+    """A synthetic dataset's ``data.path`` override, and the directory of a
+    one-model drn and EMOS pool trained on it."""
+    tmp = tmp_path_factory.mktemp("pools")
+    assert _run("synth", tmp / "synth", SYNTH_SETS) == 0
+    data = f'data.path="{tmp / "synth" / "dataset.ndjson"}"'
+    for arch in ("drn", "emos"):
+        assert _run("train", tmp / arch, [data] + MODEL_SETS + [
+            f"model.architecture={arch}", "train.pool_size=1"]) == 0
+    return data, tmp
+
+
+@pytest.mark.parametrize("arch,where,value", [
+    ("drn", ("kind",), []), ("emos", ("kind",), {}),
+    ("drn", ("norm", "ens_mean", 0), 10**30),
+    ("drn", ("config", "n_attention_blocks"), 1.5),
+    ("drn", ("config", "n_attention_blocks"), True),
+    ("emos", ("n_stations",), 10**30)], ids=[
+        "kind=[]", "kind={}", "norm.ens_mean=1e30", "n_attention_blocks=1.5",
+        "n_attention_blocks=true", "n_stations=1e30"])
+def test_mistyped_checkpoint_header_fields_exit_2_naming_them(
+        one_model_pools, tmp_path, capsys, arch, where, value):
+    # each header field is checked as the same --set field of a run config
+    # is, and any value it rejects exits 2 naming it, without a traceback
+    data, pools = one_model_pools
+    checkpoint = tmp_path / "pool" / "model_000.bin"
+    checkpoint.parent.mkdir()
+    checkpoint.write_bytes((pools / arch / "model_000.bin").read_bytes())
+    blob = checkpoint.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = node = json.loads(blob[16:16 + hlen])
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    _rewrite_checkpoint(checkpoint, header)
+    capsys.readouterr()
+    assert _run("evaluate", tmp_path / "eval", [
+        data, f'eval.checkpoints="{checkpoint.parent}"']) == 2
+    err = capsys.readouterr().err
+    field = ".".join(key for key in where if type(key) is str)
+    assert f"corrupt checkpoint: config field {field}: expected" in err
+    assert "Traceback" not in err
+
+
 def test_mistyped_ndjson_and_chi_predictor_exit_2(tmp_path, capsys):
     synth_dir = tmp_path / "synth"
     assert _run("synth", synth_dir, SYNTH_SETS) == 0

@@ -8,6 +8,7 @@ import struct
 import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from enspost import models
 from enspost.data import (Dataset, SynthConfig, fit_norm, generate_synthetic,
                           standardize)
 from enspost.dist import QuantileLevels
-from enspost.errors import ConfigError, DomainError, NumericError
+from enspost.errors import (ConfigError, ContractError, DomainError,
+                             NumericError)
 from enspost.models import (ARCHITECTURES, POOLING_KINDS, EMOSModel,
                             ModelConfig, NeuralModel, build_graph,
                             check_model_size, emos_params, graph_inputs,
@@ -634,3 +636,62 @@ def test_byte_flipped_checkpoints_raise_typed_errors_or_load_finite(kind,
         except (ConfigError, NumericError):
             return
     assert np.all(np.isfinite(theta))
+
+
+# Any JSON value: null, bools, integers up to 10**30, floats with NaN and the
+# infinities, strings, and lists and objects of them.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner,
+                                     max_size=2)),
+    max_leaves=4)
+_TYPED_ERRORS = (ConfigError, ContractError, DomainError, NumericError)
+
+
+@settings(max_examples=600)
+@given(kind=st.sampled_from(["emos", "drn", "st-bqn"]), data=st.data())
+def test_mutated_checkpoint_headers_raise_typed_errors_or_load_finite(kind,
+                                                                    data):
+    # one JSON value of the header, its config or its norm stats replaced
+    header, block = _split_checkpoint(_checkpoint_bytes(kind))
+    section = data.draw(st.sampled_from(
+        [None, "config"] + (["norm"] if kind != "emos" else [])),
+        label="section")
+    fields = header[section] if section else header
+    fields[data.draw(st.sampled_from(sorted(fields)), label="field")] = \
+        data.draw(_JSON_VALUES, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        _write_checkpoint(path, header, block)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")   # overflow, EMOS fallback
+                theta = load_model(path).raw_theta(_dataset())
+        except _TYPED_ERRORS:
+            return
+    assert np.all(np.isfinite(theta))
+
+
+def test_emos_cell_lookup_memory_follows_rows_not_the_station_count(
+        tmp_path):
+    # a station count that fits int64 loads, and finds the same cells
+    # without a table of one slot per station and month
+    header, block = _split_checkpoint(_checkpoint_bytes("emos"))
+    saved, wide = tmp_path / "saved.bin", tmp_path / "wide.bin"
+    _write_checkpoint(saved, header, block)
+    _write_checkpoint(wide, {**header, "n_stations": 2**62}, block)
+    ds = _dataset()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # EMOS fallback
+        expected = load_model(saved).raw_theta(ds)
+        model = load_model(wide)
+        tracemalloc.start()
+        try:
+            theta = model.raw_theta(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert theta.tobytes() == expected.tobytes()
+    assert peak < 1 << 20
