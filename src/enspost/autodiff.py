@@ -18,12 +18,14 @@ float64 array, so no constant is boxed and no closure computes a gradient
 for one.  :func:`eval_graph` hands the graph the parameter views
 themselves, so a forward is plain NumPy: it builds no Tensor, keeps no
 graph, and frees each intermediate as soon as the graph function drops it.
-A node stores the first gradient it receives as is and adds later ones out
-of place, so backward closures never write into their incoming gradient.
-A graph's backward runs once: it releases each interior node's gradient,
-closure and parent links as soon as the closure has run, so the
-activations of a training step are freed as the reverse sweep passes them
-and only the leaf gradients remain.
+A node stores the first gradient it receives as is and adds the second out
+of place, so backward closures never write into their incoming gradient;
+later ones go in place into that sum, which the node owns.
+A graph's backward runs once: it releases every interior node's value
+before the sweep, so an activation lives on only where a closure captured
+it, and each interior node's gradient, closure and parent links as soon as
+the closure has run, so the activations of a training step are freed as
+the reverse sweep passes them and only the leaf gradients remain.
 A graph is a plain function ``fn(params, inputs) -> Tensor or array``: only
 the parameter slices become leaves, and the input arrays (integer station
 or cell ids included) reach ``fn`` as the caller passed them.
@@ -140,7 +142,7 @@ class Tensor:
     tape; :func:`value_of` reads its array.
     """
 
-    __slots__ = ("value", "grad", "op", "_parents", "_backward")
+    __slots__ = ("value", "grad", "op", "_parents", "_backward", "_owns_grad")
     __array_ufunc__ = None
 
     def __init__(self, value, parents=(), backward=None, op="leaf"):
@@ -149,10 +151,12 @@ class Tensor:
         self.op = op
         self._parents = parents
         self._backward = backward
+        self._owns_grad = False
 
     @property
     def shape(self):
-        return self.value.shape
+        """The value's shape; None once :meth:`backward` released it."""
+        return None if self.value is None else self.value.shape
 
     # -- graph traversal ----------------------------------------------------
 
@@ -174,16 +178,23 @@ class Tensor:
     def backward(self):
         """Accumulate the gradient of this scalar into every leaf on the tape.
 
-        A graph's backward runs once: the reverse sweep drops each interior
-        node's gradient, backward closure and parent links right after the
-        closure runs, so the node and the arrays its closure captured are
-        freed as the sweep passes them.  Leaf gradients stay.
+        A graph's backward runs once.  Before the sweep it sets the value of
+        every interior node to None (leaves and this root keep theirs), so
+        an activation that no closure captured, such as a pre-activation or
+        a residual operand, is freed before the backward's temporaries
+        peak.  The reverse sweep then drops each interior node's gradient,
+        backward closure and parent links right after the closure runs, so
+        the arrays its closure captured are freed as the sweep passes them.
+        Leaf gradients stay.
         """
         if self.value.ndim != 0 and self.value.size != 1:
             raise ContractError("backward requires a scalar output")
         order = self._topo()
         for node in order:
             node.grad = None
+            node._owns_grad = False
+            if node._backward is not None and node is not self:
+                node.value = None
         self.grad = np.ones_like(self.value)
         while order:
             node = order.pop()
@@ -196,8 +207,15 @@ class Tensor:
 
     def _accumulate(self, g):
         # the first gradient may alias another node's or be a read-only
-        # broadcast view, so later ones are added out of place
-        self.grad = g if self.grad is None else self.grad + g
+        # broadcast view, so the second is added out of place; that sum is
+        # this node's own, and later ones are added into it
+        if self.grad is None:
+            self.grad = g
+        elif self._owns_grad:
+            self.grad += g
+        else:
+            self.grad = self.grad + g
+            self._owns_grad = True
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -236,7 +254,7 @@ class Tensor:
         return take(self, key)
 
     def __repr__(self):
-        return f"Tensor(op={self.op!r}, shape={self.value.shape})"
+        return f"Tensor(op={self.op!r}, shape={self.shape})"
 
 
 def value_of(x):
@@ -265,12 +283,13 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     av, bv = value_of(a), value_of(b)
+    a_shape, b_shape = av.shape, bv.shape
 
     def backward(g):
         if isinstance(a, Tensor):
-            a._accumulate(_unbroadcast(g, av.shape))
+            a._accumulate(_unbroadcast(g, a_shape))
         if isinstance(b, Tensor):
-            b._accumulate(_unbroadcast(g, bv.shape))
+            b._accumulate(_unbroadcast(g, b_shape))
 
     return _node(av + bv, (a, b), backward, "add")
 
@@ -492,6 +511,15 @@ def _merge_heads(t):
     return t.transpose(0, 2, 1, 3).reshape(n, s, heads * d)
 
 
+def _project(x, w, heads, scale=None):
+    """Head-split projection ``x @ w`` (times ``scale``): the forward's Q,
+    K and V, and the backward's recomputation of them."""
+    t = x @ w
+    if scale is not None:
+        t *= scale
+    return _split_heads(t, heads)
+
+
 def attention(xq, xk, xv, wq, wk, wv, wo, heads):
     """Multi-head softmax attention as one tape node.
 
@@ -507,6 +535,12 @@ def attention(xq, xk, xv, wq, wk, wv, wo, heads):
     by hand: the softmax step uses ``gS = P ⊙ (gP − rowsum(gP ⊙ P))`` with
     the row sum taken as the equal, smaller ``rowsum(gO ⊙ O)`` (Dao et al.
     2022), and every weight gradient is one 2-D GEMM.
+
+    For its backward the node keeps only the exponentiated scores, their
+    row sums, the merged head outputs and its input arrays.  The backward
+    recomputes Q, K and V with the forward's expressions, as FlashAttention
+    does, normalises the scores in place (a graph's backward runs once) and
+    drops each temporary after its last use.
     """
     operands = (xq, xk, xv, wq, wk, wv, wo)
     xq_v, xk_v, xv_v, wq_v, wk_v, wv_v, wo_v = (value_of(t) for t in operands)
@@ -514,43 +548,51 @@ def attention(xq, xk, xv, wq, wk, wv, wo, heads):
     if width % heads != 0:
         raise ConfigError("heads must divide the channel width")
     scale = 1.0 / np.sqrt(width / heads)
-    q = xq_v @ wq_v
-    q *= scale
-    q = _split_heads(q, heads)
-    k = _split_heads(xk_v @ wk_v, heads)
-    v = _split_heads(xv_v @ wv_v, heads)
-    e = q @ np.swapaxes(k, -1, -2)        # scaled scores, exponentiated
-    e -= e.max(axis=-1, keepdims=True)
+    e = _project(xq_v, wq_v, heads, scale) @ np.swapaxes(
+        _project(xk_v, wk_v, heads), -1, -2)
+    e -= e.max(axis=-1, keepdims=True)    # scaled scores, exponentiated
     np.exp(e, out=e)
     rows = e.reshape(-1, e.shape[-1])     # row sums as one GEMV
     total = (rows @ np.ones(rows.shape[1])).reshape(*e.shape[:-1], 1)
-    o = e @ v
+    o = e @ _project(xv_v, wv_v, heads)
     o /= total                            # softmax(scores) @ V
     mixed = _merge_heads(o)
+    del o
 
     def backward(g):
-        p = e / total
+        p = e
+        p /= total                        # e / total, in place
         if isinstance(wo, Tensor):
             wo._accumulate(_weight_grad(mixed, g))
         go = _split_heads(g @ wo_v.T, heads)
-        gv = np.swapaxes(p, -1, -2) @ go
-        gs = go @ np.swapaxes(v, -1, -2)
-        gs -= np.einsum("...i,...i->...", go, o)[..., None]
+        gs = go @ np.swapaxes(_project(xv_v, wv_v, heads), -1, -2)
+        gs -= np.einsum("...i,...i->...", go,
+                        _split_heads(mixed, heads))[..., None]
         gs *= p
-        gq = gs @ k
+        gq = gs @ _project(xk_v, wk_v, heads)
         gq *= scale
-        gk = np.swapaxes(gs, -1, -2) @ q
-        for x, w, gh in ((xq, wq, gq), (xk, wk, gk), (xv, wv, gv)):
-            x_v, w_v = value_of(x), value_of(w)
-            if gh.shape[0] != x_v.shape[0]:   # shared by the batch
-                gh = gh.sum(axis=0, keepdims=True)
-            gh = _merge_heads(gh)
-            if isinstance(w, Tensor):
-                w._accumulate(_weight_grad(x_v, gh))
-            if isinstance(x, Tensor):
-                x._accumulate(gh @ w_v.T)
+        _projection_grads(xq, wq, xq_v, wq_v, gq)
+        del gq
+        gk = np.swapaxes(gs, -1, -2) @ _project(xq_v, wq_v, heads, scale)
+        del gs
+        _projection_grads(xk, wk, xk_v, wk_v, gk)
+        del gk
+        gv = np.swapaxes(p, -1, -2) @ go
+        del go
+        _projection_grads(xv, wv, xv_v, wv_v, gv)
 
     return _node(mixed @ wo_v, operands, backward, "attention")
+
+
+def _projection_grads(x, w, x_v, w_v, gh):
+    """Pass the head-split gradient ``gh`` of ``x @ w`` to ``w`` and ``x``."""
+    if gh.shape[0] != x_v.shape[0]:       # a query shared by the batch
+        gh = gh.sum(axis=0, keepdims=True)
+    gh = _merge_heads(gh)
+    if isinstance(w, Tensor):
+        w._accumulate(_weight_grad(x_v, gh))
+    if isinstance(x, Tensor):
+        x._accumulate(gh @ w_v.T)
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def inputs_mean_crps(model, inputs, observations):
     """:func:`model_mean_crps` of graph inputs from ``model.inputs`` (or
     ``model.shuffled_inputs``) and their observations."""
     return theta_mean_crps(model.forward(inputs), observations, model.family,
-                           model.config.quantile_levels)
+                           model.config.crps_levels)
 
 
 def raw_eps_report(dataset: Dataset, level=None, pit_bins=20, rng=None):

@@ -81,6 +81,12 @@ class ModelConfig:
         """The level grid of the quantile loss and the Bernstein CRPS."""
         return dist_mod.QuantileLevels.equidistant(self.n_quantile_levels)
 
+    @property
+    def crps_levels(self):
+        """The level grid the CRPS reads: Bernstein forecasts only, so a
+        truncated-logistic model never builds one."""
+        return self.quantile_levels if self.family == "bqn" else None
+
     def to_dict(self):
         d = asdict(self)
         d["hidden_sizes"] = list(self.hidden_sizes)

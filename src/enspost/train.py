@@ -54,10 +54,11 @@ def loss_graph(config: ModelConfig, loss=None):
     if loss not in ("crps", "quantile_score"):
         raise ConfigError(f"unknown loss {loss!r}")
     base = build_graph(config)
-    levels = config.quantile_levels.levels
     if loss == "crps":
-        crps = crps_map(config.family, levels, config.bernstein_degree)
+        crps = crps_map(config.family, config.crps_levels,
+                        config.bernstein_degree)
         return lambda P, I: ad.mean(crps(base(P, I), I["y"]))
+    levels = config.quantile_levels.levels
     quantiles = quantile_map(config.family, levels, config.bernstein_degree)
     return lambda P, I: _pinball_mean(quantiles(base(P, I)), I["y"], levels)
 
@@ -146,7 +147,7 @@ def _init_output_bias(params: ParamVector, config: ModelConfig, obs):
 
 def _val_crps(config, graph, params, inputs, obs):
     return theta_mean_crps(eval_chunked(config, graph, params, inputs), obs,
-                           config.family, config.quantile_levels)
+                           config.family, config.crps_levels)
 
 
 def _check_split(train, val):

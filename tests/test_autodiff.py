@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import enspost.autodiff as ad
+from enspost.data import SynthConfig, fit_norm, generate_synthetic
 from enspost.dist import crps_tlogis_core
 from enspost.errors import ConfigError, ContractError, NumericError
-from enspost.train import Adam
+from enspost.models import ModelConfig, graph_inputs, init_params
+from enspost.train import Adam, loss_graph
 from oracles import (central_difference, crps_tlogis_composed, exp,
                      multihead_attention_ref, softmax, softplus_ref,
                      transpose, trunc_tail, where)
@@ -501,10 +503,10 @@ def _backward_keeping_upstream(graph, pv):
 
 
 @pytest.mark.parametrize("case", ["add_twice", "residual_attention",
-                                  "mean_into_matmul"])
-def test_backward_never_writes_into_incoming_gradients(case):
+                                  "mean_into_matmul", "three_into_one"])
+def test_backward_never_writes_into_incoming_gradients(case, monkeypatch):
     weights = {"add_twice": "", "residual_attention": "qkvo",
-               "mean_into_matmul": "q"}[case]
+               "mean_into_matmul": "q", "three_into_one": ""}[case]
     shapes = {"x": (2, 4, 4), **{f"w{c}": (4, 4) for c in weights}}
 
     def fn(P, I):
@@ -515,6 +517,11 @@ def test_backward_never_writes_into_incoming_gradients(case):
             h = x + ad.attention(x, x, x, P["wq"], P["wk"], P["wv"],
                                  P["wo"], 2)
             return ad._sum(ad.tanh(h))
+        if case == "three_into_one":
+            # x gets _sum's read-only broadcast view first, then mul's two
+            # gradients and tanh's
+            return (ad._sum(x) + ad._sum(ad.tanh(x * x))
+                    + ad._sum(ad.tanh(x)))
         return ad.mean(x @ P["wq"])
 
     pv = _random_params(shapes, seed=5)
@@ -524,6 +531,22 @@ def test_backward_never_writes_into_incoming_gradients(case):
     assert ad.value_and_grad(fn, pv)[1].tobytes() == analytic.tobytes()
     if case == "mean_into_matmul":
         assert any(not g.flags.writeable for g, _ in seen)
+    if case == "three_into_one":
+        received, accumulate = [], ad.Tensor._accumulate
+
+        def spy(node, g):
+            if node.op == "param:x":
+                received.append((g, g.copy()))
+            accumulate(node, g)
+
+        monkeypatch.setattr(ad.Tensor, "_accumulate", spy)
+        flat = ad.value_and_grad(fn, pv)[1]
+        assert len(received) >= 3 and not received[0][0].flags.writeable
+        assert all(g.tobytes() == before.tobytes() for g, before in received)
+        expected = received[0][1]
+        for _, g in received[1:]:
+            expected = expected + g
+        assert flat.tobytes() == expected.tobytes()
 
     def f(flat):
         return float(ad.eval_graph(fn, ad.ParamVector(flat, pv.layout)))
@@ -673,6 +696,30 @@ def test_backward_frees_each_interior_gradient_as_it_walks():
     np.testing.assert_allclose(grad, expected, rtol=1e-12)
 
 
+def test_set_model_training_step_keeps_only_what_its_gradients_need():
+    # one st-bqn step at the benchmark workload's sizes (batch 64, 20
+    # members, latent 32, 4 heads); a tape that kept Q, K, V, the
+    # normalised scores and every interior value through the backward
+    # rose by 8.2 MiB
+    ds = generate_synthetic(SynthConfig(stations=8, days=8, members=20))
+    config = ModelConfig(architecture="st-bqn", latent_width=32,
+                         attention_heads=4, n_attention_blocks=1,
+                         hidden_sizes=(32, 16), batch_size=64)
+    inputs = {**graph_inputs(config, ds, fit_norm(ds)), "y": ds.obs}
+    params = init_params(config, ds.n_predictors, ds.n_scalars,
+                         ds.n_stations)
+    loss = loss_graph(config)
+    assert len(ds) == 64
+    ad.value_and_grad(loss, params, inputs)     # warm-up
+    tracemalloc.start()
+    try:
+        ad.value_and_grad(loss, params, inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+
+
 def test_backward_keeps_leaf_gradients_and_drops_interior_ones():
     pv = _random_params({"x": (3,), "w": (3,)}, seed=2)
     out, leaves = ad._run(
@@ -682,6 +729,15 @@ def test_backward_keeps_leaf_gradients_and_drops_interior_ones():
     assert all(leaf.grad is not None for leaf in leaves.values())
     assert all(node.grad is None and node._backward is None
                and not node._parents for node in interior)
+    # every interior value but the root's is released before the sweep;
+    # the leaves still alias the parameter vector
+    assert out.value is not None
+    assert all(node.value is None for node in interior if node is not out)
+    assert all(leaf.value is pv.view(name)
+               and np.shares_memory(leaf.value, pv.values)
+               for name, leaf in leaves.items())
+    assert sorted(repr(node) for node in interior if node is not out) == [
+        "Tensor(op='mul', shape=None)", "Tensor(op='tanh', shape=None)"]
 
 
 # ---------------------------------------------------------------------------

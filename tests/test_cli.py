@@ -747,6 +747,31 @@ def test_mistyped_checkpoint_header_fields_exit_2_naming_them(
     assert "Traceback" not in err
 
 
+def test_importance_of_a_tlogis_model_builds_no_level_grid(one_model_pools,
+                                                            tmp_path):
+    # truncated-logistic scoring never reads the level grid, so a header's
+    # level count too large to allocate leaves importance.json unchanged
+    data, pools = one_model_pools
+    reports = {}
+    for levels in (None, 10**17):
+        checkpoint = tmp_path / f"pool_{levels}" / "model_000.bin"
+        checkpoint.parent.mkdir()
+        checkpoint.write_bytes((pools / "drn" / "model_000.bin").read_bytes())
+        if levels is not None:
+            blob = checkpoint.read_bytes()
+            (hlen,) = struct.unpack("<Q", blob[8:16])
+            config = json.loads(blob[16:16 + hlen])["config"]
+            _rewrite_checkpoint(checkpoint, {
+                "config": {**config, "n_quantile_levels": levels}})
+        out = tmp_path / f"imp_{levels}"
+        assert _run("importance", out, [
+            data, f'importance.checkpoints="{checkpoint.parent}"',
+            "importance.bins=15", 'importance.statistics=["mean"]',
+            "importance.predictors=[0]"]) == 0
+        reports[levels] = (out / "importance.json").read_bytes()
+    assert reports[10**17] == reports[None]
+
+
 def test_mistyped_ndjson_and_chi_predictor_exit_2(tmp_path, capsys):
     synth_dir = tmp_path / "synth"
     assert _run("synth", synth_dir, SYNTH_SETS) == 0
