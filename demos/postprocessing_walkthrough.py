@@ -13,9 +13,10 @@ import numpy as np
 
 from enspost.data import SynthConfig, generate_synthetic, split_temporal
 from enspost.evaluation import (model_mean_crps, nominal_pi_level, pit_csv,
-                                raw_eps_report, report_table)
+                                raw_eps_report, report_table,
+                                resample_and_score)
 from enspost.models import ModelConfig
-from enspost.train import resample_and_score, train_pool
+from enspost.train import train_pool
 
 DAYS = 800
 POOL = 3

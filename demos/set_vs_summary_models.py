@@ -15,9 +15,10 @@ part; the whole script takes on the order of fifteen minutes.
 import numpy as np
 
 from enspost.data import SynthConfig, generate_synthetic, split_temporal
+from enspost.evaluation import resample_and_score
 from enspost.importance import spearman, summary_statistic
 from enspost.models import ModelConfig
-from enspost.train import resample_and_score, train_pool
+from enspost.train import train_pool
 
 dataset = generate_synthetic(SynthConfig(stations=8, days=1000, seed=3))
 train, val, test = split_temporal(dataset, (0.7, 0.15, 0.15))

@@ -371,28 +371,6 @@ def softplus(a):
                  lambda g: a._accumulate(g * _sigmoid(av)), "softplus")
 
 
-def _trunc_tail_value(lb):
-    """Stable evaluation of ``e^{2 softplus(lb)} (softplus(-lb) - sigmoid(-lb))``.
-
-    This is the tail contribution of the truncated-logistic CRPS.  Written
-    in terms of ``w = sigmoid(-lb)`` it equals ``(-log1p(-w) - w) / w**2``,
-    which tends to 1/2 as lb grows; the naive difference of softplus and
-    sigmoid cancels catastrophically there, so small ``w`` switches to the
-    Taylor series ``1/2 + w/3 + w^2/4 + w^3/5 + w^4/6``.  Its derivative
-    follows from d/dw[(-log1p(-w) - w)/w^2] together with dw/dlb = -w(1-w):
-    it collapses to ``g'(lb) = 2 sigmoid(lb) g(lb) - 1``.
-    """
-    lb = np.asarray(lb, dtype=np.float64)
-    small = lb > 6.9  # w = sigmoid(-lb) < 1e-3
-    lb_d = np.minimum(lb, 6.9)  # keeps the unused direct branch finite
-    direct = np.exp(2.0 * np.logaddexp(0.0, lb_d)) * (
-        np.logaddexp(0.0, -lb_d) - _sigmoid(-lb_d)
-    )
-    w = _sigmoid(-lb)
-    series = 0.5 + w * (1.0 / 3.0 + w * (0.25 + w * (0.2 + w / 6.0)))
-    return np.where(small, series, direct)
-
-
 def _sum(a, axis=None):
     av = value_of(a)
 

@@ -50,12 +50,12 @@ from .errors import ConfigError, ContractError, DomainError, NumericError
 # binds them on first access, as a top-level import would.
 _DEFERRED = {
     "evaluation": ("nominal_pi_level", "pit_csv", "raw_eps_report",
-                   "report_table"),
+                   "report_table", "resample_and_score"),
     "importance": ("DEFAULT_BINS", "SUMMARY_KINDS", "importance_report",
                    "preservation_csv"),
     "models": ("MODEL_CHECKS", "ModelConfig", "ModelPool", "_too_large",
                "load_model", "save_model"),
-    "train": ("resample_and_score", "train_pool"),
+    "train": ("train_pool",),
 }
 
 
@@ -360,7 +360,7 @@ def cmd_evaluate(config, out_dir):
     ``draw_size``-subsets of the pool are aggregated and scored; without
     one, only the raw-ensemble (EPS) baseline row is produced.
     """
-    _load("evaluation", "models", "train")
+    _load("evaluation", "models")
     t0 = time.perf_counter()
     _, _, test_set = _load_datasets(config)
     section = config.get("eval", {})

@@ -1,8 +1,8 @@
 """Forecast distributions, proper scoring rules and PIT computation.
 
 Two forecast representations are supported: a logistic distribution
-left-truncated at a lower bound (default 0) parameterized by location and
-scale, and a Bernstein quantile function with non-decreasing coefficients.
+left-truncated at 0 parameterized by location and scale, and a Bernstein
+quantile function with non-decreasing coefficients.
 The scoring rules (closed-form and ensemble CRPS) double as training losses
 and as evaluation metrics: one formula serves NumPy arrays and autodiff
 Tensors alike (an ``ad.*`` op on arrays returns an array) and gives both the
@@ -30,12 +30,11 @@ DEFAULT_N_LEVELS = 99
 
 @dataclass(frozen=True)
 class TruncLogistic:
-    """Logistic distributions left-truncated at ``lower``, one forecast per
-    entry of ``location`` and ``scale`` (scalars for a single forecast)."""
+    """Logistic distributions left-truncated at 0, one forecast per entry
+    of ``location`` and ``scale`` (scalars for a single forecast)."""
 
     location: float | np.ndarray
     scale: float | np.ndarray
-    lower: float = 0.0
 
     def __post_init__(self):
         if np.shape(self.location) != np.shape(self.scale):
@@ -154,8 +153,30 @@ def tlogis_map(theta):
 _TRUNC_CLAMP = 300.0  # switch to the deep-truncation limit beyond this
 
 
-def crps_tlogis_core(mu, sigma, y, lower):
-    """Closed-form CRPS of a left-truncated logistic distribution.
+def _trunc_tail_value(lb):
+    """Stable evaluation of ``e^{2 softplus(lb)} (softplus(-lb) - sigmoid(-lb))``.
+
+    This is the tail contribution of the truncated-logistic CRPS.  Written
+    in terms of ``w = sigmoid(-lb)`` it equals ``(-log1p(-w) - w) / w**2``,
+    which tends to 1/2 as lb grows; the naive difference of softplus and
+    sigmoid cancels catastrophically there, so small ``w`` switches to the
+    Taylor series ``1/2 + w/3 + w^2/4 + w^3/5 + w^4/6``.  Its derivative
+    follows from d/dw[(-log1p(-w) - w)/w^2] together with dw/dlb = -w(1-w):
+    it collapses to ``g'(lb) = 2 sigmoid(lb) g(lb) - 1``.
+    """
+    lb = np.asarray(lb, dtype=np.float64)
+    small = lb > 6.9  # w = sigmoid(-lb) < 1e-3
+    lb_d = np.minimum(lb, 6.9)  # keeps the unused direct branch finite
+    direct = np.exp(2.0 * np.logaddexp(0.0, lb_d)) * (
+        np.logaddexp(0.0, -lb_d) - ad._sigmoid(-lb_d)
+    )
+    w = ad._sigmoid(-lb)
+    series = 0.5 + w * (1.0 / 3.0 + w * (0.25 + w * (0.2 + w / 6.0)))
+    return np.where(small, series, direct)
+
+
+def crps_tlogis_core(mu, sigma, y):
+    """Closed-form CRPS of a logistic distribution left-truncated at 0.
 
     With standardized observation u (clamped below at the standardized
     truncation point lb) and softplus SP, the survival function of the
@@ -163,9 +184,9 @@ def crps_tlogis_core(mu, sigma, y, lower):
     squared CDF error gives
 
         CRPS / sigma = (u - lb) + 2 e^{SP(lb)} (SP(-u) - SP(-lb))
-                       + g(lb) + (lower - y)_+ / sigma
+                       + g(lb) + (-y)_+ / sigma
 
-    where g is the stable tail term of :func:`autodiff._trunc_tail_value`.
+    where g is the stable tail term of :func:`_trunc_tail_value`.
     This form holds full accuracy however much probability mass the
     truncation removes (the textbook 1/(1 - F(lb))^2 normalization cancels
     catastrophically once most mass lies below the bound).  Past lb = 300
@@ -192,7 +213,7 @@ def crps_tlogis_core(mu, sigma, y, lower):
     """
     mu_v, sigma_v, y = ad.value_of(mu), ad.value_of(sigma), ad.value_of(y)
     y_std = (y - mu_v) / sigma_v
-    lb = (lower - mu_v) / sigma_v
+    lb = (0.0 - mu_v) / sigma_v
     above = y_std > lb
     t = np.where(above, y_std - lb, 0.0 * y_std)
     deep = lb >= _TRUNC_CLAMP
@@ -204,9 +225,9 @@ def crps_tlogis_core(mu, sigma, y, lower):
     mid_direct = 2.0 * amp * (sp_t - sp_lb)
     decay = np.exp(-t)
     mid = np.where(deep, 2.0 * (decay - 1.0), mid_direct)
-    tail = ad._trunc_tail_value(lb_c)
+    tail = _trunc_tail_value(lb_c)
     core = t + mid + tail
-    below = np.where(y < lower, (lower - y) / sigma_v, 0.0 * y_std)
+    below = np.where(y < 0.0, (0.0 - y) / sigma_v, 0.0 * y_std)
 
     def backward(g):
         sig_lb, sig_t = ad._sigmoid(lb_c), ad._sigmoid(-(lb_c + t))
@@ -233,7 +254,7 @@ def _scalar_or_array(out):
 def crps_tlogis(dist: TruncLogistic, y):
     """CRPS of truncated logistic forecasts; broadcasts forecasts and ``y``."""
     return _scalar_or_array(crps_tlogis_core(
-        dist.location, dist.scale, np.asarray(y, dtype=np.float64), dist.lower))
+        dist.location, dist.scale, np.asarray(y, dtype=np.float64)))
 
 
 def tlogis_cdf(dist: TruncLogistic, y):
@@ -241,7 +262,7 @@ def tlogis_cdf(dist: TruncLogistic, y):
     -expm1(SP(lb) - SP(u)) with softplus SP (as in :func:`crps_tlogis_core`):
     accurate however much mass the truncation removes."""
     u = (np.asarray(y, dtype=np.float64) - dist.location) / dist.scale
-    lb = (dist.lower - dist.location) / dist.scale
+    lb = (0.0 - dist.location) / dist.scale
     # log survival ratio, capped at 0 below the bound; "0.0 -" returns +0.0
     log_ratio = np.minimum(ad.softplus(lb) - ad.softplus(u), 0.0)
     return _scalar_or_array(0.0 - np.expm1(log_ratio))
@@ -253,21 +274,21 @@ def tlogis_quantile(dist: TruncLogistic, p):
     if np.any(p <= 0) or np.any(p >= 1):
         raise DomainError("p must lie strictly inside (0, 1)")
     return _scalar_or_array(
-        tlogis_quantile_core(dist.location, dist.scale, p, dist.lower))
+        tlogis_quantile_core(dist.location, dist.scale, p))
 
 
-def tlogis_quantile_core(mu, sigma, p, lower=0.0):
+def tlogis_quantile_core(mu, sigma, p):
     """Inverse CDF of the truncated logistic, broadcasting (mu, sigma) over p.
 
-    With lb = (lower - mu) / sigma the truncated level p maps to the base
+    With lb = -mu / sigma the truncated level p maps to the base
     level qq = sigmoid(lb) + p sigmoid(-lb).  The standardized offset from
     the bound, logit(qq) - lb, simplifies to softplus(log p - lb) -
     log1p(-p).  This form keeps full relative accuracy however much mass the
     truncation removes, where mu + sigma logit(qq) rounds 1 - qq to 0 and
     returns +inf.
     """
-    lb = (lower - mu) / sigma
-    return lower + sigma * (ad.softplus(-lb + np.log(p)) - np.log1p(-p))
+    lb = (0.0 - mu) / sigma
+    return 0.0 + sigma * (ad.softplus(-lb + np.log(p)) - np.log1p(-p))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +354,7 @@ def crps_map(family, levels, degree):
     if family == "tlogis":
         def crps(theta, obs):
             mu, sigma = tlogis_params(theta)
-            return crps_tlogis_core(mu, sigma, obs, 0.0)
+            return crps_tlogis_core(mu, sigma, obs)
         return crps
     quantiles = quantile_map(family, levels, degree)
     return lambda theta, obs: crps_sample_batch(quantiles(theta), obs)

@@ -7,7 +7,8 @@ Forecasts come in two shapes.  A batched distribution object, one
 scored by :func:`evaluate`: truncated-logistic forecasts in closed form,
 Bernstein forecasts as K-point empirical forecasts via the ensemble CRPS.
 An (n, K) quantile matrix, such as an aggregated pool or the raw ensemble
-itself (the EPS baseline), is scored by :func:`evaluate_quantiles`.
+itself (the EPS baseline), is scored by :func:`evaluate_quantiles`; a
+multi-seed pool's random k-subsets by :func:`resample_and_score`.
 """
 
 from __future__ import annotations
@@ -188,6 +189,49 @@ def raw_eps_report(dataset: Dataset, level=None, pit_bins=20, rng=None):
     return evaluate_quantiles(members, dataset.obs, level,
                               levels=QuantileLevels.equidistant(m),
                               pit_bins=pit_bins, rng=rng)
+
+
+def resample_and_score(pool, test: Dataset, k=10, reps=50, rng=None,
+                       level=None, pit_bins=20):
+    """Score ``reps`` random k-subsets of a ``ModelPool`` on the test set.
+
+    Draws are without replacement within a draw.  Each pool member's
+    quantiles are computed once and kept, so memory grows with the pool
+    size, not the draw size; a draw averages them level-wise.  Returns the
+    list of per-draw EvaluationReports and a summary dict
+    (mean/min/max/spread of the mean CRPS across draws).
+    """
+    if not 1 <= k <= len(pool):
+        raise DomainError(f"draw size {k} outside 1..{len(pool)} (pool size)")
+    if reps < 1:
+        raise DomainError("reps must be at least 1")
+    rng = rng if rng is not None else np.random.default_rng(0)
+    levels = pool.config.quantile_levels
+    if level is None:
+        level = float(nominal_pi_level(test.n_members))
+
+    stack = np.empty((len(pool), len(test), len(levels)))
+    for i, model in enumerate(pool.models):
+        stack[i] = model.quantiles(test, levels)
+    reports = []
+    for _ in range(reps):
+        idx = rng.choice(len(pool), size=k, replace=False)
+        total = stack[idx[0]].copy()
+        for i in idx[1:]:   # in draw order, as np.mean of the drawn list
+            total += stack[i]
+        reports.append(evaluate_quantiles(
+            total / k, test.obs, level, levels=levels, pit_bins=pit_bins,
+            rng=rng))
+    scores = np.array([r.mean_crps for r in reports])
+    summary = {
+        "mean_crps": float(scores.mean()),
+        "min_crps": float(scores.min()),
+        "max_crps": float(scores.max()),
+        "spread": float(scores.max() - scores.min()),
+        "reps": reps,
+        "draw_size": k,
+    }
+    return reports, summary
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,9 @@ def _glorot(rng, shape):
 
 def _initializer(rng):
     def init(name, shape):
+        if name == "gamma_mat":
+            # EMOS's identity link: mu = ensemble mean, raw scale = its std
+            return np.eye(2)
         if len(shape) == 2 and not name.startswith(("emb", "pool_q")):
             return _glorot(rng, shape)
         if name.startswith(("emb", "pool_q")):

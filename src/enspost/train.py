@@ -1,5 +1,4 @@
-"""Optimization loops, validation-based model selection, network pools and
-quantile aggregation.
+"""Optimization loops, validation-based model selection and network pools.
 
 All models are fitted by minimizing a proper scoring rule with Adam:
 truncated-logistic families minimize the closed-form CRPS, Bernstein
@@ -17,7 +16,6 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import evaluation
 from .autodiff import ParamVector
 from .data import Dataset, fit_norm
 from .dist import crps_map, quantile_map, theta_crps, theta_mean_crps
@@ -206,14 +204,11 @@ def train_model(config: ModelConfig, train: Dataset, val: Dataset):
     emos = config.architecture == "emos"
     norm = None if emos else fit_norm(train)
     inputs = graph_inputs(config, train, norm)
+    params = init_params(config, train.n_predictors, train.n_scalars,
+                         train.n_stations)
     if emos:
-        # identity link start: mu = ensemble mean, raw scale = ensemble std
-        params = ParamVector(np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), {
-            "gamma_mat": (0, (2, 2)), "gamma_vec": (4, (2,))})
         fit_config = replace(config, batch_size=max(len(train), 1))
     else:
-        params = init_params(config, train.n_predictors, train.n_scalars,
-                             train.n_stations)
         _init_output_bias(params, config, train.obs)
         fit_config = config
 
@@ -276,7 +271,7 @@ def _train_emos(config, train: Dataset, features, global_fit, fields):
 
 
 # ---------------------------------------------------------------------------
-# Pools and aggregation
+# Pools
 # ---------------------------------------------------------------------------
 
 
@@ -310,46 +305,3 @@ def train_pool(config: ModelConfig, train: Dataset, val: Dataset, n=20,
         results = [_fit_one(task) for task in tasks]
     return ModelPool(config=config, models=[r[0] for r in results],
                      reports=[r[1] for r in results])
-
-
-def resample_and_score(pool: ModelPool, test: Dataset, k=10, reps=50,
-                       rng=None, level=None, pit_bins=20):
-    """Score ``reps`` random k-subsets of the pool on the test set.
-
-    Draws are without replacement within a draw.  Each pool member's
-    quantiles are computed once and kept, so memory grows with the pool
-    size, not the draw size; a draw averages them level-wise.  Returns the
-    list of per-draw EvaluationReports and a summary dict
-    (mean/min/max/spread of the mean CRPS across draws).
-    """
-    if not 1 <= k <= len(pool):
-        raise DomainError(f"draw size {k} outside 1..{len(pool)} (pool size)")
-    if reps < 1:
-        raise DomainError("reps must be at least 1")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    levels = pool.config.quantile_levels
-    if level is None:
-        level = float(evaluation.nominal_pi_level(test.n_members))
-
-    stack = np.empty((len(pool), len(test), len(levels)))
-    for i, model in enumerate(pool.models):
-        stack[i] = model.quantiles(test, levels)
-    reports = []
-    for _ in range(reps):
-        idx = rng.choice(len(pool), size=k, replace=False)
-        total = stack[idx[0]].copy()
-        for i in idx[1:]:   # in draw order, as np.mean of the drawn list
-            total += stack[i]
-        reports.append(evaluation.evaluate_quantiles(
-            total / k, test.obs, level, levels=levels, pit_bins=pit_bins,
-            rng=rng))
-    scores = np.array([r.mean_crps for r in reports])
-    summary = {
-        "mean_crps": float(scores.mean()),
-        "min_crps": float(scores.min()),
-        "max_crps": float(scores.max()),
-        "spread": float(scores.max() - scores.min()),
-        "reps": reps,
-        "draw_size": k,
-    }
-    return reports, summary

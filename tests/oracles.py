@@ -32,7 +32,7 @@ from scipy import integrate, special, stats
 
 from enspost import autodiff as ad
 from enspost.data import Dataset, SynthConfig, _check_record
-from enspost.dist import bqn_quantile
+from enspost.dist import _trunc_tail_value, bqn_quantile
 from enspost.errors import ConfigError, DomainError
 from enspost.importance import (SUMMARY_KINDS, PerturbationSpec,
                                 _member_ranks, conditional_bins, derive_seed,
@@ -506,10 +506,10 @@ def exp(a):
 
 
 def trunc_tail(a):
-    """Tail term of the truncated-logistic CRPS (``ad._trunc_tail_value``)
+    """Tail term of the truncated-logistic CRPS (``dist._trunc_tail_value``)
     as one autodiff tape node, with derivative 2 sigmoid(lb) g(lb) - 1."""
     av = ad.value_of(a)
-    y = ad._trunc_tail_value(av)
+    y = _trunc_tail_value(av)
 
     def backward(g):
         a._accumulate(g * (2.0 * ad._sigmoid(av) * y - 1.0))
@@ -517,12 +517,12 @@ def trunc_tail(a):
     return ad._node(y, (a,), backward, "trunc_tail")
 
 
-def crps_tlogis_composed(mu, sigma, y, lower):
+def crps_tlogis_composed(mu, sigma, y):
     """Closed-form truncated-logistic CRPS as a chain of elementwise ops:
     the expressions of ``dist.crps_tlogis_core``, whose backward the tape
     composes op by op."""
     y_std = (y - mu) / sigma
-    lb = (lower - mu) / sigma
+    lb = (0.0 - mu) / sigma
     above = ad.value_of(y_std) > ad.value_of(lb)
     t = where(above, y_std - lb, 0.0 * y_std)
     deep = ad.value_of(lb) >= 300.0
@@ -532,8 +532,8 @@ def crps_tlogis_composed(mu, sigma, y, lower):
     mid_limit = 2.0 * (exp(-t) - 1.0)
     mid = where(deep, mid_limit, mid_direct)
     core = t + mid + trunc_tail(lb_c)
-    below_obs = ad.value_of(y) < lower
-    below = where(below_obs, (lower - y) / sigma, 0.0 * y_std)
+    below_obs = ad.value_of(y) < 0.0
+    below = where(below_obs, (0.0 - y) / sigma, 0.0 * y_std)
     return sigma * (core + below)
 
 

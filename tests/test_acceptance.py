@@ -22,12 +22,13 @@ from enspost.data import (SynthConfig, fit_norm, generate_synthetic,
 from enspost.dist import (QuantileLevels, TruncLogistic,
                           bernstein_basis, bqn_coefficients,
                           crps_sample_batch, crps_tlogis, tlogis_quantile)
-from enspost.evaluation import (evaluate, nominal_pi_level, raw_eps_report)
+from enspost.evaluation import (evaluate, nominal_pi_level, raw_eps_report,
+                                resample_and_score)
 from enspost.importance import (PerturbationSpec, chi, chi_ratio, delta0,
                                 perturb, preservation_matrix)
 from enspost.models import (ARCHITECTURES, ModelConfig, graph_inputs,
                             init_params)
-from enspost.train import loss_graph, resample_and_score, train_pool
+from enspost.train import loss_graph, train_pool
 from oracles import (aggregate_quantiles, crps_ensemble_exact,
                      crps_tlogis_quad, multinomial_band, with_ensemble)
 

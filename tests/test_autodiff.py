@@ -114,24 +114,6 @@ def test_softplus_matches_reference():
     np.testing.assert_allclose(out, softplus_ref(x), rtol=1e-14)
 
 
-def test_trunc_tail_value_matches_high_precision_reference():
-    # reference (-log(1 - w) - w) / w^2 with w = sigmoid(-lb), evaluated in
-    # 50-digit arithmetic so every branch of the implementation is covered
-    for lb in (-30.0, -2.0, 0.0, 3.0, 6.85, 6.95, 9.0, 40.0, 1e6):
-        with mpmath.workdps(50):
-            w = 1 / (1 + mpmath.e ** mpmath.mpf(lb))
-            if lb > 30:
-                # series sum_{k>=2} w^{k-2} / k of the same expression,
-                # needed once 1 - w rounds to 1 even at 50 digits
-                ref = float(sum(w ** (k - 2) / k for k in range(2, 8)))
-            else:
-                ref = float((-mpmath.log(1 - w) - w) / w**2)
-        got = float(ad._trunc_tail_value(np.array([lb]))[0])
-        assert got == pytest.approx(ref, rel=1e-12), lb
-    # asymptote: all mass truncated
-    assert float(ad._trunc_tail_value(np.array([1e8]))[0]) == pytest.approx(0.5)
-
-
 def _op_cases(rows, cols, second):
     """Every op with the shapes of its operands: a (rows, cols) operand and,
     for the elementwise binary ops, a broadcast one of shape ``second``."""
@@ -146,7 +128,7 @@ def _op_cases(rows, cols, second):
         "absolute": (ad.absolute, [m]),
         "tanh": (ad.tanh, [m]),
         "softplus": (ad.softplus, [m]),
-        "crps_tlogis": (lambda a, b: crps_tlogis_core(a, b, 0.5, 0.0),
+        "crps_tlogis": (lambda a, b: crps_tlogis_core(a, b, 0.5),
                         [m, second]),
         "sum": (ad._sum, [m]),
         "mean": (lambda a: ad.mean(a, axis=1), [m]),
@@ -615,7 +597,7 @@ def test_tape_holds_no_constant_and_nothing_computed_from_constants_alone():
     def fn(P, I):
         # the composed CRPS builds mul(1.0, -1.0) and other constant nodes
         mu, sigma = P["theta"][:, 0], ad.softplus(P["theta"][:, 1]) + 0.1
-        return ad.mean(crps_tlogis_composed(mu, sigma, y, 0.0))
+        return ad.mean(crps_tlogis_composed(mu, sigma, y))
 
     pv = _random_params({"theta": (4, 2)}, seed=3)
     out, leaves = ad._run(fn, pv, None)

@@ -7,6 +7,7 @@ test process already holds the oracles' scipy and ``numpy.ma``.
 """
 
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -31,7 +32,6 @@ from enspost.dist import QuantileLevels
 from enspost.errors import ConfigError
 from enspost.importance import SUMMARY_KINDS
 from enspost.models import ModelConfig
-from enspost.train import train_pool
 
 from oracles import RUN_CONFIG_SCHEMA, run_config_validator
 
@@ -889,9 +889,12 @@ def test_synth_stage_loads_only_data(tmp_path):
 
 
 def test_deferred_names_resolve_as_cli_attributes():
-    # cli.<name> of a deferred module's name imports that module
-    assert cli.train_pool is train_pool
-    assert cli.ModelConfig is ModelConfig
+    # cli.<name> of a deferred module's name imports that module; a name
+    # registered under the wrong module would fail only when its stage runs
+    for module, names in cli._DEFERRED.items():
+        imported = importlib.import_module(f"enspost.{module}")
+        for name in names:
+            assert getattr(cli, name) is getattr(imported, name), name
     from enspost.cli import SUMMARY_KINDS as kinds
     assert kinds is SUMMARY_KINDS
     with pytest.raises(AttributeError, match="no_such_name"):
@@ -930,7 +933,7 @@ def test_train_stage_does_not_load_numpy_ma(tmp_path):
 
 
 _WATCHED = ("numpy.ma", "multiprocessing", "concurrent.futures.process",
-            "enspost.importance", "enspost.train")
+            "enspost.evaluation", "enspost.importance", "enspost.train")
 
 
 @pytest.fixture(scope="module")
@@ -987,6 +990,18 @@ def test_importance_stage_does_not_load_train(fresh_stages):
     # importance reloads its pool as a models.ModelPool
     assert "enspost.train" not in fresh_stages["importance"]
     assert "enspost.train" in fresh_stages["train"]
+
+
+def test_train_stage_does_not_load_evaluation(fresh_stages):
+    # train only fits; scoring the pool is the evaluate stage's job
+    assert "enspost.evaluation" not in fresh_stages["train"]
+    assert "enspost.evaluation" in fresh_stages["evaluate"]
+
+
+def test_evaluate_stage_does_not_load_train(fresh_stages):
+    # evaluate reloads its pool as a models.ModelPool and scores it with
+    # evaluation.resample_and_score
+    assert "enspost.train" not in fresh_stages["evaluate"]
 
 
 def test_moved_names_stay_importable_from_their_old_modules():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -159,8 +160,27 @@ def test_crps_tlogis_stable_under_heavy_truncation():
         assert ours == pytest.approx(ref, rel=1e-10), (mu, sigma, y)
 
 
+def test_trunc_tail_value_matches_high_precision_reference():
+    # reference (-log(1 - w) - w) / w^2 with w = sigmoid(-lb), evaluated in
+    # 50-digit arithmetic so every branch of the implementation is covered
+    for lb in (-30.0, -2.0, 0.0, 3.0, 6.85, 6.95, 9.0, 40.0, 1e6):
+        with mpmath.workdps(50):
+            w = 1 / (1 + mpmath.e ** mpmath.mpf(lb))
+            if lb > 30:
+                # series sum_{k>=2} w^{k-2} / k of the same expression,
+                # needed once 1 - w rounds to 1 even at 50 digits
+                ref = float(sum(w ** (k - 2) / k for k in range(2, 8)))
+            else:
+                ref = float((-mpmath.log(1 - w) - w) / w**2)
+        got = float(dist._trunc_tail_value(np.array([lb]))[0])
+        assert got == pytest.approx(ref, rel=1e-12), lb
+    # asymptote: all mass truncated
+    assert float(dist._trunc_tail_value(np.array([1e8]))[0]) == \
+        pytest.approx(0.5)
+
+
 def test_crps_tlogis_observation_below_bound_adds_linear_penalty():
-    d = dist.TruncLogistic(2.0, 1.0, lower=0.0)
+    d = dist.TruncLogistic(2.0, 1.0)
     base = dist.crps_tlogis(d, 0.0)
     below = dist.crps_tlogis(d, -3.0)
     assert below == pytest.approx(base + 3.0)
@@ -171,8 +191,8 @@ def test_crps_tlogis_differentiable_core_matches_numpy_core():
     mu = rng.normal(5, 3, size=8)
     sigma = rng.uniform(0.2, 3, size=8)
     y = rng.normal(5, 4, size=8)
-    plain = dist.crps_tlogis_core(mu, sigma, y, 0.0)
-    tens = dist.crps_tlogis_core(ad.Tensor(mu), ad.Tensor(sigma), y, 0.0)
+    plain = dist.crps_tlogis_core(mu, sigma, y)
+    tens = dist.crps_tlogis_core(ad.Tensor(mu), ad.Tensor(sigma), y)
     np.testing.assert_allclose(tens.value, plain, rtol=1e-14)
 
 
@@ -201,15 +221,14 @@ def _crps_rows(rows):
 def test_fused_crps_node_matches_the_composed_graph(rows):
     mu, sigma, y = _crps_rows(rows)
     # on arrays: today's expressions, bit for bit
-    plain = dist.crps_tlogis_core(mu, sigma, y, 0.0)
-    assert plain.tobytes() == crps_tlogis_composed(mu, sigma, y,
-                                                   0.0).tobytes()
+    plain = dist.crps_tlogis_core(mu, sigma, y)
+    assert plain.tobytes() == crps_tlogis_composed(mu, sigma, y).tobytes()
     pv = ad.ParamVector(np.concatenate([mu, sigma]),
                         {"mu": (0, mu.shape), "sigma": (mu.size, mu.shape)})
     weight = np.linspace(0.5, 1.5, mu.size)
 
     def loss(crps):
-        return lambda P, I: ad._sum(crps(P["mu"], P["sigma"], y, 0.0) * weight)
+        return lambda P, I: ad._sum(crps(P["mu"], P["sigma"], y) * weight)
 
     v_fused, g_fused = ad.value_and_grad(loss(dist.crps_tlogis_core), pv)
     v_composed, g_composed = ad.value_and_grad(loss(crps_tlogis_composed), pv)
@@ -225,12 +244,12 @@ def test_fused_crps_is_one_tape_node():
                         {"mu": (0, (2,)), "sigma": (2, (2,))})
     y = np.array([1.0, 3.0])
     out, leaves = ad._run(
-        lambda P, I: dist.crps_tlogis_core(P["mu"], P["sigma"], y, 0.0), pv,
+        lambda P, I: dist.crps_tlogis_core(P["mu"], P["sigma"], y), pv,
         None)
     assert out.op == "crps_tlogis"
     assert out._parents == [leaves["mu"], leaves["sigma"]]
     # one operand on the tape is a node with one parent
-    out = dist.crps_tlogis_core(pv.view("mu"), leaves["sigma"], y, 0.0)
+    out = dist.crps_tlogis_core(pv.view("mu"), leaves["sigma"], y)
     assert out.op == "crps_tlogis" and out._parents == [leaves["sigma"]]
 
 
@@ -328,7 +347,7 @@ def test_tensor_inputs_build_tensors():
     rng = np.random.default_rng(9)
     mu, sigma = rng.normal(5, 3, size=6), rng.uniform(0.2, 3, size=6)
     y = rng.normal(5, 4, size=6)
-    crps = dist.crps_tlogis_core(ad.Tensor(mu), ad.Tensor(sigma), y, 0.0)
+    crps = dist.crps_tlogis_core(ad.Tensor(mu), ad.Tensor(sigma), y)
     assert isinstance(crps, ad.Tensor)
     theta = rng.normal(0, 1, size=(6, 5))
     alpha = dist.bqn_coefficients(ad.Tensor(theta))

@@ -402,14 +402,21 @@ def test_forecast_and_quantiles_are_consistent():
 def test_param_shapes_cover_init_params():
     ds = _dataset()
     for arch in ARCHITECTURES:
-        if arch == "emos":
-            continue
         cfg = ModelConfig(architecture=arch, **TINY)
         shapes = param_shapes(cfg, ds.n_predictors, ds.n_scalars,
                               ds.n_stations)
         params = init_params(cfg, ds.n_predictors, ds.n_scalars,
                              ds.n_stations)
         assert set(params.layout) == set(shapes)
+
+
+def test_emos_starts_at_the_identity_link():
+    # mu = ensemble mean, raw scale = ensemble std: the start of every fit
+    ds = _dataset()
+    params = init_params(ModelConfig(architecture="emos"), ds.n_predictors,
+                         ds.n_scalars, ds.n_stations)
+    assert params.values.tobytes() == np.array(
+        [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]).tobytes()
 
 
 @pytest.mark.parametrize("arch,sizes,message", [

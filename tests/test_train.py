@@ -19,12 +19,12 @@ from enspost.data import (SynthConfig, fit_norm, generate_synthetic,
 from enspost.dist import QuantileLevels, bernstein_basis, bqn_coefficients
 from enspost.errors import ConfigError, ContractError, DomainError
 from enspost.evaluation import (evaluate_quantiles, model_mean_crps,
-                                nominal_pi_level)
+                                nominal_pi_level, resample_and_score)
 from enspost.models import (ARCHITECTURES, POOLING_KINDS, ModelConfig,
                             emos_params, graph_inputs, init_params,
                             load_model, save_model)
 from enspost.train import (Adam, ModelPool, TrainReport, loss_graph,
-                           resample_and_score, train_model, train_pool)
+                           train_model, train_pool)
 from oracles import aggregate_quantiles, emos_cells_sequential, pinball_ref
 
 TINY = dict(hidden_sizes=(6, 5), latent_width=8, attention_heads=2,
@@ -174,7 +174,7 @@ def test_tlogis_crps_loss_matches_closed_form():
                           {k: v for k, v in inputs.items() if k != "y"})
     mu = theta[:, 0]
     sigma = np.logaddexp(0.0, theta[:, 1]) + SCALE_FLOOR
-    expected = float(np.mean(crps_tlogis_core(mu, sigma, ds.obs, 0.0)))
+    expected = float(np.mean(crps_tlogis_core(mu, sigma, ds.obs)))
     assert value == pytest.approx(expected, rel=1e-12)
 
 
