@@ -3,9 +3,11 @@
 Four subcommands (``synth``, ``train``, ``evaluate``, ``importance``) are
 driven by a JSON run configuration checked against
 :data:`RUN_CONFIG_CHECKS`, with ``--set key=value`` overrides for scripting
-experiment grids.  The checker, :func:`enspost.data.check_fields`, and its
-field checks also serve ``SynthConfig``, ``ModelConfig.from_dict`` and the
-checkpoint headers of ``models.load_model``.  Every command is deterministic
+experiment grids.  The checker, :func:`enspost.data.check_fields`, is the
+one place a single field is judged: its tables also serve the
+``SynthConfig`` and ``ModelConfig`` constructors, ``ModelConfig.from_dict``
+and the checkpoint headers of ``models.load_model``, and only rules across
+fields are written as code.  Every command is deterministic
 given (config, input files): all randomness flows from the top-level seed
 through named streams, wall-clock timings are segregated into a non-hashed
 sidecar, and each run writes a manifest with SHA-256 hashes of its outputs.
@@ -31,6 +33,7 @@ import ctypes
 import hashlib
 import importlib
 import json
+import math
 import os
 import resource
 import sys
@@ -38,8 +41,9 @@ import time
 
 import numpy as np
 
-from .data import (SYNTH_CHECKS, SynthConfig, _STRING, _Check, _integer,
-                   _is_real, _list, _rejected, check_fields, derive_seed,
+from .data import (SUMMARY_KINDS, SYNTH_CHECKS, SynthConfig, _POSITIVE,
+                   _STRING, _Check, _integer, _is_real, _list, _one_of,
+                   _rejected, _too_large, check_fields, derive_seed,
                    generate_synthetic, load_ndjson, save_copy, save_ndjson,
                    sha256_file, split_temporal)
 from .errors import ConfigError, ContractError, DomainError, NumericError
@@ -51,10 +55,9 @@ from .errors import ConfigError, ContractError, DomainError, NumericError
 _DEFERRED = {
     "evaluation": ("nominal_pi_level", "pit_csv", "raw_eps_report",
                    "report_table", "resample_and_score"),
-    "importance": ("DEFAULT_BINS", "SUMMARY_KINDS", "importance_report",
-                   "preservation_csv"),
-    "models": ("MODEL_CHECKS", "ModelConfig", "ModelPool", "_too_large",
-               "load_model", "save_model"),
+    "importance": ("DEFAULT_BINS", "importance_report", "preservation_csv"),
+    "models": ("MODEL_CHECKS", "ModelConfig", "ModelPool", "load_model",
+               "save_model"),
     "train": ("train_pool",),
 }
 
@@ -76,44 +79,32 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _eval_checks():
-    _load("models")
-    return {"checkpoints": _STRING, "draw_size": _integer(1),
-            "reps": _integer(1),
-            "pit_bins": _Check(lambda v: (type(v) is int and v >= 2
-                                          and not _too_large(v + 1)),
-                               "an integer >= 2 whose bins + 1 float64 "
-                               "edges NumPy can index"),
-            "level": _Check(lambda v: _is_real(v) and 0 < v < 1,
-                            "a number strictly between 0 and 1")}
-
-
-def _importance_checks():
-    _load("importance")
-    return {
-        "checkpoints": _STRING, "bins": _integer(2),
-        "statistics": _Check(
-            lambda v: (type(v) is list and len(v) > 0
-                       and all(s in SUMMARY_KINDS for s in v)
-                       and len(set(v)) == len(v)),
-            f"a non-empty list of distinct {'/'.join(SUMMARY_KINDS)}"),
-        "predictors": _list(_integer(0))}
-
-
-# The model, eval and importance tables are functions until a config first
-# has that section: they need modules that synth does not load.
+# The model table is a function until a config first has that section: it
+# needs modules that synth does not load.
 RUN_CONFIG_CHECKS = {
     "seed": _integer(0),
     "out": _STRING,
     "synth": SYNTH_CHECKS,
     "data": {"path": _STRING._replace(required=True),
-             "splits": _list(_Check(lambda v: _is_real(v) and v > 0,
-                                    "a number > 0"), size=3),
+             "splits": _list(_POSITIVE, size=3),
              "primary": _integer(0)},
     "model": lambda: __getattr__("MODEL_CHECKS"),
     "train": {"pool_size": _integer(1)},
-    "eval": _eval_checks,
-    "importance": _importance_checks,
+    "eval": {"checkpoints": _STRING, "draw_size": _integer(1),
+             "reps": _integer(1),
+             "pit_bins": _Check(lambda v: (type(v) is int and v >= 2
+                                           and not _too_large(v + 1)),
+                                "an integer >= 2 whose bins + 1 float64 "
+                                "edges NumPy can index"),
+             "level": _Check(lambda v: _is_real(v) and 0 < v < 1,
+                             "a number strictly between 0 and 1")},
+    "importance": {
+        "checkpoints": _STRING, "bins": _integer(2),
+        "statistics": _Check(
+            lambda v: (_list(_one_of(SUMMARY_KINDS), least=1).ok(v)
+                       and len(set(v)) == len(v)),
+            f"a non-empty list of distinct {'/'.join(SUMMARY_KINDS)}"),
+        "predictors": _list(_integer(0))},
 }
 
 
@@ -192,9 +183,21 @@ def resolve_workers(flag_value):
 # ---------------------------------------------------------------------------
 
 
+def _finite(payload):
+    """``payload`` with each non-finite float as None, JSON's null."""
+    if isinstance(payload, dict):
+        return {key: _finite(value) for key, value in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return list(map(_finite, payload))
+    finite = not isinstance(payload, float) or math.isfinite(payload)
+    return payload if finite else None
+
+
 def _write_json(path, payload):
+    """Strict JSON of ``payload``: a non-finite float is written as null."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -321,8 +324,8 @@ def cmd_train(config, out_dir, workers=1):
     """Train a pool of models; write checkpoints, reports and manifest."""
     _load("models", "train")
     t0 = time.perf_counter()
-    train_set, val_set, _ = _load_datasets(config)
     model_config = _model_config(config)
+    train_set, val_set, _ = _load_datasets(config)
     pool_size = config.get("train", {}).get("pool_size", 20)
     pool = train_pool(model_config, train_set, val_set, n=pool_size,
                       workers=workers)

@@ -43,6 +43,9 @@ from .errors import ConfigError
 
 PREDICTOR_NAMES = ("primary", "aux_spread", "aux_skew", "noise")
 SCALAR_NAMES = ("lat", "lon", "yday_cos")
+# statistics of a predictor's members that importance conditions shuffles on
+SUMMARY_KINDS = ("mean", "std", "min", "max", "iqr", "range",
+                 "skewness", "kurtosis")
 _DAYS = np.array(["0001-01-01", "9999-12-31"], dtype="datetime64[D]")
 SYNTH_START = np.datetime64("2016-01-01")   # date of synthetic day 0
 MAX_SYNTH_DAYS = (_DAYS[1] - SYNTH_START).item().days + 1   # to 9999-12-31
@@ -144,6 +147,13 @@ def _is_real(value):
 
 def _is_int(value):
     return type(value) is int and -2**63 <= value < 2**63
+
+
+def _too_large(count):
+    """Whether NumPy refuses an array of ``count`` float64 values.  It
+    refuses 64 values short of the byte limit: ``np.arange`` raises
+    "array is too big" from 2**60 - 64 elements on 64-bit builds."""
+    return (count + 64) * 8 > np.iinfo(np.intp).max
 
 
 def _is_date(text):
@@ -532,26 +542,39 @@ def derive_seed(seed, *tags):
 _Check = namedtuple("_Check", "ok expects required", defaults=(False,))
 _STRING = _Check(lambda v: type(v) is str, "a string")
 _NUMBER = _Check(_is_real, "a finite number")
+_POSITIVE = _Check(lambda v: _is_real(v) and v > 0, "a number > 0")
 
 
-def _integer(low=None):
+def _integer(low=None, high=None):
     # a JSON integer only: no bool, and no 10.0, a float to NumPy
-    return _Check(lambda v: type(v) is int and (low is None or v >= low),
-                  "an integer" if low is None else f"an integer >= {low}")
+    return _Check(lambda v: (type(v) is int and (low is None or v >= low)
+                             and (high is None or v <= high)),
+                  "an integer" + (f" >= {low}" if low is not None else "")
+                  + (f" and <= {high}" if high is not None else ""))
 
 
-def _list(item, size=None):
+def _list(item, size=None, least=0):
     return _Check(lambda v: (type(v) is list and size in (None, len(v))
-                             and all(map(item.ok, v))),
-                  "a list" + (f" of {size}" if size else "")
+                             and len(v) >= least and all(map(item.ok, v))),
+                  "a list" + (f" of {size}" if size else
+                              f" of at least {least}" if least else "")
                   + f", each item {item.expects}")
 
 
-def _fields(config_class, **minima):
-    """Checks for the fields of a config dataclass, typed by its defaults."""
-    by_type = {str: _STRING, float: _NUMBER, tuple: _list(_integer())}
-    return {f.name: (_integer(minima.get(f.name)) if type(f.default) is int
-                     else by_type[type(f.default)])
+def _one_of(values):
+    return _Check(lambda v: v in values,
+                  "one of " + ", ".join(map(json.dumps, values)))
+
+
+def _fields(config_class, **rules):
+    """Checks for the fields of a config dataclass, typed by its defaults.
+    A rule replaces a field's check; an int rule is the least value of an
+    integer field."""
+    by_type = {int: _integer(), str: _STRING, float: _NUMBER,
+               tuple: _list(_integer())}
+    rules = {name: _integer(rule) if type(rule) is int else rule
+             for name, rule in rules.items()}
+    return {f.name: rules.get(f.name, by_type[type(f.default)])
             for f in fields(config_class)}
 
 
@@ -616,20 +639,17 @@ class SynthConfig:
 
     def __post_init__(self):
         check_fields(vars(self), SYNTH_CHECKS)
-        if self.days > MAX_SYNTH_DAYS:
-            raise ConfigError(f"days must be at most {MAX_SYNTH_DAYS}, so the "
-                              "last synthetic date is no later than "
-                              "9999-12-31")
-        if not _is_int(self.lead_hours):    # the loader's rule for "lead"
-            raise ConfigError(f"lead_hours must be a 64-bit integer, got "
-                              f"{self.lead_hours}")
         size = self.days * self.stations * self.members * len(PREDICTOR_NAMES)
-        if size * 8 > np.iinfo(np.intp).max:   # the float64 ensemble block
-            raise ConfigError(f"days x stations x members x predictors = {size}"
-                              " float64 values: more bytes than NumPy indexes")
+        if _too_large(size):    # the float64 ensemble block
+            raise _rejected("days x stations x members x predictors", "a "
+                            "float64 count of no more bytes than NumPy "
+                            "indexes", size)
 
 
-SYNTH_CHECKS = _fields(SynthConfig, stations=1, days=1, members=2, seed=0)
+SYNTH_CHECKS = _fields(
+    SynthConfig, stations=1, members=2, seed=0,
+    days=_integer(1, MAX_SYNTH_DAYS),                # up to 9999-12-31
+    lead_hours=_Check(_is_int, "a 64-bit integer"))  # the loader's "lead"
 
 
 BASE_LEVEL = 10.0       # keeps observations far from the truncation bound

@@ -17,12 +17,10 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .data import Dataset, derive_seed
+from .data import SUMMARY_KINDS, Dataset, derive_seed
 from .errors import ConfigError, ContractError, DomainError
 from .evaluation import inputs_mean_crps
 
-SUMMARY_KINDS = ("mean", "std", "min", "max", "iqr", "range",
-                 "skewness", "kurtosis")
 # statistics of the sorted members only: a transplanted row has them of its
 # donor row, whose values it takes in another order
 ORDER_STATISTICS = ("min", "max", "iqr", "range")

@@ -21,15 +21,16 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import dist as dist_mod
 from .autodiff import ParamVector
-from .data import (Dataset, _STRING, _Check, _fields, _integer, _is_int,
-                   _is_real, _list, _rejected, check_fields, standardize)
+from .data import (Dataset, _POSITIVE, _STRING, _Check, _fields, _integer,
+                   _is_int, _is_real, _list, _one_of, _rejected, _too_large,
+                   check_fields, standardize)
 from .errors import ConfigError, ContractError, DomainError
 
 ARCHITECTURES = ("emos", "drn", "bqn", "ed-drn", "ed-bqn", "st-drn", "st-bqn")
@@ -55,18 +56,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise ConfigError(f"unknown architecture {self.architecture!r}")
-        if self.pooling not in POOLING_KINDS:
-            raise ConfigError(f"unknown pooling kind {self.pooling!r}")
-        if min(self.latent_width, self.embedding_dim, self.attention_heads,
-               self.n_attention_blocks, self.bernstein_degree,
-               self.n_quantile_levels, self.batch_size) < 1:
-            raise ConfigError("dimensions must be positive")
-        if any(h < 1 for h in self.hidden_sizes) or len(self.hidden_sizes) < 2:
-            raise ConfigError("hidden_sizes needs two positive entries")
-        if self.latent_width % self.attention_heads != 0:
-            raise ConfigError("attention heads must divide the latent width")
+        check_fields(self.to_dict(), MODEL_CHECKS)
+        if self.latent_width % self.attention_heads:
+            raise _rejected("attention_heads", "a divisor of latent_width "
+                            f"{self.latent_width}", self.attention_heads)
 
     @property
     def family(self):
@@ -88,9 +81,9 @@ class ModelConfig:
         return self.quantile_levels if self.family == "bqn" else None
 
     def to_dict(self):
-        d = asdict(self)
-        d["hidden_sizes"] = list(self.hidden_sizes)
-        return d
+        """The fields as the JSON values they serialize to."""
+        return {k: list(v) if type(v) is tuple else v
+                for k, v in vars(self).items()}
 
     @classmethod
     def from_dict(cls, d):
@@ -101,7 +94,12 @@ class ModelConfig:
                       for k, v in d.items()})
 
 
-MODEL_CHECKS = _fields(ModelConfig, seed=0)
+MODEL_CHECKS = _fields(
+    ModelConfig, architecture=_one_of(ARCHITECTURES),
+    pooling=_one_of(POOLING_KINDS), hidden_sizes=_list(_integer(1), least=2),
+    latent_width=1, attention_heads=1, n_attention_blocks=1,
+    bernstein_degree=1, embedding_dim=1, n_quantile_levels=1, batch_size=1,
+    learning_rate=_POSITIVE, max_epochs=0, patience=0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +204,6 @@ def param_shapes(config: ModelConfig, n_predictors, n_scalars, n_stations):
         "dec_w1": (h0, d_out), "dec_b1": (d_out,),
     })
     return shapes
-
-
-def _too_large(count):
-    """Whether NumPy refuses an array of ``count`` float64 values.  It
-    refuses 64 values short of the byte limit: ``np.arange`` raises
-    "array is too big" from 2**60 - 64 elements on 64-bit builds."""
-    return (count + 64) * 8 > np.iinfo(np.intp).max
 
 
 def _param_counts(config, dims):
@@ -476,6 +467,11 @@ class _FittedModel:
             raise ConfigError(
                 f"dataset primary predictor {dataset.primary} differs from "
                 f"the model's {self.primary}")
+        names = [dataset.predictor_names, dataset.scalar_names]
+        if names != [self.predictor_names, self.scalar_names]:
+            raise ConfigError(
+                f"dataset predictors and scalars {names} differ from the "
+                f"model's {[self.predictor_names, self.scalar_names]}")
 
     def raw_theta(self, dataset: Dataset):
         """Raw theta (n, D) of the subclass's ``graph``."""
@@ -665,8 +661,7 @@ _HEADER = dict(kind=_STRING, primary=_integer(0), predictor_names=_NAMES,
 HEADER_CHECKS = {
     "emos": {**_HEADER, "cell_keys": _list(_list(_integer(0), size=2)),
              "norm": _Check(lambda v: v is None, "null"),
-             "config": {**MODEL_CHECKS, "architecture": _Check(
-                 lambda v: v == "emos", '"emos"')}},
+             "config": {**MODEL_CHECKS, "architecture": _one_of(("emos",))}},
     "neural": {**_HEADER, "config": MODEL_CHECKS,
                "layout": _Check(lambda v: type(v) is dict, "an object"),
                "norm": {"predictor_names": _NAMES, "scalar_names": _NAMES,

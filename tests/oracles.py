@@ -597,12 +597,14 @@ _JSON_TYPES = {str: {"type": "string"}, int: {"type": "integer"},
                tuple: {"type": "array", "items": {"type": "integer"}}}
 
 
-def _properties(config_class, **minima):
-    """JSON-schema properties of a config dataclass, typed by its defaults."""
+def _properties(config_class, **rules):
+    """JSON-schema properties of a config dataclass, typed by its defaults;
+    each rule adds its keywords to a field's schema, and an int rule is the
+    field's minimum."""
     props = {f.name: dict(_JSON_TYPES[type(f.default)])
              for f in dataclasses.fields(config_class)}
-    for name, low in minima.items():
-        props[name]["minimum"] = low
+    for name, rule in rules.items():
+        props[name].update({"minimum": rule} if type(rule) is int else rule)
     return props
 
 
@@ -615,8 +617,11 @@ RUN_CONFIG_SCHEMA = {
         "out": {"type": "string"},
         "synth": {
             "type": "object",
-            "properties": _properties(SynthConfig, stations=1, days=1,
-                                      members=2),
+            "properties": _properties(
+                SynthConfig, stations=1, members=2,
+                # 2016-01-01 plus 2 916 095 days is 9999-12-31
+                days={"minimum": 1, "maximum": 2_916_096},
+                lead_hours={"minimum": -2**63, "maximum": 2**63 - 1}),
             "additionalProperties": False,
         },
         "data": {
@@ -635,7 +640,16 @@ RUN_CONFIG_SCHEMA = {
         },
         "model": {
             "type": "object",
-            "properties": _properties(ModelConfig),
+            "properties": _properties(
+                ModelConfig, latent_width=1, attention_heads=1,
+                n_attention_blocks=1, bernstein_degree=1, embedding_dim=1,
+                n_quantile_levels=1, batch_size=1, max_epochs=0, patience=0,
+                architecture={"enum": ["emos", "drn", "bqn", "ed-drn",
+                                       "ed-bqn", "st-drn", "st-bqn"]},
+                pooling={"enum": ["mean", "max", "min", "attention"]},
+                hidden_sizes={"items": {"type": "integer", "minimum": 1},
+                              "minItems": 2},
+                learning_rate={"exclusiveMinimum": 0}),
             "additionalProperties": False,
         },
         "train": {

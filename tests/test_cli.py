@@ -27,7 +27,7 @@ import enspost.cli as cli
 from enspost.autodiff import ParamVector
 from enspost.cli import (apply_override, check_run_config, load_run_config,
                          main, resolve_workers, _parse_override)
-from enspost.data import SynthConfig, load_ndjson
+from enspost.data import Dataset, SynthConfig, load_ndjson, save_ndjson
 from enspost.dist import QuantileLevels
 from enspost.errors import ConfigError
 from enspost.importance import SUMMARY_KINDS
@@ -371,12 +371,32 @@ def test_integral_floats_non_finite_numbers_and_negative_seeds_exit_2(
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("max_epochs", "-3"), ("patience", "-2"), ("learning_rate", "0"),
+    ("architecture", '"foo"'), ("batch_size", "0"), ("hidden_sizes", "[5]")])
+def test_model_field_rules_exit_2_before_the_data_is_read(tmp_path, capsys,
+                                                          field, value):
+    # each single-field rule is judged with the run config, so the field is
+    # named before the data file is looked for
+    out = tmp_path / "x"
+    assert _run("train", out, ['data.path="/nonexistent/file.ndjson"',
+                               f"model.{field}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert f"config field model.{field}:" in err
+    assert "data file not found" not in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("days", [10**20, 2_916_097])
 def test_days_past_the_last_iso_date_exit_2(tmp_path, capsys, days):
     # 2016-01-01 plus 2 916 096 days reaches 9999-12-31, the last date the
     # NDJSON loader accepts
     assert _run("synth", tmp_path / "x", [f"synth.days={days}"]) == 2
-    assert "days must be at most 2916096" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config field synth.days: expected an integer >= 1 and <= 2916096" \
+        in err
+    assert "Traceback" not in err
     assert not (tmp_path / "x" / "dataset.ndjson").exists()
 
 
@@ -385,7 +405,7 @@ def test_lead_hours_outside_64_bits_exit_2(tmp_path, capsys, lead):
     # the NDJSON loader refuses such a "lead", so synth must not write it
     assert _run("synth", tmp_path / "x", [f"synth.lead_hours={lead}"]) == 2
     err = capsys.readouterr().err
-    assert "lead_hours must be a 64-bit integer" in err
+    assert "config field synth.lead_hours: expected a 64-bit integer" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x" / "dataset.ndjson").exists()
 
@@ -772,6 +792,46 @@ def test_importance_of_a_tlogis_model_builds_no_level_grid(one_model_pools,
     assert reports[10**17] == reports[None]
 
 
+def test_evaluate_of_a_dataset_with_other_predictors_exits_2(
+        one_model_pools, tmp_path, capsys):
+    # an EMOS model reads its primary from column 0, which holds another
+    # predictor once the columns are reversed
+    data, pools = one_model_pools
+    ds = load_ndjson(data.split("=", 1)[1].strip('"'))
+    flipped = tmp_path / "flipped.ndjson"
+    save_ndjson(Dataset(ds.ens[..., ::-1], ds.scalars, ds.station, ds.times,
+                        ds.obs, ds.lead_hours, ds.predictor_names[::-1],
+                        ds.scalar_names), flipped)
+    out = tmp_path / "eval"
+    assert _run("evaluate", out, [f'data.path="{flipped}"',
+                                  f'eval.checkpoints="{pools / "emos"}"']) == 2
+    err = capsys.readouterr().err
+    assert "['noise', 'aux_skew', 'aux_spread', 'primary']" in err
+    assert "Traceback" not in err
+    assert not (out / "evaluation.json").exists()
+
+
+def _no_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+def test_importance_json_is_strict_with_unread_predictors(one_model_pools,
+                                                          tmp_path):
+    # EMOS reads only the primary, so the chi of another predictor is 0/0:
+    # NaN to library callers, null in the file
+    data, pools = one_model_pools
+    out = tmp_path / "imp"
+    assert _run("importance", out, [
+        data, f'importance.checkpoints="{pools / "emos"}"',
+        "importance.bins=5", 'importance.statistics=["mean","std"]']) == 0
+    report = json.loads((out / "importance.json").read_text(),
+                        parse_constant=_no_constant)
+    for name in ("aux_spread", "aux_skew", "noise"):
+        for entry in report["chi"][name].values():
+            assert entry.pop("reliable") is False
+            assert set(entry.values()) == {None}
+
+
 def test_mistyped_ndjson_and_chi_predictor_exit_2(tmp_path, capsys):
     synth_dir = tmp_path / "synth"
     assert _run("synth", synth_dir, SYNTH_SETS) == 0
@@ -872,20 +932,24 @@ def test_package_import_does_not_load_scipy():
 
 def test_synth_stage_loads_only_data(tmp_path):
     # synth runs the generator and the writers alone; the modules of
-    # training, scoring and importance cost it their import time
-    argv = ["synth", "--out", str(tmp_path),
-            *(x for item in SYNTH_SETS for x in ("--set", item))]
-    code = ("import sys\n"
-            "from enspost.cli import main\n"
-            f"assert main({argv!r}) == 0\n"
-            "print(*sorted(m for m in sys.modules if m.startswith('enspost')))"
-            "\n")
-    loaded = _fresh_python(code).splitlines()[-1].split()
-    assert loaded == ["enspost", "enspost.cli", "enspost.data",
-                      "enspost.errors"]
-    for module in ("autodiff", "dist", "models", "evaluation", "importance",
-                   "train"):
-        assert f"enspost.{module}" not in loaded
+    # training, scoring and importance cost it their import time, also to
+    # check the sections of the other stages
+    others = ['data.path="d.ndjson"', "train.pool_size=2", "eval.pit_bins=10",
+              'importance.statistics=["mean"]']
+    for sets in (SYNTH_SETS, SYNTH_SETS + others):
+        argv = ["synth", "--out", str(tmp_path),
+                *(x for item in sets for x in ("--set", item))]
+        code = ("import sys\n"
+                "from enspost.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                "print(*sorted(m for m in sys.modules"
+                " if m.startswith('enspost')))\n")
+        loaded = _fresh_python(code).splitlines()[-1].split()
+        assert loaded == ["enspost", "enspost.cli", "enspost.data",
+                          "enspost.errors"]
+        for module in ("autodiff", "dist", "models", "evaluation",
+                       "importance", "train"):
+            assert f"enspost.{module}" not in loaded
 
 
 def test_deferred_names_resolve_as_cli_attributes():

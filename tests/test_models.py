@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import os
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -12,22 +13,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import enspost.autodiff as ad
 from enspost import models
+from enspost.cli import load_run_config
 from enspost.data import (Dataset, SynthConfig, fit_norm, generate_synthetic,
                           standardize)
 from enspost.dist import QuantileLevels
 from enspost.errors import (ConfigError, ContractError, DomainError,
                              NumericError)
-from enspost.models import (ARCHITECTURES, POOLING_KINDS, EMOSModel,
-                            ModelConfig, NeuralModel, build_graph,
+from enspost.models import (ARCHITECTURES, MODEL_CHECKS, POOLING_KINDS,
+                            EMOSModel, ModelConfig, NeuralModel, build_graph,
                             check_model_size, emos_params, graph_inputs,
                             init_params, load_model, param_shapes,
                             save_model, summary_base, summary_columns)
-from oracles import emos_forward, with_ensemble
+from oracles import emos_forward, run_config_validator, with_ensemble
 
 TINY = dict(hidden_sizes=(6, 5), latent_width=8, attention_heads=2,
             n_attention_blocks=2, bernstein_degree=4, embedding_dim=3,
@@ -74,11 +76,11 @@ def test_model_config_validation_and_roundtrip():
     assert cfg.family == "bqn"
     assert cfg.n_outputs == TINY["bernstein_degree"] + 1
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="config field architecture:"):
         ModelConfig(architecture="transformer")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="config field attention_heads:"):
         ModelConfig(latent_width=10, attention_heads=4)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="config field hidden_sizes:"):
         ModelConfig(hidden_sizes=(8,))
 
 
@@ -387,6 +389,22 @@ def test_models_reject_a_primary_predictor_unlike_their_fit():
     for model in (_tiny_model("drn", ds), _emos_model(ds)):
         with pytest.raises(ConfigError, match="primary predictor 1"):
             model.raw_theta(other)
+
+
+def test_models_reject_predictors_and_scalars_unlike_their_fit():
+    # an EMOS model has no norm whose names standardize would compare: with
+    # the columns reversed it would read the noise channel as its primary
+    ds = _dataset()
+    others = [
+        Dataset(ds.ens[..., ::-1], ds.scalars, ds.station, ds.times, ds.obs,
+                ds.lead_hours, ds.predictor_names[::-1], ds.scalar_names),
+        Dataset(ds.ens, ds.scalars[:, ::-1], ds.station, ds.times, ds.obs,
+                ds.lead_hours, ds.predictor_names, ds.scalar_names[::-1])]
+    for model in (_tiny_model("drn", ds), _emos_model(ds)):
+        for other in others:
+            names = str([other.predictor_names, other.scalar_names])
+            with pytest.raises(ConfigError, match=re.escape(names)):
+                model.raw_theta(other)
 
 
 def test_forecast_and_quantiles_are_consistent():
@@ -702,3 +720,80 @@ def test_emos_cell_lookup_memory_follows_rows_not_the_station_count(
             tracemalloc.stop()
     assert theta.tobytes() == expected.tobytes()
     assert peak < 1 << 20
+
+
+# One field's value: mostly one of the values its rule accepts, else a small
+# JSON value of any type.  Accepted widths and head counts keep the rule
+# across fields (heads divide the width) at the defaults and at TINY.
+_FIELD_VALUES = {
+    "architecture": st.sampled_from(ARCHITECTURES),
+    "pooling": st.sampled_from(POOLING_KINDS),
+    "hidden_sizes": st.lists(st.integers(1, 4), min_size=2, max_size=3),
+    "latent_width": st.sampled_from([8, 16, 64]),
+    "attention_heads": st.sampled_from([1, 2, 4, 8]),
+    "learning_rate": st.floats(1e-6, 1.0),
+    "seed": st.integers(0, 2**64),
+}
+_SMALL_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 5), st.floats(),
+    st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_STRICT_REFERENCE = run_config_validator(strict=True)
+
+
+def _checkpoint_field(kind, field, value, tmp):
+    """``field`` of the config that load_model reads from a checkpoint of
+    ``kind`` whose header's config holds ``value`` there.  A drn checkpoint
+    whose config is valid is saved with that config's parameters."""
+    header, block = _split_checkpoint(_checkpoint_bytes(kind))
+    header["config"][field] = value
+    path = Path(tmp) / f"{kind}.bin"
+    _write_checkpoint(path, header, block)
+    if kind == "drn":
+        try:
+            config = ModelConfig.from_dict(header["config"])
+        except ConfigError:
+            pass
+        else:
+            ds = _dataset()
+            params = init_params(config, ds.n_predictors, ds.n_scalars,
+                                 ds.n_stations, rng=np.random.default_rng(0))
+            save_model(NeuralModel(config, params, fit_norm(ds),
+                                   ds.n_stations, ds.primary,
+                                   ds.predictor_names, ds.scalar_names), path)
+    return load_model(path).config.to_dict()[field]
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(sorted(MODEL_CHECKS)), data=st.data())
+def test_model_field_rules_are_one_rule_set_four_ways_in(field, data):
+    # the constructor, from_dict, a --set override and a checkpoint header
+    # each reject what the reference schema rejects, naming the field, and
+    # take what it accepts
+    value = data.draw(st.one_of(_FIELD_VALUES.get(field, st.integers(0, 4)),
+                                _SMALL_JSON), label="value")
+    accepted = _STRICT_REFERENCE.is_valid({"model": {field: value}})
+    # the divisor rule reads two fields; its own test is above
+    assume(not (accepted and field == "latent_width" and value % 8))
+    assume(not (accepted and field == "attention_heads" and 8 % value))
+    with tempfile.TemporaryDirectory() as tmp:
+        entry_points = [
+            ("", accepted, lambda: ModelConfig(**{field: tuple(
+                value) if type(value) is list else value}).to_dict()[field]),
+            ("", accepted, lambda: ModelConfig.from_dict(
+                {field: value}).to_dict()[field]),
+            ("model.", accepted, lambda: load_run_config(None, overrides=[
+                f"model.{field}={json.dumps(value)}"])["model"][field]),
+            ("config.", accepted,
+             lambda: _checkpoint_field("drn", field, value, tmp)),
+            # an EMOS header's architecture is "emos"
+            ("config.", accepted and (field != "architecture"
+                                      or value == "emos"),
+             lambda: _checkpoint_field("emos", field, value, tmp))]
+        for prefix, takes, call in entry_points:
+            if takes:
+                assert call() == value
+            else:
+                with pytest.raises(ConfigError,
+                                   match=f"config field {prefix}{field}:"):
+                    call()
