@@ -7,7 +7,10 @@ experiment grids.  The checker, :func:`enspost.data.check_fields`, is the
 one place a single field is judged: its tables also serve the
 ``SynthConfig`` and ``ModelConfig`` constructors, ``ModelConfig.from_dict``
 and the checkpoint headers of ``models.load_model``, and only rules across
-fields are written as code.  Every command is deterministic
+fields are written as code (``SynthConfig.check``, ``ModelConfig.check``,
+which :func:`check_run_config` also runs).  JSON outputs are strict: a
+non-finite number is a :class:`NumericError`, save the chi of a predictor
+a model never reads, written as null.  Every command is deterministic
 given (config, input files): all randomness flows from the top-level seed
 through named streams, wall-clock timings are segregated into a non-hashed
 sidecar, and each run writes a manifest with SHA-256 hashes of its outputs.
@@ -109,8 +112,12 @@ RUN_CONFIG_CHECKS = {
 
 
 def check_run_config(config):
-    """:func:`check_fields` of a run configuration and RUN_CONFIG_CHECKS."""
+    """:func:`check_fields` of a run configuration and RUN_CONFIG_CHECKS,
+    then the rules across the fields of its synth and model sections."""
     check_fields(config, RUN_CONFIG_CHECKS)
+    SynthConfig.check(config.get("synth", {}), "synth")
+    if "model" in config:
+        __getattr__("ModelConfig").check(config["model"], "model")
 
 
 DEFAULT_SPLITS = (0.7, 0.15, 0.15)
@@ -183,22 +190,25 @@ def resolve_workers(flag_value):
 # ---------------------------------------------------------------------------
 
 
-def _finite(payload):
-    """``payload`` with each non-finite float as None, JSON's null."""
-    if isinstance(payload, dict):
-        return {key: _finite(value) for key, value in payload.items()}
-    if isinstance(payload, (list, tuple)):
-        return list(map(_finite, payload))
-    finite = not isinstance(payload, float) or math.isfinite(payload)
-    return payload if finite else None
+def _non_finite(payload, path=""):
+    """Dotted path of the first non-finite float in ``payload``, or None."""
+    if isinstance(payload, float):
+        return None if math.isfinite(payload) else path or "(top level)"
+    items = (payload.items() if isinstance(payload, dict) else
+             enumerate(payload) if isinstance(payload, (list, tuple)) else ())
+    return next(filter(None, (_non_finite(v, f"{path}.{k}" if path else str(k))
+                              for k, v in items)), None)
 
 
 def _write_json(path, payload):
-    """Strict JSON of ``payload``: a non-finite float is written as null."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_finite(payload), fh, indent=2, sort_keys=True,
-                  allow_nan=False)
-        fh.write("\n")
+    """Strict JSON of ``payload``; NumericError names a non-finite number
+    (JSON has none), and then no file is written."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericError(f"{os.path.basename(path)}: "
+                           f"{_non_finite(payload)} is not finite") from None
+    _write_text(path, text + "\n")
 
 
 def _write_text(path, text):
@@ -247,7 +257,7 @@ def _resource_use():
 
 def _model_config(config):
     return ModelConfig.from_dict({"seed": config["seed"],
-                                  **config.get("model", {})})
+                                  **config.get("model", {})}, "model")
 
 
 def _load_datasets(config):
@@ -428,6 +438,11 @@ def cmd_importance(config, out_dir):
                                seed=derive_seed(config["seed"], "importance"),
                                statistics=statistics,
                                chi_predictors=predictors)
+    # the chi of a predictor a model never reads is 0/0, flagged unreliable
+    for entry in (e for stats in report["chi"].values()
+                  for e in stats.values() if not e["reliable"]):
+        entry.update({key: None for key, value in entry.items()
+                      if type(value) is float and not math.isfinite(value)})
     _write_json(os.path.join(out_dir, "importance.json"), report)
     outputs = ["importance.json"]
     for name, matrix in report["preservation"].items():

@@ -638,12 +638,23 @@ class SynthConfig:
     dead_channel: float = 1.0
 
     def __post_init__(self):
-        check_fields(vars(self), SYNTH_CHECKS)
-        size = self.days * self.stations * self.members * len(PREDICTOR_NAMES)
-        if _too_large(size):    # the float64 ensemble block
-            raise _rejected("days x stations x members x predictors", "a "
-                            "float64 count of no more bytes than NumPy "
-                            "indexes", size)
+        self.check(vars(self))
+
+    @classmethod
+    def check(cls, d, section=""):
+        """ConfigError naming the field (of ``section``) of the JSON config
+        ``d`` that SYNTH_CHECKS rejects, or the sizes of a float64 ensemble
+        block NumPy cannot index; a missing field reads as its default."""
+        check_fields(d, SYNTH_CHECKS, section)
+        dims = ("days", "stations", "members")
+        days, stations, members = (d.get(k, getattr(cls, k)) for k in dims)
+        size = days * stations * members * len(PREDICTOR_NAMES)
+        if _too_large(size):
+            raise _rejected(", ".join(f"{section}.{k}".lstrip(".")
+                                      for k in dims),
+                            f"days x stations x members x "
+                            f"{len(PREDICTOR_NAMES)} float64 values of no "
+                            "more bytes than NumPy indexes", size)
 
 
 SYNTH_CHECKS = _fields(

@@ -56,10 +56,19 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self.to_dict(), MODEL_CHECKS)
-        if self.latent_width % self.attention_heads:
-            raise _rejected("attention_heads", "a divisor of latent_width "
-                            f"{self.latent_width}", self.attention_heads)
+        self.check(self.to_dict())
+
+    @classmethod
+    def check(cls, d, section=""):
+        """ConfigError naming the field (of ``section``) of the JSON config
+        ``d`` that MODEL_CHECKS rejects, or heads that do not divide
+        latent_width; a missing field reads as its default."""
+        check_fields(d, MODEL_CHECKS, section)
+        width, heads = (d.get(k, getattr(cls, k))
+                        for k in ("latent_width", "attention_heads"))
+        if width % heads:
+            raise _rejected(f"{section}.attention_heads".lstrip("."),
+                            f"a divisor of latent_width {width}", heads)
 
     @property
     def family(self):
@@ -86,10 +95,11 @@ class ModelConfig:
                 for k, v in vars(self).items()}
 
     @classmethod
-    def from_dict(cls, d):
-        """The config of JSON fields that :data:`MODEL_CHECKS` accepts; a
-        missing field takes its default."""
-        check_fields(d, MODEL_CHECKS)
+    def from_dict(cls, d, section=""):
+        """The config of JSON fields that :meth:`check` accepts, naming the
+        field of ``section`` it rejects; a missing field takes its
+        default."""
+        cls.check(d, section)
         return cls(**{k: tuple(v) if type(v) is list else v
                       for k, v in d.items()})
 
@@ -695,7 +705,7 @@ def load_model(path):
                               " [station < n_stations, month 1-12] pairs")
         dims = (len(header["predictor_names"]), len(header["scalar_names"]),
                 header["n_stations"])
-        config = ModelConfig.from_dict(header["config"])
+        config = ModelConfig.from_dict(header["config"], "config")
         check_model_size(config, *dims, section="config")
         # sizes first, so that no block count past the file is enumerated
         count = (6 * (1 + len(keys)) if kind == "emos"

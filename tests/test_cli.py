@@ -29,7 +29,7 @@ from enspost.cli import (apply_override, check_run_config, load_run_config,
                          main, resolve_workers, _parse_override)
 from enspost.data import Dataset, SynthConfig, load_ndjson, save_ndjson
 from enspost.dist import QuantileLevels
-from enspost.errors import ConfigError
+from enspost.errors import ConfigError, NumericError
 from enspost.importance import SUMMARY_KINDS
 from enspost.models import ModelConfig
 
@@ -190,15 +190,24 @@ def _accepted(config):
     return True
 
 
+def _heads_divide_width(config):
+    """The rule across fields that the schema does not state, for a config
+    it accepts: the attention heads (8 by default) divide latent_width (64
+    by default).  The synth block rule needs sizes no config here draws."""
+    model = config.get("model", {})
+    return model.get("latent_width", 64) % model.get("attention_heads", 8) == 0
+
+
 @settings(max_examples=1000)
 @given(_configs())
 def test_checker_agrees_with_the_reference_schema(config):
     # the checker accepts a subset of what the schema accepts, and exactly
-    # what it accepts once integers are JSON integers, numbers are finite
-    # and seeds are at least 0
+    # what it accepts once integers are JSON integers, numbers are finite,
+    # seeds are at least 0 and the heads divide the width
     accepted = _accepted(config)
     assert not accepted or _REFERENCE.is_valid(config)
-    assert accepted == _STRICT_REFERENCE.is_valid(config)
+    assert accepted == (_STRICT_REFERENCE.is_valid(config)
+                        and _heads_divide_width(config))
 
 
 def test_resolve_workers_flag_env_default():
@@ -373,11 +382,12 @@ def test_integral_floats_non_finite_numbers_and_negative_seeds_exit_2(
 
 @pytest.mark.parametrize("field,value", [
     ("max_epochs", "-3"), ("patience", "-2"), ("learning_rate", "0"),
-    ("architecture", '"foo"'), ("batch_size", "0"), ("hidden_sizes", "[5]")])
+    ("architecture", '"foo"'), ("batch_size", "0"), ("hidden_sizes", "[5]"),
+    ("attention_heads", "3")])   # a rule across fields: 3 does not divide 64
 def test_model_field_rules_exit_2_before_the_data_is_read(tmp_path, capsys,
                                                           field, value):
-    # each single-field rule is judged with the run config, so the field is
-    # named before the data file is looked for
+    # each rule is judged with the run config, so the field is named
+    # before the data file is looked for
     out = tmp_path / "x"
     assert _run("train", out, ['data.path="/nonexistent/file.ndjson"',
                                f"model.{field}={value}"]) == 2
@@ -445,10 +455,11 @@ def test_pit_bins_numpy_cannot_index_exit_2(tmp_path, capsys, bins):
 def test_ensemble_blocks_numpy_cannot_index_exit_2(tmp_path, capsys, sets):
     assert _run("synth", tmp_path / "x", sets) == 2
     err = capsys.readouterr().err
-    assert "days x stations x members" in err
+    assert "config field synth.days, synth.stations, synth.members: " \
+        "expected days x stations x members" in err
     assert "more bytes than NumPy indexes" in err
     assert "Traceback" not in err
-    assert not (tmp_path / "x" / "dataset.ndjson").exists()
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("sets,field", [
@@ -830,6 +841,36 @@ def test_importance_json_is_strict_with_unread_predictors(one_model_pools,
         for entry in report["chi"][name].values():
             assert entry.pop("reliable") is False
             assert set(entry.values()) == {None}
+
+
+def test_json_outputs_refuse_any_other_non_finite_number(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(NumericError,
+                       match="out.json: methods.pool.1 is not finite"):
+        cli._write_json(path, {"methods": {"pool": [0.5, math.inf]}})
+    assert not path.exists()
+
+
+def test_importance_with_a_reliable_non_finite_value_exits_3(
+        one_model_pools, tmp_path, capsys, monkeypatch):
+    # null stands only for the 0/0 chi of an unread predictor: a NaN delta0
+    # of the primary, which the model reads, fails the run
+    data, pools = one_model_pools
+    report_of = cli.importance_report
+
+    def nan_delta0(*args, **kwargs):
+        report = report_of(*args, **kwargs)
+        report["delta0"]["primary"]["mean"] = math.nan
+        return report
+
+    monkeypatch.setattr(cli, "importance_report", nan_delta0)
+    out = tmp_path / "imp"
+    assert _run("importance", out, [
+        data, f'importance.checkpoints="{pools / "emos"}"',
+        "importance.bins=5", 'importance.statistics=["mean","std"]']) == 3
+    err = capsys.readouterr().err
+    assert "importance.json: delta0.primary.mean is not finite" in err
+    assert not (out / "importance.json").exists()
 
 
 def test_mistyped_ndjson_and_chi_predictor_exit_2(tmp_path, capsys):

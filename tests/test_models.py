@@ -797,3 +797,20 @@ def test_model_field_rules_are_one_rule_set_four_ways_in(field, data):
                 with pytest.raises(ConfigError,
                                    match=f"config field {prefix}{field}:"):
                     call()
+
+
+def test_divisor_rule_names_its_section_four_ways_in(tmp_path):
+    # no latent width used here is a multiple of 3 heads
+    for prefix, call in [
+            ("", lambda: ModelConfig(attention_heads=3)),
+            ("", lambda: ModelConfig.from_dict({"attention_heads": 3})),
+            ("model.", lambda: load_run_config(
+                None, overrides=["model.attention_heads=3"])),
+            ("config.", lambda: _checkpoint_field("drn", "attention_heads",
+                                                  3, tmp_path)),
+            ("config.", lambda: _checkpoint_field("emos", "attention_heads",
+                                                  3, tmp_path))]:
+        with pytest.raises(ConfigError, match=f"config field {prefix}"
+                           "attention_heads: expected a divisor of "
+                           "latent_width"):
+            call()
