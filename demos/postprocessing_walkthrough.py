@@ -5,7 +5,7 @@ baseline and a small distributional regression network (DRN), and compares
 all three on the held-out test period: mean CRPS, prediction-interval
 coverage and length, and PIT histograms.
 
-Runs in about a minute on one CPU core.  Increase ``DAYS`` (and the
+Runs in a few seconds on one CPU core.  Increase ``DAYS`` (and the
 epoch budget) for cleaner separations.
 """
 

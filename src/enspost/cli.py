@@ -103,11 +103,8 @@ RUN_CONFIG_CHECKS = {
                              "a number strictly between 0 and 1")},
     "importance": {
         "checkpoints": _STRING, "bins": _integer(2),
-        "statistics": _Check(
-            lambda v: (_list(_one_of(SUMMARY_KINDS), least=1).ok(v)
-                       and len(set(v)) == len(v)),
-            f"a non-empty list of distinct {'/'.join(SUMMARY_KINDS)}"),
-        "predictors": _list(_integer(0))},
+        "statistics": _list(_one_of(SUMMARY_KINDS), least=1, distinct=True),
+        "predictors": _list(_integer(0), distinct=True)},
 }
 
 

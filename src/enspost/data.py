@@ -553,12 +553,14 @@ def _integer(low=None, high=None):
                   + (f" and <= {high}" if high is not None else ""))
 
 
-def _list(item, size=None, least=0):
+def _list(item, size=None, least=0, distinct=False):
     return _Check(lambda v: (type(v) is list and size in (None, len(v))
-                             and len(v) >= least and all(map(item.ok, v))),
+                             and len(v) >= least and all(map(item.ok, v))
+                             and not (distinct and len(set(v)) < len(v))),
                   "a list" + (f" of {size}" if size else
                               f" of at least {least}" if least else "")
-                  + f", each item {item.expects}")
+                  + f", each item {item.expects}"
+                  + (", none twice" if distinct else ""))
 
 
 def _one_of(values):

@@ -21,9 +21,6 @@ from .data import SUMMARY_KINDS, Dataset, derive_seed
 from .errors import ConfigError, ContractError, DomainError
 from .evaluation import inputs_mean_crps
 
-# statistics of the sorted members only: a transplanted row has them of its
-# donor row, whose values it takes in another order
-ORDER_STATISTICS = ("min", "max", "iqr", "range")
 PERTURBATION_KINDS = ("fully_random", "rank_aware", "conditional")
 DEFAULT_BINS = 100
 CHI_RELIABLE_FRACTION = 1e-3  # denominator threshold relative to base score
@@ -87,26 +84,31 @@ def _percentiles(values, qs):
 def summary_statistic(values, kind):
     """One of the eight ensemble summary statistics, along the last axis.
 
-    Central moments use the n denominator except the standard deviation
-    (n-1); the inter-quartile range interpolates order statistics linearly.
-    Constant ensembles yield 0 for every spread and shape statistic.
+    Each row is sorted once, its zeros made +0.0, before any reduction, so
+    every statistic is a function of the row's set of members: it has the
+    same bits under any permutation of them.  Central moments use the n
+    denominator except the standard deviation (n-1); the inter-quartile
+    range interpolates order statistics linearly.  Constant ensembles
+    yield 0 for every spread and shape statistic.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape[-1] < 2:
         raise DomainError("need at least two members")
+    # + 0.0 makes -0.0 0.0: a sort leaves equal zeros in input order
+    values = np.sort(values + 0.0, axis=-1)
     if kind == "mean":
         return values.mean(axis=-1)
     if kind == "std":
         return values.std(axis=-1, ddof=1)
     if kind == "min":
-        return values.min(axis=-1)
+        return values[..., 0]
     if kind == "max":
-        return values.max(axis=-1)
+        return values[..., -1]
     if kind == "iqr":
         q25, q75 = _percentiles(values, [25, 75])
         return q75 - q25
     if kind == "range":
-        return values.max(axis=-1) - values.min(axis=-1)
+        return values[..., -1] - values[..., 0]
     centered = values - values.mean(axis=-1, keepdims=True)
     m2 = np.mean(centered**2, axis=-1)
     safe = np.where(m2 > 0, m2, 1.0)
@@ -168,7 +170,8 @@ class _Column:
 
     def statistic(self, kind):
         if kind not in self._statistics:
-            self._statistics[kind] = summary_statistic(self.values, kind)
+            self._statistics[kind] = summary_statistic(self.sorted_rows,
+                                                       kind)
         return self._statistics[kind]
 
     def midranks(self, kind):
@@ -185,11 +188,6 @@ class _Column:
                 np.argsort(bin_ids, kind="stable"),
                 np.cumsum(np.bincount(bin_ids, minlength=n_bins)).tolist())
         return self._bins[kind, bins]
-
-    def transplant(self, donors):
-        """Donor rows reordered to the receiving rows' member rank patterns
-        (sorting a donor row is sorting its own row)."""
-        return self.sorted_rows[donors[:, None], self.ranks]
 
 
 def _conditional_donors(column, spec, rng):
@@ -219,12 +217,13 @@ def _donors(column, spec, rng):
 
 def _members(column, spec, donors, rng):
     """The shuffled column: each row holds its donor row's members, in a
-    random order (fully random) or in its own member rank pattern."""
+    random order (fully random) or in its own member rank pattern (the
+    donor row sorted, then read at the row's own member ranks)."""
     if spec.kind == "fully_random":
         t, m = column.values.shape
         return column.values[donors[:, None],
                              np.argsort(rng.random((t, m)), axis=1)]
-    return column.transplant(donors)
+    return column.sorted_rows[donors[:, None], column.ranks]
 
 
 def perturb(col, spec: PerturbationSpec):
@@ -365,7 +364,9 @@ def preservation_matrix(dataset: Dataset, predictor, bins=DEFAULT_BINS,
 
     Entry (row s, column s') correlates s' computed on the original
     ensembles with s' after conditional shuffling on s.  Diagonals near 1
-    mean the binning preserves the conditioning statistic.
+    mean the binning preserves the conditioning statistic.  Statistics
+    come from each row's sorted members, so a shuffled row has exactly its
+    donor row's statistics.
     """
     if not 0 <= predictor < dataset.n_predictors:
         raise ConfigError("predictor index out of range")
@@ -374,10 +375,12 @@ def preservation_matrix(dataset: Dataset, predictor, bins=DEFAULT_BINS,
 
 
 def _preservation(column, predictor, bins, seed, statistics):
-    """:func:`preservation_matrix` of one predictor's column.  An order
-    statistic of a shuffled row is its donor row's, and the mid-ranks of
-    a permuted vector are its permuted mid-ranks, so only the moment
-    statistics are computed on the shuffled column."""
+    """:func:`preservation_matrix` of one predictor's column.  A shuffled
+    row holds its donor row's members, and every statistic is exactly
+    member-order invariant, so each statistic of the shuffled column is
+    the original one at the donor rows; the mid-ranks of a permuted vector
+    are its permuted mid-ranks.  No statistic of a shuffled column is
+    computed."""
     if len(column.values) < 10:
         raise DomainError("need at least 10 samples")
     matrix = np.empty((len(statistics), len(statistics)))
@@ -388,15 +391,9 @@ def _preservation(column, predictor, bins, seed, statistics):
                                                  cond))
         donors = _conditional_donors(column, spec,
                                      np.random.default_rng(spec.seed))
-        shuffled = None
         for j, measured in enumerate(statistics):
-            if measured in ORDER_STATISTICS:
-                ranks = column.midranks(measured)[donors]
-            else:
-                if shuffled is None:
-                    shuffled = column.transplant(donors)
-                ranks = _midranks(summary_statistic(shuffled, measured))
-            matrix[i, j] = _rank_correlation(column.midranks(measured), ranks)
+            ranks = column.midranks(measured)
+            matrix[i, j] = _rank_correlation(ranks, ranks[donors])
     return matrix
 
 

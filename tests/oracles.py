@@ -687,6 +687,7 @@ RUN_CONFIG_SCHEMA = {
                 "predictors": {
                     "type": "array",
                     "items": {"type": "integer", "minimum": 0},
+                    "uniqueItems": True,
                 },
             },
             "additionalProperties": False,

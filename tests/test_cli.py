@@ -118,6 +118,8 @@ def test_schema_rejects_unusable_importance_options():
     with pytest.raises(ConfigError, match="importance.statistics"):
         load_run_config(None,
                         overrides=['importance.statistics=["mean","mean"]'])
+    with pytest.raises(ConfigError, match="importance.predictors"):
+        load_run_config(None, overrides=["importance.predictors=[0,0]"])
     assert load_run_config(None, overrides=["importance.bins=2"])
 
 

@@ -58,6 +58,28 @@ def test_summary_statistic_vectorizes_and_handles_constants():
         summary_statistic(rows, "mode")
 
 
+@st.composite
+def _member_blocks(draw):
+    """An (n, M) block whose members are drawn from a small pool of values,
+    so that rows hold ties; the pool may hold -0.0 and 0.0 together."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(2, 30))
+    pool = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=m))
+    if draw(st.booleans()):
+        pool += [-0.0, 0.0]
+    return draw(hnp.arrays(np.float64, (n, m),
+                           elements=st.sampled_from(pool)))
+
+
+@pytest.mark.parametrize("kind", SUMMARY_KINDS)
+@settings(max_examples=200)
+@given(block=_member_blocks(), seed=st.integers(0, 2**32 - 1))
+def test_summary_statistic_is_exactly_member_order_invariant(kind, block,
+                                                             seed):
+    permuted = np.random.default_rng(seed).permuted(block, axis=1)
+    assert summary_statistic(permuted, kind).tobytes() \
+        == summary_statistic(block, kind).tobytes()
+
+
 @settings(max_examples=200)
 @given(n=st.integers(2, 60), rows=st.one_of(st.none(), st.integers(1, 4)),
        data=st.data())
@@ -530,6 +552,26 @@ def test_unconditional_shuffles_match_reference(kind):
         spec = PerturbationSpec(i, kind, seed=i)
         np.testing.assert_array_equal(perturb(ds.ens[:, :, i], spec),
                                       perturb_per_bin(ds.ens[:, :, i], spec))
+
+
+@pytest.mark.parametrize("kind,cond", [("rank_aware", None),
+                                       *(("conditional", c)
+                                         for c in SUMMARY_KINDS)])
+def test_a_shuffled_row_has_its_donor_rows_statistics(kind, cond):
+    # what lets the preservation matrix read every statistic of a shuffled
+    # column at the donor rows
+    ds = _reference_dataset()
+    for i in range(ds.n_predictors):
+        col = ds.ens[:, :, i]
+        for seed in range(3):
+            spec = PerturbationSpec(i, kind, statistic=cond, bins=7,
+                                    seed=seed)
+            donors = _donors(_Column(col), spec,
+                             np.random.default_rng(spec.seed))
+            shuffled = perturb(col, spec)
+            for stat in SUMMARY_KINDS:
+                assert summary_statistic(shuffled, stat).tobytes() \
+                    == summary_statistic(col, stat)[donors].tobytes(), stat
 
 
 @pytest.mark.parametrize("bins", REFERENCE_BINS)
