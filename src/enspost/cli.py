@@ -2,18 +2,23 @@
 
 Four subcommands (``synth``, ``train``, ``evaluate``, ``importance``) are
 driven by a JSON run configuration checked against
-:data:`RUN_CONFIG_CHECKS`, with ``--set key=value`` overrides for scripting
-experiment grids.  The checker, :func:`enspost.data.check_fields`, is the
-one place a single field is judged: its tables also serve the
-``SynthConfig`` and ``ModelConfig`` constructors, ``ModelConfig.from_dict``
-and the checkpoint headers of ``models.load_model``, and only rules across
-fields are written as code (``SynthConfig.check``, ``ModelConfig.check``,
-which :func:`check_run_config` also runs).  JSON outputs are strict: a
-non-finite number is a :class:`NumericError`, save the chi of a predictor
-a model never reads, written as null.  Every command is deterministic
-given (config, input files): all randomness flows from the top-level seed
-through named streams, wall-clock timings are segregated into a non-hashed
-sidecar, and each run writes a manifest with SHA-256 hashes of its outputs.
+:data:`RUN_CONFIG_CHECKS` (and ``models.MODEL_CHECKS`` for a model
+section), with ``--set key=value`` overrides for scripting experiment
+grids.  The checker, :func:`enspost.data.check_fields`, is the one place a
+single field is judged: its tables also serve the ``SynthConfig`` and
+``ModelConfig`` constructors, ``ModelConfig.from_dict`` and the checkpoint
+headers of ``models.load_model``, and only rules across fields are written
+as code (``SynthConfig.check``, ``ModelConfig.check``, which
+:func:`check_run_config` also runs).  Each command imports the modules it
+runs inside its body, so ``synth`` loads only ``data``, and calls their
+functions through the module (``train.train_pool``): no function is bound
+here under a second name, so a patch or wrap at its home reaches this
+module too.  JSON outputs are strict: a non-finite number is a
+:class:`NumericError`, save the chi of a predictor a model never reads,
+written as null.  Every command is deterministic given (config, input
+files): all randomness flows from the top-level seed through named
+streams, wall-clock timings are segregated into a non-hashed sidecar, and
+each run writes a manifest with SHA-256 hashes of its outputs.
 
 Exit codes: 0 success, 2 configuration/input error or out of memory, 3
 numeric failure.
@@ -34,7 +39,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import hashlib
-import importlib
 import json
 import math
 import os
@@ -44,77 +48,49 @@ import time
 
 import numpy as np
 
+from . import data
 from .data import (SUMMARY_KINDS, SYNTH_CHECKS, SynthConfig, _POSITIVE,
-                   _STRING, _Check, _integer, _is_real, _list, _one_of,
-                   _rejected, _too_large, check_fields, derive_seed,
-                   generate_synthetic, load_ndjson, save_copy, save_ndjson,
-                   sha256_file, split_temporal)
+                   _STRING, _Check)
 from .errors import ConfigError, ContractError, DomainError, NumericError
 
-# Names of the modules that only train, evaluate and importance run, so that
-# synth loads only ``data``.  A command (or a config section's checks) binds
-# them here with :func:`_load` before it uses them, and ``cli.<name>``
-# binds them on first access, as a top-level import would.
-_DEFERRED = {
-    "evaluation": ("nominal_pi_level", "pit_csv", "raw_eps_report",
-                   "report_table", "resample_and_score"),
-    "importance": ("DEFAULT_BINS", "importance_report", "preservation_csv"),
-    "models": ("MODEL_CHECKS", "ModelConfig", "ModelPool", "load_model",
-               "save_model"),
-    "train": ("train_pool",),
-}
-
-
-def _load(*modules):
-    """Import ``modules`` of :data:`_DEFERRED` and bind their names here; a
-    name already bound (a wrapper, say) stays."""
-    for module in modules:
-        imported = importlib.import_module(f".{module}", __package__)
-        for name in _DEFERRED[module]:
-            globals().setdefault(name, getattr(imported, name))
-
-
-def __getattr__(name):
-    for module, names in _DEFERRED.items():
-        if name in names:
-            _load(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# The model table is a function until a config first has that section: it
-# needs modules that synth does not load.
 RUN_CONFIG_CHECKS = {
-    "seed": _integer(0),
+    "seed": data._integer(0),
     "out": _STRING,
     "synth": SYNTH_CHECKS,
     "data": {"path": _STRING._replace(required=True),
-             "splits": _list(_POSITIVE, size=3),
-             "primary": _integer(0)},
-    "model": lambda: __getattr__("MODEL_CHECKS"),
-    "train": {"pool_size": _integer(1)},
-    "eval": {"checkpoints": _STRING, "draw_size": _integer(1),
-             "reps": _integer(1),
+             "splits": data._list(_POSITIVE, size=3),
+             "primary": data._integer(0)},
+    "train": {"pool_size": data._integer(1)},
+    "eval": {"checkpoints": _STRING, "draw_size": data._integer(1),
+             "reps": data._integer(1),
              "pit_bins": _Check(lambda v: (type(v) is int and v >= 2
-                                           and not _too_large(v + 1)),
+                                           and not data._too_large(v + 1)),
                                 "an integer >= 2 whose bins + 1 float64 "
                                 "edges NumPy can index"),
-             "level": _Check(lambda v: _is_real(v) and 0 < v < 1,
+             "level": _Check(lambda v: data._is_real(v) and 0 < v < 1,
                              "a number strictly between 0 and 1")},
     "importance": {
-        "checkpoints": _STRING, "bins": _integer(2),
-        "statistics": _list(_one_of(SUMMARY_KINDS), least=1, distinct=True),
-        "predictors": _list(_integer(0), distinct=True)},
+        "checkpoints": _STRING, "bins": data._integer(2),
+        "statistics": data._list(data._one_of(SUMMARY_KINDS), least=1,
+                                 distinct=True),
+        "predictors": data._list(data._integer(0), distinct=True)},
 }
 
 
 def check_run_config(config):
-    """:func:`check_fields` of a run configuration and RUN_CONFIG_CHECKS,
-    then the rules across the fields of its synth and model sections."""
-    check_fields(config, RUN_CONFIG_CHECKS)
+    """:func:`data.check_fields` of a run configuration and
+    RUN_CONFIG_CHECKS, plus ``models.MODEL_CHECKS`` for a model section,
+    then the rules across the fields of its synth and model sections.
+    ``models`` is imported only for a config with a model section, so that
+    synth loads only ``data``."""
+    checks = RUN_CONFIG_CHECKS
+    if type(config) is dict and "model" in config:
+        from . import models
+        checks = {**checks, "model": models.MODEL_CHECKS}
+    data.check_fields(config, checks)
     SynthConfig.check(config.get("synth", {}), "synth")
-    if "model" in config:
-        __getattr__("ModelConfig").check(config["model"], "model")
+    if "model" in checks:
+        models.ModelConfig.check(config["model"], "model")
 
 
 DEFAULT_SPLITS = (0.7, 0.15, 0.15)
@@ -164,7 +140,7 @@ def load_run_config(path, overrides=(), seed=None, out=None):
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})")
         if type(config) is not dict:
-            raise _rejected("", "an object", config)
+            raise data._rejected("", "an object", config)
     for item in overrides:
         apply_override(config, *_parse_override(item))
     if seed is not None:
@@ -223,7 +199,8 @@ def write_manifest(out_dir, command, config, outputs, timings, digests=None):
     only, which is itself not hashed.
     """
     known = digests or {}
-    hashes = {name: known.get(name) or sha256_file(os.path.join(out_dir, name))
+    hashes = {name: known.get(name)
+              or data.sha256_file(os.path.join(out_dir, name))
               for name in sorted(outputs)}
     overall = hashlib.sha256(
         json.dumps(hashes, sort_keys=True).encode()).hexdigest()
@@ -252,24 +229,19 @@ def _resource_use():
             "max_rss_mb": max(own.ru_maxrss, workers.ru_maxrss) / 1024.0}
 
 
-def _model_config(config):
-    return ModelConfig.from_dict({"seed": config["seed"],
-                                  **config.get("model", {})}, "model")
-
-
 def _load_datasets(config):
     """(train, val, test) from the data section, else from synth."""
     if "data" in config:
         section = config["data"]
         if not os.path.exists(section["path"]):
             raise ConfigError(f"data file not found: {section['path']}")
-        dataset = load_ndjson(section["path"],
-                              primary=section.get("primary", 0))
+        dataset = data.load_ndjson(section["path"],
+                                   primary=section.get("primary", 0))
         splits = tuple(section.get("splits", DEFAULT_SPLITS))
     else:
-        dataset = generate_synthetic(_synth_config(config))
+        dataset = data.generate_synthetic(_synth_config(config))
         splits = DEFAULT_SPLITS
-    return split_temporal(dataset, splits)
+    return data.split_temporal(dataset, splits)
 
 
 def _synth_config(config):
@@ -287,8 +259,11 @@ def _checkpoint_paths(directory):
 
 
 def _load_pool(directory):
-    models = [load_model(p) for p in _checkpoint_paths(directory)]
-    return ModelPool(config=models[0].config, models=models)
+    # the commands that call this import models first: imported after the
+    # test set is read, its compile would add to the stage's peak RSS
+    from . import models
+    fitted = [models.load_model(p) for p in _checkpoint_paths(directory)]
+    return models.ModelPool(config=fitted[0].config, models=fitted)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +275,10 @@ def cmd_synth(config, out_dir):
     """Generate a synthetic dataset; write NDJSON, its binary copy and a
     stats sidecar."""
     t0 = time.perf_counter()
-    dataset = generate_synthetic(_synth_config(config))
+    dataset = data.generate_synthetic(_synth_config(config))
     data_path = os.path.join(out_dir, "dataset.ndjson")
-    save_ndjson(dataset, data_path)
-    digest = save_copy(dataset, data_path)
+    data.save_ndjson(dataset, data_path)
+    digest = data.save_copy(dataset, data_path)
     stats = {
         "n_samples": len(dataset),
         "n_members": dataset.n_members,
@@ -329,18 +304,19 @@ def cmd_synth(config, out_dir):
 
 def cmd_train(config, out_dir, workers=1):
     """Train a pool of models; write checkpoints, reports and manifest."""
-    _load("models", "train")
+    from . import models, train
     t0 = time.perf_counter()
-    model_config = _model_config(config)
+    model_config = models.ModelConfig.from_dict(
+        {"seed": config["seed"], **config.get("model", {})}, "model")
     train_set, val_set, _ = _load_datasets(config)
     pool_size = config.get("train", {}).get("pool_size", 20)
-    pool = train_pool(model_config, train_set, val_set, n=pool_size,
-                      workers=workers)
+    pool = train.train_pool(model_config, train_set, val_set, n=pool_size,
+                            workers=workers)
 
     outputs = []
     for i, model in enumerate(pool.models):
         name = f"model_{i:03d}.bin"
-        save_model(model, os.path.join(out_dir, name))
+        models.save_model(model, os.path.join(out_dir, name))
         outputs.append(name)
     report_dicts, wall_times = [], []
     for report in pool.reports:
@@ -370,18 +346,19 @@ def cmd_evaluate(config, out_dir):
     ``draw_size``-subsets of the pool are aggregated and scored; without
     one, only the raw-ensemble (EPS) baseline row is produced.
     """
-    _load("evaluation", "models")
+    from . import evaluation, models  # models first: see _load_pool
     t0 = time.perf_counter()
     _, _, test_set = _load_datasets(config)
     section = config.get("eval", {})
     level = section.get("level")
     if level is None:
-        level = float(nominal_pi_level(test_set.n_members))
+        level = float(evaluation.nominal_pi_level(test_set.n_members))
     pit_bins = section.get("pit_bins", 20)
     seed = config["seed"]
 
-    eps = raw_eps_report(test_set, level=level, pit_bins=pit_bins,
-                         rng=np.random.default_rng(derive_seed(seed, "eps")))
+    eps = evaluation.raw_eps_report(
+        test_set, level=level, pit_bins=pit_bins,
+        rng=np.random.default_rng(data.derive_seed(seed, "eps")))
     rows = {"eps": eps}
     payload = {"level": level, "n_samples": len(test_set),
                "methods": {"eps": eps.to_dict()}}
@@ -390,10 +367,10 @@ def cmd_evaluate(config, out_dir):
         pool = _load_pool(section["checkpoints"])
         k = section.get("draw_size", min(10, len(pool)))
         reps = section.get("reps", 50)
-        rng = np.random.default_rng(derive_seed(seed, "resample"))
-        reports, summary = resample_and_score(pool, test_set, k=k, reps=reps,
-                                              rng=rng, level=level,
-                                              pit_bins=pit_bins)
+        rng = np.random.default_rng(data.derive_seed(seed, "resample"))
+        reports, summary = evaluation.resample_and_score(
+            pool, test_set, k=k, reps=reps, rng=rng, level=level,
+            pit_bins=pit_bins)
         best = int(np.argmin([r.mean_crps for r in reports]))
         rows["pool"] = reports[best]
         payload["methods"]["pool"] = {
@@ -403,12 +380,13 @@ def cmd_evaluate(config, out_dir):
 
     _write_json(os.path.join(out_dir, "evaluation.json"), payload)
     _write_text(os.path.join(out_dir, "evaluation_table.txt"),
-                report_table(rows))
-    _write_text(os.path.join(out_dir, "pit_eps.csv"), pit_csv(eps))
+                evaluation.report_table(rows))
+    _write_text(os.path.join(out_dir, "pit_eps.csv"),
+                evaluation.pit_csv(eps))
     outputs = ["evaluation.json", "evaluation_table.txt", "pit_eps.csv"]
     if "pool" in rows:
         _write_text(os.path.join(out_dir, "pit_pool.csv"),
-                    pit_csv(rows["pool"]))
+                    evaluation.pit_csv(rows["pool"]))
         outputs.append("pit_pool.csv")
     print("evaluate: " + ", ".join(
         f"{name} crps={rep.mean_crps:.4f}" for name, rep in rows.items()))
@@ -419,7 +397,7 @@ def cmd_evaluate(config, out_dir):
 
 def cmd_importance(config, out_dir):
     """Pool-aggregated predictor importance on the test set."""
-    _load("importance", "models")
+    from . import importance, models  # models first: see _load_pool
     t0 = time.perf_counter()
     _, _, test_set = _load_datasets(config)
     section = config.get("importance", {})
@@ -427,14 +405,14 @@ def cmd_importance(config, out_dir):
         raise ConfigError("importance needs an importance.checkpoints "
                           "directory of trained models")
     pool = _load_pool(section["checkpoints"])
-    bins = section.get("bins", DEFAULT_BINS)
+    bins = section.get("bins", importance.DEFAULT_BINS)
     statistics = tuple(section.get("statistics", SUMMARY_KINDS))
     predictors = section.get("predictors")
 
-    report = importance_report(pool.models, test_set, bins=bins,
-                               seed=derive_seed(config["seed"], "importance"),
-                               statistics=statistics,
-                               chi_predictors=predictors)
+    report = importance.importance_report(
+        pool.models, test_set, bins=bins,
+        seed=data.derive_seed(config["seed"], "importance"),
+        statistics=statistics, chi_predictors=predictors)
     # the chi of a predictor a model never reads is 0/0, flagged unreliable
     for entry in (e for stats in report["chi"].values()
                   for e in stats.values() if not e["reliable"]):
@@ -445,7 +423,8 @@ def cmd_importance(config, out_dir):
     for name, matrix in report["preservation"].items():
         fname = f"preservation_{name}.csv"
         _write_text(os.path.join(out_dir, fname),
-                    preservation_csv(np.asarray(matrix), statistics))
+                    importance.preservation_csv(np.asarray(matrix),
+                                                statistics))
         outputs.append(fname)
     top = max(report["delta0"].items(), key=lambda kv: kv[1]["mean"])
     print(f"importance: {len(pool)} models, top delta0 "

@@ -589,17 +589,15 @@ def check_fields(config, checks, path="", required=False):
     """Raise ConfigError naming the first field that ``checks`` rejects.
 
     ``checks`` maps each field to a check and each section to a table of
-    its own, or to the function that builds it; a field it does not name is
-    rejected at every level.  A required check's field must be there, and
-    with ``required`` every field of every level.
+    its own; a field it does not name is rejected at every level.  A
+    required check's field must be there, and with ``required`` every field
+    of every level.
     """
     if type(config) is not dict:
         raise _rejected(path, "an object", config)
     prefix = f"{path}." if path else ""
     for name, value in config.items():
         check = checks.get(name)
-        if callable(check):
-            check = checks[name] = check()
         if check is None:
             raise ConfigError(f"config field {prefix}{name}: unknown field")
         if isinstance(check, dict):

@@ -18,10 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import dist
 from .data import Dataset
-from .dist import (BernsteinQuantile, QuantileLevels, TruncLogistic,
-                   bqn_quantile, crps_sample_batch, crps_tlogis, level_grid,
-                   pit, theta_mean_crps, tlogis_quantile)
+from .dist import BernsteinQuantile, QuantileLevels, TruncLogistic
 from .errors import ContractError, DomainError
 
 
@@ -63,9 +62,11 @@ def pi_bounds(forecast, level):
         raise DomainError("level must lie strictly inside (0, 1)")
     p_lo, p_hi = (1.0 - level) / 2.0, (1.0 + level) / 2.0
     if isinstance(forecast, TruncLogistic):
-        return (tlogis_quantile(forecast, p_lo), tlogis_quantile(forecast, p_hi))
+        return (dist.tlogis_quantile(forecast, p_lo),
+                dist.tlogis_quantile(forecast, p_hi))
     if isinstance(forecast, BernsteinQuantile):
-        return bqn_quantile(forecast, p_lo), bqn_quantile(forecast, p_hi)
+        return (dist.bqn_quantile(forecast, p_lo),
+                dist.bqn_quantile(forecast, p_hi))
     raise DomainError(f"unsupported forecast type {type(forecast).__name__}")
 
 
@@ -113,12 +114,13 @@ def evaluate(forecast, observations, level, pit_bins=20, rng=None,
     observations, level = _checked(np.shape(lo), observations, level)
     rng = rng if rng is not None else np.random.default_rng(0)
     if isinstance(forecast, TruncLogistic):
-        crps = crps_tlogis(forecast, observations)
+        crps = dist.crps_tlogis(forecast, observations)
     else:
         levels = QuantileLevels.equidistant() if levels is None else levels
-        crps = crps_sample_batch(bqn_quantile(forecast, level_grid(levels)),
-                                 observations)
-    return _report(crps, lo, hi, pit(forecast, observations, rng),
+        crps = dist.crps_sample_batch(
+            dist.bqn_quantile(forecast, dist.level_grid(levels)),
+            observations)
+    return _report(crps, lo, hi, dist.pit(forecast, observations, rng),
                    observations, level, pit_bins)
 
 
@@ -146,13 +148,13 @@ def evaluate_quantiles(quantiles, observations, level, levels=None,
     observations, level = _checked(quantiles.shape[:1], observations, level)
     if levels is None:
         levels = QuantileLevels.equidistant(quantiles.shape[1])
-    lv = level_grid(levels)
+    lv = dist.level_grid(levels)
     if lv.shape != quantiles.shape[1:]:
         raise ContractError(f"{lv.size} levels for {quantiles.shape[1]} "
                             "quantile columns")
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    crps = crps_sample_batch(quantiles, observations)
+    crps = dist.crps_sample_batch(quantiles, observations)
     lo = _interp_rows((1.0 - level) / 2.0, lv, quantiles)
     hi = _interp_rows((1.0 + level) / 2.0, lv, quantiles)
     y = observations[:, None]
@@ -172,8 +174,8 @@ def model_mean_crps(model, dataset: Dataset):
 def inputs_mean_crps(model, inputs, observations):
     """:func:`model_mean_crps` of graph inputs from ``model.inputs`` (or
     ``model.shuffled_inputs``) and their observations."""
-    return theta_mean_crps(model.forward(inputs), observations, model.family,
-                           model.config.crps_levels)
+    return dist.theta_mean_crps(model.forward(inputs), observations,
+                                model.family, model.config.crps_levels)
 
 
 def raw_eps_report(dataset: Dataset, level=None, pit_bins=20, rng=None):

@@ -17,13 +17,16 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .data import SUMMARY_KINDS, Dataset, derive_seed
+from . import data, evaluation
+from .data import SUMMARY_KINDS, Dataset
 from .errors import ConfigError, ContractError, DomainError
-from .evaluation import inputs_mean_crps
 
 PERTURBATION_KINDS = ("fully_random", "rank_aware", "conditional")
 DEFAULT_BINS = 100
 CHI_RELIABLE_FRACTION = 1e-3  # denominator threshold relative to base score
+# largest |centered| member values whose moments up to the fourth are normal
+# floats for any ensemble size below 2**60
+MOMENT_RANGE = (2.0**-200, 2.0**200)
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,13 @@ def summary_statistic(values, kind):
     if kind == "range":
         return values[..., -1] - values[..., 0]
     centered = values - values.mean(axis=-1, keepdims=True)
+    # skewness and kurtosis are scale-free: a row whose fourth powers would
+    # under- or overflow is scaled first, by the power of two (exact) of its
+    # largest |centered| value; every other row keeps its bits
+    largest = np.abs(centered).max(axis=-1, keepdims=True)
+    centered = np.ldexp(centered, np.where(
+        (largest < MOMENT_RANGE[0]) | (largest > MOMENT_RANGE[1]),
+        -np.frexp(largest)[1], 0))
     m2 = np.mean(centered**2, axis=-1)
     safe = np.where(m2 > 0, m2, 1.0)
     if kind == "skewness":
@@ -256,7 +266,7 @@ def _skill_losses(model, test: Dataset, specs, columns):
     if any(spec.predictor >= test.n_predictors for spec in specs):
         raise ConfigError("predictor index out of range")
     inputs = model.inputs(test)
-    base = inputs_mean_crps(model, inputs, test.obs)
+    base = evaluation.inputs_mean_crps(model, inputs, test.obs)
     if base == 0.0:
         raise DomainError("degenerate model: mean CRPS is zero")
     losses = {}
@@ -266,17 +276,18 @@ def _skill_losses(model, test: Dataset, specs, columns):
         shuffled = model.shuffled_inputs(
             inputs, spec.predictor, donors,
             partial(_members, column, spec, donors, rng))
-        losses[spec] = inputs_mean_crps(model, shuffled, test.obs) - base
+        losses[spec] = (evaluation.inputs_mean_crps(model, shuffled, test.obs)
+                        - base)
     return base, losses
 
 
 def _chi_specs(predictor, statistic, bins, seed):
     """(conditional numerator, rank-aware reference) operators of chi."""
     return (PerturbationSpec(predictor, "conditional", statistic=statistic,
-                             bins=bins, seed=derive_seed(seed, "chi-num",
-                                                         predictor, statistic)),
-            PerturbationSpec(predictor, "rank_aware",
-                             seed=derive_seed(seed, "chi-ref", predictor)))
+                             bins=bins, seed=data.derive_seed(
+                                 seed, "chi-num", predictor, statistic)),
+            PerturbationSpec(predictor, "rank_aware", seed=data.derive_seed(
+                seed, "chi-ref", predictor)))
 
 
 def _ratio(base, losses, spec_num, spec_ref):
@@ -387,8 +398,8 @@ def _preservation(column, predictor, bins, seed, statistics):
     for i, cond in enumerate(statistics):
         spec = PerturbationSpec(predictor, "conditional", statistic=cond,
                                 bins=bins,
-                                seed=derive_seed(seed, "preserve", predictor,
-                                                 cond))
+                                seed=data.derive_seed(seed, "preserve",
+                                                      predictor, cond))
         donors = _conditional_donors(column, spec,
                                      np.random.default_rng(spec.seed))
         for j, measured in enumerate(statistics):
@@ -434,11 +445,10 @@ def importance_report(models, test: Dataset, bins=DEFAULT_BINS, seed=0,
     delta_runs = {name: [] for name in names}
     chi_runs = {(i, stat): [] for i in chi_predictors for stat in statistics}
     for run, model in enumerate(models):
-        deltas = [PerturbationSpec(i, "fully_random",
-                                   seed=derive_seed(seed, "delta0", run, i))
-                  for i in range(len(names))]
+        deltas = [PerturbationSpec(i, "fully_random", seed=data.derive_seed(
+                      seed, "delta0", run, i)) for i in range(len(names))]
         pairs = {(i, stat): _chi_specs(i, stat, bins,
-                                       derive_seed(seed, "chi", run, i))
+                                       data.derive_seed(seed, "chi", run, i))
                  for i, stat in chi_runs}
         base, losses = _skill_losses(
             model, test, deltas + [s for pair in pairs.values() for s in pair],

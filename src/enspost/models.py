@@ -26,11 +26,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
+from . import data
 from . import dist as dist_mod
 from .autodiff import ParamVector
-from .data import (Dataset, _POSITIVE, _STRING, _Check, _fields, _integer,
-                   _is_int, _is_real, _list, _one_of, _rejected, _too_large,
-                   check_fields, standardize)
+from .data import Dataset, _POSITIVE, _STRING, _Check
 from .errors import ConfigError, ContractError, DomainError
 
 ARCHITECTURES = ("emos", "drn", "bqn", "ed-drn", "ed-bqn", "st-drn", "st-bqn")
@@ -63,12 +62,12 @@ class ModelConfig:
         """ConfigError naming the field (of ``section``) of the JSON config
         ``d`` that MODEL_CHECKS rejects, or heads that do not divide
         latent_width; a missing field reads as its default."""
-        check_fields(d, MODEL_CHECKS, section)
+        data.check_fields(d, MODEL_CHECKS, section)
         width, heads = (d.get(k, getattr(cls, k))
                         for k in ("latent_width", "attention_heads"))
         if width % heads:
-            raise _rejected(f"{section}.attention_heads".lstrip("."),
-                            f"a divisor of latent_width {width}", heads)
+            raise data._rejected(f"{section}.attention_heads".lstrip("."),
+                                 f"a divisor of latent_width {width}", heads)
 
     @property
     def family(self):
@@ -104,9 +103,10 @@ class ModelConfig:
                       for k, v in d.items()})
 
 
-MODEL_CHECKS = _fields(
-    ModelConfig, architecture=_one_of(ARCHITECTURES),
-    pooling=_one_of(POOLING_KINDS), hidden_sizes=_list(_integer(1), least=2),
+MODEL_CHECKS = data._fields(
+    ModelConfig, architecture=data._one_of(ARCHITECTURES),
+    pooling=data._one_of(POOLING_KINDS),
+    hidden_sizes=data._list(data._integer(1), least=2),
     latent_width=1, attention_heads=1, n_attention_blocks=1,
     bernstein_degree=1, embedding_dim=1, n_quantile_levels=1, batch_size=1,
     learning_rate=_POSITIVE, max_epochs=0, patience=0, seed=0)
@@ -232,9 +232,9 @@ def _oversized(config, dims):
     does."""
     counts, total = _param_counts(config, dims)
     for name, count in counts.items():
-        if _too_large(count):
+        if data._too_large(count):
             return f"parameter {name}", count
-    return ("the parameter vector", total) if _too_large(total) else None
+    return ("the parameter vector", total) if data._too_large(total) else None
 
 
 def check_model_size(config: ModelConfig, n_predictors, n_scalars,
@@ -242,7 +242,7 @@ def check_model_size(config: ModelConfig, n_predictors, n_scalars,
     """ConfigError naming the fields (of ``section``) that make the quantile
     level grid, a parameter slice or the parameter vector hold more bytes
     than NumPy indexes.  Counts are Python ints, so nothing is allocated."""
-    if _too_large(config.n_quantile_levels):
+    if data._too_large(config.n_quantile_levels):
         raise ConfigError(
             f"config field {section}.n_quantile_levels: {config.n_quantile_levels}"
             " float64 levels: more bytes than NumPy indexes")
@@ -377,7 +377,7 @@ def graph_inputs(config: ModelConfig, dataset: Dataset, norm):
     """
     if config.architecture == "emos":
         return {"features": summary_base(dataset.ens, dataset.primary)[:, :2]}
-    ens, scalars = standardize(dataset, norm)
+    ens, scalars = data.standardize(dataset, norm)
     if config.architecture in ("drn", "bqn"):
         return {"features": np.concatenate(
                     [summary_base(ens, dataset.primary), scalars], axis=-1),
@@ -660,23 +660,28 @@ def _read_checkpoint(path):
     return header, block
 
 
-_NAMES = _list(_STRING)
-_FLOAT = _Check(lambda v: type(v) is float and _is_real(v), "a finite float")
-_STDS = _list(_Check(lambda v: _FLOAT.ok(v) and v > 0, "a finite float > 0"))
-_HEADER = dict(kind=_STRING, primary=_integer(0), predictor_names=_NAMES,
+_NAMES = data._list(_STRING)
+_FLOAT = _Check(lambda v: type(v) is float and data._is_real(v),
+                "a finite float")
+_STDS = data._list(_Check(lambda v: _FLOAT.ok(v) and v > 0,
+                          "a finite float > 0"))
+_HEADER = dict(kind=_STRING, primary=data._integer(0), predictor_names=_NAMES,
                scalar_names=_NAMES,
-               n_stations=_Check(lambda v: _is_int(v) and v >= 1,
+               n_stations=_Check(lambda v: data._is_int(v) and v >= 1,
                                  "a 64-bit integer >= 1"))
 # Each kind's checkpoint header, all fields required; norm as fit_norm writes it
 HEADER_CHECKS = {
-    "emos": {**_HEADER, "cell_keys": _list(_list(_integer(0), size=2)),
+    "emos": {**_HEADER,
+             "cell_keys": data._list(data._list(data._integer(0), size=2)),
              "norm": _Check(lambda v: v is None, "null"),
-             "config": {**MODEL_CHECKS, "architecture": _one_of(("emos",))}},
+             "config": {**MODEL_CHECKS,
+                        "architecture": data._one_of(("emos",))}},
     "neural": {**_HEADER, "config": MODEL_CHECKS,
                "layout": _Check(lambda v: type(v) is dict, "an object"),
                "norm": {"predictor_names": _NAMES, "scalar_names": _NAMES,
-                        "ens_mean": _list(_FLOAT), "ens_std": _STDS,
-                        "scalar_mean": _list(_FLOAT), "scalar_std": _STDS}},
+                        "ens_mean": data._list(_FLOAT), "ens_std": _STDS,
+                        "scalar_mean": data._list(_FLOAT),
+                        "scalar_std": _STDS}},
 }
 
 
@@ -687,16 +692,17 @@ def load_model(path):
     try:
         kind = header.get("kind") if type(header) is dict else None
         if kind not in ("emos", "neural"):    # a tuple: a list needs no hash
-            raise _rejected("kind", '"emos" or "neural"', kind)
-        check_fields(header, HEADER_CHECKS[kind], required=True)
+            raise data._rejected("kind", '"emos" or "neural"', kind)
+        data.check_fields(header, HEADER_CHECKS[kind], required=True)
         if header["primary"] >= len(header["predictor_names"]):
-            raise _rejected("primary", "an index of predictor_names",
-                            header["primary"])
+            raise data._rejected("primary", "an index of predictor_names",
+                                 header["primary"])
         for key, values in (header["norm"] or {}).items():
             names = header["scalar_names" if key.startswith("scalar")
                            else "predictor_names"]
             if len(values) != len(names):
-                raise _rejected(f"norm.{key}", f"{len(names)} values", values)
+                raise data._rejected(f"norm.{key}", f"{len(names)} values",
+                                     values)
         keys = header.get("cell_keys", [])
         if not (all(s < header["n_stations"] and 1 <= m <= 12
                     for s, m in keys)

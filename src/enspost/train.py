@@ -16,13 +16,11 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
+from . import data, dist, models
 from .autodiff import ParamVector
-from .data import Dataset, fit_norm
-from .dist import crps_map, quantile_map, theta_crps, theta_mean_crps
+from .data import Dataset
 from .errors import ConfigError, ContractError, DomainError, NumericError
-from .models import (EMOSModel, ModelConfig, ModelPool, NeuralModel,
-                     build_graph, check_model_size, emos_cell_link,
-                     emos_params, eval_chunked, graph_inputs, init_params)
+from .models import EMOSModel, ModelConfig, ModelPool, NeuralModel
 
 MIN_EMOS_CELL = 10    # station/month cells smaller than this use the global fit
 EMOS_CELL_STEPS = 80  # full-batch Adam steps of the batched cell fit
@@ -51,13 +49,14 @@ def loss_graph(config: ModelConfig, loss=None):
         loss = "crps" if config.family == "tlogis" else "quantile_score"
     if loss not in ("crps", "quantile_score"):
         raise ConfigError(f"unknown loss {loss!r}")
-    base = build_graph(config)
+    base = models.build_graph(config)
     if loss == "crps":
-        crps = crps_map(config.family, config.crps_levels,
-                        config.bernstein_degree)
+        crps = dist.crps_map(config.family, config.crps_levels,
+                             config.bernstein_degree)
         return lambda P, I: ad.mean(crps(base(P, I), I["y"]))
     levels = config.quantile_levels.levels
-    quantiles = quantile_map(config.family, levels, config.bernstein_degree)
+    quantiles = dist.quantile_map(config.family, levels,
+                                  config.bernstein_degree)
     return lambda P, I: _pinball_mean(quantiles(base(P, I)), I["y"], levels)
 
 
@@ -144,8 +143,8 @@ def _init_output_bias(params: ParamVector, config: ModelConfig, obs):
 
 
 def _val_crps(config, graph, params, inputs, obs):
-    return theta_mean_crps(eval_chunked(config, graph, params, inputs), obs,
-                           config.family, config.crps_levels)
+    theta = models.eval_chunked(config, graph, params, inputs)
+    return dist.theta_mean_crps(theta, obs, config.family, config.crps_levels)
 
 
 def _check_split(train, val):
@@ -198,14 +197,14 @@ def train_model(config: ModelConfig, train: Dataset, val: Dataset):
     full-batch from the identity link, then its cells (:func:`_train_emos`).
     """
     _check_split(train, val)
-    check_model_size(config, train.n_predictors, train.n_scalars,
-                     train.n_stations)
+    models.check_model_size(config, train.n_predictors, train.n_scalars,
+                            train.n_stations)
     t0 = time.perf_counter()
     emos = config.architecture == "emos"
-    norm = None if emos else fit_norm(train)
-    inputs = graph_inputs(config, train, norm)
-    params = init_params(config, train.n_predictors, train.n_scalars,
-                         train.n_stations)
+    norm = None if emos else data.fit_norm(train)
+    inputs = models.graph_inputs(config, train, norm)
+    params = models.init_params(config, train.n_predictors,
+                                train.n_scalars, train.n_stations)
     if emos:
         fit_config = replace(config, batch_size=max(len(train), 1))
     else:
@@ -214,7 +213,8 @@ def train_model(config: ModelConfig, train: Dataset, val: Dataset):
 
     best_values, train_losses, val_scores, best_epoch = _fit_loop(
         fit_config, loss_graph(config), params, inputs, train.obs,
-        build_graph(config), graph_inputs(config, val, norm), val.obs,
+        models.build_graph(config), models.graph_inputs(config, val, norm),
+        val.obs,
         np.random.default_rng(config.seed))
 
     fields = dict(norm=norm, n_stations=train.n_stations,
@@ -234,7 +234,7 @@ def train_model(config: ModelConfig, train: Dataset, val: Dataset):
 
 def _cell_loss(P, I):
     """Batched EMOS cell loss: each row's CRPS times its ``weight``."""
-    crps = theta_crps(emos_cell_link(P, I), I["y"], "tlogis", None)
+    crps = dist.theta_crps(models.emos_cell_link(P, I), I["y"], "tlogis", None)
     return ad._sum(crps * I["weight"])
 
 
@@ -262,7 +262,8 @@ def _train_emos(config, train: Dataset, features, global_fit, fields):
     cell_of = cell_of.reshape(-1)
     fitted = counts >= MIN_EMOS_CELL
     # row 0 holds the global fit; every cell row starts from it
-    table = emos_params(np.tile(global_fit, 1 + np.count_nonzero(fitted)))
+    table = models.emos_params(np.tile(global_fit,
+                                       1 + np.count_nonzero(fitted)))
     rows = fitted[cell_of]
     if rows.any():
         _fit_cells(config, table, features[rows], train.obs[rows],

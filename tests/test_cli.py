@@ -8,9 +8,11 @@ test process already holds the oracles' scipy and ``numpy.ma``.
 
 import dataclasses
 import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import platform
 import struct
 import subprocess
@@ -24,13 +26,15 @@ from hypothesis import given, settings, strategies as st
 
 import enspost
 import enspost.cli as cli
+import enspost.data
+import enspost.importance
+import enspost.train
 from enspost.autodiff import ParamVector
 from enspost.cli import (apply_override, check_run_config, load_run_config,
                          main, resolve_workers, _parse_override)
 from enspost.data import Dataset, SynthConfig, load_ndjson, save_ndjson
 from enspost.dist import QuantileLevels
 from enspost.errors import ConfigError, NumericError
-from enspost.importance import SUMMARY_KINDS
 from enspost.models import ModelConfig
 
 from oracles import RUN_CONFIG_SCHEMA, run_config_validator
@@ -259,13 +263,12 @@ def test_synth_writes_dataset_stats_and_manifest(tmp_path, capsys):
 
 
 def test_synth_hashes_the_dataset_once(tmp_path, monkeypatch):
-    hashed, sha256_file = [], cli.sha256_file
+    hashed, sha256_file = [], enspost.data.sha256_file
 
     def counting(path):
         hashed.append(os.path.basename(path))
         return sha256_file(path)
 
-    monkeypatch.setattr(cli, "sha256_file", counting)
     monkeypatch.setattr(enspost.data, "sha256_file", counting)
     out = tmp_path / "synth"
     assert _run("synth", out, SYNTH_SETS) == 0
@@ -606,13 +609,10 @@ def test_non_object_config_file_exits_2(tmp_path, capsys, text):
 def test_numeric_failures_exit_3(tmp_path, capsys, monkeypatch):
     # training itself is robust to bad hyperparameters, so inject the
     # failure to verify the non-finite-loss exit path end to end
-    import enspost.cli as cli
-    from enspost.errors import NumericError
-
     def explode(*args, **kwargs):
         raise NumericError("non-finite loss in op 'exp' (epoch 2, batch 0)")
 
-    monkeypatch.setattr(cli, "train_pool", explode)
+    monkeypatch.setattr(enspost.train, "train_pool", explode)
     code = _run("train", tmp_path / "boom", SYNTH_SETS + MODEL_SETS)
     assert code == 3
     err = capsys.readouterr().err
@@ -858,14 +858,14 @@ def test_importance_with_a_reliable_non_finite_value_exits_3(
     # null stands only for the 0/0 chi of an unread predictor: a NaN delta0
     # of the primary, which the model reads, fails the run
     data, pools = one_model_pools
-    report_of = cli.importance_report
+    report_of = enspost.importance.importance_report
 
     def nan_delta0(*args, **kwargs):
         report = report_of(*args, **kwargs)
         report["delta0"]["primary"]["mean"] = math.nan
         return report
 
-    monkeypatch.setattr(cli, "importance_report", nan_delta0)
+    monkeypatch.setattr(enspost.importance, "importance_report", nan_delta0)
     out = tmp_path / "imp"
     assert _run("importance", out, [
         data, f'importance.checkpoints="{pools / "emos"}"',
@@ -995,17 +995,16 @@ def test_synth_stage_loads_only_data(tmp_path):
             assert f"enspost.{module}" not in loaded
 
 
-def test_deferred_names_resolve_as_cli_attributes():
-    # cli.<name> of a deferred module's name imports that module; a name
-    # registered under the wrong module would fail only when its stage runs
-    for module, names in cli._DEFERRED.items():
-        imported = importlib.import_module(f"enspost.{module}")
-        for name in names:
-            assert getattr(cli, name) is getattr(imported, name), name
-    from enspost.cli import SUMMARY_KINDS as kinds
-    assert kinds is SUMMARY_KINDS
-    with pytest.raises(AttributeError, match="no_such_name"):
-        cli.no_such_name
+def test_modules_bind_no_function_of_another_module():
+    # a module calls another one's functions through that module, so that a
+    # patch or wrap at a function's home reaches every caller
+    for info in pkgutil.iter_modules(enspost.__path__):
+        module = importlib.import_module(f"enspost.{info.name}")
+        foreign = [name for name, value in vars(module).items()
+                   if inspect.isfunction(value)
+                   and value.__module__.startswith("enspost.")
+                   and value.__module__ != module.__name__]
+        assert not foreign, (module.__name__, foreign)
 
 
 def test_split_temporal_does_not_load_numpy_ma():
@@ -1112,9 +1111,6 @@ def test_evaluate_stage_does_not_load_train(fresh_stages):
 
 
 def test_moved_names_stay_importable_from_their_old_modules():
-    import enspost.data
-    import enspost.importance
+    # classes only: a function is reached at its home alone
     import enspost.models
-    import enspost.train
-    assert enspost.importance.derive_seed is enspost.data.derive_seed
     assert enspost.train.ModelPool is enspost.models.ModelPool

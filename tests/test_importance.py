@@ -1,23 +1,26 @@
 """Unit tests for the ensemble permutation-importance machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
 
+import enspost.data
 import enspost.importance as importance
 import enspost.models as models
-from enspost.data import (Dataset, SynthConfig, fit_norm, generate_synthetic,
-                          split_temporal)
+from enspost.data import (Dataset, SynthConfig, derive_seed, fit_norm,
+                          generate_synthetic, split_temporal)
 from enspost.errors import ConfigError, ContractError, DomainError
 from enspost.evaluation import inputs_mean_crps, model_mean_crps
 from enspost.importance import (PERTURBATION_KINDS, SUMMARY_KINDS, ChiResult,
                                 PerturbationSpec, _box_stats, _Column,
                                 _conditional_donors, _donors, _members,
                                 _midranks, chi, chi_ratio, conditional_bins,
-                                delta0, derive_seed, importance_report,
+                                delta0, importance_report,
                                 perturb, preservation_csv,
                                 preservation_matrix, spearman,
                                 summary_statistic)
@@ -56,6 +59,24 @@ def test_summary_statistic_vectorizes_and_handles_constants():
         summary_statistic(np.array([1.0]), "mean")
     with pytest.raises(ConfigError):
         summary_statistic(rows, "mode")
+
+
+@settings(max_examples=300)
+@given(row=st.lists(st.integers(-10**6, 10**6).map(lambda v: v / 1000),
+                    min_size=2, max_size=30),
+       scale=st.integers(-498, 498).map(lambda k: 2.0**k))
+@example(row=[0.0, 1.0, 3.0], scale=1e-110)
+@example(row=[0.0, 1.0, 3.0], scale=1e110)
+def test_skewness_and_kurtosis_are_scale_free(row, scale):
+    # powers of two (about 1e-150 to 1e150) scale each member exactly; the
+    # cubes and fourth powers of such rows under- or overflow unless scaled
+    row = np.array(row)
+    for kind in ("skewness", "kurtosis"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = summary_statistic(scale * row, kind)
+        np.testing.assert_allclose(scaled, summary_statistic(row, kind),
+                                   rtol=1e-12)
 
 
 @st.composite
@@ -448,7 +469,7 @@ def test_importance_report_scores_each_distinct_forecast_once(
         [model, emos], test, 10, 5, statistics, chi_predictors)
     counts = [_count_calls(monkeypatch, m, "forward") for m in (model, emos)]
     built = _count_calls(monkeypatch, models, "graph_inputs")
-    standardized = _count_calls(monkeypatch, models, "standardize")
+    standardized = _count_calls(monkeypatch, enspost.data, "standardize")
     report = importance_report([model, emos], test, bins=10, seed=5,
                                statistics=statistics,
                                chi_predictors=chi_predictors)
