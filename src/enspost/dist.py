@@ -68,31 +68,6 @@ class BernsteinQuantile:
         return self.alpha.shape[-1] - 1
 
 
-@dataclass(frozen=True)
-class QuantileLevels:
-    """Strictly increasing quantile levels in (0, 1)."""
-
-    levels: np.ndarray
-
-    def __post_init__(self):
-        levels = np.asarray(self.levels, dtype=np.float64)
-        if levels.ndim != 1 or levels.size == 0:
-            raise DomainError("levels must be a non-empty 1-D array")
-        if np.any(levels <= 0) or np.any(levels >= 1):
-            raise DomainError("levels must lie strictly inside (0, 1)")
-        if np.any(np.diff(levels) <= 0):
-            raise DomainError("levels must be strictly increasing")
-        object.__setattr__(self, "levels", levels)
-
-    @classmethod
-    def equidistant(cls, n=DEFAULT_N_LEVELS):
-        """The grid k/(n+1) for k = 1..n."""
-        return cls(np.arange(1, n + 1) / (n + 1.0))
-
-    def __len__(self):
-        return self.levels.size
-
-
 # ---------------------------------------------------------------------------
 # Bernstein quantile functions
 # ---------------------------------------------------------------------------
@@ -312,22 +287,24 @@ def crps_sample_batch(values, y):
 # ---------------------------------------------------------------------------
 
 
-def level_grid(levels):
-    """Level array of a :class:`QuantileLevels` or of an array-like."""
-    if isinstance(levels, QuantileLevels):
-        return levels.levels
-    return np.asarray(levels, dtype=np.float64)
+def level_grid(n=DEFAULT_N_LEVELS):
+    """The equidistant level grid k/(n+1), k = 1..n, of every quantile
+    forecast: the quantile loss, the Bernstein CRPS, a pool average and the
+    raw ensemble's n members."""
+    if n < 1:
+        raise DomainError(f"a level grid needs at least 1 level, not {n}")
+    return np.arange(1, n + 1) / (n + 1.0)
 
 
-def quantile_map(family, levels, degree):
-    """Function from raw outputs theta (n, degree + 1) to their (n, K)
-    quantile matrix at the given levels.
+def quantile_map(family, n_levels, degree):
+    """Function from raw outputs theta (n, degree + 1) to their
+    (n, n_levels) quantile matrix on :func:`level_grid` of ``n_levels``.
 
     ``family`` is "tlogis" (theta holds location and raw scale) or "bqn"
     (theta holds the raw Bernstein coefficients), whose basis is built here
     once.  A Tensor ``theta`` builds the same matrix for the training losses.
     """
-    levels = level_grid(levels)
+    levels = level_grid(n_levels)
     if family == "tlogis":
         def quantiles(theta):
             mu, sigma = tlogis_params(theta)
@@ -337,37 +314,37 @@ def quantile_map(family, levels, degree):
     return lambda theta: bqn_coefficients(theta) @ basis
 
 
-def theta_quantiles(theta, family, levels):
-    """(n, K) quantile matrix of raw outputs at the given levels; see
+def theta_quantiles(theta, family, n_levels):
+    """(n, n_levels) quantile matrix of raw outputs; see
     :func:`quantile_map`."""
-    return quantile_map(family, levels, theta.shape[1] - 1)(theta)
+    return quantile_map(family, n_levels, theta.shape[1] - 1)(theta)
 
 
-def crps_map(family, levels, degree):
+def crps_map(family, n_levels, degree):
     """Function from raw outputs theta (an array or, for a loss, a Tensor)
     and observations to their per-row CRPS.
 
     Truncated-logistic forecasts use the closed form; Bernstein forecasts
-    are scored as K-point empirical forecasts on the level grid, through
-    one :func:`quantile_map`.
+    are scored as n_levels-point empirical forecasts on the level grid,
+    through one :func:`quantile_map`; only they build a grid.
     """
     if family == "tlogis":
         def crps(theta, obs):
             mu, sigma = tlogis_params(theta)
             return crps_tlogis_core(mu, sigma, obs)
         return crps
-    quantiles = quantile_map(family, levels, degree)
+    quantiles = quantile_map(family, n_levels, degree)
     return lambda theta, obs: crps_sample_batch(quantiles(theta), obs)
 
 
-def theta_crps(theta, obs, family, levels):
+def theta_crps(theta, obs, family, n_levels):
     """Per-row CRPS of raw outputs; see :func:`crps_map`."""
-    return crps_map(family, levels, theta.shape[1] - 1)(theta, obs)
+    return crps_map(family, n_levels, theta.shape[1] - 1)(theta, obs)
 
 
-def theta_mean_crps(theta, obs, family, levels):
+def theta_mean_crps(theta, obs, family, n_levels):
     """Mean of :func:`theta_crps` as a float."""
-    return float(np.mean(theta_crps(theta, obs, family, levels)))
+    return float(np.mean(theta_crps(theta, obs, family, n_levels)))
 
 
 # ---------------------------------------------------------------------------

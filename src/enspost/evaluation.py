@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dist
 from .data import Dataset
-from .dist import BernsteinQuantile, QuantileLevels, TruncLogistic
+from .dist import BernsteinQuantile, TruncLogistic
 from .errors import ContractError, DomainError
 
 
@@ -101,14 +101,14 @@ def _report(crps, lo, hi, pits, observations, level, pit_bins):
 
 
 def evaluate(forecast, observations, level, pit_bins=20, rng=None,
-             levels=None):
+             n_levels=dist.DEFAULT_N_LEVELS):
     """Score a batch of forecasts, one per observation.
 
     ``forecast`` is one TruncLogistic or BernsteinQuantile with array
     parameters, e.g. ``model.forecast(test)``.  Truncated-logistic
     forecasts use the closed-form CRPS; Bernstein forecasts are scored with
-    the ensemble CRPS of their quantiles on ``levels`` (default the 99-level
-    percent grid).
+    the ensemble CRPS of their quantiles on ``dist.level_grid(n_levels)``
+    (default the 99-level percent grid).
     """
     lo, hi = pi_bounds(forecast, level)
     observations, level = _checked(np.shape(lo), observations, level)
@@ -116,9 +116,8 @@ def evaluate(forecast, observations, level, pit_bins=20, rng=None,
     if isinstance(forecast, TruncLogistic):
         crps = dist.crps_tlogis(forecast, observations)
     else:
-        levels = QuantileLevels.equidistant() if levels is None else levels
         crps = dist.crps_sample_batch(
-            dist.bqn_quantile(forecast, dist.level_grid(levels)),
+            dist.bqn_quantile(forecast, dist.level_grid(n_levels)),
             observations)
     return _report(crps, lo, hi, dist.pit(forecast, observations, rng),
                    observations, level, pit_bins)
@@ -135,23 +134,19 @@ def _interp_rows(x, xp, fp):
     return slope * (x - xp[j]) + fp[:, j]
 
 
-def evaluate_quantiles(quantiles, observations, level, levels=None,
-                       pit_bins=20, rng=None):
-    """Vectorized :func:`evaluate` for an (n, K) matrix of sorted quantiles.
+def evaluate_quantiles(quantiles, observations, level, pit_bins=20,
+                       rng=None):
+    """Vectorized :func:`evaluate` for an (n, K) matrix of sorted quantiles
+    at the levels ``dist.level_grid(K)``.
 
-    PI bounds interpolate each row linearly on the level grid; PIT is the
-    rank position among the row's values, uniformly randomized across ties.
+    PI bounds interpolate each row linearly on that grid; PIT is the rank
+    position among the row's values, uniformly randomized across ties.
     """
     quantiles = np.asarray(quantiles, dtype=np.float64)
     if quantiles.ndim != 2:
         raise ContractError("quantiles must be an (n, K) matrix")
     observations, level = _checked(quantiles.shape[:1], observations, level)
-    if levels is None:
-        levels = QuantileLevels.equidistant(quantiles.shape[1])
-    lv = dist.level_grid(levels)
-    if lv.shape != quantiles.shape[1:]:
-        raise ContractError(f"{lv.size} levels for {quantiles.shape[1]} "
-                            "quantile columns")
+    lv = dist.level_grid(quantiles.shape[1])
     rng = rng if rng is not None else np.random.default_rng(0)
 
     crps = dist.crps_sample_batch(quantiles, observations)
@@ -175,7 +170,7 @@ def inputs_mean_crps(model, inputs, observations):
     """:func:`model_mean_crps` of graph inputs from ``model.inputs`` (or
     ``model.shuffled_inputs``) and their observations."""
     return dist.theta_mean_crps(model.forward(inputs), observations,
-                                model.family, model.config.crps_levels)
+                                model.family, model.config.n_quantile_levels)
 
 
 def raw_eps_report(dataset: Dataset, level=None, pit_bins=20, rng=None):
@@ -186,11 +181,10 @@ def raw_eps_report(dataset: Dataset, level=None, pit_bins=20, rng=None):
     range.  PIT is the randomized rank position.
     """
     members = np.sort(dataset.ens[:, :, dataset.primary], axis=1)
-    m = members.shape[1]
-    level = float(nominal_pi_level(m)) if level is None else level
-    return evaluate_quantiles(members, dataset.obs, level,
-                              levels=QuantileLevels.equidistant(m),
-                              pit_bins=pit_bins, rng=rng)
+    if level is None:
+        level = float(nominal_pi_level(members.shape[1]))
+    return evaluate_quantiles(members, dataset.obs, level, pit_bins=pit_bins,
+                              rng=rng)
 
 
 def resample_and_score(pool, test: Dataset, k=10, reps=50, rng=None,
@@ -208,13 +202,13 @@ def resample_and_score(pool, test: Dataset, k=10, reps=50, rng=None,
     if reps < 1:
         raise DomainError("reps must be at least 1")
     rng = rng if rng is not None else np.random.default_rng(0)
-    levels = pool.config.quantile_levels
+    n_levels = pool.config.n_quantile_levels
     if level is None:
         level = float(nominal_pi_level(test.n_members))
 
-    stack = np.empty((len(pool), len(test), len(levels)))
+    stack = np.empty((len(pool), len(test), n_levels))
     for i, model in enumerate(pool.models):
-        stack[i] = model.quantiles(test, levels)
+        stack[i] = model.quantiles(test, n_levels)
     reports = []
     for _ in range(reps):
         idx = rng.choice(len(pool), size=k, replace=False)
@@ -222,8 +216,7 @@ def resample_and_score(pool, test: Dataset, k=10, reps=50, rng=None,
         for i in idx[1:]:   # in draw order, as np.mean of the drawn list
             total += stack[i]
         reports.append(evaluate_quantiles(
-            total / k, test.obs, level, levels=levels, pit_bins=pit_bins,
-            rng=rng))
+            total / k, test.obs, level, pit_bins=pit_bins, rng=rng))
     scores = np.array([r.mean_crps for r in reports])
     summary = {
         "mean_crps": float(scores.mean()),

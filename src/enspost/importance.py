@@ -66,13 +66,13 @@ class ChiResult:
 # ---------------------------------------------------------------------------
 
 
-def _percentiles(values, qs):
-    """``np.percentile(values, qs, axis=-1)`` for ``qs`` below 100, bit for
+def _percentiles(ordered, qs):
+    """``np.percentile(ordered, qs, axis=-1)`` for ``qs`` below 100, bit for
     bit, as a list: NumPy's linear method (virtual index (n - 1) q, then a
     lerp that interpolates from the upper neighbour from weight 0.5 on) on
-    the sorted values.  ``np.percentile`` itself loads ``numpy.ma`` through
-    ``np.unique``, some 17 ms per process."""
-    ordered = np.sort(values, axis=-1)
+    ``ordered``, values sorted along the last axis.  ``np.percentile``
+    itself loads ``numpy.ma`` through ``np.unique``, some 17 ms per process.
+    """
     n = ordered.shape[-1]
     out = []
     for q in qs:
@@ -101,8 +101,6 @@ def summary_statistic(values, kind):
     values = np.sort(values + 0.0, axis=-1)
     if kind == "mean":
         return values.mean(axis=-1)
-    if kind == "std":
-        return values.std(axis=-1, ddof=1)
     if kind == "min":
         return values[..., 0]
     if kind == "max":
@@ -113,13 +111,16 @@ def summary_statistic(values, kind):
     if kind == "range":
         return values[..., -1] - values[..., 0]
     centered = values - values.mean(axis=-1, keepdims=True)
-    # skewness and kurtosis are scale-free: a row whose fourth powers would
-    # under- or overflow is scaled first, by the power of two (exact) of its
-    # largest |centered| value; every other row keeps its bits
+    # the moments scale with the row: a row whose squares or fourth powers
+    # would under- or overflow is scaled first, by the power of two (exact)
+    # of its largest |centered| value; every other row keeps its bits
     largest = np.abs(centered).max(axis=-1, keepdims=True)
-    centered = np.ldexp(centered, np.where(
-        (largest < MOMENT_RANGE[0]) | (largest > MOMENT_RANGE[1]),
-        -np.frexp(largest)[1], 0))
+    shift = np.where((largest < MOMENT_RANGE[0]) | (largest > MOMENT_RANGE[1]),
+                     np.frexp(largest)[1], 0)
+    centered = np.ldexp(centered, -shift)
+    if kind == "std":
+        return np.ldexp(np.sqrt(np.sum(centered * centered, axis=-1)
+                                / (values.shape[-1] - 1)), shift[..., 0])
     m2 = np.mean(centered**2, axis=-1)
     safe = np.where(m2 > 0, m2, 1.0)
     if kind == "skewness":
@@ -415,7 +416,7 @@ def _preservation(column, predictor, bins, seed, statistics):
 
 def _box_stats(values):
     values = np.asarray(values, dtype=np.float64)
-    q25, median, q75 = _percentiles(values, [25, 50, 75])
+    q25, median, q75 = _percentiles(np.sort(values), [25, 50, 75])
     return {"mean": float(values.mean()), "min": float(values.min()),
             "q25": float(q25), "median": float(median), "q75": float(q75),
             "max": float(values.max())}

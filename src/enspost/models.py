@@ -47,7 +47,7 @@ class ModelConfig:
     bernstein_degree: int = 12
     embedding_dim: int = 8
     pooling: str = "attention"
-    n_quantile_levels: int = 99
+    n_quantile_levels: int = dist_mod.DEFAULT_N_LEVELS
     learning_rate: float = 5e-3
     batch_size: int = 512
     max_epochs: int = 150
@@ -76,17 +76,6 @@ class ModelConfig:
     @property
     def n_outputs(self):
         return self.bernstein_degree + 1 if self.family == "bqn" else 2
-
-    @property
-    def quantile_levels(self):
-        """The level grid of the quantile loss and the Bernstein CRPS."""
-        return dist_mod.QuantileLevels.equidistant(self.n_quantile_levels)
-
-    @property
-    def crps_levels(self):
-        """The level grid the CRPS reads: Bernstein forecasts only, so a
-        truncated-logistic model never builds one."""
-        return self.quantile_levels if self.family == "bqn" else None
 
     def to_dict(self):
         """The fields as the JSON values they serialize to."""
@@ -523,10 +512,10 @@ class _FittedModel:
             return dist_mod.tlogis_map(theta)
         return dist_mod.BernsteinQuantile(dist_mod.bqn_coefficients(theta))
 
-    def quantiles(self, dataset: Dataset, levels):
-        """Quantile matrix (n, K) at the given levels."""
+    def quantiles(self, dataset: Dataset, n_levels):
+        """Quantile matrix (n, n_levels) on ``dist.level_grid(n_levels)``."""
         return dist_mod.theta_quantiles(self.raw_theta(dataset), self.family,
-                                        levels)
+                                        n_levels)
 
 
 class NeuralModel(_FittedModel):

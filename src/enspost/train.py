@@ -51,11 +51,11 @@ def loss_graph(config: ModelConfig, loss=None):
         raise ConfigError(f"unknown loss {loss!r}")
     base = models.build_graph(config)
     if loss == "crps":
-        crps = dist.crps_map(config.family, config.crps_levels,
+        crps = dist.crps_map(config.family, config.n_quantile_levels,
                              config.bernstein_degree)
         return lambda P, I: ad.mean(crps(base(P, I), I["y"]))
-    levels = config.quantile_levels.levels
-    quantiles = dist.quantile_map(config.family, levels,
+    levels = dist.level_grid(config.n_quantile_levels)
+    quantiles = dist.quantile_map(config.family, config.n_quantile_levels,
                                   config.bernstein_degree)
     return lambda P, I: _pinball_mean(quantiles(base(P, I)), I["y"], levels)
 
@@ -144,7 +144,8 @@ def _init_output_bias(params: ParamVector, config: ModelConfig, obs):
 
 def _val_crps(config, graph, params, inputs, obs):
     theta = models.eval_chunked(config, graph, params, inputs)
-    return dist.theta_mean_crps(theta, obs, config.family, config.crps_levels)
+    return dist.theta_mean_crps(theta, obs, config.family,
+                                config.n_quantile_levels)
 
 
 def _check_split(train, val):

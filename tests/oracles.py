@@ -184,11 +184,11 @@ def pinball_ref(q, y, p):
 
 
 def quantile_score_mean(dist, y, levels):
-    """Mean pinball score 2(1{y < Q(tau)} - tau)(Q(tau) - y) over the levels
-    of a library ``BernsteinQuantile``."""
-    q = bqn_quantile(dist, levels.levels)
+    """Mean pinball score 2(1{y < Q(tau)} - tau)(Q(tau) - y) over an array
+    of levels of a library ``BernsteinQuantile``."""
+    q = bqn_quantile(dist, levels)
     indicator = (y < q).astype(np.float64)
-    return float(np.mean(2.0 * (indicator - levels.levels) * (q - y)))
+    return float(np.mean(2.0 * (indicator - levels) * (q - y)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +441,9 @@ def synthetic_calendar(days):
 # ---------------------------------------------------------------------------
 
 
-def aggregate_quantiles(models, dataset, levels):
-    """Level-wise mean of the models' quantiles; (n, K)."""
-    return np.mean([m.quantiles(dataset, levels) for m in models], axis=0)
+def aggregate_quantiles(models, dataset, n_levels):
+    """Level-wise mean of the models' quantiles; (n, n_levels)."""
+    return np.mean([m.quantiles(dataset, n_levels) for m in models], axis=0)
 
 
 # ---------------------------------------------------------------------------

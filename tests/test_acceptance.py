@@ -19,9 +19,9 @@ from enspost.autodiff import ParamVector, finite_diff_check
 from enspost.cli import main as cli_main
 from enspost.data import (SynthConfig, fit_norm, generate_synthetic,
                           split_temporal)
-from enspost.dist import (QuantileLevels, TruncLogistic,
-                          bernstein_basis, bqn_coefficients,
-                          crps_sample_batch, crps_tlogis, tlogis_quantile)
+from enspost.dist import (TruncLogistic, bernstein_basis, bqn_coefficients,
+                          crps_sample_batch, crps_tlogis, level_grid,
+                          tlogis_quantile)
 from enspost.evaluation import (evaluate, nominal_pi_level, raw_eps_report,
                                 resample_and_score)
 from enspost.importance import (PerturbationSpec, chi, chi_ratio, delta0,
@@ -189,11 +189,10 @@ def test_criterion_05_bqn_structure():
                          attention_heads=2, n_attention_blocks=2,
                          embedding_dim=3, n_quantile_levels=9, max_epochs=3)
     pool = train_pool(config, train, val, n=3)
-    levels = QuantileLevels.equidistant(9)
-    agg = aggregate_quantiles(pool.models, test, levels)
+    agg = aggregate_quantiles(pool.models, test, 9)
     mean_alpha = np.mean([bqn_coefficients(m.raw_theta(test))
                           for m in pool.models], axis=0)
-    direct = mean_alpha @ bernstein_basis(12, levels.levels).T
+    direct = mean_alpha @ bernstein_basis(12, level_grid(9)).T
     agg_err = float(np.max(np.abs(agg - direct)))
     ok = monotone and nondecreasing and agg_err <= 1e-12
     _verdict(5, "BQN monotonicity and coefficient-mean aggregation", ok,

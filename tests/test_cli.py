@@ -27,13 +27,13 @@ from hypothesis import given, settings, strategies as st
 import enspost
 import enspost.cli as cli
 import enspost.data
+import enspost.dist
 import enspost.importance
 import enspost.train
 from enspost.autodiff import ParamVector
 from enspost.cli import (apply_override, check_run_config, load_run_config,
                          main, resolve_workers, _parse_override)
 from enspost.data import Dataset, SynthConfig, load_ndjson, save_ndjson
-from enspost.dist import QuantileLevels
 from enspost.errors import ConfigError, NumericError
 from enspost.models import ModelConfig
 
@@ -487,7 +487,7 @@ def test_model_sizes_numpy_cannot_index_exit_2_before_allocating(
         raise AssertionError("allocated before the size check")
 
     monkeypatch.setattr(ParamVector, "build", allocate)
-    monkeypatch.setattr(QuantileLevels, "equidistant", allocate)
+    monkeypatch.setattr(enspost.dist, "level_grid", allocate)
     out = tmp_path / "x"
     assert _run("train", out, SYNTH_SETS + MODEL_SETS + sets) == 2
     err = capsys.readouterr().err
@@ -746,6 +746,20 @@ def one_model_pools(tmp_path_factory):
         assert _run("train", tmp / arch, [data] + MODEL_SETS + [
             f"model.architecture={arch}", "train.pool_size=1"]) == 0
     return data, tmp
+
+
+def test_a_one_level_bqn_pool_runs_every_stage(one_model_pools, tmp_path):
+    # the grid of one level is [0.5]: the quantile loss, the pool average
+    # and its scoring all read it from the one column
+    data, _ = one_model_pools
+    assert _run("train", tmp_path / "bqn", [data] + MODEL_SETS + [
+        "model.architecture=bqn", "model.n_quantile_levels=1"]) == 0
+    pool = f'"{tmp_path / "bqn"}"'
+    assert _run("evaluate", tmp_path / "eval", [
+        data, f"eval.checkpoints={pool}", "eval.reps=2"]) == 0
+    assert _run("importance", tmp_path / "imp", [
+        data, f"importance.checkpoints={pool}", "importance.bins=5",
+        'importance.statistics=["mean"]']) == 0
 
 
 @pytest.mark.parametrize("arch,where,value", [

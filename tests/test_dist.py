@@ -56,14 +56,13 @@ def test_bernstein_quantile_requires_monotone_alpha():
 
 
 def test_quantile_levels_equidistant_grid():
-    levels = dist.QuantileLevels.equidistant(99)
-    assert len(levels) == 99
-    assert levels.levels[0] == pytest.approx(0.01)
-    assert levels.levels[-1] == pytest.approx(0.99)
+    levels = dist.level_grid()
+    assert levels.size == 99
+    assert levels[0] == pytest.approx(0.01)
+    assert levels[-1] == pytest.approx(0.99)
+    np.testing.assert_array_equal(dist.level_grid(1), [0.5])
     with pytest.raises(DomainError):
-        dist.QuantileLevels(np.array([0.2, 0.2]))
-    with pytest.raises(DomainError):
-        dist.QuantileLevels(np.array([0.0, 0.5]))
+        dist.level_grid(0)
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +107,10 @@ def test_bqn_coefficients_monotone_and_batched():
 def test_quantile_score_mean_matches_pinball_oracle():
     alpha = np.array([0.0, 1.0, 3.0])
     bq = dist.BernsteinQuantile(alpha)
-    levels = dist.QuantileLevels(np.array([0.25, 0.5, 0.75]))
+    levels = dist.level_grid(3)
     y = 1.2
     expected = np.mean([2.0 * pinball_ref(
-        bernstein_quantile_ref(alpha, p), y, p) for p in levels.levels])
+        bernstein_quantile_ref(alpha, p), y, p) for p in levels])
     assert quantile_score_mean(bq, y, levels) == pytest.approx(expected)
 
 
@@ -309,7 +308,7 @@ def test_tlogis_quantile_core_serves_tensors_and_numpy_alike():
     rng = np.random.default_rng(5)
     mu = rng.normal(0, 20, size=(6, 1))
     sigma = rng.uniform(0.1, 3.0, size=(6, 1))
-    p = dist.QuantileLevels.equidistant(9).levels
+    p = dist.level_grid(9)
     plain = dist.tlogis_quantile_core(mu, sigma, p)
     tens = dist.tlogis_quantile_core(ad.Tensor(mu), ad.Tensor(sigma), p)
     assert tens.value.tobytes() == plain.tobytes()
@@ -317,16 +316,15 @@ def test_tlogis_quantile_core_serves_tensors_and_numpy_alike():
 
 def _numpy_path_results():
     rng = np.random.default_rng(8)
-    levels = dist.QuantileLevels.equidistant(9)
     y = rng.normal(2, 2, size=5)
     tlogis, bqn = rng.normal(2, 2, size=(5, 2)), rng.normal(0, 1, size=(5, 4))
     forecast = dist.tlogis_map(tlogis)
     # deep truncation (lb past 300) and an observation below the bound
     deep = dist.TruncLogistic(np.array([-400.0, 1.0]), np.array([1.0, 1.0]))
-    return [dist.theta_mean_crps(tlogis, y, "tlogis", levels),
-            dist.theta_mean_crps(bqn, y, "bqn", levels),
-            dist.theta_quantiles(tlogis, "tlogis", levels),
-            dist.theta_quantiles(bqn, "bqn", levels),
+    return [dist.theta_mean_crps(tlogis, y, "tlogis", 9),
+            dist.theta_mean_crps(bqn, y, "bqn", 9),
+            dist.theta_quantiles(tlogis, "tlogis", 9),
+            dist.theta_quantiles(bqn, "bqn", 9),
             dist.crps_tlogis(forecast, y), dist.tlogis_cdf(forecast, y),
             dist.tlogis_quantile(forecast, 0.3),
             dist.crps_tlogis(deep, np.array([2.0, -1.0]))]
@@ -357,22 +355,22 @@ def test_tensor_inputs_build_tensors():
 
 def test_theta_core_matches_per_forecast_objects():
     rng = np.random.default_rng(6)
-    levels = dist.QuantileLevels.equidistant(19)
+    levels = dist.level_grid(19)
     y = rng.normal(2, 2, size=7)
     theta = rng.normal(2, 2, size=(7, 2))
-    per_row = [dist.tlogis_quantile(dist.tlogis_map(t), levels.levels)
+    per_row = [dist.tlogis_quantile(dist.tlogis_map(t), levels)
                for t in theta]
     np.testing.assert_array_equal(
-        dist.theta_quantiles(theta, "tlogis", levels), per_row)
-    assert dist.theta_mean_crps(theta, y, "tlogis", levels) == pytest.approx(
+        dist.theta_quantiles(theta, "tlogis", 19), per_row)
+    assert dist.theta_mean_crps(theta, y, "tlogis", 19) == pytest.approx(
         np.mean([dist.crps_tlogis(dist.tlogis_map(t), v)
                  for t, v in zip(theta, y)]), rel=1e-14)
     theta = rng.normal(0, 1, size=(7, 6))      # degree 5 from the width
-    q = dist.theta_quantiles(theta, "bqn", levels)
+    q = dist.theta_quantiles(theta, "bqn", 19)
     alpha = dist.bqn_coefficients(theta)
     np.testing.assert_array_equal(
-        q, alpha @ dist.bernstein_basis(5, levels.levels).T)
-    assert dist.theta_mean_crps(theta, y, "bqn", levels) == \
+        q, alpha @ dist.bernstein_basis(5, levels).T)
+    assert dist.theta_mean_crps(theta, y, "bqn", 19) == \
         float(dist.crps_sample_batch(q, y).mean())
 
 
@@ -396,7 +394,7 @@ def test_batched_objects_match_per_forecast_objects():
             out, [fn(r, a) for r, a in zip(rows, np.broadcast_to(arg, 9))])
     alpha = dist.bqn_coefficients(rng.normal(0, 1, size=(9, 6)))
     bq = dist.BernsteinQuantile(alpha)
-    p = dist.QuantileLevels.equidistant(99).levels
+    p = dist.level_grid()
     for level in (0.3, p):
         np.testing.assert_array_equal(
             dist.bqn_quantile(bq, level),

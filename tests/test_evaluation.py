@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from enspost.data import SynthConfig, generate_synthetic, split_temporal
-from enspost.dist import (BernsteinQuantile, QuantileLevels, TruncLogistic,
+from enspost.dist import (DEFAULT_N_LEVELS, BernsteinQuantile, TruncLogistic,
                           bernstein_basis, bqn_coefficients,
-                          crps_sample_batch, crps_tlogis, tlogis_cdf,
-                          tlogis_map, tlogis_quantile)
+                          crps_sample_batch, crps_tlogis, level_grid,
+                          tlogis_cdf, tlogis_map, tlogis_quantile)
 from enspost.errors import ContractError, DomainError
 from enspost.evaluation import (EvaluationReport, evaluate,
                                 evaluate_quantiles, model_mean_crps,
@@ -119,22 +119,18 @@ def test_evaluate_input_validation():
         evaluate(np.zeros((1, 3)), np.array([1.0]), 0.9)
 
 
-@pytest.mark.parametrize("shape, n_levels", [((4, 9), 5), ((4, 9), 19),
-                                              ((9,), 9), ((4, 9, 1), 9)])
-def test_evaluate_quantiles_rejects_a_matrix_unlike_its_level_grid(shape,
-                                                                  n_levels):
+@pytest.mark.parametrize("shape", [(9,), (4, 9, 1)])
+def test_evaluate_quantiles_rejects_a_matrix_unlike_its_level_grid(shape):
     quantiles = np.sort(np.random.default_rng(0).normal(size=shape), axis=-1)
     with pytest.raises(ContractError):
-        evaluate_quantiles(quantiles, np.zeros(shape[0]), 0.8,
-                           levels=QuantileLevels.equidistant(n_levels))
+        evaluate_quantiles(quantiles, np.zeros(shape[0]), 0.8)
 
 
 def test_coverage_counts_boundary_hits():
-    levels = np.array([0.25, 0.5, 0.75])
     quantiles = np.array([[0.0, 1.0, 2.0]])
-    # with level 0.5 the PI is exactly [0, 2]; an observation on the edge
-    # counts as covered
-    rep = evaluate_quantiles(quantiles, np.array([2.0]), 0.5, levels=levels)
+    # on the levels 1/4, 1/2, 3/4 with level 0.5 the PI is exactly [0, 2];
+    # an observation on the edge counts as covered
+    rep = evaluate_quantiles(quantiles, np.array([2.0]), 0.5)
     assert rep.pi_coverage == 100.0
 
 
@@ -154,19 +150,19 @@ def _per_row_quantile_report(quantiles, obs, level, levels, pit_bins, rng):
 
 @pytest.mark.parametrize("level", [0.8, 0.9, 18 / 20])
 def test_evaluate_quantiles_is_bit_identical_to_per_row_reference(level):
-    rng = np.random.default_rng(8)
-    levels = QuantileLevels.equidistant(19)
-    # values on a coarse grid so that observations tie with quantiles
-    quantiles = np.sort(np.round(rng.normal(5, 2, size=(300, 19)) * 2) / 2,
-                        axis=1)
-    obs = np.round(rng.normal(5, 2, size=300) * 2) / 2
-    rng_v, rng_s = np.random.default_rng(9), np.random.default_rng(9)
-    rep_v = evaluate_quantiles(quantiles, obs, level, levels=levels,
-                               pit_bins=300, rng=rng_v)
-    rep_s = _per_row_quantile_report(quantiles, obs, level, levels.levels,
-                                     300, rng_s)
-    assert rep_v == rep_s
-    assert rng_v.bit_generator.state == rng_s.bit_generator.state
+    for k in (1, 2, 19):       # the grid comes from the column count
+        rng = np.random.default_rng(8)
+        # values on a coarse grid so that observations tie with quantiles
+        quantiles = np.sort(np.round(rng.normal(5, 2, size=(300, k)) * 2) / 2,
+                            axis=1)
+        obs = np.round(rng.normal(5, 2, size=300) * 2) / 2
+        rng_v, rng_s = np.random.default_rng(9), np.random.default_rng(9)
+        rep_v = evaluate_quantiles(quantiles, obs, level, pit_bins=300,
+                                   rng=rng_v)
+        rep_s = _per_row_quantile_report(quantiles, obs, level, level_grid(k),
+                                         300, rng_s)
+        assert rep_v == rep_s, k
+        assert rng_v.bit_generator.state == rng_s.bit_generator.state
 
 
 def _per_row_bisect(alpha, y, side, tol=1e-10):
@@ -220,12 +216,13 @@ def _per_row_report(forecast, obs, level, levels, pit_bins, rng):
         100.0 * float(covered.mean()), tuple(int(c) for c in hist), obs.size)
 
 
-def _assert_matches_per_row_reference(forecast, obs, level, levels=None):
+def _assert_matches_per_row_reference(forecast, obs, level,
+                                      n_levels=DEFAULT_N_LEVELS):
     rng_b, rng_s = np.random.default_rng(9), np.random.default_rng(9)
     rep_b = evaluate(forecast, obs, level, pit_bins=300, rng=rng_b,
-                     levels=levels)
-    grid = QuantileLevels.equidistant().levels if levels is None else levels
-    rep_s = _per_row_report(forecast, obs, level, grid, 300, rng_s)
+                     n_levels=n_levels)
+    rep_s = _per_row_report(forecast, obs, level, level_grid(n_levels), 300,
+                            rng_s)
     for field in dataclasses.fields(EvaluationReport):
         assert getattr(rep_b, field.name) == getattr(rep_s, field.name), \
             field.name
@@ -257,9 +254,8 @@ def test_evaluate_bernstein_batch_is_bit_identical_to_per_row_reference(
     obs[1::7] = alpha[1::7, 2]
     obs[2::9] = alpha[2::9, 0] - 1.0   # below alpha_0
     obs[3::11] = alpha[3::11, -1] + 1.0  # above alpha_d
-    levels = QuantileLevels.equidistant(n_levels).levels
     _assert_matches_per_row_reference(BernsteinQuantile(alpha), obs, level,
-                                      levels)
+                                      n_levels)
 
 
 def test_bernstein_batch_pit_draws_once_per_flat_row():
@@ -315,7 +311,6 @@ def test_raw_eps_report_is_evaluate_quantiles_on_sorted_members():
     rep = raw_eps_report(ds, rng=np.random.default_rng(4))
     members = np.sort(ds.ens[:, :, ds.primary], axis=1)
     ref = evaluate_quantiles(members, ds.obs, float(nominal_pi_level(10)),
-                             levels=np.arange(1, 11) / 11.0,
                              rng=np.random.default_rng(4))
     for field in dataclasses.fields(EvaluationReport):
         assert getattr(rep, field.name) == getattr(ref, field.name), field.name

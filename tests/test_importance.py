@@ -64,19 +64,24 @@ def test_summary_statistic_vectorizes_and_handles_constants():
 @settings(max_examples=300)
 @given(row=st.lists(st.integers(-10**6, 10**6).map(lambda v: v / 1000),
                     min_size=2, max_size=30),
-       scale=st.integers(-498, 498).map(lambda k: 2.0**k))
+       scale=st.integers(-600, 600).map(lambda k: 2.0**k))
 @example(row=[0.0, 1.0, 3.0], scale=1e-110)
 @example(row=[0.0, 1.0, 3.0], scale=1e110)
+@example(row=[0.0, 1.0, 3.0], scale=1e-170)
+@example(row=[0.0, 1.0, 3.0], scale=1e160)
 def test_skewness_and_kurtosis_are_scale_free(row, scale):
-    # powers of two (about 1e-150 to 1e150) scale each member exactly; the
-    # cubes and fourth powers of such rows under- or overflow unless scaled
+    # powers of two (about 1e-180 to 1e180) scale each member exactly; the
+    # squares, cubes and fourth powers of such rows under- or overflow
+    # unless scaled; the std scales with the row
     row = np.array(row)
-    for kind in ("skewness", "kurtosis"):
+    for kind in ("std", "skewness", "kurtosis"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scaled = summary_statistic(scale * row, kind)
-        np.testing.assert_allclose(scaled, summary_statistic(row, kind),
-                                   rtol=1e-12)
+        expected = summary_statistic(row, kind)
+        np.testing.assert_allclose(
+            scaled, scale * expected if kind == "std" else expected,
+            rtol=1e-12)
 
 
 @st.composite
@@ -105,8 +110,8 @@ def test_summary_statistic_is_exactly_member_order_invariant(kind, block,
 @given(n=st.integers(2, 60), rows=st.one_of(st.none(), st.integers(1, 4)),
        data=st.data())
 def test_percentiles_are_numpy_percentile_bit_for_bit(n, rows, data):
-    """1-D values, or 2-D values along the last axis, with ties drawn from
-    a small pool of values; + 0.0 turns -0.0 into 0.0, whose place among
+    """1-D values, or 2-D values along the last axis, sorted for
+    ``_percentiles``, with ties drawn from a small pool of values; + 0.0 turns -0.0 into 0.0, whose place among
     equal zeros a sort and NumPy's partition may choose differently."""
     pool = data.draw(st.lists(st.floats(-1e6, 1e6).map(lambda v: v + 0.0),
                               min_size=1, max_size=n))
@@ -115,7 +120,7 @@ def test_percentiles_are_numpy_percentile_bit_for_bit(n, rows, data):
                                   elements=st.sampled_from(pool)))
     qs = data.draw(st.lists(st.sampled_from([25, 50, 75]), min_size=1,
                             max_size=3))
-    got = np.asarray(importance._percentiles(values, qs))
+    got = np.asarray(importance._percentiles(np.sort(values, axis=-1), qs))
     assert got.tobytes() == np.percentile(values, qs, axis=-1).tobytes()
 
 

@@ -21,7 +21,6 @@ from enspost import models
 from enspost.cli import load_run_config
 from enspost.data import (Dataset, SynthConfig, fit_norm, generate_synthetic,
                           standardize)
-from enspost.dist import QuantileLevels
 from enspost.errors import (ConfigError, ContractError, DomainError,
                              NumericError)
 from enspost.models import (ARCHITECTURES, MODEL_CHECKS, POOLING_KINDS,
@@ -409,10 +408,9 @@ def test_models_reject_predictors_and_scalars_unlike_their_fit():
 
 def test_forecast_and_quantiles_are_consistent():
     ds = _dataset(days=6)
-    levels = QuantileLevels.equidistant(9)
     for arch in ("drn", "bqn"):
         model = _tiny_model(arch, ds)
-        q = model.quantiles(ds, levels)
+        q = model.quantiles(ds, 9)
         assert q.shape == (len(ds), 9)
         assert np.all(np.diff(q, axis=1) >= -1e-12)   # non-decreasing rows
 

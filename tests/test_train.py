@@ -16,7 +16,7 @@ import enspost.train as train_mod
 from enspost import dist
 from enspost.data import (SynthConfig, fit_norm, generate_synthetic,
                           split_temporal)
-from enspost.dist import QuantileLevels, bernstein_basis, bqn_coefficients
+from enspost.dist import bernstein_basis, bqn_coefficients, level_grid
 from enspost.errors import ConfigError, ContractError, DomainError
 from enspost.evaluation import (evaluate_quantiles, model_mean_crps,
                                 nominal_pi_level, resample_and_score)
@@ -155,7 +155,7 @@ def test_bqn_quantile_score_matches_pinball_oracle():
                           params, {k: v for k, v in inputs.items()
                                    if k != "y"})
     alpha = bqn_coefficients(theta)
-    levels = QuantileLevels.equidistant(cfg.n_quantile_levels).levels
+    levels = level_grid(cfg.n_quantile_levels)
     basis = bernstein_basis(cfg.bernstein_degree, levels)
     quantiles = alpha @ basis.T
     expected = np.mean([[2.0 * pinball_ref(q, y, p)
@@ -350,6 +350,21 @@ def test_trained_emos_table_checkpoint_round_trip_and_layout(tmp_path,
 # ---------------------------------------------------------------------------
 
 
+def test_truncated_logistic_training_and_scoring_build_no_level_grid(
+        monkeypatch):
+    # the closed-form CRPS is the loss, the validation score and the
+    # selection score of a truncated-logistic model: none reads a grid
+    def refuse(*args, **kwargs):
+        raise AssertionError("a truncated-logistic model built a level grid")
+
+    train, val, test = _splits(days=20)
+    monkeypatch.setattr(dist, "level_grid", refuse)
+    model, report = train_model(
+        ModelConfig(architecture="drn", max_epochs=1, **TINY), train, val)
+    assert len(report.val_crps) == 2    # the initial and one trained epoch
+    assert np.isfinite(model_mean_crps(model, test))
+
+
 def _tiny_pool(n=3, arch="drn", days=30):
     train, val, test = _splits(days=days)
     cfg = ModelConfig(architecture=arch, max_epochs=4, **TINY)
@@ -472,9 +487,10 @@ def test_model_pool_validation():
 
 def test_aggregate_quantiles_is_levelwise_mean():
     pool, test = _tiny_pool()
-    levels = QuantileLevels.equidistant(TINY["n_quantile_levels"])
-    agg = aggregate_quantiles(pool.models, test, levels)
-    manual = np.mean([m.quantiles(test, levels) for m in pool.models], axis=0)
+    n_levels = TINY["n_quantile_levels"]
+    agg = aggregate_quantiles(pool.models, test, n_levels)
+    manual = np.mean([m.quantiles(test, n_levels) for m in pool.models],
+                     axis=0)
     np.testing.assert_array_equal(agg, manual)
     assert np.all(np.diff(agg, axis=1) >= -1e-12)
 
@@ -498,9 +514,9 @@ def _count_quantiles(monkeypatch, models):
     for model in models:
         inner = model.quantiles
 
-        def counted(dataset, levels, inner=inner):
+        def counted(dataset, n_levels, inner=inner):
             calls.append(1)
-            return inner(dataset, levels)
+            return inner(dataset, n_levels)
 
         monkeypatch.setattr(model, "quantiles", counted)
     return calls
@@ -520,14 +536,13 @@ def test_resample_and_score_matches_per_draw_aggregation():
     reports, _ = resample_and_score(pool, test, k=3, reps=6, pit_bins=5,
                                     rng=np.random.default_rng(11))
     rng = np.random.default_rng(11)
-    levels = QuantileLevels.equidistant(TINY["n_quantile_levels"])
     level = float(nominal_pi_level(test.n_members))
     for report in reports:
         idx = rng.choice(len(pool), size=3, replace=False)
         quantiles = aggregate_quantiles([pool.models[i] for i in idx], test,
-                                        levels)
-        expected = evaluate_quantiles(quantiles, test.obs, level,
-                                      levels=levels, pit_bins=5, rng=rng)
+                                        TINY["n_quantile_levels"])
+        expected = evaluate_quantiles(quantiles, test.obs, level, pit_bins=5,
+                                      rng=rng)
         assert report.to_dict() == expected.to_dict()
 
 
