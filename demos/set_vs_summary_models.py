@@ -14,9 +14,10 @@ part; the whole script takes on the order of fifteen minutes.
 
 import numpy as np
 
-from enspost.data import SynthConfig, generate_synthetic, split_temporal
+from enspost.data import (SynthConfig, generate_synthetic, split_temporal,
+                          summary_statistic)
 from enspost.evaluation import resample_and_score
-from enspost.importance import spearman, summary_statistic
+from enspost.importance import spearman
 from enspost.models import ModelConfig
 from enspost.train import train_pool
 

@@ -39,13 +39,16 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 PREDICTOR_NAMES = ("primary", "aux_spread", "aux_skew", "noise")
 SCALAR_NAMES = ("lat", "lon", "yday_cos")
 # statistics of a predictor's members that importance conditions shuffles on
 SUMMARY_KINDS = ("mean", "std", "min", "max", "iqr", "range",
                  "skewness", "kurtosis")
+# largest |centered| member values whose moments up to the fourth are normal
+# floats for any ensemble size below 2**60
+MOMENT_RANGE = (2.0**-200, 2.0**200)
 _DAYS = np.array(["0001-01-01", "9999-12-31"], dtype="datetime64[D]")
 SYNTH_START = np.datetime64("2016-01-01")   # date of synthetic day 0
 MAX_SYNTH_DAYS = (_DAYS[1] - SYNTH_START).item().days + 1   # to 9999-12-31
@@ -463,6 +466,86 @@ def _read_copy(path):
         return None
     return {**copy, **{key: copy[key].tolist()
                        for key in ("lead", "predictor_names", "scalar_names")}}
+
+
+# ---------------------------------------------------------------------------
+# Member statistics
+# ---------------------------------------------------------------------------
+
+
+def sorted_members(values):
+    """``values`` with each row (members along the last axis) sorted, its
+    zeros made +0.0, as a new C-contiguous array: any permutation of a
+    row's members, stored in any memory layout, gives the same array, so
+    every reduction of it has the same bits (NumPy's pairwise summation
+    follows the layout)."""
+    # + 0.0 makes -0.0 0.0: a sort leaves equal zeros in input order
+    return np.sort(np.ascontiguousarray(values, dtype=np.float64) + 0.0,
+                   axis=-1)
+
+
+def _percentiles(ordered, qs):
+    """``np.percentile(ordered, qs, axis=-1)`` for ``qs`` below 100, bit for
+    bit, as a list: NumPy's linear method (virtual index (n - 1) q, then a
+    lerp that interpolates from the upper neighbour from weight 0.5 on) on
+    ``ordered``, values sorted along the last axis.  ``np.percentile``
+    itself loads ``numpy.ma`` through ``np.unique``, some 17 ms per process.
+    """
+    n = ordered.shape[-1]
+    out = []
+    for q in qs:
+        index = (n - 1) * (q / 100)
+        low = int(index)
+        a, b = ordered[..., low], ordered[..., min(low + 1, n - 1)]
+        t = index - low
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
+
+
+def summary_statistic(values, kind):
+    """One of the :data:`SUMMARY_KINDS` of each row's members, along the
+    last axis.
+
+    Every statistic reduces the rows of :func:`sorted_members`, so it is a
+    function of the row's set of members: it has the same bits under any
+    permutation of them, in any memory layout.  Central moments use the n
+    denominator except the standard deviation (n-1); the inter-quartile
+    range interpolates order statistics linearly.  Constant ensembles
+    yield 0 for every spread and shape statistic.
+    """
+    values = sorted_members(values)
+    if values.shape[-1] < 2:
+        raise DomainError("need at least two members")
+    if kind == "mean":
+        return values.mean(axis=-1)
+    if kind == "min":
+        return values[..., 0]
+    if kind == "max":
+        return values[..., -1]
+    if kind == "iqr":
+        q25, q75 = _percentiles(values, [25, 75])
+        return q75 - q25
+    if kind == "range":
+        return values[..., -1] - values[..., 0]
+    centered = values - values.mean(axis=-1, keepdims=True)
+    # the moments scale with the row: a row whose squares or fourth powers
+    # would under- or overflow is scaled first, by the power of two (exact)
+    # of its largest |centered| value; every other row keeps its bits
+    largest = np.abs(centered).max(axis=-1, keepdims=True)
+    shift = np.where((largest < MOMENT_RANGE[0]) | (largest > MOMENT_RANGE[1]),
+                     np.frexp(largest)[1], 0)
+    centered = np.ldexp(centered, -shift)
+    if kind == "std":
+        return np.ldexp(np.sqrt(np.sum(centered * centered, axis=-1)
+                                / (values.shape[-1] - 1)), shift[..., 0])
+    m2 = np.mean(centered**2, axis=-1)
+    safe = np.where(m2 > 0, m2, 1.0)
+    if kind == "skewness":
+        return np.where(m2 > 0, np.mean(centered**3, axis=-1) / safe**1.5, 0.0)
+    if kind == "kurtosis":
+        return np.where(m2 > 0, np.mean(centered**4, axis=-1) / safe**2 - 3.0,
+                        0.0)
+    raise ConfigError(f"unknown summary statistic {kind!r}")
 
 
 # ---------------------------------------------------------------------------

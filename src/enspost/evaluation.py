@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import dist
+from . import data, dist
 from .data import Dataset
 from .dist import BernsteinQuantile, TruncLogistic
 from .errors import ContractError, DomainError
@@ -180,7 +180,7 @@ def raw_eps_report(dataset: Dataset, level=None, pit_bins=20, rng=None):
     k/(M+1); at the nominal (M-1)/(M+1) level the PI is exactly the ensemble
     range.  PIT is the randomized rank position.
     """
-    members = np.sort(dataset.ens[:, :, dataset.primary], axis=1)
+    members = data.sorted_members(dataset.ens[:, :, dataset.primary])
     if level is None:
         level = float(nominal_pi_level(members.shape[1]))
     return evaluate_quantiles(members, dataset.obs, level, pit_bins=pit_bins,

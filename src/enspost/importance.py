@@ -24,9 +24,6 @@ from .errors import ConfigError, ContractError, DomainError
 PERTURBATION_KINDS = ("fully_random", "rank_aware", "conditional")
 DEFAULT_BINS = 100
 CHI_RELIABLE_FRACTION = 1e-3  # denominator threshold relative to base score
-# largest |centered| member values whose moments up to the fourth are normal
-# floats for any ensemble size below 2**60
-MOMENT_RANGE = (2.0**-200, 2.0**200)
 
 
 @dataclass(frozen=True)
@@ -59,76 +56,6 @@ class ChiResult:
 
     value: float
     reliable: bool
-
-
-# ---------------------------------------------------------------------------
-# Summary statistics
-# ---------------------------------------------------------------------------
-
-
-def _percentiles(ordered, qs):
-    """``np.percentile(ordered, qs, axis=-1)`` for ``qs`` below 100, bit for
-    bit, as a list: NumPy's linear method (virtual index (n - 1) q, then a
-    lerp that interpolates from the upper neighbour from weight 0.5 on) on
-    ``ordered``, values sorted along the last axis.  ``np.percentile``
-    itself loads ``numpy.ma`` through ``np.unique``, some 17 ms per process.
-    """
-    n = ordered.shape[-1]
-    out = []
-    for q in qs:
-        index = (n - 1) * (q / 100)
-        low = int(index)
-        a, b = ordered[..., low], ordered[..., min(low + 1, n - 1)]
-        t = index - low
-        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
-    return out
-
-
-def summary_statistic(values, kind):
-    """One of the eight ensemble summary statistics, along the last axis.
-
-    Each row is sorted once, its zeros made +0.0, before any reduction, so
-    every statistic is a function of the row's set of members: it has the
-    same bits under any permutation of them.  Central moments use the n
-    denominator except the standard deviation (n-1); the inter-quartile
-    range interpolates order statistics linearly.  Constant ensembles
-    yield 0 for every spread and shape statistic.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[-1] < 2:
-        raise DomainError("need at least two members")
-    # + 0.0 makes -0.0 0.0: a sort leaves equal zeros in input order
-    values = np.sort(values + 0.0, axis=-1)
-    if kind == "mean":
-        return values.mean(axis=-1)
-    if kind == "min":
-        return values[..., 0]
-    if kind == "max":
-        return values[..., -1]
-    if kind == "iqr":
-        q25, q75 = _percentiles(values, [25, 75])
-        return q75 - q25
-    if kind == "range":
-        return values[..., -1] - values[..., 0]
-    centered = values - values.mean(axis=-1, keepdims=True)
-    # the moments scale with the row: a row whose squares or fourth powers
-    # would under- or overflow is scaled first, by the power of two (exact)
-    # of its largest |centered| value; every other row keeps its bits
-    largest = np.abs(centered).max(axis=-1, keepdims=True)
-    shift = np.where((largest < MOMENT_RANGE[0]) | (largest > MOMENT_RANGE[1]),
-                     np.frexp(largest)[1], 0)
-    centered = np.ldexp(centered, -shift)
-    if kind == "std":
-        return np.ldexp(np.sqrt(np.sum(centered * centered, axis=-1)
-                                / (values.shape[-1] - 1)), shift[..., 0])
-    m2 = np.mean(centered**2, axis=-1)
-    safe = np.where(m2 > 0, m2, 1.0)
-    if kind == "skewness":
-        return np.where(m2 > 0, np.mean(centered**3, axis=-1) / safe**1.5, 0.0)
-    if kind == "kurtosis":
-        return np.where(m2 > 0, np.mean(centered**4, axis=-1) / safe**2 - 3.0,
-                        0.0)
-    raise ConfigError(f"unknown summary statistic {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +104,12 @@ class _Column:
 
     @cached_property
     def sorted_rows(self):
-        return np.sort(self.values, axis=1)
+        return data.sorted_members(self.values)
 
     def statistic(self, kind):
         if kind not in self._statistics:
-            self._statistics[kind] = summary_statistic(self.sorted_rows,
-                                                       kind)
+            self._statistics[kind] = data.summary_statistic(
+                self.sorted_rows, kind)
         return self._statistics[kind]
 
     def midranks(self, kind):
@@ -416,7 +343,7 @@ def _preservation(column, predictor, bins, seed, statistics):
 
 def _box_stats(values):
     values = np.asarray(values, dtype=np.float64)
-    q25, median, q75 = _percentiles(np.sort(values), [25, 50, 75])
+    q25, median, q75 = data._percentiles(np.sort(values), [25, 50, 75])
     return {"mean": float(values.mean()), "min": float(values.min()),
             "q25": float(q25), "median": float(median), "q75": float(q75),
             "max": float(values.max())}

@@ -117,14 +117,14 @@ def summary_base(ens, primary):
         raise ConfigError("ens must be (n, M, p)")
     if ens.shape[1] < 2:
         raise DomainError("need at least two members for the std estimator")
+    cols = [data.summary_statistic(ens[..., primary], kind)
+            for kind in ("mean", "std")]
     # sort each channel (and force a canonical memory layout) so the
     # reductions see identical operands in identical order, making the
     # statistics exactly -- not just approximately -- invariant under
     # member permutations; numpy's pairwise summation is layout-sensitive
     ens = np.sort(np.ascontiguousarray(ens), axis=1)
-    prim = ens[..., primary]
     others = np.delete(ens, primary, axis=-1)
-    cols = [prim.mean(axis=-1), prim.std(axis=-1, ddof=1)]
     cols.extend(others.mean(axis=-2).T)
     return np.stack(cols, axis=-1)
 

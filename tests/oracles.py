@@ -31,12 +31,12 @@ import numpy as np
 from scipy import integrate, special, stats
 
 from enspost import autodiff as ad
-from enspost.data import Dataset, SynthConfig, _check_record, derive_seed
+from enspost.data import (SUMMARY_KINDS, Dataset, SynthConfig,
+                          _check_record, derive_seed, summary_statistic)
 from enspost.dist import _trunc_tail_value, bqn_quantile
 from enspost.errors import ConfigError, DomainError
-from enspost.importance import (SUMMARY_KINDS, PerturbationSpec,
-                                _member_ranks, conditional_bins, spearman,
-                                summary_statistic)
+from enspost.importance import (PerturbationSpec, _member_ranks,
+                                conditional_bins, spearman)
 from enspost.models import ModelConfig, graph_inputs
 from enspost.train import (EMOS_CELL_STEPS, MIN_EMOS_CELL, Adam,
                            loss_graph)

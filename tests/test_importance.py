@@ -13,7 +13,8 @@ import enspost.data
 import enspost.importance as importance
 import enspost.models as models
 from enspost.data import (Dataset, SynthConfig, derive_seed, fit_norm,
-                          generate_synthetic, split_temporal)
+                          generate_synthetic, split_temporal,
+                          summary_statistic)
 from enspost.errors import ConfigError, ContractError, DomainError
 from enspost.evaluation import inputs_mean_crps, model_mean_crps
 from enspost.importance import (PERTURBATION_KINDS, SUMMARY_KINDS, ChiResult,
@@ -22,8 +23,7 @@ from enspost.importance import (PERTURBATION_KINDS, SUMMARY_KINDS, ChiResult,
                                 _midranks, chi, chi_ratio, conditional_bins,
                                 delta0, importance_report,
                                 perturb, preservation_csv,
-                                preservation_matrix, spearman,
-                                summary_statistic)
+                                preservation_matrix, spearman)
 from enspost.models import (ARCHITECTURES, EMOSModel, ModelConfig,
                             NeuralModel, emos_params, init_params)
 from enspost.train import train_model
@@ -99,11 +99,19 @@ def _member_blocks(draw):
 @pytest.mark.parametrize("kind", SUMMARY_KINDS)
 @settings(max_examples=200)
 @given(block=_member_blocks(), seed=st.integers(0, 2**32 - 1))
+@example(block=np.random.default_rng(0).normal(size=(5, 8)), seed=0)
 def test_summary_statistic_is_exactly_member_order_invariant(kind, block,
                                                              seed):
-    permuted = np.random.default_rng(seed).permuted(block, axis=1)
-    assert summary_statistic(permuted, kind).tobytes() \
-        == summary_statistic(block, kind).tobytes()
+    """The same bits under any member order and in any memory layout: a
+    Fortran-ordered copy, and a predictor column of a fancy-indexed
+    (n, M, p) block, which NumPy stores members outermost."""
+    rng = np.random.default_rng(seed)
+    permuted = rng.permuted(block, axis=1)
+    stacked = np.stack([block, block], axis=-1)[:, rng.permutation(
+        block.shape[1])]
+    expected = summary_statistic(block, kind).tobytes()
+    for values in (permuted, np.asfortranarray(permuted), stacked[:, :, 1]):
+        assert summary_statistic(values, kind).tobytes() == expected
 
 
 @settings(max_examples=200)
@@ -120,7 +128,7 @@ def test_percentiles_are_numpy_percentile_bit_for_bit(n, rows, data):
                                   elements=st.sampled_from(pool)))
     qs = data.draw(st.lists(st.sampled_from([25, 50, 75]), min_size=1,
                             max_size=3))
-    got = np.asarray(importance._percentiles(np.sort(values, axis=-1), qs))
+    got = np.asarray(enspost.data._percentiles(np.sort(values, axis=-1), qs))
     assert got.tobytes() == np.percentile(values, qs, axis=-1).tobytes()
 
 
