@@ -345,8 +345,7 @@ def load_ndjson(path, primary=0, n_stations=None):
     columns = _read_copy(path) or _parse_ndjson(path)
     ens = columns["ens"]
     return Dataset(
-        # (T, p, M) read as (T, M, p): the memory layout of stacked (M, p)
-        # records, which fit_norm's sums over axes (0, 1) depend on
+        # (T, p, M), as parsing and the copy hold it, read as (T, M, p)
         ens=ens.transpose(0, 2, 1) if ens.ndim == 3 else ens,
         scalars=columns["scalars"],
         station=columns["station"],
@@ -469,16 +468,14 @@ def _read_copy(path):
 
 
 # ---------------------------------------------------------------------------
-# Member statistics
+# Member statistics, normalization and splitting
 # ---------------------------------------------------------------------------
 
 
 def sorted_members(values):
-    """``values`` with each row (members along the last axis) sorted, its
-    zeros made +0.0, as a new C-contiguous array: any permutation of a
-    row's members, stored in any memory layout, gives the same array, so
-    every reduction of it has the same bits (NumPy's pairwise summation
-    follows the layout)."""
+    """``values`` with each row (members on the last axis) sorted and zeros
+    made +0.0, in a new C-contiguous array: the same array, so the same bits
+    of any reduction, for any member order and memory layout of a row."""
     # + 0.0 makes -0.0 0.0: a sort leaves equal zeros in input order
     return np.sort(np.ascontiguousarray(values, dtype=np.float64) + 0.0,
                    axis=-1)
@@ -503,16 +500,12 @@ def _percentiles(ordered, qs):
 
 
 def summary_statistic(values, kind):
-    """One of the :data:`SUMMARY_KINDS` of each row's members, along the
-    last axis.
-
-    Every statistic reduces the rows of :func:`sorted_members`, so it is a
-    function of the row's set of members: it has the same bits under any
-    permutation of them, in any memory layout.  Central moments use the n
-    denominator except the standard deviation (n-1); the inter-quartile
-    range interpolates order statistics linearly.  Constant ensembles
-    yield 0 for every spread and shape statistic.
-    """
+    """One of the :data:`SUMMARY_KINDS` of each row's members (last axis),
+    a reduction of :func:`sorted_members` rows, so it has the same bits
+    under any member permutation in any memory layout.  Central moments
+    use the n denominator except the standard deviation (n-1); the
+    inter-quartile range interpolates order statistics linearly.
+    Constant ensembles yield 0 for every spread and shape statistic."""
     values = sorted_members(values)
     if values.shape[-1] < 2:
         raise DomainError("need at least two members")
@@ -548,15 +541,14 @@ def summary_statistic(values, kind):
     raise ConfigError(f"unknown summary statistic {kind!r}")
 
 
-# ---------------------------------------------------------------------------
-# Normalization and splitting
-# ---------------------------------------------------------------------------
-
-
 def fit_norm(dataset: Dataset):
     """Mean and standard deviation of each predictor and scalar column of a
-    dataset: the normalization a model is fitted with."""
-    ens_std = dataset.ens.std(axis=(0, 1))
+    dataset: the normalization a model is fitted with.  A predictor is
+    reduced over its :func:`sorted_members` rows, so its statistics keep
+    their bits under any member permutation of any row."""
+    ens_mean, ens_std = np.array([
+        (rows.mean(), rows.std()) for rows in map(
+            sorted_members, np.moveaxis(dataset.ens, -1, 0))]).T
     sc_std = dataset.scalars.std(axis=0)
     for std, names in ((ens_std, dataset.predictor_names),
                        (sc_std, dataset.scalar_names)):
@@ -566,7 +558,7 @@ def fit_norm(dataset: Dataset):
     return {
         "predictor_names": list(dataset.predictor_names),
         "scalar_names": list(dataset.scalar_names),
-        "ens_mean": dataset.ens.mean(axis=(0, 1)).tolist(),
+        "ens_mean": ens_mean.tolist(),
         "ens_std": ens_std.tolist(),
         "scalar_mean": dataset.scalars.mean(axis=0).tolist(),
         "scalar_std": sc_std.tolist(),

@@ -30,7 +30,7 @@ from . import data
 from . import dist as dist_mod
 from .autodiff import ParamVector
 from .data import Dataset, _POSITIVE, _STRING, _Check
-from .errors import ConfigError, ContractError, DomainError
+from .errors import ConfigError, ContractError
 
 ARCHITECTURES = ("emos", "drn", "bqn", "ed-drn", "ed-bqn", "st-drn", "st-bqn")
 POOLING_KINDS = ("mean", "max", "min", "attention")
@@ -107,26 +107,18 @@ MODEL_CHECKS = data._fields(
 
 
 def summary_base(ens, primary):
-    """Primary mean/std plus auxiliary means; vectorized over samples.
-
-    ``ens`` is (n, M, p).  Returns (n, 2 + (p - 1)); the standard deviation
-    uses the unbiased (n-1) estimator.  Exactly member-permutation invariant.
+    """Primary mean/std plus auxiliary means of an (n, M, p) block: an
+    (n, 2 + (p - 1)) array whose every column is
+    :func:`data.summary_statistic` of one predictor's members, so it has
+    the same bits under any member permutation of a row.
     """
     ens = np.asarray(ens, dtype=np.float64)
     if ens.ndim != 3:
         raise ConfigError("ens must be (n, M, p)")
-    if ens.shape[1] < 2:
-        raise DomainError("need at least two members for the std estimator")
-    cols = [data.summary_statistic(ens[..., primary], kind)
-            for kind in ("mean", "std")]
-    # sort each channel (and force a canonical memory layout) so the
-    # reductions see identical operands in identical order, making the
-    # statistics exactly -- not just approximately -- invariant under
-    # member permutations; numpy's pairwise summation is layout-sensitive
-    ens = np.sort(np.ascontiguousarray(ens), axis=1)
-    others = np.delete(ens, primary, axis=-1)
-    cols.extend(others.mean(axis=-2).T)
-    return np.stack(cols, axis=-1)
+    columns = [(primary, "mean"), (primary, "std")] + [
+        (j, "mean") for j in range(ens.shape[-1]) if j != primary]
+    return np.stack([data.summary_statistic(ens[..., j], kind)
+                     for j, kind in columns], axis=-1)
 
 
 def summary_columns(primary, predictor):
@@ -489,10 +481,10 @@ class _FittedModel:
         """:meth:`inputs` of a dataset with one predictor's column shuffled
         between rows, from the dataset's own ``inputs``: row i holds the
         members of row ``donors[i]``, ordered as in ``members()``, the
-        shuffled (n, M) column.  :func:`summary_base` sorts each row's
-        members into one memory layout, so summary columns are gathered at
-        the donor rows, bit for bit, without calling ``members``; set models
-        standardize the one column (standardizing is elementwise)."""
+        shuffled (n, M) column.  Summary columns are statistics of a row's
+        set of members, so they are gathered at the donor rows, bit for bit,
+        without calling ``members``; set models standardize the one column
+        (standardizing is elementwise)."""
         if "features" in inputs:
             features = inputs["features"].copy()
             # EMOS features hold the primary's columns only

@@ -17,6 +17,7 @@ import platform
 import struct
 import subprocess
 import sys
+import tempfile
 import types
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from enspost.data import Dataset, SynthConfig, load_ndjson, save_ndjson
 from enspost.errors import ConfigError, NumericError
 from enspost.models import ModelConfig
 
-from oracles import RUN_CONFIG_SCHEMA, run_config_validator
+from oracles import RUN_CONFIG_SCHEMA, run_config_validator, with_ensemble
 
 
 # ---------------------------------------------------------------------------
@@ -911,19 +912,21 @@ def test_mistyped_ndjson_and_chi_predictor_exit_2(tmp_path, capsys):
     assert "chi predictors [4]" in capsys.readouterr().err
 
 
-def _run_stages(synth_dir, out, train_dir=None):
-    """run_hash of train, evaluate and importance run on a synth directory;
-    evaluate and importance score the pool in ``train_dir`` if given."""
+def _run_stages(synth_dir, out, train_dir=None, sets=()):
+    """(output hashes, run_hash) of train, evaluate and importance run on a
+    synth directory with MODEL_SETS and ``sets``; evaluate and importance
+    score the pool in ``train_dir`` if given."""
     data = f'data.path="{synth_dir / "dataset.ndjson"}"'
-    assert _run("train", out / "train", [data] + MODEL_SETS) == 0
+    assert _run("train", out / "train", [data] + MODEL_SETS + list(sets)) == 0
     pool = train_dir or out / "train"
     assert _run("evaluate", out / "evaluate",
                 [data, f'eval.checkpoints="{pool}"', "eval.reps=2"]) == 0
     assert _run("importance", out / "importance",
                 [data, f'importance.checkpoints="{pool}"',
                  "importance.bins=5"]) == 0
-    return {stage: _manifest(out / stage)["run_hash"]
-            for stage in ("train", "evaluate", "importance")}
+    return {stage: (manifest["outputs"], manifest["run_hash"])
+            for stage in ("train", "evaluate", "importance")
+            for manifest in [_manifest(out / stage)]}
 
 
 def test_stages_hash_the_same_without_the_binary_copy(tmp_path):
@@ -933,6 +936,49 @@ def test_stages_hash_the_same_without_the_binary_copy(tmp_path):
     (synth_dir / "dataset.npz").unlink()
     assert _run_stages(synth_dir, tmp_path / "without",
                        tmp_path / "with" / "train") == with_copy
+
+
+def _permute_members(src, dst, seed):
+    """Write to ``dst`` the dataset of the synth directory ``src`` with each
+    record's members permuted, by one permutation for all of the record's
+    predictors, and its binary copy."""
+    ds = load_ndjson(str(src / "dataset.ndjson"))
+    order = np.argsort(np.random.default_rng(seed).random(ds.ens.shape[:2]),
+                       axis=1)
+    permuted = with_ensemble(
+        ds, np.take_along_axis(ds.ens, order[:, :, None], axis=1))
+    dst.mkdir()
+    save_ndjson(permuted, str(dst / "dataset.ndjson"))
+    enspost.data.save_copy(permuted, str(dst / "dataset.ndjson"))
+
+
+MEMBER_ORDER_ARCHS = ("drn", "bqn", "emos")
+
+
+@pytest.fixture(scope="module")
+def member_order_runs(tmp_path_factory):
+    """A synth directory and each of MEMBER_ORDER_ARCHS' stage outputs."""
+    root = tmp_path_factory.mktemp("member_order")
+    assert _run("synth", root / "synth", SYNTH_SETS) == 0
+    return root, {arch: _run_stages(root / "synth", root / arch,
+                                    sets=[f"model.architecture={arch}"])
+                  for arch in MEMBER_ORDER_ARCHS}
+
+
+@pytest.mark.filterwarnings("ignore:.*global EMOS coefficients.*")
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_stage_outputs_are_member_order_invariant(member_order_runs, seed):
+    # summary and EMOS models read each row's members as a set: every
+    # output file of every stage, and so every run_hash, keeps its bytes
+    root, expected = member_order_runs
+    with tempfile.TemporaryDirectory(dir=root) as tmp:
+        tmp = Path(tmp)
+        _permute_members(root / "synth", tmp / "synth", seed)
+        for arch in MEMBER_ORDER_ARCHS:
+            assert _run_stages(tmp / "synth", tmp / arch,
+                               sets=[f"model.architecture={arch}"]) \
+                == expected[arch], arch
 
 
 def test_stages_read_the_binary_copy_not_the_ndjson(tmp_path, monkeypatch):

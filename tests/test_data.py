@@ -22,7 +22,7 @@ from enspost.data import (CHUNK_RECORDS, PREDICTOR_NAMES, SCALAR_NAMES,
                           standardize)
 from enspost.errors import ConfigError
 from oracles import (load_ndjson_per_line, split_temporal_by_dates,
-                     synthetic_calendar)
+                     synthetic_calendar, with_ensemble)
 
 
 def _tiny_dataset(t=6, m=4, p=2, q=2, seed=0, primary=0):
@@ -676,6 +676,18 @@ def test_standardize_fit_and_apply():
     with np.errstate(over="ignore"), \
             pytest.raises(ConfigError, match="non-finite"):
         standardize(other, tiny)
+
+
+@settings(max_examples=100, deadline=None)
+@given(half=st.integers(1, 30), m=st.integers(2, 20), p=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_fit_norm_is_exactly_member_order_invariant(half, m, p, seed):
+    # each row's members permuted, independently per predictor
+    ds = _tiny_dataset(t=2 * half, m=m, p=p, seed=seed)
+    order = np.argsort(np.random.default_rng(seed).random(ds.ens.shape),
+                       axis=1)
+    permuted = with_ensemble(ds, np.take_along_axis(ds.ens, order, axis=1))
+    assert repr(fit_norm(permuted)) == repr(fit_norm(ds))
 
 
 def test_fit_norm_rejects_constant_column():

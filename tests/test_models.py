@@ -20,7 +20,7 @@ import enspost.autodiff as ad
 from enspost import models
 from enspost.cli import load_run_config
 from enspost.data import (Dataset, SynthConfig, fit_norm, generate_synthetic,
-                          standardize)
+                          standardize, summary_statistic)
 from enspost.errors import (ConfigError, ContractError, DomainError,
                              NumericError)
 from enspost.models import (ARCHITECTURES, MODEL_CHECKS, POOLING_KINDS,
@@ -109,6 +109,18 @@ def test_summary_base_values_and_invariance():
     np.testing.assert_array_equal(summary_base(ens[:, perm], 0), base)
     with pytest.raises(DomainError):
         summary_base(ens[:, :1], 0)
+
+
+def test_summary_base_columns_are_summary_statistics():
+    # one home: each column is data.summary_statistic of its predictor
+    ens = np.random.default_rng(1).normal(size=(7, 9, 4))
+    for primary in range(4):
+        base = summary_base(ens, primary)
+        for j in range(4):
+            kinds = ("mean", "std") if j == primary else ("mean",)
+            for col, kind in zip(summary_columns(primary, j), kinds):
+                assert base[:, col].tobytes() \
+                    == summary_statistic(ens[:, :, j], kind).tobytes()
 
 
 @st.composite
