@@ -107,8 +107,9 @@ def evaluate(forecast, observations, level, pit_bins=20, rng=None,
     ``forecast`` is one TruncLogistic or BernsteinQuantile with array
     parameters, e.g. ``model.forecast(test)``.  Truncated-logistic
     forecasts use the closed-form CRPS; Bernstein forecasts are scored with
-    the ensemble CRPS of their quantiles on ``dist.level_grid(n_levels)``
-    (default the 99-level percent grid).
+    the ensemble CRPS of their quantiles on ``dist.level_grid(n_levels)``:
+    pass ``n_levels=model.config.n_quantile_levels`` to score a model as
+    :func:`model_mean_crps` does.
     """
     lo, hi = pi_bounds(forecast, level)
     observations, level = _checked(np.shape(lo), observations, level)

@@ -347,6 +347,24 @@ def test_model_mean_crps_runs_one_forward_pass(arch):
     assert len(calls) == 1
 
 
+def test_evaluate_of_a_bernstein_model_at_its_level_count_is_its_score():
+    # the README example: evaluate passes the model's n_quantile_levels
+    from enspost.data import fit_norm
+    from enspost.models import ModelConfig, NeuralModel, init_params
+    ds = generate_synthetic(SynthConfig(stations=4, days=40, members=6))
+    cfg = ModelConfig(architecture="bqn", hidden_sizes=(6, 5),
+                      bernstein_degree=4, embedding_dim=3,
+                      n_quantile_levels=9)
+    params = init_params(cfg, ds.n_predictors, ds.n_scalars, ds.n_stations,
+                         rng=np.random.default_rng(0))
+    model = NeuralModel(cfg, params, fit_norm(ds), ds.n_stations, ds.primary,
+                        ds.predictor_names, ds.scalar_names)
+    rep = evaluate(model.forecast(ds), ds.obs, 0.9,
+                   n_levels=model.config.n_quantile_levels)
+    assert rep.mean_crps == pytest.approx(model_mean_crps(model, ds),
+                                          rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
